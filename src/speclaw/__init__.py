@@ -36,7 +36,6 @@ from .qve import (
     extract_density,
     integrate_density,
     solve_qve,
-    solve_qve_continuation,
 )
 from .spectra import (
     SpectrumSummary,

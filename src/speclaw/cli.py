@@ -164,7 +164,7 @@ def run(config: RunConfig) -> int:
     if command == "qve-solve":
         profile = qve.load_profile(args.profile)
         opts = qve.SolverOptions(tol=args.tol) if args.tol else None
-        sol = qve.solve_qve_continuation(profile, args.x, max(1.0, args.eta), args.eta, 40, opts)
+        sol = qve.solve_qve(profile, qve.SpectralPoint(args.x, args.eta), opts)
         payload = {
             "x": args.x,
             "eta": args.eta,
@@ -265,7 +265,10 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _error_record(kind: str, exc: Exception) -> str:
-    return json.dumps({"error": kind, "message": str(exc)}, sort_keys=True)
+    record = {"error": kind, "message": str(exc)}
+    if isinstance(exc, NonConvergence):
+        record.update(x=exc.x, eta=exc.eta, residual=exc.residual, iterations=exc.iterations)
+    return json.dumps(record, sort_keys=True)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

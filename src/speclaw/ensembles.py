@@ -377,10 +377,13 @@ def save_matrix_binary(matrix: SampledMatrix, path) -> None:
 
 
 def load_matrix_binary(path) -> np.ndarray:
+    """Read a save_matrix_binary file; the size header must match the file length."""
     with open(path, "rb") as fh:
-        (n,) = struct.unpack("<q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n, n)
-    return data.astype(np.float64)
+        raw = fh.read()
+    n = struct.unpack_from("<q", raw)[0] if len(raw) >= 8 else 0
+    if n < 1 or len(raw) != 8 + 8 * n * n:
+        raise InvalidSpec(f"{path}: {len(raw)} bytes is not an 8-byte header n >= 1 plus n*n float64 values")
+    return np.frombuffer(raw, dtype="<f8", offset=8).reshape(n, n).astype(np.float64)
 
 
 def save_matrix_market(matrix: SampledMatrix, path) -> None:

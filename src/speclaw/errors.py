@@ -16,8 +16,8 @@ class InvalidSpec(SpecLawError):
 class NonConvergence(SpecLawError):
     """The self-consistent solver did not reach the requested residual.
 
-    Usually signals that the imaginary part is too small for a cold start;
-    use eta-continuation instead of solving directly at the target point.
+    Carries the target abscissa x and eta, the best residual reached and the
+    iterations spent, when the raising code knows them.
     """
 
     def __init__(self, message, *, x=None, eta=None, residual=None, iterations=None):

@@ -11,8 +11,12 @@ block-weighted reduction
 
 for a d-class profile with class weights alpha.  The weighted average m(z)
 of the solution is the Stieltjes transform of a probability density rho
-supported in [-2, 2]; rho is recovered as Im m(x + i*eta)/pi for small eta
-via geometric eta-continuation with warm starts.
+supported in [-2, 2]; rho is recovered as Im m(x + i*eta)/pi for small eta.
+
+One solver does every solve: an undamped Anderson iteration on the map
+g -> -1/(z + S g), batched over the abscissas, which first descends from
+eta = 1 to the target eta by factors of 0.1 (the plain iteration slows down
+as eta -> 0) and stops each abscissa once max_k |1/g_k + z + (S g)_k| <= tol.
 """
 
 from __future__ import annotations
@@ -28,15 +32,12 @@ import numpy as np
 from .errors import InvalidProfile, NonConvergence, OutOfRange
 
 DEFAULT_ETA = 1e-6
-CONTINUATION_START = 1.0
-CONTINUATION_RATIO = 0.7
+ETA_START = 1.0
+ETA_RATIO = 0.1
 DEFAULT_GRID = (-3.0, 3.0, 601)
 
-# fixed-point stall detection: if the residual shrinks by less than
-# _STALL_FACTOR over _STALL_WINDOW iterations, try a Newton polish
-_STALL_WINDOW = 48
-_STALL_FACTOR = 0.5
-_OMEGA_MIN = 1.0 / 64.0
+# iterates mixed per Anderson step
+_ANDERSON_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,10 @@ Profile = VarianceProfile | BlockProfile
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Stop at a defect max_k |1/g_k + z + (S g)_k| <= tol; at most max_iter map evaluations per eta stage."""
+
     tol: float = 1e-10
     max_iter: int = 10_000
-    omega: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -302,42 +304,97 @@ def _weight_matrix(profile: Profile) -> np.ndarray:
 # solver
 
 
-def _residual(g: np.ndarray, z: complex, sg: np.ndarray) -> float:
-    return float(np.abs(1.0 / g + z + sg).max())
+def _eta_schedule(eta: float) -> np.ndarray:
+    """Geometric descent from ETA_START to eta whose ratio is never below ETA_RATIO."""
+    if eta >= ETA_START:
+        return np.array([eta])
+    # the 1e-9 keeps rounding in the logs from adding a stage when eta = ETA_RATIO**k
+    steps = math.ceil(math.log(eta / ETA_START) / math.log(ETA_RATIO) - 1e-9)
+    return np.geomspace(ETA_START, eta, steps + 1)
 
 
-def _newton_polish(wmat, z, g, tol, budget):
-    """Damped Newton on the defect 1/g + z + Wg; returns (g, res, steps) or None.
+def _solve_batch(
+    profile: Profile,
+    xs: np.ndarray,
+    eta: float,
+    opts: SolverOptions,
+    initial: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the equation at the points xs + i*eta, all columns at once.
 
-    Used when the fixed-point map is marginally contractive (spectral points
-    next to a support edge); the Jacobian solve restores fast convergence.
+    Returns (g, residual, iterations): the dim x len(xs) solution vectors, the
+    final defect max_k |1/g_k + z + (W g)_k| of each column and the number of
+    map evaluations it took.  Each column runs an undamped Anderson iteration
+    (Walker & Ni 2011) on the map g -> -1/(z + W g), mixing the last
+    _ANDERSON_DEPTH iterates by a least-squares fit of their residuals; a
+    column stops once its defect is <= opts.tol, and the rest keep iterating
+    as one matrix product.  A mixed step that leaves the upper half plane is
+    replaced by the plain map step, which stays in it.  Without a warm start
+    the columns descend together from eta = ETA_START by factors of at most
+    ETA_RATIO, each stage starting from the previous one's solution.  Raises
+    NonConvergence for the worst column when a stage uses up opts.max_iter.
     """
-    dim = len(g)
-    eye = np.eye(dim)
-    steps = 0
-    res = _residual(g, z, wmat @ g)
-    while steps < budget:
-        phi = 1.0 / g + z + wmat @ g
-        jac = wmat - eye * (1.0 / g**2)
-        try:
-            delta = np.linalg.solve(jac, -phi)
-        except np.linalg.LinAlgError:
-            return None
-        scale = 1.0
-        for _ in range(12):
-            cand = g + scale * delta
-            if np.all(cand.imag > 0):
-                cand_res = _residual(cand, z, wmat @ cand)
-                if cand_res < res:
-                    g, res = cand, cand_res
-                    break
-            scale *= 0.5
-        else:
-            return None
-        steps += 1
-        if res <= tol:
-            return g, res, steps
-    return None
+    wt = _weight_matrix(profile).T.astype(np.complex128)
+    num, dim = xs.size, profile.dim
+    depth = min(_ANDERSON_DEPTH, dim)
+    if initial is None:
+        schedule = _eta_schedule(eta)
+        g = np.repeat((-1.0 / (xs + 1j * schedule[0]))[:, None], dim, axis=1)
+    else:
+        schedule = np.array([eta])
+        g = np.array(initial, dtype=np.complex128).T
+    residual = np.full(num, np.inf)
+    iterations = np.zeros(num, dtype=np.int64)
+
+    for eta_k in schedule:
+        # per active column, rows of g; history differences along the last axis
+        idx = np.arange(num)
+        ga, za = g.copy(), (xs + 1j * eta_k)[:, None]
+        best = np.full(num, np.inf)
+        dg = np.zeros((num, dim, depth), dtype=np.complex128)
+        df = np.zeros_like(dg)
+        for k in range(opts.max_iter + 1):
+            denom = za + ga @ wt
+            res = np.abs(1.0 / ga + denom).max(axis=1)
+            best[idx] = np.minimum(best[idx], res)
+            done = res <= opts.tol
+            if done.any():
+                g[idx[done]], residual[idx[done]] = ga[done], res[done]
+                keep = ~done
+                idx, ga, za, denom, dg, df = idx[keep], ga[keep], za[keep], denom[keep], dg[keep], df[keep]
+                if k:
+                    g_prev, f_prev = g_prev[keep], f_prev[keep]
+            if idx.size == 0 or k == opts.max_iter:
+                break
+            iterations[idx] += 1
+            fa = -1.0 / denom - ga
+            step = ga + fa
+            if k:
+                slot, used = (k - 1) % depth, min(k, depth)
+                dg[:, :, slot], df[:, :, slot] = ga - g_prev, fa - f_prev
+                gamma = np.linalg.pinv(df[:, :, :used]) @ fa[:, :, None]
+                mixed = step - ((dg[:, :, :used] + df[:, :, :used]) @ gamma)[:, :, 0]
+                ok = (mixed.imag > 0).all(axis=1)
+                step[ok] = mixed[ok]
+            g_prev, f_prev, ga = ga, fa, step
+        if idx.size:
+            worst = idx[np.argmax(best[idx])]
+            raise NonConvergence(
+                f"fixed point not below tol={opts.tol:g} after {opts.max_iter} iterations "
+                f"at z={xs[worst]:g}+{eta_k:g}i (best residual {best[worst]:.3g}) "
+                f"on the way to eta={eta:g}",
+                x=float(xs[worst]),
+                eta=eta,
+                residual=float(best[worst]),
+                iterations=int(iterations[worst]),
+            )
+    return g.T, residual, iterations
+
+
+def _m_of(profile: Profile, g: np.ndarray) -> np.ndarray:
+    if isinstance(profile, VarianceProfile):
+        return g.mean(axis=0)
+    return profile.weights @ g
 
 
 def solve_qve(
@@ -348,215 +405,23 @@ def solve_qve(
 ) -> QveSolution:
     """Solve the quadratic vector equation at one spectral point.
 
-    Damped fixed-point iteration g <- (1-w) g - w/(z + Sg) started from the
-    large-|z| limit g = -1/z (or from `initial` for warm starts).  The damping
-    factor halves when the residual rises twice in a row; if the iteration
-    stalls near a support edge a Newton polish finishes the solve.  Raises
-    NonConvergence when the residual never reaches opts.tol.
+    A batch of one for _solve_batch: Anderson iteration, after an eta-descent
+    from ETA_START unless `initial` gives a warm start, until the defect
+    max_k |1/g_k + z + (S g)_k| is <= opts.tol.  Raises NonConvergence when a
+    stage runs out of opts.max_iter iterations.
     """
     opts = opts or SolverOptions()
-    z = point.z
-    dim = profile.dim
-    wmat = _weight_matrix(profile)
-
     if initial is not None:
-        g = np.array(initial, dtype=np.complex128)
-        if g.shape != (dim,) or not np.all(g.imag > 0):
+        initial = np.array(initial, dtype=np.complex128)
+        if initial.shape != (profile.dim,) or not np.all(initial.imag > 0):
             raise ValueError("warm start must be a length-dim vector with positive imaginary parts")
-    else:
-        g = np.full(dim, -1.0 / z, dtype=np.complex128)
-
-    omega = opts.omega
-    prev_res = math.inf
-    rises = 0
-    checkpoint_res = math.inf
-    newton_blocked_until = 0
-    best_res = math.inf
-
-    it = 0
-    while it <= opts.max_iter:
-        sg = wmat @ g
-        res = _residual(g, z, sg)
-        best_res = min(best_res, res)
-        if res <= opts.tol:
-            return _finish(profile, point, g, res, it)
-
-        if res > prev_res:
-            rises += 1
-            if rises >= 2:
-                omega = max(omega / 2.0, _OMEGA_MIN)
-                rises = 0
-        else:
-            rises = 0
-        prev_res = res
-
-        if it % _STALL_WINDOW == 0:
-            stalled = res > _STALL_FACTOR * checkpoint_res
-            checkpoint_res = res
-            if stalled and it >= newton_blocked_until and it > 0:
-                polished = _newton_polish(wmat, z, g, opts.tol, budget=40)
-                if polished is not None:
-                    g_new, res_new, steps = polished
-                    return _finish(profile, point, g_new, res_new, it + steps)
-                newton_blocked_until = it + 8 * _STALL_WINDOW
-
-        g = (1.0 - omega) * g - omega / (z + sg)
-        it += 1
-
-    raise NonConvergence(
-        f"fixed point not below tol={opts.tol:g} after {opts.max_iter} iterations "
-        f"at z={point.re:g}+{point.im:g}i (best residual {best_res:.3g}); "
-        "eta may be too small for a cold start, use continuation",
-        x=point.re,
-        eta=point.im,
-        residual=best_res,
-        iterations=opts.max_iter,
-    )
-
-
-def _finish(profile: Profile, point: SpectralPoint, g, res, iterations) -> QveSolution:
-    if not np.all(g.imag > 0):
-        raise NonConvergence(
-            "solution left the upper half plane", x=point.re, eta=point.im, residual=res
-        )
-    if isinstance(profile, VarianceProfile):
-        m = complex(g.mean())
-    else:
-        m = complex(profile.weights @ g)
-    g = g.copy()
+        initial = initial[:, None]
+    g, residual, iterations = _solve_batch(profile, np.array([point.re]), point.im, opts, initial)
+    g = g[:, 0]
     g.setflags(write=False)
-    return QveSolution(point=point, g=g, m=m, residual=res, iterations=iterations)
-
-
-def continuation_path(
-    profile: Profile,
-    x: float,
-    eta_start: float,
-    eta_end: float,
-    steps: int,
-    opts: SolverOptions | None = None,
-) -> list[QveSolution]:
-    """Solutions along a geometric eta descent from eta_start to eta_end.
-
-    Each solve warm-starts from the previous one; `steps` counts the
-    transitions, so the path holds steps+1 points (one point if the two
-    etas coincide).
-    """
-    if not (eta_start >= eta_end > 0):
-        raise ValueError(f"need eta_start >= eta_end > 0, got {eta_start}, {eta_end}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if eta_start == eta_end:
-        return [solve_qve(profile, SpectralPoint(x, eta_end), opts)]
-    etas = np.geomspace(eta_start, eta_end, steps + 1)
-    etas[-1] = eta_end
-    path: list[QveSolution] = []
-    g = None
-    for eta in etas:
-        sol = solve_qve(profile, SpectralPoint(x, float(eta)), opts, initial=g)
-        g = sol.g
-        path.append(sol)
-    return path
-
-
-def solve_qve_continuation(
-    profile: Profile,
-    x: float,
-    eta_start: float,
-    eta_end: float,
-    steps: int,
-    opts: SolverOptions | None = None,
-) -> QveSolution:
-    """Solution at x + i*eta_end, stabilized by geometric eta-stepping."""
-    return continuation_path(profile, x, eta_start, eta_end, steps, opts)[-1]
-
-
-def _continuation_steps(eta_start: float, eta_end: float) -> int:
-    if eta_end >= eta_start:
-        return 1
-    return max(1, math.ceil(math.log(eta_end / eta_start) / math.log(CONTINUATION_RATIO)))
-
-
-def _eta_schedule(eta: float) -> np.ndarray:
-    start = max(CONTINUATION_START, eta)
-    if start == eta:
-        return np.array([eta])
-    schedule = np.geomspace(start, eta, _continuation_steps(start, eta) + 1)
-    schedule[-1] = eta
-    return schedule
-
-
-_BLOCK_ITER_CAP = 400
-
-
-def _solve_batch(
-    profile: Profile,
-    xs: np.ndarray,
-    eta: float,
-    opts: SolverOptions,
-    initial: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solution vectors g (dim x len(xs)) at the points xs + i*eta.
-
-    All columns share one geometric eta descent (skipped when a warm start is
-    supplied); each damped iteration is a single matrix product over the
-    still-unconverged columns.  Columns that stall (support edges at tiny eta)
-    fall back to the scalar solver, whose Newton polish finishes them.
-    """
-    dim = profile.dim
-    wmat = _weight_matrix(profile).astype(np.complex128)
-    num = xs.size
-    if initial is None:
-        schedule = _eta_schedule(eta)
-        g = np.empty((dim, num), dtype=np.complex128)
-        g[:] = -1.0 / (xs + 1j * schedule[0])[None, :]
-    else:
-        schedule = np.array([eta])
-        g = np.array(initial, dtype=np.complex128)
-
-    for eta_k in schedule:
-        z = xs + 1j * eta_k
-        omega = np.full(num, opts.omega)
-        rises = np.zeros(num, dtype=np.int64)
-        prev = np.full(num, np.inf)
-        active = np.ones(num, dtype=bool)
-        for _ in range(_BLOCK_ITER_CAP):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            ga = g[:, idx]
-            za = z[idx]
-            sg = wmat @ ga
-            res = np.abs(1.0 / ga + za[None, :] + sg).max(axis=0)
-            done = res <= opts.tol
-            rose = res > prev[idx]
-            rises[idx] = np.where(rose, rises[idx] + 1, 0)
-            halve = rises[idx] >= 2
-            omega[idx] = np.where(halve, np.maximum(omega[idx] / 2.0, _OMEGA_MIN), omega[idx])
-            rises[idx] = np.where(halve, 0, rises[idx])
-            prev[idx] = res
-            pending = ~done
-            if pending.any():
-                j = idx[pending]
-                g[:, j] = (1.0 - omega[j])[None, :] * ga[:, pending] - omega[j][None, :] / (
-                    za[pending][None, :] + sg[:, pending]
-                )
-            active[idx[done]] = False
-
-    final_res = np.abs(1.0 / g + (xs + 1j * eta)[None, :] + wmat @ g).max(axis=0)
-    for j in np.nonzero(final_res > opts.tol)[0]:
-        sol = solve_qve(profile, SpectralPoint(float(xs[j]), eta), opts, initial=g[:, j])
-        g[:, j] = sol.g
-    if not np.all(g.imag > 0):
-        bad = xs[np.nonzero((g.imag <= 0).any(axis=0))[0][0]]
-        raise NonConvergence(f"density solve left the upper half plane at x={bad:g}", x=float(bad), eta=eta)
-    return g
-
-
-def _m_of(profile: Profile, g: np.ndarray) -> np.ndarray:
-    if isinstance(profile, VarianceProfile):
-        return g.mean(axis=0)
-    return profile.weights @ g
+    return QveSolution(
+        point=point, g=g, m=complex(_m_of(profile, g)), residual=float(residual[0]), iterations=int(iterations[0])
+    )
 
 
 def density_batch(
@@ -566,20 +431,13 @@ def density_batch(
     opts: SolverOptions | None = None,
 ) -> np.ndarray:
     """Im m(x + i*eta)/pi for an array of abscissas, solved simultaneously."""
-    opts = opts or SolverOptions()
-    solver_profile = reduce_profile(profile)
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if xs.size == 0:
         return np.empty(0)
     if not eta > 0:
         raise ValueError("eta must be positive")
-    g = _solve_batch(solver_profile, xs, eta, opts)
-    return _m_of(solver_profile, g).imag / math.pi
-
-
-def density_at(profile: Profile, x: float, eta: float = DEFAULT_ETA, opts: SolverOptions | None = None) -> float:
-    """Predicted density Im m(x + i*eta)/pi via continuation from eta=1."""
-    return float(density_batch(profile, np.array([x]), eta, opts)[0])
+    g, _, _ = _solve_batch(profile, xs, eta, opts or SolverOptions())
+    return _m_of(profile, g).imag / math.pi
 
 
 def extract_density(
@@ -590,9 +448,8 @@ def extract_density(
 ) -> DensityCurve:
     """Tabulate the predicted density on a strictly increasing grid.
 
-    Every abscissa is solved by eta-continuation down to `eta`.  Block-constant
-    profiles are reduced to their block form first (identical prediction, far
-    cheaper).  NonConvergence is re-raised with the offending abscissa attached.
+    Block-constant profiles are reduced to their block form first (identical
+    prediction, far cheaper); the reduced profile is kept as the curve's source.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -638,19 +495,19 @@ def integrate_density(
         return 0.0
     if curve.source is None:
         raise ValueError("curve lacks its source profile; cannot refine")
-    profile = reduce_profile(curve.source)
+    profile = curve.source
     eta = curve.eta_used
     solver_opts = opts or SolverOptions()
 
     inner = curve.grid[(curve.grid > lo) & (curve.grid < hi)]
     xs = np.unique(np.concatenate(([lo], inner, [hi])))
-    g = _solve_batch(profile, xs, eta, solver_opts)
+    g, _, _ = _solve_batch(profile, xs, eta, solver_opts)
     vals = _m_of(profile, g).imag / math.pi
     total = float(np.trapezoid(vals, xs))
     for _ in range(24):
         mids = (xs[:-1] + xs[1:]) / 2.0
         # midpoints warm-start from neighbor averages, solved at eta directly
-        g_mid = _solve_batch(profile, mids, eta, solver_opts, initial=(g[:, :-1] + g[:, 1:]) / 2.0)
+        g_mid, _, _ = _solve_batch(profile, mids, eta, solver_opts, initial=(g[:, :-1] + g[:, 1:]) / 2.0)
         mid_vals = _m_of(profile, g_mid).imag / math.pi
         xs_new = np.empty(xs.size + mids.size)
         vals_new = np.empty_like(xs_new)
@@ -663,7 +520,9 @@ def integrate_density(
         xs, vals, g, total = xs_new, vals_new, g_new, refined
         if done:
             return total
-    raise NonConvergence(f"quadrature over [{lo}, {hi}] did not settle after 24 refinements")
+    raise NonConvergence(
+        f"quadrature over [{lo}, {hi}] did not settle after 24 refinements", x=lo, eta=eta
+    )
 
 
 def detect_bulk(curve: DensityCurve, eps: float) -> list[BulkInterval]:

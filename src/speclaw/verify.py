@@ -35,7 +35,7 @@ from .qve import (
     detect_bulk,
     extract_density,
     integrate_density,
-    solve_qve_continuation,
+    solve_qve,
 )
 from .spectra import (
     count_in_interval,
@@ -366,9 +366,7 @@ def verify_stieltjes_closeness(
     xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
     profile = curve.source
     points = [(float(x), eta) for x in xs for eta in etas]
-    predicted = {
-        pt: solve_qve_continuation(profile, pt[0], max(1.0, pt[1]), pt[1], 40).m for pt in points
-    }
+    predicted = {pt: solve_qve(profile, SpectralPoint(*pt)).m for pt in points}
 
     def run_trial(i: int) -> list[float]:
         spec = with_seed(cfg.ensemble, cfg.base_seed + i)

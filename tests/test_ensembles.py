@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -269,6 +270,23 @@ def test_binary_matrix_round_trip(tmp_path):
     ens.save_matrix_binary(m, path)
     back = ens.load_matrix_binary(path)
     assert np.array_equal(back, m.data)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        struct.pack("<q", 3) + bytes(8 * 8),  # truncated: 8 of 9 values
+        struct.pack("<q", 0),
+        struct.pack("<q", -1) + bytes(8),
+        bytes(4),  # shorter than the header
+    ],
+    ids=["truncated", "n0", "n-1", "no-header"],
+)
+def test_binary_matrix_rejects_inconsistent_header(tmp_path, payload):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(payload)
+    with pytest.raises(InvalidSpec):
+        ens.load_matrix_binary(path)
 
 
 def test_matrix_market_round_trip(tmp_path):

@@ -114,33 +114,34 @@ def test_block_and_full_solutions_agree(d, seed, x, eta):
 
 
 def test_continuation_reaches_the_real_axis_limit():
-    sol = qve.solve_qve_continuation(CONST8, 0.0, 1.0, 1e-6, 40)
+    sol = qve.solve_qve(CONST8, qve.SpectralPoint(0.0, 1e-6))
     assert abs(sol.m - 1j) < 1e-5
 
 
 def test_single_step_continuation_equals_direct_solve():
+    # eta = 0.3 is one step below the start; the warm start skips the descent
     point = qve.SpectralPoint(0.7, 0.3)
-    direct = qve.solve_qve(CONST8, point)
-    cont = qve.solve_qve_continuation(CONST8, 0.7, 0.3, 0.3, 5)
+    opts = qve.SolverOptions(tol=1e-13)
+    cont = qve.solve_qve(CONST8, point, opts)
+    direct = qve.solve_qve(CONST8, point, opts, initial=np.full(8, -1.0 / point.z))
     assert np.allclose(direct.g, cont.g, atol=1e-12)
+    assert qve.solve_qve(CONST8, point, opts, initial=cont.g).iterations == 0
 
 
 def test_outside_support_imaginary_part_vanishes():
-    sol = qve.solve_qve_continuation(CONST8, 3.0, 1.0, 1e-6, 40)
+    sol = qve.solve_qve(CONST8, qve.SpectralPoint(3.0, 1e-6))
     assert sol.m.imag <= 1e-4
     assert abs(sol.m - semicircle_stieltjes(complex(3.0, 1e-6))) < 1e-8
 
 
-def test_continuation_path_is_eta_continuous():
-    path = qve.continuation_path(CONST8, 2.0, 1.0, 1e-6, 40)
-    ratio = (1e-6) ** (1.0 / 40.0)
-    for prev, cur in zip(path, path[1:]):
-        assert abs(cur.m - prev.m) <= 2.0 * ratio * abs(prev.m)
-
-
-def test_continuation_validates_eta_ordering():
-    with pytest.raises(ValueError):
-        qve.solve_qve_continuation(CONST8, 0.0, 1e-6, 1.0, 10)
+@pytest.mark.parametrize("x", [-2.0, 2.0])
+@pytest.mark.parametrize("eta", [1e-6, 1e-8])
+def test_support_edge_matches_semicircle(x, eta):
+    # at the edge the stability operator degenerates: |m - m_sc| ~ residual / sqrt(eta)
+    sol = qve.solve_qve(CONST8, qve.SpectralPoint(x, eta))
+    assert sol.residual <= 1e-10
+    assert np.all(sol.g.imag > 0)
+    assert abs(sol.m - semicircle_stieltjes(complex(x, eta))) <= 1e-10 / np.sqrt(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,23 @@ def test_density_matches_closed_form_pointwise(constant_curve):
     sel = np.abs(constant_curve.grid) <= 1.8
     exact = np.array([semicircle_density(x) for x in constant_curve.grid[sel]])
     assert np.abs(constant_curve.values[sel] - exact).max() < 1e-4
+
+
+@given(d=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=1000))
+@settings(max_examples=10)
+def test_block_density_has_unit_mass_and_matches_full_profile(d, seed):
+    gen = np.random.default_rng(seed)
+    sizes = gen.integers(1, 5, size=d)
+    n = 2 * int(sizes.sum())
+    coeffs = gen.uniform(0.2, 1.0, size=(d, d))
+    coeffs = (coeffs + coeffs.T) / 2.0
+    block = qve.BlockProfile(d=d, weights=2 * sizes / n, coeffs=coeffs)
+    curve = qve.extract_density(block, qve.default_grid())
+    assert curve.values.min() >= 0.0
+    assert curve.mass() == pytest.approx(1.0, abs=1e-3)
+    # the full n x n profile, solved unreduced at the same eta = 1e-6
+    full = qve.density_batch(qve.expand_block_profile(block, n), curve.grid, curve.eta_used)
+    assert np.abs(full - curve.values).max() < 1e-8
 
 
 def test_extract_density_rejects_bad_grid():
