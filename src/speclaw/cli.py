@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,26 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_ASSERTION = 3
-
-COMMANDS = (
-    "qve-solve",
-    "density",
-    "sample",
-    "spectrum",
-    "verify-local-law",
-    "verify-stieltjes",
-    "verify-deloc",
-    "test-projection",
-    "test-interlacing",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    out: str | None = None
-    overrides: dict = field(default_factory=dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,15 +130,9 @@ def _load_campaign(args) -> verify.LocalLawConfig:
     return cfg
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(verify.report_json_bytes(payload).decode())
-
-
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
-    args = argparse.Namespace(**config.inputs, **config.overrides, out=config.out)
-    command = config.command
+    command = args.command
 
     if command == "qve-solve":
         profile = qve.load_profile(args.profile)
@@ -174,7 +147,7 @@ def run(config: RunConfig) -> int:
             "iterations": sol.iterations,
         }
         if args.out:
-            _write_json(payload, args.out)
+            verify.write_json(payload, args.out)
         print(f"m={sol.m.real:.12g}{sol.m.imag:+.12g}i residual={sol.residual:.3g}")
         return EXIT_OK
 
@@ -257,13 +230,6 @@ def run(config: RunConfig) -> int:
     raise SpecLawError(f"unknown command {command!r}")
 
 
-def _to_run_config(args: argparse.Namespace) -> RunConfig:
-    fields = dict(vars(args))
-    command = fields.pop("command")
-    out = fields.pop("out", None)
-    return RunConfig(command=command, inputs=fields, out=out, overrides={})
-
-
 def _error_record(kind: str, exc: Exception) -> str:
     record = {"error": kind, "message": str(exc)}
     if isinstance(exc, NonConvergence):
@@ -293,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        return run(_to_run_config(args))
+        return run(args)
     except (NonConvergence, NoConvergence) as exc:
         print(_error_record("non_convergence", exc), file=sys.stderr)
         return EXIT_NUMERICAL

@@ -4,8 +4,11 @@ Three ensembles: dense Wigner-type matrices (independent bounded entries,
 entry (i,j) scaled to variance s_ij), their Bernoulli sparsifications, and
 stochastic-block-model adjacency matrices.  All entries derive from the
 counter-based streams in `rng`, so a spec plus a seed pins the matrix bit
-for bit.  Matrices are stored raw; the recorded `scaling` is the multiplier
-that produces the normalized matrix whose spectrum the predictions address.
+for bit.  A dense spec keeps its profile in canonical form, the exact block
+form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
+variance coeffs[labels[i], labels[j]].  Matrices are stored raw; `scaling`
+is the multiplier that produces the normalized matrix whose spectrum the
+predictions address.
 """
 
 from __future__ import annotations
@@ -14,14 +17,22 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.io
 
 from . import rng
 from .errors import DegenerateVariance, InvalidProfile, InvalidSpec
-from .qve import BlockProfile, Profile, VarianceProfile, profile_from_dict, profile_to_dict
+from .qve import (
+    BlockProfile,
+    Profile,
+    VarianceProfile,
+    block_labels,
+    profile_from_dict,
+    profile_to_dict,
+    reduce_profile,
+)
 
 LAW_KINDS = ("rademacher", "uniform_bounded", "scaled_bernoulli_centered")
 _SQRT3 = math.sqrt(3.0)
@@ -69,16 +80,22 @@ class EntryLaw:
 
 @dataclass(frozen=True)
 class WignerSpec:
+    """Dense ensemble; `profile` is stored as reduce_profile of the one given."""
+
     n: int
-    profile: VarianceProfile
+    profile: Profile
     law: EntryLaw
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.profile, VarianceProfile):
-            raise InvalidSpec("dense ensembles need a full VarianceProfile")
-        if self.profile.n != self.n:
+        if not isinstance(self.profile, (VarianceProfile, BlockProfile)):
+            raise InvalidSpec("dense ensembles need a variance profile")
+        if isinstance(self.profile, VarianceProfile) and self.profile.n != self.n:
             raise InvalidSpec(f"profile is {self.profile.n}x{self.profile.n} but n={self.n}")
+        profile = reduce_profile(self.profile)
+        if isinstance(profile, BlockProfile):
+            block_labels(profile, self.n)  # every class gets at least one row
+        object.__setattr__(self, "profile", profile)
 
 
 @dataclass(frozen=True)
@@ -149,7 +166,6 @@ class SampledMatrix:
     n: int
     data: np.ndarray
     scaling: float
-    provenance: dict = field(compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -172,19 +188,20 @@ def _symmetric_from_upper(n: int, iu, ju, vals) -> np.ndarray:
 
 
 def sample_wigner(spec: WignerSpec) -> SampledMatrix:
-    """Dense Wigner-type sample; entry (i,j) has mean 0 and variance s_ij."""
+    """Dense Wigner-type sample; entry (i,j) has mean 0 and variance s_ij.
+
+    s_ij = coeffs[labels[i], labels[j]]; a full profile is n classes of one row.
+    """
     n = spec.n
+    if isinstance(spec.profile, VarianceProfile):
+        labels, coeffs = np.arange(n), spec.profile.entries
+    else:
+        labels, coeffs = block_labels(spec.profile, n), spec.profile.coeffs
     iu, ju = np.triu_indices(n)
     counters = rng.pair_counters(iu, ju)
     vals = spec.law.sample(rng.stream_key(spec.seed, rng.TAG_VALUES), counters)
-    vals = vals * np.sqrt(spec.profile.entries[iu, ju])
-    data = _symmetric_from_upper(n, iu, ju, vals)
-    return SampledMatrix(
-        n=n,
-        data=data,
-        scaling=1.0 / math.sqrt(n),
-        provenance={"spec": ensemble_to_dict(spec), "normalization": "1/sqrt(n)"},
-    )
+    vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
+    return SampledMatrix(n=n, data=_symmetric_from_upper(n, iu, ju, vals), scaling=1.0 / math.sqrt(n))
 
 
 def sample_sparse(spec: SparseSpec) -> SampledMatrix:
@@ -199,12 +216,7 @@ def sample_sparse(spec: SparseSpec) -> SampledMatrix:
     counters = rng.pair_counters(iu, ju)
     keep = rng.uniforms(rng.stream_key(spec.base.seed, rng.TAG_MASK), counters) < spec.p
     data = _symmetric_from_upper(n, iu, ju, base.data[iu, ju] * keep)
-    return SampledMatrix(
-        n=n,
-        data=data,
-        scaling=1.0 / math.sqrt(n * spec.p),
-        provenance={"spec": ensemble_to_dict(spec), "normalization": "1/sqrt(n*p)"},
-    )
+    return SampledMatrix(n=n, data=data, scaling=1.0 / math.sqrt(n * spec.p))
 
 
 def sample_sbm(spec: SbmSpec) -> SampledMatrix:
@@ -218,12 +230,7 @@ def sample_sbm(spec: SbmSpec) -> SampledMatrix:
     data = _symmetric_from_upper(n, iu, ju, edges)
     sigma2 = spec.sigma_squared
     scaling = 1.0 / (math.sqrt(n) * math.sqrt(sigma2)) if sigma2 > 0 else 1.0
-    return SampledMatrix(
-        n=n,
-        data=data,
-        scaling=scaling,
-        provenance={"spec": ensemble_to_dict(spec), "normalization": "1/(sqrt(n)*sigma)"},
-    )
+    return SampledMatrix(n=n, data=data, scaling=scaling)
 
 
 def center_and_scale_sbm(adj: SampledMatrix, spec: SbmSpec) -> SampledMatrix:
@@ -241,20 +248,16 @@ def center_and_scale_sbm(adj: SampledMatrix, spec: SbmSpec) -> SampledMatrix:
     labels = spec.block_labels()
     expected = spec.probs[labels[:, None], labels[None, :]]
     data = (adj.data - expected) / (math.sqrt(spec.n) * math.sqrt(sigma2))
-    return SampledMatrix(
-        n=spec.n,
-        data=data,
-        scaling=1.0,
-        provenance={"spec": ensemble_to_dict(spec), "normalization": "centered, 1/(sqrt(n)*sigma) applied"},
-    )
+    return SampledMatrix(n=spec.n, data=data, scaling=1.0)
 
 
 def effective_profile(spec: EnsembleSpec) -> Profile:
     """The profile whose predicted density matches the normalized ensemble.
 
-    Dense and sparse ensembles keep their stored profile (the 1/sqrt(np)
-    rescaling undoes the mask's variance thinning); block models reduce to
-    class weights alpha_i = N_i/n and coefficients c_kl = sigma_kl^2/sigma^2.
+    Dense and sparse ensembles keep their stored, already reduced profile
+    (the 1/sqrt(np) rescaling undoes the mask's variance thinning); block
+    models reduce to class weights alpha_i = N_i/n and coefficients
+    c_kl = sigma_kl^2/sigma^2.
     """
     if isinstance(spec, WignerSpec):
         return spec.profile
@@ -339,8 +342,6 @@ def ensemble_from_dict(data: dict) -> EnsembleSpec:
     kind = data.get("kind")
     if kind == "wigner":
         profile = profile_from_dict(data["profile"])
-        if not isinstance(profile, VarianceProfile):
-            raise InvalidSpec("dense ensembles need a full variance profile")
         law = EntryLaw(kind=data["law"]["kind"], bound=data["law"].get("bound"))
         return WignerSpec(n=int(data["n"]), profile=profile, law=law, seed=int(data["seed"]))
     if kind == "sparse":

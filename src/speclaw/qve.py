@@ -212,9 +212,14 @@ class BulkInterval:
 
 
 def profile_fingerprint(profile: Profile) -> str:
-    """Stable short identifier of a profile's exact contents."""
-    payload = json.dumps(profile_to_dict(profile), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Stable short identifier of a profile's exact contents: the shapes and
+    little-endian float64 bytes of its arrays."""
+    arrays = (profile.entries,) if isinstance(profile, VarianceProfile) else (profile.weights, profile.coeffs)
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(repr(a.shape).encode())
+        digest.update(np.ascontiguousarray(a, dtype="<f8"))
+    return digest.hexdigest()[:16]
 
 
 def profile_to_dict(profile: Profile) -> dict:
@@ -246,8 +251,8 @@ def load_profile(path) -> Profile:
         return profile_from_dict(json.load(fh))
 
 
-def expand_block_profile(block: BlockProfile, n: int) -> VarianceProfile:
-    """Materialize a block profile as a block-constant n x n variance profile.
+def block_labels(block: BlockProfile, n: int) -> np.ndarray:
+    """Class of each of n rows, classes in order as contiguous runs.
 
     Class sizes are alpha_k * n rounded by largest remainder; every class must
     receive at least one row.
@@ -260,37 +265,37 @@ def expand_block_profile(block: BlockProfile, n: int) -> VarianceProfile:
         sizes[order[:short]] += 1
     if sizes.min() < 1:
         raise InvalidProfile(f"n={n} too small to give every class at least one row")
-    labels = np.repeat(np.arange(block.d), sizes)
-    entries = block.coeffs[labels[:, None], labels[None, :]]
-    return VarianceProfile(n=n, entries=entries)
+    return np.repeat(np.arange(block.d), sizes)
+
+
+def expand_block_profile(block: BlockProfile, n: int) -> VarianceProfile:
+    """Materialize a block profile as a block-constant n x n variance profile."""
+    labels = block_labels(block, n)
+    return VarianceProfile(n=n, entries=block.coeffs[labels[:, None], labels[None, :]])
 
 
 def reduce_profile(profile: Profile) -> Profile:
-    """Collapse a block-constant variance profile to its block form.
+    """The exact block form of a variance profile, or the profile unchanged.
 
-    Rows are grouped by exact equality; if that yields fewer distinct rows
-    than n and the grouping is consistent, the equivalent BlockProfile is
-    returned (same predicted density, far cheaper to solve).  Irreducible
-    profiles are returned unchanged.
+    Classes are the maximal runs of identical consecutive rows.  A symmetric
+    matrix is constant on the blocks of such runs, so the BlockProfile with
+    weights sizes/n and the runs' coefficients is returned whenever it has
+    fewer classes than rows and block_labels gives back the same sizes, i.e.
+    whenever expand_block_profile(block, n) equals the entries exactly (same
+    predicted density, far cheaper to solve).  A block profile whose classes
+    are not contiguous runs of rows is solved at full dimension.
     """
     if isinstance(profile, BlockProfile):
         return profile
-    entries = profile.entries
-    _, first_idx, labels = np.unique(entries, axis=0, return_index=True, return_inverse=True)
-    d = len(first_idx)
-    if d >= profile.n:
+    entries, n = profile.entries, profile.n
+    starts = np.flatnonzero(np.append(True, (entries[1:] != entries[:-1]).any(axis=1)))
+    if starts.size == n:
         return profile
-    counts = np.bincount(labels, minlength=d)
-    coeffs = np.empty((d, d))
-    for k in range(d):
-        row = entries[first_idx[k]]
-        for l in range(d):
-            block_vals = row[labels == l]
-            if not np.all(block_vals == block_vals[0]):
-                return profile  # identical rows but not block-constant columns
-            coeffs[k, l] = block_vals[0]
-    coeffs = (coeffs + coeffs.T) / 2.0
-    return BlockProfile(d=d, weights=counts / profile.n, coeffs=coeffs)
+    sizes = np.diff(np.append(starts, n))
+    block = BlockProfile(d=starts.size, weights=sizes / n, coeffs=entries[np.ix_(starts, starts)])
+    if not np.array_equal(np.bincount(block_labels(block, n)), sizes):
+        return profile
+    return block
 
 
 def _weight_matrix(profile: Profile) -> np.ndarray:
@@ -311,6 +316,20 @@ def _eta_schedule(eta: float) -> np.ndarray:
     # the 1e-9 keeps rounding in the logs from adding a stage when eta = ETA_RATIO**k
     steps = math.ceil(math.log(eta / ETA_START) / math.log(ETA_RATIO) - 1e-9)
     return np.geomspace(ETA_START, eta, steps + 1)
+
+
+def _mixing_coeffs(df: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """pinv(df) @ fa for each stacked matrix: the least-squares Anderson weights.
+
+    A single history column v has pinv(v) = v^H/|v|^2 (0 for v = 0); that case,
+    every step of a one-class solve, skips the batched SVD, which costs about
+    1 ms per step for 601 abscissas.
+    """
+    if df.shape[2] == 1:
+        vh = df.conj().transpose(0, 2, 1)
+        gram = (vh @ df).real
+        return np.divide(vh @ fa, gram, out=np.zeros_like(gram, dtype=np.complex128), where=gram > 0)
+    return np.linalg.pinv(df) @ fa
 
 
 def _solve_batch(
@@ -372,7 +391,7 @@ def _solve_batch(
             if k:
                 slot, used = (k - 1) % depth, min(k, depth)
                 dg[:, :, slot], df[:, :, slot] = ga - g_prev, fa - f_prev
-                gamma = np.linalg.pinv(df[:, :, :used]) @ fa[:, :, None]
+                gamma = _mixing_coeffs(df[:, :, :used], fa[:, :, None])
                 mixed = step - ((dg[:, :, :used] + df[:, :, :used]) @ gamma)[:, :, 0]
                 ok = (mixed.imag > 0).all(axis=1)
                 step[ok] = mixed[ok]

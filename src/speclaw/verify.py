@@ -221,7 +221,7 @@ class LocalLawReport:
         )
 
     def to_json(self, path) -> None:
-        _dump_json(self.to_dict(), path)
+        write_json(self.to_dict(), path)
 
     def to_csv(self, path) -> None:
         import csv
@@ -343,7 +343,7 @@ class StieltjesReport:
         )
 
     def to_json(self, path) -> None:
-        _dump_json(self.to_dict(), path)
+        write_json(self.to_dict(), path)
 
 
 def stieltjes_eta_floor(ensemble: EnsembleSpec) -> float:
@@ -453,7 +453,7 @@ class DelocReport:
         )
 
     def to_json(self, path) -> None:
-        _dump_json(self.to_dict(), path)
+        write_json(self.to_dict(), path)
 
     def to_csv(self, path) -> None:
         import csv
@@ -576,7 +576,7 @@ class ProjectionReport:
         return cls(spec=data["spec"], center=float(data["center"]), rows=list(data["rows"]))
 
     def to_json(self, path) -> None:
-        _dump_json(self.to_dict(), path)
+        write_json(self.to_dict(), path)
 
     def rates(self) -> list[float]:
         return [row["failure_rate"] for row in self.rows]
@@ -658,7 +658,7 @@ class InterlacingReport:
         )
 
     def to_json(self, path) -> None:
-        _dump_json(self.to_dict(), path)
+        write_json(self.to_dict(), path)
 
 
 def _random_symmetric(n: int, key) -> np.ndarray:
@@ -727,11 +727,11 @@ def interlacing_test(trials: int, n: int, seed: int, max_rank: int = 5) -> Inter
     )
 
 
-def _dump_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def report_json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def write_json(payload: dict, path) -> None:
+    """Write report_json_bytes(payload), the one byte form of every JSON artifact."""
+    with open(path, "wb") as fh:
+        fh.write(report_json_bytes(payload))

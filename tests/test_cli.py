@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import speclaw
 from speclaw import cli, ensembles as ens, qve, verify
 
 
@@ -182,3 +187,24 @@ def test_threads_env_fallback(tmp_path, campaign_path, monkeypatch):
     out2 = tmp_path / "r2.json"
     assert cli.main(["verify-local-law", "--config", campaign_path, "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_reports_identical_across_blas_threads_and_workers(tmp_path):
+    block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.5], [0.5, 0.8]]))
+    spec = ens.WignerSpec(n=200, profile=block, law=ens.EntryLaw("uniform_bounded"), seed=0)
+    cfg = verify.LocalLawConfig(ensemble=spec, trials=3, interval_len_factor=verify.factor_for_length(0.5, spec))
+    config = tmp_path / "llaw.json"
+    config.write_text(json.dumps(cfg.to_dict()))
+    src = str(Path(speclaw.__file__).resolve().parents[1])
+    reports = set()
+    for blas, workers in (("1", "1"), ("2", "1"), ("1", "2"), ("2", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"report-{blas}-{workers}.json"
+        subprocess.run(
+            [sys.executable, "-m", "speclaw.cli", "verify-local-law", "--config", str(config),
+             "--threads", workers, "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.add(out.read_bytes())
+    assert len(reports) == 1

@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.io
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_profile
 from speclaw import ensembles as ens
-from speclaw import qve
+from speclaw import qve, rng
 from speclaw.errors import DegenerateVariance, InvalidProfile, InvalidSpec
 
 
@@ -101,6 +101,44 @@ def test_profile_scales_entry_variance():
 def test_invalid_wigner_spec():
     with pytest.raises(InvalidSpec):
         ens.WignerSpec(n=4, profile=qve.VarianceProfile.constant(5), law=ens.EntryLaw("rademacher"), seed=0)
+    block = qve.BlockProfile(d=3, weights=np.full(3, 1.0 / 3.0), coeffs=np.ones((3, 3)))
+    with pytest.raises(InvalidProfile):  # a class without rows
+        ens.WignerSpec(n=2, profile=block, law=ens.EntryLaw("rademacher"), seed=0)
+
+
+def sample_as_before(entries, law, seed):
+    """Dense sample from the full n x n profile, with no block structure used."""
+    n = entries.shape[0]
+    iu, ju = np.triu_indices(n)
+    vals = law.sample(rng.stream_key(seed, rng.TAG_VALUES), rng.pair_counters(iu, ju))
+    out = np.zeros((n, n))
+    out[iu, ju] = out[ju, iu] = vals * np.sqrt(entries[iu, ju])
+    return out
+
+
+@pytest.mark.parametrize("kind", ens.LAW_KINDS)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.integers(min_value=1, max_value=5))
+@settings(max_examples=15)
+def test_block_and_expanded_profiles_sample_identically(kind, seed, d):
+    gen = np.random.default_rng(seed)
+    sizes = gen.integers(1, 9, size=d)
+    n = int(sizes.sum())
+    weights = sizes + gen.uniform(0.0, 0.45, size=d)  # rounding decides the class sizes
+    coeffs = gen.uniform(0.1, 1.0, size=(d, d))
+    block = qve.BlockProfile(d=d, weights=weights / weights.sum(), coeffs=(coeffs + coeffs.T) / 2.0)
+    try:
+        full = qve.expand_block_profile(block, n)
+    except InvalidProfile:
+        assume(False)
+    law = ens.EntryLaw(kind)
+    interleave = np.argsort(np.arange(n) % 2, kind="stable")  # classes no longer contiguous
+    permuted = qve.VarianceProfile(n=n, entries=full.entries[np.ix_(interleave, interleave)])
+    irreducible = random_profile(n, seed=seed % 1000)
+    for profile, entries in ((block, full), (full, full), (permuted, permuted), (irreducible, irreducible)):
+        spec = wigner_spec(n, seed, law, profile)
+        assert np.array_equal(ens.sample(spec).data, sample_as_before(entries.entries, law, seed))
+    sparse = [ens.sample(ens.SparseSpec(base=wigner_spec(n, seed, law, prof), p=0.3)).data for prof in (block, full)]
+    assert np.array_equal(sparse[0], sparse[1])
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +289,7 @@ def test_ensemble_json_round_trip(tmp_path_factory, seed):
     back = ens.load_ensemble(path)
     assert back.p == spec.p and back.base.seed == spec.base.seed
     assert back.base.law == spec.base.law
-    assert np.array_equal(back.base.profile.entries, spec.base.profile.entries)
+    assert qve.profile_to_dict(back.base.profile) == qve.profile_to_dict(spec.base.profile)
     assert np.array_equal(ens.sample(back).data, ens.sample(spec).data)
 
 

@@ -334,6 +334,43 @@ def test_reduce_profile_recovers_blocks():
     assert abs(qve.solve_qve(red, point).m - qve.solve_qve(block, point).m) < 1e-10
 
 
+@pytest.mark.parametrize("used", [1, 3])
+def test_mixing_coefficients_match_pinv(used):
+    gen = np.random.default_rng(used)
+    df = gen.standard_normal((5, 4, used)) + 1j * gen.standard_normal((5, 4, used))
+    df[0] = 0.0  # a stalled column: no usable history
+    fa = gen.standard_normal((5, 4, 1)) + 1j * gen.standard_normal((5, 4, 1))
+    assert np.allclose(qve._mixing_coeffs(df, fa), np.linalg.pinv(df) @ fa, rtol=1e-12, atol=1e-15)
+
+
+def test_reduce_profile_leaves_non_contiguous_blocks_alone():
+    # rows alternate between two classes, so no two consecutive rows agree: the
+    # run-based reduction keeps the full profile, which is solved at full dimension
+    block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.3], [0.3, 0.7]]))
+    full = qve.expand_block_profile(block, 8)
+    perm = np.array([0, 4, 1, 5, 2, 6, 3, 7])
+    permuted = qve.VarianceProfile(n=8, entries=full.entries[np.ix_(perm, perm)])
+    assert qve.reduce_profile(permuted) is permuted
+    point = qve.SpectralPoint(0.4, 0.2)
+    assert abs(qve.solve_qve(permuted, point).m - qve.solve_qve(block, point).m) < 1e-10
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.integers(min_value=1, max_value=6))
+@settings(max_examples=30)
+def test_reduce_profile_is_exact(seed, d):
+    gen = np.random.default_rng(seed)
+    sizes = gen.integers(1, 40, size=d)
+    n = int(sizes.sum())
+    coeffs = gen.choice([0.25, 0.5, 1.0], size=(d, d))  # equal neighbouring classes merge
+    full = qve.expand_block_profile(
+        qve.BlockProfile(d=d, weights=sizes / n, coeffs=np.maximum(coeffs, coeffs.T)), n
+    )
+    red = qve.reduce_profile(full)
+    assert isinstance(red, qve.BlockProfile)
+    assert np.array_equal(qve.expand_block_profile(red, n).entries, full.entries)
+    assert np.array_equal(red.weights, np.bincount(qve.block_labels(red, n)) / n)
+
+
 def test_reduce_profile_leaves_generic_profiles_alone():
     prof = random_profile(6, seed=9)
     assert qve.reduce_profile(prof) is prof
@@ -344,3 +381,4 @@ def test_profile_fingerprint_distinguishes_profiles():
     b = qve.VarianceProfile.constant(5)
     assert qve.profile_fingerprint(a) != qve.profile_fingerprint(b)
     assert qve.profile_fingerprint(a) == qve.profile_fingerprint(qve.VarianceProfile.constant(4))
+    assert qve.profile_fingerprint(qve.reduce_profile(a)) != qve.profile_fingerprint(a)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from speclaw import qve, verify
 from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec
 
 
-def dense_config(n=300, trials=4, length=0.4, seed=100, **kw):
+def dense_config(n=300, trials=4, length=0.4, seed=100, profile=None, **kw):
     spec = ens.WignerSpec(
-        n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0
+        n=n, profile=profile or qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0
     )
     return verify.LocalLawConfig(
         ensemble=spec,
@@ -122,8 +123,7 @@ def test_empty_bulk_raises():
 def test_local_law_report_round_trip(tmp_path, dense_report):
     path = tmp_path / "r.json"
     dense_report.to_json(path)
-    import json
-
+    assert path.read_bytes() == verify.report_json_bytes(dense_report.to_dict())
     back = verify.LocalLawReport.from_dict(json.loads(path.read_text()))
     assert verify.report_json_bytes(back.to_dict()) == verify.report_json_bytes(dense_report.to_dict())
     csv_path = tmp_path / "r.csv"
@@ -131,6 +131,26 @@ def test_local_law_report_round_trip(tmp_path, dense_report):
     lines = csv_path.read_text().strip().splitlines()
     cfg = verify.LocalLawConfig.from_dict(dense_report.config)
     assert len(lines) == 1 + cfg.num_intervals * cfg.trials
+
+
+def test_legacy_full_profile_config_runs_like_the_compact_one(tmp_path):
+    block = qve.BlockProfile(d=2, weights=np.array([60, 90]) / 150, coeffs=np.array([[1.0, 0.4], [0.4, 0.7]]))
+    compact = dense_config(n=150, trials=2, length=0.5, profile=block)
+    legacy = compact.to_dict()
+    legacy["ensemble"]["profile"] = qve.profile_to_dict(qve.expand_block_profile(block, 150))
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(legacy))
+    loaded = verify.load_local_law_config(path)
+    assert loaded.to_dict() == compact.to_dict()
+    a = verify.verify_local_law(loaded).to_dict()
+    b = verify.verify_local_law(compact).to_dict()
+    assert a.pop("config") == b.pop("config")
+    assert verify.report_json_bytes(a) == verify.report_json_bytes(b)
+
+
+def test_constant_dense_config_is_compact():
+    cfg = dense_config(n=2000, trials=20)
+    assert len(json.dumps(cfg.to_dict(), sort_keys=True)) < 1024
 
 
 def test_config_validation():
