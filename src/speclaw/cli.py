@@ -106,10 +106,19 @@ def build_parser() -> _Parser:
 
 
 def _threads(args) -> int:
+    """Trial workers: --threads, else SPECLAW_THREADS, else the usable CPU count."""
     value = getattr(args, "threads", None)
     if value is None:
-        value = int(os.environ.get("SPECLAW_THREADS", "1"))
+        env = os.environ.get("SPECLAW_THREADS")
+        value = _usable_cpus() if env is None else int(env)
     return max(1, value)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        return os.cpu_count() or 1
 
 
 def _load_campaign(args) -> verify.LocalLawConfig:

@@ -13,11 +13,12 @@ predictions address.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
@@ -293,10 +294,17 @@ def boundedness_flag(spec: EnsembleSpec) -> bool:
 
 
 def with_seed(spec: EnsembleSpec, seed: int) -> EnsembleSpec:
-    """Copy of the spec with its sampling seed replaced."""
+    """Copy of the spec with its sampling seed replaced.
+
+    The seed needs no validation and the rest of the spec is already validated
+    (its profile reduced), so the copy does not re-run __post_init__.
+    """
+    out = copy.copy(spec)
     if isinstance(spec, SparseSpec):
-        return replace(spec, base=replace(spec.base, seed=seed))
-    return replace(spec, seed=seed)
+        object.__setattr__(out, "base", with_seed(spec.base, seed))
+    else:
+        object.__setattr__(out, "seed", seed)
+    return out
 
 
 def sample(spec: EnsembleSpec) -> SampledMatrix:

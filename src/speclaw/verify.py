@@ -7,12 +7,16 @@ report serializes to JSON/CSV and re-parses into the type that produced it.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import rng
 from .ensembles import (
@@ -145,11 +149,50 @@ def _prediction_curve(cfg: LocalLawConfig) -> DensityCurve:
     return extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta)
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS builds that the numpy
+    and scipy wheels bundle in <site-packages>/numpy.libs and scipy.libs; empty
+    for any other BLAS (MKL, Accelerate, a system library)."""
+    controls = []
+    for module in (np, scipy):
+        root = Path(module.__file__).parent
+        for lib in sorted(root.parent.glob(f"{root.name}.libs/*openblas*")):
+            try:
+                dll = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get_threads = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_threads = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get_threads is not None and set_threads is not None:
+                    controls.append((get_threads, set_threads))
+                    break
+    return tuple(controls)
+
+
 def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
+    """[fn(0), ..., fn(trials - 1)], run by a pool of `threads` workers when threads > 1.
+
+    Every trial runs its BLAS/LAPACK single-threaded at any worker count: the
+    parallelism comes from the pool, and a report does not depend on the BLAS
+    thread count.  The pin is process-global while the trials run, and the
+    previous counts come back afterwards, also when a trial raises.  It covers
+    the OpenBLAS bundled with numpy and scipy wheels; with any other BLAS it is
+    a no-op and that library keeps its own threading.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        if threads <= 1:
+            return [fn(i) for i in range(trials)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(trials)))
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +662,11 @@ def projection_concentration_test(spec: ProjectionTestSpec) -> ProjectionReport:
         threshold = 2.0 * t * math.sqrt(center) + t * t
         rows.append({"t": float(t), "failure_rate": float(np.mean(dev >= threshold))})
     rates = [row["failure_rate"] for row in rows]
-    assert all(a >= b for a, b in zip(rates, rates[1:])), "failure rates must be non-increasing"
+    if any(a < b for a, b in zip(rates, rates[1:])):
+        raise AssertionFailure(
+            "failure rates must be non-increasing in t",
+            counterexample={"t_grid": [row["t"] for row in rows], "failure_rates": rates},
+        )
     return ProjectionReport(spec=spec.to_dict(), center=center, rows=rows)
 
 

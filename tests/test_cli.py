@@ -189,11 +189,9 @@ def test_threads_env_fallback(tmp_path, campaign_path, monkeypatch):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_reports_identical_across_blas_threads_and_workers(tmp_path):
-    block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.5], [0.5, 0.8]]))
-    spec = ens.WignerSpec(n=200, profile=block, law=ens.EntryLaw("uniform_bounded"), seed=0)
-    cfg = verify.LocalLawConfig(ensemble=spec, trials=3, interval_len_factor=verify.factor_for_length(0.5, spec))
-    config = tmp_path / "llaw.json"
+def _reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra):
+    """Report bytes of one CLI campaign at OPENBLAS_NUM_THREADS {1, 2} x --threads {1, 2}."""
+    config = tmp_path / "campaign.json"
     config.write_text(json.dumps(cfg.to_dict()))
     src = str(Path(speclaw.__file__).resolve().parents[1])
     reports = set()
@@ -202,9 +200,24 @@ def test_reports_identical_across_blas_threads_and_workers(tmp_path):
                    PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         out = tmp_path / f"report-{blas}-{workers}.json"
         subprocess.run(
-            [sys.executable, "-m", "speclaw.cli", "verify-local-law", "--config", str(config),
-             "--threads", workers, "--out", str(out)],
+            [sys.executable, "-m", "speclaw.cli", command, "--config", str(config),
+             "--threads", workers, "--out", str(out), *extra],
             env=env, check=True, capture_output=True,
         )
         reports.add(out.read_bytes())
-    assert len(reports) == 1
+    return reports
+
+
+def test_reports_identical_across_blas_threads_and_workers(tmp_path):
+    block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.5], [0.5, 0.8]]))
+    spec = ens.WignerSpec(n=200, profile=block, law=ens.EntryLaw("uniform_bounded"), seed=0)
+    cfg = verify.LocalLawConfig(ensemble=spec, trials=3, interval_len_factor=verify.factor_for_length(0.5, spec))
+    assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, "verify-local-law")) == 1
+
+
+@pytest.mark.parametrize("command, extra", [("verify-deloc", ()), ("verify-stieltjes", ("--eta", "0.05"))])
+def test_sbm_reports_identical_across_blas_threads_and_workers(tmp_path, command, extra):
+    # n = 400 is large enough for OpenBLAS to thread the eigensolver when it may
+    spec = ens.SbmSpec(d=2, sizes=(200, 200), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=0)
+    cfg = verify.LocalLawConfig(ensemble=spec, trials=3)
+    assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra)) == 1

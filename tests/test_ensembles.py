@@ -341,3 +341,19 @@ def test_with_seed_rewrites_the_right_field():
     assert reseeded.base.seed == 99 and reseeded.p == 0.5
     sbm = ens.SbmSpec(d=1, sizes=(4,), probs=np.array([[0.2]]), seed=1)
     assert ens.with_seed(sbm, 7).seed == 7
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_with_seed_skips_the_profile_scan(monkeypatch, sparse):
+    def build(seed):
+        base = wigner_spec(60, seed=seed, law=ens.EntryLaw("uniform_bounded"), profile=random_profile(60, seed=3))
+        return ens.SparseSpec(base=base, p=0.4) if sparse else base
+
+    spec = build(1)
+    calls = []
+    real = ens.reduce_profile
+    monkeypatch.setattr(ens, "reduce_profile", lambda profile: calls.append(1) or real(profile))
+    reseeded = ens.with_seed(spec, 17)
+    assert calls == []
+    assert np.array_equal(ens.sample(reseeded).data, ens.sample(build(17)).data)
+    assert (spec.base.seed if sparse else spec.seed) == 1  # the original is untouched

@@ -83,6 +83,20 @@ def test_count_on_diagonal_matrix():
     assert spectra.count_in_interval(t, 1.0, 2.5) == 2
 
 
+@pytest.mark.parametrize("n", [129, 300, 600])
+def test_blocked_reduction_counts_match_eigvalsh(n):
+    # from n = 129 on, dsytrd with the queried workspace takes its blocked path
+    sbm = ens.SbmSpec(d=2, sizes=(n // 2, n - n // 2), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=n)
+    matrices = [random_symmetric(n, seed=n + k) / np.sqrt(n) for k in range(3)]
+    matrices.append(ens.normalized_sample(sbm))
+    gen = np.random.default_rng(n)
+    for a in matrices:
+        t = spectra.tridiagonalize(a)
+        ev = np.linalg.eigvalsh(a)
+        for lo, hi in np.sort(gen.uniform(-2.5, 2.5, size=(200, 2)), axis=1):
+            assert spectra.count_in_interval(t, lo, hi) == int(np.count_nonzero((ev > lo) & (ev <= hi)))
+
+
 def test_counts_match_eigendecomposition_on_random_matrices():
     gen = np.random.default_rng(42)
     for seed in range(10):

@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from speclaw import ensembles as ens
+import speclaw
 from speclaw import qve, verify
 from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec
 
@@ -54,6 +57,27 @@ def test_deviations_are_recomputable(dense_report):
     for rec in dense_report.intervals:
         for obs, dev in zip(rec.observed, rec.deviations):
             assert dev == pytest.approx(abs(obs - rec.predicted) / (n * (rec.hi - rec.lo)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_trials_pins_blas_and_restores_it(threads):
+    controls = verify._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS bundled with numpy/scipy")
+    before = [get() for get, _ in controls]
+
+    def trial(i):
+        return [get() for get, _ in controls]
+
+    assert verify._map_trials(trial, 3, threads) == [[1] * len(controls)] * 3
+    assert [get() for get, _ in controls] == before
+
+    def failing(i):
+        raise ValueError(f"trial {i}")
+
+    with pytest.raises(ValueError):
+        verify._map_trials(failing, 3, threads)
+    assert [get() for get, _ in controls] == before
 
 
 def test_pass_fraction_consistency(dense_report):
@@ -287,6 +311,21 @@ def test_isotropic_center_is_subspace_dimension():
     spec = proj_spec(subspace_dim=60, weights=np.ones(60))
     report = verify.projection_concentration_test(spec)
     assert report.center == pytest.approx(60.0, abs=1e-9)
+
+
+def test_increasing_failure_rates_raise_assertion_failure():
+    spec = proj_spec(subspace_dim=60, weights=np.ones(60))
+    object.__setattr__(spec, "t_grid", spec.t_grid[::-1].copy())  # bypass the sort
+    with pytest.raises(AssertionFailure, match="non-increasing"):
+        verify.projection_concentration_test(spec)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements; checks must raise typed errors
+    for path in sorted(Path(speclaw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
 def test_failure_rates_non_increasing_and_decay():
