@@ -50,15 +50,24 @@ def main() -> int:
     with open(campaign_path, "w", encoding="utf-8") as fh:
         json.dump(campaign.to_dict(), fh, indent=2, sort_keys=True)
 
+    projection = verify.ProjectionTestSpec(
+        n=n, sigma=np.ones(n), subspace_dim=n // 4, weights=np.ones(n // 4),
+        t_grid=np.arange(1.0, 6.0), trials=200, seed=0,
+    )
+    projection_path = work / "projection.json"
+    with open(projection_path, "w", encoding="utf-8") as fh:
+        json.dump(projection.to_dict(), fh, indent=2, sort_keys=True)
+
     stages = [
         ["density", "--profile", str(profile_path), "--grid", "-3:3:301", "--out", str(work / "rho.csv")],
         ["qve-solve", "--profile", str(profile_path), "--x", "0.5", "--eta", "1e-6", "--out", str(work / "solution.json")],
         ["sample", "--ensemble", str(sbm_path), "--format", "mm", "--out", str(work / "adjacency.mtx")],
         ["spectrum", "--ensemble", str(wigner_path), "--vectors", "--out", str(work / "spectrum.csv")],
         ["verify-local-law", "--config", str(campaign_path), "--out", str(work / "local_law_report.json")],
-        ["verify-stieltjes", "--config", str(campaign_path), "--eta", "0.1,0.5"],
+        ["verify-stieltjes", "--config", str(campaign_path), "--eta", "0.1,0.5", "--out", str(work / "stieltjes_report.json")],
         ["verify-deloc", "--config", str(campaign_path), "--out", str(work / "deloc_report.json")],
-        ["test-interlacing", "--trials", "100", "--n", "30", "--seed", "0"],
+        ["test-projection", "--config", str(projection_path), "--out", str(work / "projection_report.json")],
+        ["test-interlacing", "--trials", "100", "--n", "30", "--seed", "0", "--out", str(work / "interlacing_report.json")],
     ]
     for stage in stages:
         print(f"$ speclaw {' '.join(stage)}")
@@ -66,6 +75,14 @@ def main() -> int:
         if code != 0:
             print(f"stage failed with exit {code}", file=sys.stderr)
             return code
+    # every JSON report re-parses into the dataclass that wrote it, byte for byte
+    for cls, name in ((verify.LocalLawReport, "local_law_report"), (verify.StieltjesReport, "stieltjes_report"),
+                      (verify.DelocReport, "deloc_report"), (verify.ProjectionReport, "projection_report"),
+                      (verify.InterlacingReport, "interlacing_report")):
+        raw = (work / f"{name}.json").read_bytes()
+        if verify.report_json_bytes(cls.from_dict(json.loads(raw)).to_dict()) != raw:
+            print(f"{name}.json does not round-trip through {cls.__name__}", file=sys.stderr)
+            return 1
     print(f"artifacts in {work}/")
     return 0
 

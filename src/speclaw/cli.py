@@ -8,6 +8,7 @@ machine-readable JSON error record on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -105,38 +106,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _threads(args) -> int:
-    """Trial workers: --threads, else SPECLAW_THREADS, else the usable CPU count."""
-    value = getattr(args, "threads", None)
-    if value is None:
-        env = os.environ.get("SPECLAW_THREADS")
-        value = _usable_cpus() if env is None else int(env)
-    return max(1, value)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API outside Linux
-        return os.cpu_count() or 1
+def _threads(args) -> int | None:
+    """Trial workers: --threads, else SPECLAW_THREADS, else None (the usable CPU count)."""
+    env = os.environ.get("SPECLAW_THREADS")
+    return args.threads if args.threads is not None or env is None else int(env)
 
 
 def _load_campaign(args) -> verify.LocalLawConfig:
+    overrides = {"trials": args.trials, "base_seed": args.seed, "eps": args.eps, "delta": args.delta}
     cfg = verify.load_local_law_config(args.config)
-    updates = {}
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.seed is not None:
-        updates["base_seed"] = args.seed
-    if args.eps is not None:
-        updates["eps"] = args.eps
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    if updates:
-        data = cfg.to_dict()
-        data.update(updates)
-        cfg = verify.LocalLawConfig.from_dict(data)
-    return cfg
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def run(args: argparse.Namespace) -> int:

@@ -7,8 +7,8 @@ counter-based streams in `rng`, so a spec plus a seed pins the matrix bit
 for bit.  A dense spec keeps its profile in canonical form, the exact block
 form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
 variance coeffs[labels[i], labels[j]].  Matrices are stored raw; `scaling`
-is the multiplier that produces the normalized matrix whose spectrum the
-predictions address.
+is the multiplier that produces the normalized dense or sparse matrix whose
+spectrum the predictions address (block models are centered instead).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.io
 
 from . import rng
-from .errors import DegenerateVariance, InvalidProfile, InvalidSpec
+from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, json_array, json_object, json_value
 from .qve import (
     BlockProfile,
     Profile,
@@ -162,11 +162,15 @@ EnsembleSpec = WignerSpec | SparseSpec | SbmSpec
 
 @dataclass(frozen=True)
 class SampledMatrix:
-    """One sampled symmetric matrix plus the normalization it calls for."""
+    """One sampled symmetric matrix plus the multiplier that normalizes it.
+
+    Block-model adjacency matrices keep scaling 1: they are normalized by
+    center_and_scale_sbm instead.
+    """
 
     n: int
     data: np.ndarray
-    scaling: float
+    scaling: float = 1.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -228,10 +232,7 @@ def sample_sbm(spec: SbmSpec) -> SampledMatrix:
     counters = rng.pair_counters(iu, ju)
     p_edge = spec.probs[labels[iu], labels[ju]]
     edges = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
-    data = _symmetric_from_upper(n, iu, ju, edges)
-    sigma2 = spec.sigma_squared
-    scaling = 1.0 / (math.sqrt(n) * math.sqrt(sigma2)) if sigma2 > 0 else 1.0
-    return SampledMatrix(n=n, data=data, scaling=scaling)
+    return SampledMatrix(n=n, data=_symmetric_from_upper(n, iu, ju, edges))
 
 
 def center_and_scale_sbm(adj: SampledMatrix, spec: SbmSpec) -> SampledMatrix:
@@ -249,7 +250,7 @@ def center_and_scale_sbm(adj: SampledMatrix, spec: SbmSpec) -> SampledMatrix:
     labels = spec.block_labels()
     expected = spec.probs[labels[:, None], labels[None, :]]
     data = (adj.data - expected) / (math.sqrt(spec.n) * math.sqrt(sigma2))
-    return SampledMatrix(n=spec.n, data=data, scaling=1.0)
+    return SampledMatrix(n=spec.n, data=data)
 
 
 def effective_profile(spec: EnsembleSpec) -> Profile:
@@ -347,23 +348,22 @@ def ensemble_to_dict(spec: EnsembleSpec) -> dict:
 
 
 def ensemble_from_dict(data: dict) -> EnsembleSpec:
-    kind = data.get("kind")
+    """Parse an ensemble_to_dict object; InvalidSpec names any missing, unknown or mistyped field."""
+    kind = json_value(data, dict, "ensemble").get("kind")
     if kind == "wigner":
-        profile = profile_from_dict(data["profile"])
-        law = EntryLaw(kind=data["law"]["kind"], bound=data["law"].get("bound"))
-        return WignerSpec(n=int(data["n"]), profile=profile, law=law, seed=int(data["seed"]))
+        data = json_object(data, "wigner ensemble", {"kind": str, "n": int, "profile": dict, "law": dict, "seed": int})
+        law = json_object(data["law"], "wigner ensemble.law", {"kind": str, "bound": float}, optional={"bound"})
+        return WignerSpec(n=data["n"], profile=profile_from_dict(data["profile"]), law=EntryLaw(**law), seed=data["seed"])
     if kind == "sparse":
+        data = json_object(data, "sparse ensemble", {"kind": str, "base": dict, "p": float})
         base = ensemble_from_dict(data["base"])
         if not isinstance(base, WignerSpec):
             raise InvalidSpec("sparse base must be a dense ensemble")
-        return SparseSpec(base=base, p=float(data["p"]))
+        return SparseSpec(base=base, p=data["p"])
     if kind == "sbm":
-        return SbmSpec(
-            d=int(data["d"]),
-            sizes=tuple(int(s) for s in data["sizes"]),
-            probs=np.asarray(data["probs"]),
-            seed=int(data["seed"]),
-        )
+        data = json_object(data, "sbm ensemble", {"kind": str, "d": int, "sizes": list, "probs": list, "seed": int})
+        sizes = tuple(json_value(s, int, "sbm ensemble.sizes[]") for s in data["sizes"])
+        return SbmSpec(d=data["d"], sizes=sizes, probs=json_array(data["probs"], "sbm ensemble.probs"), seed=data["seed"])
     raise InvalidSpec(f"unknown ensemble kind {kind!r}")
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON checks that raise them."""
+
+import numpy as np
 
 
 class SpecLawError(Exception):
@@ -54,3 +56,44 @@ class AssertionFailure(SpecLawError):
     def __init__(self, message, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def json_value(value, kind: type, where: str, error: type = InvalidSpec):
+    """`value` if it is JSON of type `kind`, else raise `error` naming `where`.
+
+    An integer passes as a float (and comes back as one), a boolean as
+    neither; kind `object` accepts anything.
+    """
+    if isinstance(value, kind) and not (isinstance(value, bool) and kind in (int, float)):
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    got = next((name for t, name in _JSON_TYPES.items() if isinstance(value, t)), "null")
+    raise error(f"{where} must be {_JSON_TYPES[kind]}, got {got}")
+
+
+def json_object(data, where: str, kinds: dict, optional=(), error: type = InvalidSpec) -> dict:
+    """The JSON object `data`, each value checked by json_value against kinds[key].
+
+    Every key of `kinds` not in `optional` must be present, and no other key.
+    """
+    json_value(data, dict, where, error)
+    missing = [key for key in kinds if key not in data and key not in optional]
+    unknown = sorted(data.keys() - kinds.keys())
+    if missing or unknown:
+        raise error(f"{where}: {'missing' if missing else 'unknown'} field {(missing or unknown)[0]!r}")
+    return {key: json_value(value, kinds[key], f"{where}.{key}", error) for key, value in data.items()}
+
+
+def json_array(value, where: str, error: type = InvalidSpec) -> np.ndarray:
+    """The JSON array of numbers `value` (arrays of arrays for a matrix) as a numpy array."""
+    try:
+        array = np.asarray(json_value(value, list, where, error))
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise error(f"{where} must be an array of numbers")
+    return array

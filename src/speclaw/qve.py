@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, NonConvergence, OutOfRange
+from .errors import InvalidProfile, NonConvergence, OutOfRange, json_array, json_object, json_value
 
 DEFAULT_ETA = 1e-6
 ETA_START = 1.0
@@ -229,14 +229,14 @@ def profile_to_dict(profile: Profile) -> dict:
 
 
 def profile_from_dict(data: dict) -> Profile:
-    if "entries" in data:
-        return VarianceProfile(n=int(data["n"]), entries=np.asarray(data["entries"]))
+    """Parse a profile_to_dict object; InvalidProfile names any missing, unknown or mistyped field."""
+    if "entries" in json_value(data, dict, "profile", InvalidProfile):
+        data = json_object(data, "profile", {"n": int, "entries": list}, error=InvalidProfile)
+        return VarianceProfile(n=data["n"], entries=json_array(data["entries"], "profile.entries", InvalidProfile))
     if "coeffs" in data:
-        return BlockProfile(
-            d=int(data["d"]),
-            weights=np.asarray(data["weights"]),
-            coeffs=np.asarray(data["coeffs"]),
-        )
+        data = json_object(data, "block profile", {"d": int, "weights": list, "coeffs": list}, error=InvalidProfile)
+        weights, coeffs = (json_array(data[k], f"block profile.{k}", InvalidProfile) for k in ("weights", "coeffs"))
+        return BlockProfile(d=data["d"], weights=weights, coeffs=coeffs)
     raise InvalidProfile("profile dict needs either 'entries' or 'coeffs'")
 
 

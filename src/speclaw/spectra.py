@@ -21,6 +21,8 @@ from .ensembles import SampledMatrix
 from .errors import MissingVectors, NoConvergence
 from .qve import SpectralPoint
 
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class TridiagonalForm:
@@ -99,45 +101,31 @@ def tridiagonalize(m: SampledMatrix | np.ndarray, accumulate_q: bool = False) ->
     return TridiagonalForm(diag=d, offdiag=e)
 
 
-def _sturm_count_scalar(diag: np.ndarray, off2: np.ndarray, shift: float) -> int:
-    """#{eigenvalues < shift}; exact zero pivots nudge the shift 1 ulp toward -inf."""
-    n = diag.size
-    with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(64):
-            count = 0
-            piv = diag[0] - shift
-            hit = piv == 0.0
-            i = 1
-            while not hit and i < n:
-                if piv < 0.0:
-                    count += 1
-                piv = (diag[i] - shift) - off2[i - 1] / piv
-                hit = piv == 0.0
-                i += 1
-            if not hit:
-                if piv < 0.0:
-                    count += 1
-                return count
-            shift = np.nextafter(shift, -np.inf)
-    raise ValueError("Sturm shift could not be separated from the spectrum")
-
-
 def eigenvalue_counts_below(t: TridiagonalForm, shifts: np.ndarray) -> np.ndarray:
-    """Vectorized #{eigenvalues < shift} for an array of shifts."""
+    """Vectorized #{eigenvalues < shift} for an array of shifts.
+
+    An exactly zero pivot is replaced by the smallest positive normal float,
+    which counts it for a shift just below: an eigenvalue on the shift is not
+    counted.  The pivot after it may overflow to -inf; that one counts as
+    negative and adds -0 to the next.  A matrix of norm below 1 is first scaled
+    up by a power of two, which is exact, so that squaring a coupling cannot
+    underflow unless the coupling is below rounding of the norm.
+    """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.float64))
     diag, off = t.diag, t.offdiag
-    off2 = off * off
-    piv = diag[0] - shifts
-    counts = (piv < 0.0).astype(np.int64)
-    bad = piv == 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    top = max(np.abs(diag).max(), np.abs(off).max(initial=0.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        if 0.0 < top < 1.0:  # a far shift may overflow to +-inf, which counts the same
+            k = -np.frexp(top)[1]
+            diag, off, shifts = np.ldexp(diag, k), np.ldexp(off, k), np.ldexp(shifts, k)
+        off2 = off * off
+        piv = diag[0] - shifts
+        piv[piv == 0.0] = _TINY
+        counts = (piv < 0.0).astype(np.int64)
         for i in range(1, diag.size):
             piv = (diag[i] - shifts) - off2[i - 1] / piv
-            bad |= (piv == 0.0) | ~np.isfinite(piv)
+            piv[piv == 0.0] = _TINY
             counts += piv < 0.0
-    if bad.any():
-        for idx in np.nonzero(bad)[0]:
-            counts[idx] = _sturm_count_scalar(diag, off2, float(shifts[idx]))
     return counts
 
 
@@ -145,7 +133,7 @@ def count_in_interval(t: TridiagonalForm, lo: float, hi: float) -> int:
     """Exact eigenvalue count on the half-open interval (lo, hi].
 
     Computed as two Sturm pivot counts; an eigenvalue landing exactly on a
-    shift is resolved deterministically by nudging the shift toward -inf.
+    shift counts as lying above it.
     """
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got ({lo}, {hi}]")

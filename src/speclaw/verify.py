@@ -1,8 +1,11 @@
 """Monte Carlo campaigns confronting sampled spectra with the predictions.
 
 Each campaign is a deterministic function of (config, base_seed): trial i
-samples with seed base_seed + i, aggregation is order-independent, and every
-report serializes to JSON/CSV and re-parses into the type that produced it.
+samples with seed base_seed + i, and aggregation is order-independent.  One
+codec, the `_record` class decorator, gives every config and report dataclass
+its to_dict/from_dict/to_json: a report serializes to JSON (some also to CSV)
+and re-parses into the type that produced it, and a config that is not a JSON
+object of the declared fields and types raises InvalidSpec naming the field.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ import ctypes
 import functools
 import json
 import math
+import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +34,7 @@ from .ensembles import (
     normalized_sample,
     with_seed,
 )
-from .errors import AssertionFailure, EmptyBulk, InvalidSpec
+from .errors import AssertionFailure, EmptyBulk, InvalidSpec, json_array, json_object, json_value
 from .qve import (
     DEFAULT_ETA,
     BulkInterval,
@@ -52,6 +57,73 @@ from .spectra import (
 _QUANTILES = (0.5, 0.9, 0.99)
 
 
+def report_json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def write_json(payload: dict, path) -> None:
+    """Write report_json_bytes(payload), the one byte form of every JSON artifact."""
+    with open(path, "wb") as fh:
+        fh.write(report_json_bytes(payload))
+
+
+def _encode(value):
+    if isinstance(value, EnsembleSpec):
+        return ensemble_to_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def _decode(kind, value, where: str):
+    """`value` read from JSON as the annotation `kind`, or InvalidSpec naming `where`."""
+    if kind == EnsembleSpec:
+        return ensemble_from_dict(value)
+    if hasattr(kind, "from_dict"):
+        return kind.from_dict(value)
+    if kind is np.ndarray:
+        return json_array(value, where)
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return [_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(json_value(value, list, where))]
+    if typing.get_origin(kind) is dict:  # JSON keys are strings; dict[int, ...] parses them back
+        return {
+            _decode(args[0], int(k) if args[0] is int and str(k).isdigit() else k, f"{where} key"):
+            _decode(args[1], v, f"{where}[{k!r}]")
+            for k, v in json_value(value, dict, where).items()
+        }
+    return json_value(value, kind, where)
+
+
+def _record(cls):
+    """Give dataclass `cls` a to_dict, from_dict and to_json driven by its fields.
+
+    to_dict encodes nested records, ensemble specs and arrays; from_dict decodes
+    each field by its annotation, leaves absent defaulted fields to their
+    defaults, and raises InvalidSpec for anything else.  The methods are set on
+    the class itself, one function object per class.
+    """
+    hints = typing.get_type_hints(cls)
+    kinds = {f.name: hints[f.name] for f in fields(cls)}
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+
+    def to_dict(self) -> dict:
+        return {name: _encode(getattr(self, name)) for name in kinds}
+
+    def from_dict(owner, data: dict):
+        data = json_object(data, cls.__name__, dict.fromkeys(kinds, object), optional)
+        return owner(**{k: _decode(kinds[k], v, f"{cls.__name__}.{k}") for k, v in data.items()})
+
+    def to_json(self, path) -> None:
+        write_json(self.to_dict(), path)
+
+    cls.to_dict, cls.from_dict, cls.to_json = to_dict, classmethod(from_dict), to_json
+    return cls
+
+
+@_record
 @dataclass(frozen=True)
 class LocalLawConfig:
     """One eigenvalue-counting campaign over a seeded ensemble.
@@ -84,31 +156,6 @@ class LocalLawConfig:
     def interval_length(self) -> float:
         n, k, p_eff = ensemble_parameters(self.ensemble)
         return self.interval_len_factor * k * k * math.log(n) / (n * p_eff)
-
-    def to_dict(self) -> dict:
-        return {
-            "ensemble": ensemble_to_dict(self.ensemble),
-            "eps": self.eps,
-            "delta": self.delta,
-            "interval_len_factor": self.interval_len_factor,
-            "num_intervals": self.num_intervals,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "eta": self.eta,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LocalLawConfig":
-        return cls(
-            ensemble=ensemble_from_dict(data["ensemble"]),
-            eps=float(data.get("eps", 0.1)),
-            delta=float(data.get("delta", 0.05)),
-            interval_len_factor=float(data.get("interval_len_factor", 50.0)),
-            num_intervals=int(data.get("num_intervals", 3)),
-            trials=int(data.get("trials", 20)),
-            base_seed=int(data.get("base_seed", 0)),
-            eta=float(data.get("eta", DEFAULT_ETA)),
-        )
 
 
 def factor_for_length(length: float, ensemble: EnsembleSpec) -> float:
@@ -171,8 +218,17 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-def _map_trials(fn, trials: int, threads: int) -> list:
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        return os.cpu_count() or 1
+
+
+def _map_trials(fn, trials: int, threads: int | None) -> list:
     """[fn(0), ..., fn(trials - 1)], run by a pool of `threads` workers when threads > 1.
+
+    threads=None, the default of every campaign, means the usable CPU count.
 
     Every trial runs its BLAS/LAPACK single-threaded at any worker count: the
     parallelism comes from the pool, and a report does not depend on the BLAS
@@ -181,6 +237,7 @@ def _map_trials(fn, trials: int, threads: int) -> list:
     the OpenBLAS bundled with numpy and scipy wheels; with any other BLAS it is
     a no-op and that library keeps its own threading.
     """
+    threads = _usable_cpus() if threads is None else threads
     controls = _openblas_thread_controls()
     saved = [get_threads() for get_threads, _ in controls]
     for _, set_threads in controls:
@@ -199,6 +256,7 @@ def _map_trials(fn, trials: int, threads: int) -> list:
 # local law
 
 
+@_record
 @dataclass(frozen=True)
 class IntervalRecord:
     lo: float
@@ -208,28 +266,8 @@ class IntervalRecord:
     deviations: list[float]
     pass_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "predicted": self.predicted,
-            "observed": self.observed,
-            "deviations": self.deviations,
-            "pass_fraction": self.pass_fraction,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IntervalRecord":
-        return cls(
-            lo=float(data["lo"]),
-            hi=float(data["hi"]),
-            predicted=float(data["predicted"]),
-            observed=[int(v) for v in data["observed"]],
-            deviations=[float(v) for v in data["deviations"]],
-            pass_fraction=float(data["pass_fraction"]),
-        )
-
-
+@_record
 @dataclass(frozen=True)
 class LocalLawReport:
     config: dict
@@ -239,32 +277,6 @@ class LocalLawReport:
     pass_fraction: float
     max_deviation: float
     k_bound_flag: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "n": self.n,
-            "intervals": [r.to_dict() for r in self.intervals],
-            "trial_pass": self.trial_pass,
-            "pass_fraction": self.pass_fraction,
-            "max_deviation": self.max_deviation,
-            "k_bound_flag": self.k_bound_flag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LocalLawReport":
-        return cls(
-            config=data["config"],
-            n=int(data["n"]),
-            intervals=[IntervalRecord.from_dict(r) for r in data["intervals"]],
-            trial_pass=[bool(v) for v in data["trial_pass"]],
-            pass_fraction=float(data["pass_fraction"]),
-            max_deviation=float(data["max_deviation"]),
-            k_bound_flag=bool(data["k_bound_flag"]),
-        )
-
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
 
     def to_csv(self, path) -> None:
         import csv
@@ -279,7 +291,7 @@ class LocalLawReport:
 
 def verify_local_law(
     cfg: LocalLawConfig,
-    threads: int = 1,
+    threads: int | None = None,
     intervals: list[tuple[float, float]] | None = None,
 ) -> LocalLawReport:
     """Count eigenvalues on bulk intervals across trials and compare with n * integral(rho).
@@ -335,6 +347,7 @@ def verify_local_law(
 # Stieltjes-transform closeness
 
 
+@_record
 @dataclass(frozen=True)
 class StieltjesRecord:
     x: float
@@ -342,19 +355,8 @@ class StieltjesRecord:
     predicted: list[float]  # [re, im]
     discrepancies: list[float]
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "eta": self.eta, "predicted": self.predicted, "discrepancies": self.discrepancies}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StieltjesRecord":
-        return cls(
-            x=float(data["x"]),
-            eta=float(data["eta"]),
-            predicted=[float(v) for v in data["predicted"]],
-            discrepancies=[float(v) for v in data["discrepancies"]],
-        )
-
-
+@_record
 @dataclass(frozen=True)
 class StieltjesReport:
     config: dict
@@ -364,30 +366,6 @@ class StieltjesReport:
     max_discrepancy: float
     median_sup: float
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "eta_floor": self.eta_floor,
-            "records": [r.to_dict() for r in self.records],
-            "trial_sup": self.trial_sup,
-            "max_discrepancy": self.max_discrepancy,
-            "median_sup": self.median_sup,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StieltjesReport":
-        return cls(
-            config=data["config"],
-            eta_floor=float(data["eta_floor"]),
-            records=[StieltjesRecord.from_dict(r) for r in data["records"]],
-            trial_sup=[float(v) for v in data["trial_sup"]],
-            max_discrepancy=float(data["max_discrepancy"]),
-            median_sup=float(data["median_sup"]),
-        )
-
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
-
 
 def stieltjes_eta_floor(ensemble: EnsembleSpec) -> float:
     """Smallest meaningful regularization, K^2 log n/(n p_eff)."""
@@ -396,7 +374,7 @@ def stieltjes_eta_floor(ensemble: EnsembleSpec) -> float:
 
 
 def verify_stieltjes_closeness(
-    cfg: LocalLawConfig, eta_grid, threads: int = 1
+    cfg: LocalLawConfig, eta_grid, threads: int | None = None
 ) -> StieltjesReport:
     """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial."""
     etas = sorted(float(e) for e in np.atleast_1d(eta_grid))
@@ -443,6 +421,7 @@ def verify_stieltjes_closeness(
 # delocalization
 
 
+@_record
 @dataclass(frozen=True)
 class DelocTrialRecord:
     trial: int
@@ -450,24 +429,8 @@ class DelocTrialRecord:
     max_inf_norm: float
     max_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "bulk_count": self.bulk_count,
-            "max_inf_norm": self.max_inf_norm,
-            "max_ratio": self.max_ratio,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DelocTrialRecord":
-        return cls(
-            trial=int(data["trial"]),
-            bulk_count=int(data["bulk_count"]),
-            max_inf_norm=float(data["max_inf_norm"]),
-            max_ratio=float(data["max_ratio"]),
-        )
-
-
+@_record
 @dataclass(frozen=True)
 class DelocReport:
     config: dict
@@ -475,28 +438,6 @@ class DelocReport:
     ratio_quantiles: dict
     max_ratio: float
     k_bound_flag: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "records": [r.to_dict() for r in self.records],
-            "ratio_quantiles": self.ratio_quantiles,
-            "max_ratio": self.max_ratio,
-            "k_bound_flag": self.k_bound_flag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DelocReport":
-        return cls(
-            config=data["config"],
-            records=[DelocTrialRecord.from_dict(r) for r in data["records"]],
-            ratio_quantiles=data["ratio_quantiles"],
-            max_ratio=float(data["max_ratio"]),
-            k_bound_flag=bool(data["k_bound_flag"]),
-        )
-
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
 
     def to_csv(self, path) -> None:
         import csv
@@ -508,7 +449,7 @@ class DelocReport:
                 writer.writerow([r.trial, r.bulk_count, repr(r.max_inf_norm), repr(r.max_ratio)])
 
 
-def verify_delocalization(cfg: LocalLawConfig, threads: int = 1) -> DelocReport:
+def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> DelocReport:
     """Sup-norms of bulk eigenvectors, normalized by K sqrt(log n)/sqrt(n p_eff)."""
     n, k_bound, p_eff = ensemble_parameters(cfg.ensemble)
     curve = _prediction_curve(cfg)
@@ -546,6 +487,7 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int = 1) -> DelocReport:
 # projection concentration
 
 
+@_record
 @dataclass(frozen=True)
 class ProjectionTestSpec:
     """Concentration test of weighted projections of a bounded random vector.
@@ -581,45 +523,13 @@ class ProjectionTestSpec:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma": self.sigma.tolist(),
-            "subspace_dim": self.subspace_dim,
-            "weights": self.weights.tolist(),
-            "t_grid": self.t_grid.tolist(),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProjectionTestSpec":
-        return cls(
-            n=int(data["n"]),
-            sigma=np.asarray(data["sigma"]),
-            subspace_dim=int(data["subspace_dim"]),
-            weights=np.asarray(data["weights"]),
-            t_grid=np.asarray(data["t_grid"]),
-            trials=int(data["trials"]),
-            seed=int(data.get("seed", 0)),
-        )
-
-
+@_record
 @dataclass(frozen=True)
 class ProjectionReport:
     spec: dict
     center: float
     rows: list[dict]  # {"t": float, "failure_rate": float}
-
-    def to_dict(self) -> dict:
-        return {"spec": self.spec, "center": self.center, "rows": self.rows}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProjectionReport":
-        return cls(spec=data["spec"], center=float(data["center"]), rows=list(data["rows"]))
-
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
 
     def rates(self) -> list[float]:
         return [row["failure_rate"] for row in self.rows]
@@ -674,38 +584,15 @@ def projection_concentration_test(spec: ProjectionTestSpec) -> ProjectionReport:
 # interlacing
 
 
+@_record
 @dataclass(frozen=True)
 class InterlacingReport:
     trials: int
     n: int
     seed: int
     max_shift_rank1: int
-    max_shift_by_rank: dict
+    max_shift_by_rank: dict[int, int]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "n": self.n,
-            "seed": self.seed,
-            "max_shift_rank1": self.max_shift_rank1,
-            "max_shift_by_rank": self.max_shift_by_rank,
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InterlacingReport":
-        return cls(
-            trials=int(data["trials"]),
-            n=int(data["n"]),
-            seed=int(data["seed"]),
-            max_shift_rank1=int(data["max_shift_rank1"]),
-            max_shift_by_rank={int(k): int(v) for k, v in data["max_shift_by_rank"].items()},
-            passed=bool(data["passed"]),
-        )
-
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
 
 
 def _random_symmetric(n: int, key) -> np.ndarray:
@@ -772,13 +659,3 @@ def interlacing_test(trials: int, n: int, seed: int, max_rank: int = 5) -> Inter
         max_shift_by_rank=dict(sorted(max_by_rank.items())),
         passed=True,
     )
-
-
-def report_json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-
-
-def write_json(payload: dict, path) -> None:
-    """Write report_json_bytes(payload), the one byte form of every JSON artifact."""
-    with open(path, "wb") as fh:
-        fh.write(report_json_bytes(payload))

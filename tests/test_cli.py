@@ -221,3 +221,35 @@ def test_sbm_reports_identical_across_blas_threads_and_workers(tmp_path, command
     spec = ens.SbmSpec(d=2, sizes=(200, 200), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=0)
     cfg = verify.LocalLawConfig(ensemble=spec, trials=3)
     assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra)) == 1
+
+
+_WIGNER = {"kind": "wigner", "n": 20, "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},
+           "law": {"kind": "rademacher"}, "seed": 0}
+_CAMPAIGN = {"ensemble": _WIGNER, "trials": 2, "interval_len_factor": 5.0}
+_PROJECTION = {"n": 4, "sigma": [1.0] * 4, "subspace_dim": 2, "weights": [1.0, 1.0], "t_grid": [1.0], "trials": 3}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("verify-local-law", []),
+    ("verify-local-law", {**_CAMPAIGN, "trials": None}),
+    ("verify-local-law", {**_CAMPAIGN, "trials": 2.7}),
+    ("verify-local-law", {**_CAMPAIGN, "trails": 3}),
+    ("verify-local-law", {"trials": 2}),
+    ("verify-local-law", {**_CAMPAIGN, "ensemble": {**_WIGNER, "profile": []}}),
+    ("test-projection", {**_PROJECTION, "sed": 3}),
+    ("test-projection", {**_PROJECTION, "sigma": ["1", "1", "1", "1"]}),
+    ("sample", []),
+    ("sample", {**_WIGNER, "law": "rademacher"}),
+    ("sample", {"kind": "sparse", "base": _WIGNER, "p": None}),
+    ("sample", {**_WIGNER, "n": 20.0}),
+    ("sample", {**_WIGNER, "profile": {"d": 1, "weights": [1.0], "coeffs": [["1.0"]]}}),
+    ("sample", {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5], 0.5], "seed": 0}),
+])
+def test_malformed_json_exits_one_with_an_error_record(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    flag = "--ensemble" if command == "sample" else "--config"
+    assert cli.main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config"

@@ -145,6 +145,45 @@ def test_counts_below_vectorized_matches_scalar():
     assert np.array_equal(counts, expected)
 
 
+# adversarial entries: zeros, tiny and huge magnitudes, neighbours one ulp apart
+_entries = st.sampled_from([0.0, 1.0, np.nextafter(1.0, 0.0), -1.0, 2.5, 1e-8, -1e-8, 1e8, -1e8]) | st.floats(-1e8, 1e8)
+_couplings = st.sampled_from([0.0, 1e-300]) | _entries
+
+
+@st.composite
+def adversarial_tridiagonals(draw):
+    """A block (d, e) repeated 1-3 times, linked by zero or 1e-300 couplings
+    (which give repeated eigenvalues); optionally with every coupling zero."""
+    m = draw(st.integers(1, 5))
+    d = draw(st.lists(_entries, min_size=m, max_size=m))
+    e = draw(st.lists(_couplings, min_size=m - 1, max_size=m - 1))
+    reps = draw(st.integers(1, 3))
+    link = draw(st.sampled_from([0.0, 1e-300]))
+    off = np.array((e + [link]) * reps)[:-1]
+    return np.tile(d, reps), off * draw(st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tri=adversarial_tridiagonals(), extra=st.lists(st.floats(-2e8, 2e8), max_size=4))
+def test_sturm_counts_match_eigvalsh_tridiagonal(tri, extra):
+    diag, off = tri
+    t = spectra.TridiagonalForm(diag=diag, offdiag=off)
+    ev = np.sort(diag) if not off.any() else scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    mids = (ev[1:] + ev[:-1]) / 2.0
+    shifts = np.concatenate([diag, ev, mids, [ev[0] - 1.0, ev[-1] + 1.0], extra])
+    counts = spectra.eigenvalue_counts_below(t, shifts)
+    expected = np.searchsorted(ev, shifts, side="left")  # #{eigenvalues < shift}
+    if off.any():
+        # exact where the shift is farther from the spectrum than the eigensolver's error
+        scale = np.abs(diag).max() + 2.0 * np.abs(off).max()
+        tol = 16.0 * diag.size * np.finfo(float).eps * scale
+        far = np.abs(shifts[:, None] - ev[None, :]).min(axis=1) > tol
+        counts, expected = counts[far], expected[far]
+    # with zero couplings the eigenvalues are the diagonal entries, so every
+    # shift (ties on entries included) must count exactly
+    assert np.array_equal(counts, expected)
+
+
 # ---------------------------------------------------------------------------
 # full decomposition
 

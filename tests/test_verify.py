@@ -80,6 +80,29 @@ def test_map_trials_pins_blas_and_restores_it(threads):
     assert [get() for get, _ in controls] == before
 
 
+@pytest.mark.parametrize("campaign", [
+    verify.verify_local_law,
+    lambda cfg: verify.verify_stieltjes_closeness(cfg, [0.5]),
+    verify.verify_delocalization,
+])
+def test_campaigns_default_to_the_usable_cpus(monkeypatch, campaign):
+    pools = []
+
+    class RecordingPool(verify.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", RecordingPool)
+    cfg = dense_config(n=60, trials=2, length=0.5)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
+    pooled = campaign(cfg)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    serial = campaign(cfg)
+    assert pools == [3]
+    assert verify.report_json_bytes(pooled.to_dict()) == verify.report_json_bytes(serial.to_dict())
+
+
 def test_pass_fraction_consistency(dense_report):
     cfg = verify.LocalLawConfig.from_dict(dense_report.config)
     per_trial = np.zeros(cfg.trials)
