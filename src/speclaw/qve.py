@@ -81,11 +81,6 @@ class VarianceProfile:
         object.__setattr__(self, "entries", entries)
 
     @property
-    def c(self) -> float:
-        """Stored lower bound of the entries."""
-        return float(self.entries.min())
-
-    @property
     def dim(self) -> int:
         return self.n
 
@@ -125,10 +120,6 @@ class BlockProfile:
         coeffs.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def c(self) -> float:
-        return float(self.coeffs.min())
 
     @property
     def dim(self) -> int:

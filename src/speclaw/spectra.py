@@ -3,22 +3,24 @@
 Householder tridiagonalization feeds a Sturm-sequence pivot count that
 returns exact eigenvalue counts on half-open intervals (lo, hi] without a
 full diagonalization; the dense eigensolver stays available as the
-cross-checking slow path.  Also: empirical Stieltjes transforms, eigenvector
-sup-norms, and the Schur-complement identity for resolvent diagonal entries.
+cross-checking slow path.  The reduction runs scipy's LAPACK outside the
+interpreter lock, so trial workers overlap.  Also: empirical Stieltjes
+transforms, eigenvector sup-norms, and the Schur-complement identity for
+resolvent diagonal entries.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .ensembles import SampledMatrix
-from .errors import MissingVectors, NoConvergence
+from .errors import InvalidSpec, MissingVectors, NoConvergence
 from .qve import SpectralPoint
 
 _TINY = np.finfo(np.float64).tiny
@@ -30,7 +32,6 @@ class TridiagonalForm:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    q: np.ndarray | None = None
 
     def __post_init__(self):
         diag = np.array(self.diag, dtype=np.float64)
@@ -45,12 +46,6 @@ class TridiagonalForm:
     @property
     def n(self) -> int:
         return self.diag.size
-
-    def dense(self) -> np.ndarray:
-        t = np.diag(self.diag)
-        if self.n > 1:
-            t += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return t
 
 
 @dataclass(frozen=True)
@@ -80,25 +75,41 @@ class SpectrumSummary:
 def _as_array(m: SampledMatrix | np.ndarray) -> np.ndarray:
     a = m.data if isinstance(m, SampledMatrix) else np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise InvalidSpec(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def tridiagonalize(m: SampledMatrix | np.ndarray, accumulate_q: bool = False) -> TridiagonalForm:
-    """Householder reduction Q^T A Q = T of a symmetric matrix."""
-    a = _as_array(m)
+@functools.cache
+def _lapack_dsytrd():
+    """dsytrd of scipy's LAPACK as a ctypes function: unlike f2py, ctypes releases the interpreter lock."""
+    from scipy.linalg import cython_lapack
+
+    int_p, ptr = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    capsule = cython_lapack.__pyx_capi__["dsytrd"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
+    # (uplo, n, a, lda, d, e, tau, work, lwork, info)
+    signature = ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, ptr, int_p, ptr, ptr, ptr, ptr, int_p, int_p)
+    return signature(pointer(capsule, name(capsule)))
+
+
+def tridiagonalize(m: SampledMatrix | np.ndarray) -> TridiagonalForm:
+    """Householder reduction Q^T A Q = T of a symmetric matrix, read from its upper triangle."""
+    a = np.array(_as_array(m), dtype=np.float64, order="F")  # dsytrd overwrites it
     n = a.shape[0]
-    if n == 1:
-        return TridiagonalForm(diag=a.diagonal().copy(), offdiag=np.empty(0))
-    if accumulate_q:
-        # the Hessenberg path exposes the orthogonal factor directly
-        h, q = scipy.linalg.hessenberg(a, calc_q=True)
-        return TridiagonalForm(diag=np.diag(h).copy(), offdiag=np.diag(h, -1).copy(), q=q)
-    # the default lwork runs LAPACK's unblocked reduction, about 1.7x slower at n = 2000
-    _, d, e, _, info = lapack.dsytrd(a, lwork=int(lapack.dsytrd_lwork(n)[0]))
-    if info != 0:
-        raise ValueError(f"tridiagonal reduction failed (info={info})")
-    return TridiagonalForm(diag=d, offdiag=e)
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+
+    def dsytrd(work: np.ndarray, lwork: int) -> None:
+        info = ctypes.c_int(0)
+        _lapack_dsytrd()(b"U", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(n, 1)), d.ctypes.data,
+                         e.ctypes.data, tau.ctypes.data, work.ctypes.data, ctypes.c_int(lwork), info)
+        if info.value != 0:
+            raise NoConvergence(f"tridiagonal reduction failed (info={info.value})")
+
+    query = np.empty(1)
+    dsytrd(query, -1)  # the queried workspace runs the blocked reduction, about 1.7x faster at n = 2000
+    dsytrd(np.empty(int(query[0])), int(query[0]))
+    return TridiagonalForm(diag=d, offdiag=e[: max(n - 1, 0)])
 
 
 def eigenvalue_counts_below(t: TridiagonalForm, shifts: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ import scipy
 from . import rng
 from .ensembles import (
     EnsembleSpec,
+    _symmetric_from_upper,
     boundedness_flag,
     effective_profile,
     ensemble_from_dict,
@@ -49,6 +50,7 @@ from .qve import (
 from .spectra import (
     count_in_interval,
     eigen_full,
+    eigenvalue_counts_below,
     normalized_deloc_ratios,
     stieltjes_empirical,
     tridiagonalize,
@@ -307,11 +309,12 @@ def verify_local_law(
     if intervals is None:
         intervals = place_intervals(widest, cfg.interval_length(), cfg.num_intervals)
     predicted = [n * integrate_density(curve, lo, hi) for lo, hi in intervals]
+    endpoints = np.ravel(intervals)  # integrate_density has checked lo <= hi
 
     def run_trial(i: int) -> list[int]:
         spec = with_seed(cfg.ensemble, cfg.base_seed + i)
-        tri = tridiagonalize(normalized_sample(spec))
-        return [count_in_interval(tri, lo, hi) for lo, hi in intervals]
+        below = eigenvalue_counts_below(tridiagonalize(normalized_sample(spec)), endpoints)  # one Sturm sweep
+        return (below[1::2] - below[::2]).tolist()
 
     observed_rows = _map_trials(run_trial, cfg.trials, threads)
 
@@ -595,15 +598,6 @@ class InterlacingReport:
     passed: bool
 
 
-def _random_symmetric(n: int, key) -> np.ndarray:
-    iu, ju = np.triu_indices(n)
-    vals = 2.0 * rng.uniforms(key, rng.pair_counters(iu, ju)) - 1.0
-    out = np.zeros((n, n))
-    out[iu, ju] = vals
-    out[ju, iu] = vals
-    return out
-
-
 def interval_shift(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> int:
     """|N_(lo,hi](A+B) - N_(lo,hi](A)| via Sturm counts."""
     base = count_in_interval(tridiagonalize(a), lo, hi)
@@ -624,10 +618,11 @@ def interlacing_test(trials: int, n: int, seed: int, max_rank: int = 5) -> Inter
     max_rank1 = 0
     max_by_rank: dict[int, int] = {}
     span = 2.5 * math.sqrt(n)
+    iu, ju = np.triu_indices(n)
     for t in range(trials):
         key_a = rng.stream_key(seed + t, rng.TAG_VALUES)
         key_v = rng.stream_key(seed + t, rng.TAG_AUX)
-        a = _random_symmetric(n, key_a)
+        a = _symmetric_from_upper(n, iu, ju, 2.0 * rng.uniforms(key_a, rng.pair_counters(iu, ju)) - 1.0)
         vs = 2.0 * rng.uniforms(key_v, rng.pair_counters(np.repeat(np.arange(max_rank), n), np.tile(np.arange(n), max_rank))) - 1.0
         vs = vs.reshape(max_rank, n)
         endpoints = span * (2.0 * rng.uniforms(key_v, np.array([2**40 + 2 * t, 2**40 + 2 * t + 1])) - 1.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import speclaw
-from speclaw import cli, ensembles as ens, qve, verify
+from speclaw import cli, ensembles as ens, qve, spectra, verify
 
 
 @pytest.fixture()
@@ -177,6 +177,19 @@ def test_non_convergence_exits_two(tmp_path, capsys):
     assert record["eta"] == 1e-12
     assert record["residual"] > 1e-17
     assert record["iterations"] > 0
+
+
+def test_failed_reduction_exits_two(tmp_path, campaign_path, monkeypatch, capsys):
+    def failing_dsytrd(*args):
+        args[-1].value = -4  # LAPACK's info: the fourth argument is illegal
+
+    monkeypatch.setattr(spectra, "_lapack_dsytrd", lambda: failing_dsytrd)
+    code = cli.main(["verify-local-law", "--config", campaign_path, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "non_convergence"
+    assert "info=-4" in record["message"]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_threads_env_fallback(tmp_path, campaign_path, monkeypatch):

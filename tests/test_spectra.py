@@ -1,14 +1,18 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import lapack
 
 from conftest import semicircle_stieltjes
 from speclaw import ensembles as ens
-from speclaw import qve, spectra
-from speclaw.errors import MissingVectors
+from speclaw import qve, spectra, verify
+from speclaw.errors import InvalidSpec, MissingVectors
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -53,13 +57,73 @@ def test_similarity_preserves_eigenvalues():
     assert np.abs(ev_t - ev_a).max() <= 1e-10 * np.abs(ev_a).max()
 
 
-def test_accumulated_q_is_a_similarity():
-    a = random_symmetric(20, seed=1)
-    t = spectra.tridiagonalize(a, accumulate_q=True)
-    assert t.q is not None
-    frob = np.linalg.norm(a, "fro")
-    assert np.linalg.norm(t.q @ t.dense() @ t.q.T - a, "fro") <= 20 * 1e-12 * frob
-    assert np.abs(t.q @ t.q.T - np.eye(20)).max() < 1e-12
+@st.composite
+def reduction_inputs(draw):
+    """Random symmetric matrices, normalized SBM and sparse samples, and rank-k
+    updates a + V^T S V (S symmetric) whose computed sum is symmetric only up
+    to rounding."""
+    n = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(["random", "sbm", "sparse", "update"]))
+    if kind == "sbm" and n > 1:
+        probs = np.array([[0.3, 0.05], [0.05, 0.3]])
+        return ens.normalized_sample(ens.SbmSpec(d=2, sizes=(n // 2, n - n // 2), probs=probs, seed=seed))
+    if kind == "sparse":
+        base = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=seed)
+        return ens.normalized_sample(ens.SparseSpec(base=base, p=0.1))
+    a = random_symmetric(n, seed)
+    if kind == "update":
+        gen = np.random.default_rng(seed)
+        k = draw(st.integers(1, 5))
+        v, s = gen.standard_normal((k, n)), gen.standard_normal((k, k))
+        a = a + (v.T @ (s + s.T)) @ v
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=reduction_inputs())
+def test_reduction_matches_scipy_dsytrd_bit_for_bit(a):
+    n = a.shape[0]
+    _, d, e, _, info = lapack.dsytrd(a, lwork=int(lapack.dsytrd_lwork(n)[0]))
+    assert info == 0
+    t = spectra.tridiagonalize(a)
+    assert np.array_equal(t.diag, d)
+    assert np.array_equal(t.offdiag, e)
+
+
+def test_reduction_releases_the_interpreter_lock():
+    # a pure-Python counter thread gets about 5 % of its idle rate while a
+    # reduction holds the lock, and about all of it while the reduction runs
+    # outside the lock (one BLAS thread, so each thread has its own core)
+    a = random_symmetric(1500, seed=7)
+    count, stop = [0], [False]
+
+    def counter():
+        while not stop[0]:
+            count[0] += 1
+
+    def rate(work) -> float:
+        start, t0 = count[0], time.perf_counter()
+        work()
+        return (count[0] - start) / (time.perf_counter() - t0)
+
+    thread = threading.Thread(target=counter)
+    thread.start()
+    try:
+        idle = rate(lambda: time.sleep(0.3))
+        busy = rate(lambda: verify._map_trials(lambda i: spectra.tridiagonalize(a), 1, 1))
+    finally:
+        stop[0] = True
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert busy >= 0.25 * idle
+
+
+def test_non_square_input_is_invalid():
+    with pytest.raises(InvalidSpec):
+        spectra.tridiagonalize(np.zeros((2, 3)))
+    with pytest.raises(InvalidSpec):
+        spectra.eigen_full(np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
