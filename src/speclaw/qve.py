@@ -17,6 +17,8 @@ One solver does every solve: an undamped Anderson iteration on the map
 g -> -1/(z + S g), batched over the abscissas, which first descends from
 eta = 1 to the target eta by factors of 0.1 (the plain iteration slows down
 as eta -> 0) and stops each abscissa once max_k |1/g_k + z + (S g)_k| <= tol.
+Its mixing weights come from small normal equations, a defect stalled at the
+rounding floor ends it early, and quadrature reuses the curve's solutions.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ DEFAULT_GRID = (-3.0, 3.0, 601)
 
 # iterates mixed per Anderson step
 _ANDERSON_DEPTH = 6
+# a column whose best defect has not improved for this many sweeps, and is at
+# most _STALL_ROUNDING (4 units in the last place) times max_k |z + (W g)_k|,
+# has stalled at the rounding floor of the defect
+_STALL_SWEEPS = 50
+_STALL_ROUNDING = 4 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -150,13 +157,15 @@ class QveSolution:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Tabulated predicted density rho(x_i) on a strictly increasing grid."""
+    """Tabulated predicted density rho(x_i) on a strictly increasing grid, with the
+    profile solved (`source`) and its dim x len(grid) solution vectors at eta_used."""
 
     grid: np.ndarray
     values: np.ndarray
     eta_used: float
     profile_hash: str
     source: Profile | None = field(default=None, repr=False, compare=False)
+    solution: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=np.float64)
@@ -171,6 +180,8 @@ class DensityCurve:
             raise ValueError("density values must be nonnegative")
         if not self.eta_used > 0:
             raise ValueError("eta_used must be positive")
+        if self.solution is not None and (np.ndim(self.solution) != 2 or np.shape(self.solution)[1] != grid.size):
+            raise ValueError("solution must have one column per grid point")
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -310,25 +321,24 @@ def _eta_schedule(eta: float) -> np.ndarray:
 
 
 def _mixing_coeffs(df: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """pinv(df) @ fa for each stacked matrix: the least-squares Anderson weights.
+    """Least-squares Anderson weights, pinv(df) @ fa, for batch x dim x depth df.
 
-    A single history column v has pinv(v) = v^H/|v|^2 (0 for v = 0); that case,
-    every step of a one-class solve, skips the batched SVD, which costs about
-    1 ms per step for 601 abscissas.
+    Solves (A^H A + 1e-14 tr(A^H A) I) y = A^H fa, gamma = D y, where D scales
+    df's nonzero columns to unit length: the shift keeps collinear histories
+    solvable, and the scaling stops it damping the short columns of late sweeps.
     """
-    if df.shape[2] == 1:
-        vh = df.conj().transpose(0, 2, 1)
-        gram = (vh @ df).real
-        return np.divide(vh @ fa, gram, out=np.zeros_like(gram, dtype=np.complex128), where=gram > 0)
-    return np.linalg.pinv(df) @ fa
+    dfh = df.conj().transpose(0, 2, 1)
+    gram = dfh @ df
+    diag = np.arange(gram.shape[1])
+    norms = np.sqrt(gram[:, diag, diag].real)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[:, :, None]
+    gram *= scale * scale.transpose(0, 2, 1)
+    gram[:, diag, diag] += 1e-14 * diag.size  # 1e-14 tr(A^H A) when no column is zero
+    return scale * np.linalg.solve(gram, scale * (dfh @ fa))
 
 
 def _solve_batch(
-    profile: Profile,
-    xs: np.ndarray,
-    eta: float,
-    opts: SolverOptions,
-    initial: np.ndarray | None = None,
+    profile: Profile, xs: np.ndarray, eta: float, opts: SolverOptions, initial: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the equation at the points xs + i*eta, all columns at once.
 
@@ -342,7 +352,9 @@ def _solve_batch(
     replaced by the plain map step, which stays in it.  Without a warm start
     the columns descend together from eta = ETA_START by factors of at most
     ETA_RATIO, each stage starting from the previous one's solution.  Raises
-    NonConvergence for the worst column when a stage uses up opts.max_iter.
+    NonConvergence for the worst column when a stage uses up opts.max_iter, or
+    once a best defect stays put for _STALL_SWEEPS sweeps at the rounding
+    floor of max_k |z + (W g)_k|, which no lower tol can pass.
     """
     wt = _weight_matrix(profile).T.astype(np.complex128)
     num, dim = xs.size, profile.dim
@@ -357,47 +369,50 @@ def _solve_batch(
     iterations = np.zeros(num, dtype=np.int64)
 
     for eta_k in schedule:
-        # per active column, rows of g; history differences along the last axis
+        # per active column: rows of g, and one row per history slot of the
+        # differences of the residual f = map(g) - g and of the plain step map(g)
         idx = np.arange(num)
         ga, za = g.copy(), (xs + 1j * eta_k)[:, None]
-        best = np.full(num, np.inf)
-        dg = np.zeros((num, dim, depth), dtype=np.complex128)
-        df = np.zeros_like(dg)
+        best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
+        df = np.zeros((num, depth, dim), dtype=np.complex128)
+        dstep = np.zeros_like(df)
         for k in range(opts.max_iter + 1):
             denom = za + ga @ wt
             res = np.abs(1.0 / ga + denom).max(axis=1)
+            stale[idx] = np.where(res < best[idx], 0, stale[idx] + 1)
             best[idx] = np.minimum(best[idx], res)
             done = res <= opts.tol
             if done.any():
                 g[idx[done]], residual[idx[done]] = ga[done], res[done]
                 keep = ~done
-                idx, ga, za, denom, dg, df = idx[keep], ga[keep], za[keep], denom[keep], dg[keep], df[keep]
+                idx, ga, za, denom, df, dstep = idx[keep], ga[keep], za[keep], denom[keep], df[keep], dstep[keep]
                 if k:
-                    g_prev, f_prev = g_prev[keep], f_prev[keep]
-            if idx.size == 0 or k == opts.max_iter:
+                    f_prev, step_prev = f_prev[keep], step_prev[keep]
+            if idx.size == 0:
                 break
+            stuck = stale[idx] >= _STALL_SWEEPS
+            stuck[stuck] = best[idx[stuck]] <= _STALL_ROUNDING * np.abs(denom[stuck]).max(axis=1)
+            stalled = stuck.any()
+            if stalled or k == opts.max_iter:
+                cause = idx[stuck] if stalled else idx
+                worst = cause[np.argmax(best[cause])]
+                why = "(stalled at the rounding floor)" if stalled else f"after {opts.max_iter} iterations"
+                raise NonConvergence(
+                    f"fixed point not below tol={opts.tol:g} {why} at z={xs[worst]:g}+{eta_k:g}i "
+                    f"(best residual {best[worst]:.3g}) on the way to eta={eta:g}",
+                    x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
+                )
             iterations[idx] += 1
-            fa = -1.0 / denom - ga
-            step = ga + fa
+            step = -1.0 / denom  # the plain map step, mixed below once there is history
+            fa, ga = step - ga, step
             if k:
                 slot, used = (k - 1) % depth, min(k, depth)
-                dg[:, :, slot], df[:, :, slot] = ga - g_prev, fa - f_prev
-                gamma = _mixing_coeffs(df[:, :, :used], fa[:, :, None])
-                mixed = step - ((dg[:, :, :used] + df[:, :, :used]) @ gamma)[:, :, 0]
+                df[:, slot], dstep[:, slot] = fa - f_prev, step - step_prev
+                gamma = _mixing_coeffs(df[:, :used].transpose(0, 2, 1), fa[:, :, None])
+                mixed = step - (gamma.transpose(0, 2, 1) @ dstep[:, :used])[:, 0]
                 ok = (mixed.imag > 0).all(axis=1)
-                step[ok] = mixed[ok]
-            g_prev, f_prev, ga = ga, fa, step
-        if idx.size:
-            worst = idx[np.argmax(best[idx])]
-            raise NonConvergence(
-                f"fixed point not below tol={opts.tol:g} after {opts.max_iter} iterations "
-                f"at z={xs[worst]:g}+{eta_k:g}i (best residual {best[worst]:.3g}) "
-                f"on the way to eta={eta:g}",
-                x=float(xs[worst]),
-                eta=eta,
-                residual=float(best[worst]),
-                iterations=int(iterations[worst]),
-            )
+                ga = np.where(ok[:, None], mixed, step)
+            f_prev, step_prev = fa, step
     return g.T, residual, iterations
 
 
@@ -418,7 +433,8 @@ def solve_qve(
     A batch of one for _solve_batch: Anderson iteration, after an eta-descent
     from ETA_START unless `initial` gives a warm start, until the defect
     max_k |1/g_k + z + (S g)_k| is <= opts.tol.  Raises NonConvergence when a
-    stage runs out of opts.max_iter iterations.
+    stage runs out of opts.max_iter iterations or the defect stalls above
+    opts.tol at the rounding floor.
     """
     opts = opts or SolverOptions()
     if initial is not None:
@@ -459,7 +475,8 @@ def extract_density(
     """Tabulate the predicted density on a strictly increasing grid.
 
     Block-constant profiles are reduced to their block form first (identical
-    prediction, far cheaper); the reduced profile is kept as the curve's source.
+    prediction, far cheaper); the reduced profile is kept as the curve's source
+    and its solution vectors at every grid point as the curve's solution.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -467,14 +484,9 @@ def extract_density(
     if not eta > 0:
         raise ValueError("eta must be positive")
     solver_profile = reduce_profile(profile)
-    values = density_batch(solver_profile, grid, eta, opts)
-    return DensityCurve(
-        grid=grid,
-        values=values,
-        eta_used=eta,
-        profile_hash=profile_fingerprint(profile),
-        source=solver_profile,
-    )
+    g, _, _ = _solve_batch(solver_profile, grid, eta, opts or SolverOptions())
+    values = _m_of(solver_profile, g).imag / math.pi
+    return DensityCurve(grid, values, eta, profile_fingerprint(profile), source=solver_profile, solution=g)
 
 
 def default_grid() -> np.ndarray:
@@ -483,56 +495,56 @@ def default_grid() -> np.ndarray:
 
 
 def integrate_density(
-    curve: DensityCurve,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-6,
-    opts: SolverOptions | None = None,
+    curve: DensityCurve, lo: float, hi: float, rel_tol: float = 1e-6, opts: SolverOptions | None = None
 ) -> float:
     """Adaptive trapezoid integral of the predicted density over [lo, hi].
 
-    Starts from the tabulated points inside the interval and keeps halving
-    the mesh (re-solving the equation at new abscissas) until two successive
-    refinements agree to rel_tol relative (1e-12 absolute floor).
+    The mesh starts as the grid points inside, taken from the curve's solution,
+    plus lo and hi, solved at eta_used from their grid neighbours.  Halving a
+    cell solves its midpoint from the neighbours' average, and each half keeps
+    half the cell's trapezoid change.  Every cell is halved until the changes
+    sum to at most rel_tol relative (1e-12 absolute), then only cells whose
+    change exceeds their width's share of it, so a square-root spectral edge
+    whose change cancels the bulk's cannot end the refinement early.
     """
     if not (curve.grid[0] <= lo and hi <= curve.grid[-1]):
-        raise OutOfRange(
-            f"[{lo}, {hi}] exceeds the tabulated span [{curve.grid[0]}, {curve.grid[-1]}]"
-        )
+        raise OutOfRange(f"[{lo}, {hi}] exceeds the tabulated span [{curve.grid[0]}, {curve.grid[-1]}]")
     if not lo <= hi:
         raise OutOfRange(f"need lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
         return 0.0
-    if curve.source is None:
-        raise ValueError("curve lacks its source profile; cannot refine")
-    profile = curve.source
+    if curve.source is None or curve.solution is None:
+        raise ValueError("curve lacks its source profile or solution; cannot refine")
+    profile, grid, table = curve.source, curve.grid, curve.solution
     eta = curve.eta_used
     solver_opts = opts or SolverOptions()
 
-    inner = curve.grid[(curve.grid > lo) & (curve.grid < hi)]
-    xs = np.unique(np.concatenate(([lo], inner, [hi])))
-    g, _, _ = _solve_batch(profile, xs, eta, solver_opts)
+    ends = np.array([lo, hi])
+    start = np.array([np.interp(ends, grid, row) for row in table])  # linear between grid neighbours
+    g_ends, _, _ = _solve_batch(profile, ends, eta, solver_opts, initial=start)
+    inner = (grid > lo) & (grid < hi)
+    xs = np.concatenate(([lo], grid[inner], [hi]))
+    g = np.concatenate((g_ends[:, :1], table[:, inner], g_ends[:, 1:]), axis=1)
     vals = _m_of(profile, g).imag / math.pi
     total = float(np.trapezoid(vals, xs))
+    change = np.zeros(xs.size - 1)  # per cell: its share of the trapezoid change of the last halving
+    cells, uniform = np.arange(xs.size - 1), True
     for _ in range(24):
-        mids = (xs[:-1] + xs[1:]) / 2.0
-        # midpoints warm-start from neighbor averages, solved at eta directly
-        g_mid, _, _ = _solve_batch(profile, mids, eta, solver_opts, initial=(g[:, :-1] + g[:, 1:]) / 2.0)
+        mids = (xs[cells] + xs[cells + 1]) / 2.0
+        g_mid, _, _ = _solve_batch(profile, mids, eta, solver_opts, (g[:, cells] + g[:, cells + 1]) / 2.0)
         mid_vals = _m_of(profile, g_mid).imag / math.pi
-        xs_new = np.empty(xs.size + mids.size)
-        vals_new = np.empty_like(xs_new)
-        g_new = np.empty((g.shape[0], xs_new.size), dtype=np.complex128)
-        xs_new[0::2], xs_new[1::2] = xs, mids
-        vals_new[0::2], vals_new[1::2] = vals, mid_vals
-        g_new[:, 0::2], g_new[:, 1::2] = g, g_mid
-        refined = float(np.trapezoid(vals_new, xs_new))
-        done = abs(refined - total) <= max(rel_tol * abs(refined), 1e-12)
-        xs, vals, g, total = xs_new, vals_new, g_new, refined
-        if done:
+        half = (xs[cells + 1] - xs[cells]) / 8.0 * (2.0 * mid_vals - vals[cells] - vals[cells + 1])
+        change[cells] = half
+        change = np.insert(change, cells + 1, half)
+        xs, vals = np.insert(xs, cells + 1, mids), np.insert(vals, cells + 1, mid_vals)
+        g = np.insert(g, cells + 1, g_mid, axis=1)
+        total = float(np.trapezoid(vals, xs))
+        tol = max(rel_tol * abs(total), 1e-12)
+        uniform = uniform and abs(change.sum()) > tol
+        cells = np.arange(change.size) if uniform else np.flatnonzero(np.abs(change) * (hi - lo) > tol * np.diff(xs))
+        if cells.size == 0:
             return total
-    raise NonConvergence(
-        f"quadrature over [{lo}, {hi}] did not settle after 24 refinements", x=lo, eta=eta
-    )
+    raise NonConvergence(f"quadrature over [{lo}, {hi}] did not settle after 24 refinements", x=lo, eta=eta)
 
 
 def detect_bulk(curve: DensityCurve, eps: float) -> list[BulkInterval]:
@@ -544,20 +556,10 @@ def detect_bulk(curve: DensityCurve, eps: float) -> list[BulkInterval]:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    threshold = max(eps, curve.eta_used ** (2.0 / 3.0))
-    mask = curve.values >= threshold
-    intervals: list[BulkInterval] = []
-    start = None
-    for i, ok in enumerate(np.append(mask, False)):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            if i - start >= 2:
-                intervals.append(
-                    BulkInterval(lo=float(curve.grid[start]), hi=float(curve.grid[i - 1]), min_density=eps)
-                )
-            start = None
-    return intervals
+    mask = np.concatenate(([False], curve.values >= max(eps, curve.eta_used ** (2.0 / 3.0)), [False]))
+    edges = np.flatnonzero(mask[1:] != mask[:-1])  # run starts and (exclusive) ends, alternating
+    return [BulkInterval(lo=float(curve.grid[a]), hi=float(curve.grid[b - 1]), min_density=eps)
+            for a, b in zip(edges[::2], edges[1::2]) if b - a >= 2]
 
 
 def density_to_csv(curve: DensityCurve, path) -> None:

@@ -179,6 +179,20 @@ def test_non_convergence_exits_two(tmp_path, capsys):
     assert record["iterations"] > 0
 
 
+def test_stalled_solve_exits_two_without_using_up_its_iterations(tmp_path, capsys):
+    # the defect sits at the rounding floor, far above tol = 1e-17, for good; the solver
+    # must say so within a few dozen sweeps instead of spending max_iter = 10000
+    prof_path = tmp_path / "p.json"
+    qve.save_profile(qve.VarianceProfile.constant(4), prof_path)
+    code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "2.0", "--eta", "1e-12", "--tol", "1e-17"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "non_convergence"
+    assert (record["x"], record["eta"]) == (2.0, 1e-12)
+    assert 1e-17 < record["residual"] < 1e-15
+    assert 0 < record["iterations"] < 500
+
+
 def test_failed_reduction_exits_two(tmp_path, campaign_path, monkeypatch, capsys):
     def failing_dsytrd(*args):
         args[-1].value = -4  # LAPACK's info: the fourth argument is illegal

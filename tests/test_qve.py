@@ -240,6 +240,53 @@ def test_integral_against_quadrature_oracle(constant_curve):
         assert got == pytest.approx(semicircle_mass(lo, hi), abs=2e-4)
 
 
+def _irreducible_profile():
+    # the seeded n = 200 profile of perfbench's profile-local-law workload at seed 0
+    gen = np.random.default_rng(0)
+    a = gen.uniform(0.3, 1.0, size=(200, 200))
+    return qve.VarianceProfile(n=200, entries=(a + a.T) / 2.0)
+
+
+THREE_BLOCK = qve.BlockProfile(
+    d=3, weights=np.array([0.5, 0.25, 0.25]), coeffs=np.array([[1.0, 0.4, 0.3], [0.4, 0.8, 0.2], [0.3, 0.2, 0.6]])
+)
+
+
+# At a square-root edge the trapezoid error falls only like h^1.5.  On the three-block
+# edge window 4097 points leave 1.3e-6 relative in the oracle itself and 16385 points
+# 1e-7 (against 65537), so that window uses 16385; on the irreducible one 4097 and
+# 16385 points agree to 1.8e-7.
+@pytest.mark.parametrize(
+    "make_profile, edge_points", [(_irreducible_profile, 4097), (lambda: THREE_BLOCK, 16385)],
+    ids=["irreducible-n200", "three-block"],
+)
+def test_integral_matches_fine_trapezoid_of_density_batch(make_profile, edge_points):
+    profile = make_profile()
+    curve = qve.extract_density(profile, qve.default_grid())
+    (support,) = qve.detect_bulk(curve, 1e-3)
+    (bulk,) = qve.detect_bulk(curve, 0.1)
+    mid = (bulk.lo + bulk.hi) / 2.0
+    windows = [
+        (bulk.lo, bulk.lo + 0.3, 4097),
+        (mid - 0.15, mid + 0.15, 4097),
+        (bulk.hi - 0.3, bulk.hi, 4097),
+        (support.hi - 0.1, support.hi + 0.1, edge_points),  # straddles the right edge
+    ]
+    for lo, hi, points in windows:
+        xs = np.linspace(lo, hi, points)
+        # solved in pieces of at most 1024 abscissas to bound the solver's working memory
+        rho = np.concatenate([qve.density_batch(profile, part) for part in np.array_split(xs, -(-points // 1024))])
+        assert qve.integrate_density(curve, lo, hi) == pytest.approx(np.trapezoid(rho, xs), rel=1e-6)
+
+
+def test_curve_without_source_or_solution_cannot_refine(constant_curve):
+    fields = dict(grid=constant_curve.grid, values=constant_curve.values, eta_used=constant_curve.eta_used,
+                  profile_hash=constant_curve.profile_hash)
+    for extra in ({"source": constant_curve.source}, {"solution": constant_curve.solution}):
+        with pytest.raises(ValueError, match="cannot refine"):
+            qve.integrate_density(qve.DensityCurve(**fields, **extra), -1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # bulk detection
 
@@ -341,6 +388,47 @@ def test_mixing_coefficients_match_pinv(used):
     df[0] = 0.0  # a stalled column: no usable history
     fa = gen.standard_normal((5, 4, 1)) + 1j * gen.standard_normal((5, 4, 1))
     assert np.allclose(qve._mixing_coeffs(df, fa), np.linalg.pinv(df) @ fa, rtol=1e-12, atol=1e-15)
+
+
+@given(
+    batch=st.integers(min_value=1, max_value=8),
+    depth=st.integers(min_value=1, max_value=6),
+    extra_rows=st.integers(min_value=0, max_value=6),
+    zero_columns=st.integers(min_value=0, max_value=3),
+    duplicate=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60)
+def test_mixing_coefficients_match_pinv_differentially(batch, depth, extra_rows, zero_columns, duplicate, seed):
+    # the normal equations square cond(df); histories are built as U diag(s) V^H with
+    # s in [1, 10] times a scale in 1e-8..1e8, so cond(df) <= 10 unless a column repeats
+    gen = np.random.default_rng(seed)
+    dim = depth + extra_rows
+
+    def gaussian(*shape):
+        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+    u, _ = np.linalg.qr(gaussian(batch, dim, depth))
+    v, _ = np.linalg.qr(gaussian(batch, depth, depth))
+    scale = 10.0 ** gen.uniform(-8, 8, size=(batch, 1, 1))
+    df = scale * (u * gen.uniform(1, 10, size=(batch, 1, depth))) @ v.conj().transpose(0, 2, 1)
+    rank_deficient = duplicate and depth > 1
+    if rank_deficient:
+        df[:, :, -1] = df[:, :, 0]
+    df[:zero_columns] = 0.0  # stalled columns: no usable history
+    fa = 10.0 ** gen.uniform(-8, 8, size=(batch, 1, 1)) * gaussian(batch, dim, 1)
+
+    got = qve._mixing_coeffs(df, fa)
+    want = np.linalg.pinv(df) @ fa
+    assert got.shape == want.shape
+    assert np.all(got[:zero_columns] == 0.0)
+    for k in range(min(zero_columns, batch), batch):
+        if rank_deficient:
+            # the minimum-norm weights differ; both must fit fa equally well
+            fit, best = (np.linalg.norm(fa[k] - df[k] @ w) for w in (got[k], want[k]))
+            assert abs(fit - best) <= 1e-10 * np.linalg.norm(fa[k])
+        else:
+            assert np.linalg.norm(got[k] - want[k]) <= 1e-10 * np.linalg.norm(want[k])
 
 
 def test_reduce_profile_leaves_non_contiguous_blocks_alone():
