@@ -19,7 +19,6 @@ from .errors import (
     InvalidProfile,
     InvalidSpec,
     MissingVectors,
-    NoConvergence,
     NonConvergence,
     OutOfRange,
     SpecLawError,

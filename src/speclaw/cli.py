@@ -1,8 +1,10 @@
 """Experiment runner: one binary, one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 config/IO/validation problems, 2 numerical
-non-convergence, 3 a verification assertion failed.  Failures emit a
-machine-readable JSON error record on stderr.
+non-convergence, 3 a verification assertion failed.  A failure prints the
+JSON record of its SpecLawError (errors.py holds the contract) on stderr;
+an unreadable input file counts as a config problem.  Any other exception
+is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -16,17 +18,9 @@ import sys
 import numpy as np
 
 from . import ensembles, qve, spectra, verify
-from .errors import (
-    AssertionFailure,
-    NoConvergence,
-    NonConvergence,
-    SpecLawError,
-)
+from .errors import InvalidSpec, SpecLawError
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_NUMERICAL = 2
-EXIT_ASSERTION = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,7 +28,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise SystemExit(SpecLawError.exit_code)
 
 
 def _grid_spec(text: str) -> np.ndarray:
@@ -109,7 +103,12 @@ def build_parser() -> _Parser:
 def _threads(args) -> int | None:
     """Trial workers: --threads, else SPECLAW_THREADS, else None (the usable CPU count)."""
     env = os.environ.get("SPECLAW_THREADS")
-    return args.threads if args.threads is not None or env is None else int(env)
+    if args.threads is not None or env is None:
+        return args.threads
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidSpec(f"SPECLAW_THREADS must be an integer, got {env!r}") from None
 
 
 def _load_campaign(args) -> verify.LocalLawConfig:
@@ -124,7 +123,7 @@ def run(args: argparse.Namespace) -> int:
 
     if command == "qve-solve":
         profile = qve.load_profile(args.profile)
-        opts = qve.SolverOptions(tol=args.tol) if args.tol else None
+        opts = qve.SolverOptions(tol=args.tol) if args.tol is not None else None
         sol = qve.solve_qve(profile, qve.SpectralPoint(args.x, args.eta), opts)
         payload = {
             "x": args.x,
@@ -218,13 +217,6 @@ def run(args: argparse.Namespace) -> int:
     raise SpecLawError(f"unknown command {command!r}")
 
 
-def _error_record(kind: str, exc: Exception) -> str:
-    record = {"error": kind, "message": str(exc)}
-    if isinstance(exc, NonConvergence):
-        record.update(x=exc.x, eta=exc.eta, residual=exc.residual, iterations=exc.iterations)
-    return json.dumps(record, sort_keys=True)
-
-
 def _merge_negative_values(argv: list[str]) -> list[str]:
     # argparse mistakes values like "-3:3:600" for flags; fold them into --flag=value
     merged = []
@@ -248,16 +240,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         return run(args)
-    except (NonConvergence, NoConvergence) as exc:
-        print(_error_record("non_convergence", exc), file=sys.stderr)
-        return EXIT_NUMERICAL
-    except AssertionFailure as exc:
-        record = {"error": "assertion_failure", "message": str(exc), "counterexample": exc.counterexample}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return EXIT_ASSERTION
-    except (SpecLawError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(_error_record("config", exc), file=sys.stderr)
-        return EXIT_CONFIG
+    except SpecLawError as exc:
+        failure = exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:  # reading an input file
+        failure = SpecLawError(str(exc))
+    print(json.dumps(failure.record(), sort_keys=True), file=sys.stderr)
+    return failure.exit_code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,22 @@
-"""Exception types shared across the package, and the JSON checks that raise them."""
+"""Exception types shared across the package, and the JSON checks that raise them.
+
+Each exception class carries its CLI exit code and the fields of its JSON
+error record: {"error": kind, "message": ...} plus the class's context.
+"""
 
 import numpy as np
 
 
 class SpecLawError(Exception):
-    """Base class for all speclaw errors."""
+    """Base class for all speclaw errors: bad input, exit code 1."""
+
+    exit_code = 1
+    kind = "config"
+    context: tuple[str, ...] = ()
+
+    def record(self) -> dict:
+        """The machine-readable error record the CLI prints on stderr."""
+        return {"error": self.kind, "message": str(self), **{key: getattr(self, key) for key in self.context}}
 
 
 class InvalidProfile(SpecLawError):
@@ -12,15 +24,20 @@ class InvalidProfile(SpecLawError):
 
 
 class InvalidSpec(SpecLawError):
-    """An ensemble or campaign description is internally inconsistent."""
+    """An ensemble or campaign description, or an argument, is invalid or inconsistent."""
 
 
 class NonConvergence(SpecLawError):
-    """The self-consistent solver did not reach the requested residual.
+    """A numerical kernel did not converge: the vector-equation solver, the
+    quadrature, the tridiagonal reduction or the dense eigensolver.
 
     Carries the target abscissa x and eta, the best residual reached and the
-    iterations spent, when the raising code knows them.
+    iterations spent; each is None where the raising code does not know it.
     """
+
+    exit_code = 2
+    kind = "non_convergence"
+    context = ("x", "eta", "residual", "iterations")
 
     def __init__(self, message, *, x=None, eta=None, residual=None, iterations=None):
         super().__init__(message)
@@ -30,16 +47,12 @@ class NonConvergence(SpecLawError):
         self.iterations = iterations
 
 
-class NoConvergence(SpecLawError):
-    """The dense eigensolver failed to converge (pathological input)."""
-
-
 class DegenerateVariance(SpecLawError):
     """All block probabilities are 0 or 1, so the noise scale sigma vanishes."""
 
 
 class OutOfRange(SpecLawError):
-    """A requested interval exceeds the tabulated grid span."""
+    """A requested interval has lo > hi or exceeds the tabulated grid span."""
 
 
 class MissingVectors(SpecLawError):
@@ -52,6 +65,10 @@ class EmptyBulk(SpecLawError):
 
 class AssertionFailure(SpecLawError):
     """A verification assertion failed; carries the counterexample."""
+
+    exit_code = 3
+    kind = "assertion_failure"
+    context = ("counterexample",)
 
     def __init__(self, message, counterexample=None):
         super().__init__(message)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, NonConvergence, OutOfRange, json_array, json_object, json_value
+from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, json_array, json_object, json_value
 
 DEFAULT_ETA = 1e-6
 ETA_START = 1.0
@@ -45,6 +45,8 @@ _ANDERSON_DEPTH = 6
 # has stalled at the rounding floor of the defect
 _STALL_SWEEPS = 50
 _STALL_ROUNDING = 4 * np.finfo(np.float64).eps
+# integrate_density refines until the trapezoid changes sum to this, relative
+_QUAD_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class SpectralPoint:
 
     def __post_init__(self):
         if not (self.im > 0.0 and math.isfinite(self.im) and math.isfinite(self.re)):
-            raise ValueError(f"spectral point must have finite re and im > 0, got {self.re}+{self.im}i")
+            raise InvalidSpec(f"spectral point must have finite re and im > 0, got {self.re}+{self.im}i")
 
     @property
     def z(self) -> complex:
@@ -143,6 +145,12 @@ class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 10_000
 
+    def __post_init__(self):
+        if not self.tol >= 0.0:
+            raise InvalidSpec(f"tol must be a nonnegative number, got {self.tol}")
+        if self.max_iter < 1:
+            raise InvalidSpec(f"max_iter must be at least 1, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class QveSolution:
@@ -171,17 +179,17 @@ class DensityCurve:
         grid = np.array(self.grid, dtype=np.float64)
         values = np.array(self.values, dtype=np.float64)
         if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a 1-d array with at least two points")
+            raise InvalidSpec("grid must be a 1-d array with at least two points")
         if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+            raise InvalidSpec("grid must be strictly increasing")
         if values.shape != grid.shape:
-            raise ValueError("values must match the grid")
+            raise InvalidSpec("values must match the grid")
         if values.min() < 0:
-            raise ValueError("density values must be nonnegative")
+            raise InvalidSpec("density values must be nonnegative")
         if not self.eta_used > 0:
-            raise ValueError("eta_used must be positive")
+            raise InvalidSpec("eta_used must be positive")
         if self.solution is not None and (np.ndim(self.solution) != 2 or np.shape(self.solution)[1] != grid.size):
-            raise ValueError("solution must have one column per grid point")
+            raise InvalidSpec("solution must have one column per grid point")
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -202,7 +210,7 @@ class BulkInterval:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError(f"bulk interval must have lo < hi, got [{self.lo}, {self.hi}]")
+            raise InvalidSpec(f"bulk interval must have lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:
@@ -440,7 +448,7 @@ def solve_qve(
     if initial is not None:
         initial = np.array(initial, dtype=np.complex128)
         if initial.shape != (profile.dim,) or not np.all(initial.imag > 0):
-            raise ValueError("warm start must be a length-dim vector with positive imaginary parts")
+            raise InvalidSpec("warm start must be a length-dim vector with positive imaginary parts")
         initial = initial[:, None]
     g, residual, iterations = _solve_batch(profile, np.array([point.re]), point.im, opts, initial)
     g = g[:, 0]
@@ -450,28 +458,18 @@ def solve_qve(
     )
 
 
-def density_batch(
-    profile: Profile,
-    xs: np.ndarray,
-    eta: float = DEFAULT_ETA,
-    opts: SolverOptions | None = None,
-) -> np.ndarray:
+def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) -> np.ndarray:
     """Im m(x + i*eta)/pi for an array of abscissas, solved simultaneously."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if xs.size == 0:
         return np.empty(0)
     if not eta > 0:
-        raise ValueError("eta must be positive")
-    g, _, _ = _solve_batch(profile, xs, eta, opts or SolverOptions())
+        raise InvalidSpec("eta must be positive")
+    g, _, _ = _solve_batch(profile, xs, eta, SolverOptions())
     return _m_of(profile, g).imag / math.pi
 
 
-def extract_density(
-    profile: Profile,
-    grid: np.ndarray,
-    eta: float = DEFAULT_ETA,
-    opts: SolverOptions | None = None,
-) -> DensityCurve:
+def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA) -> DensityCurve:
     """Tabulate the predicted density on a strictly increasing grid.
 
     Block-constant profiles are reduced to their block form first (identical
@@ -480,11 +478,11 @@ def extract_density(
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing with at least two points")
+        raise InvalidSpec("grid must be strictly increasing with at least two points")
     if not eta > 0:
-        raise ValueError("eta must be positive")
+        raise InvalidSpec("eta must be positive")
     solver_profile = reduce_profile(profile)
-    g, _, _ = _solve_batch(solver_profile, grid, eta, opts or SolverOptions())
+    g, _, _ = _solve_batch(solver_profile, grid, eta, SolverOptions())
     values = _m_of(solver_profile, g).imag / math.pi
     return DensityCurve(grid, values, eta, profile_fingerprint(profile), source=solver_profile, solution=g)
 
@@ -494,16 +492,14 @@ def default_grid() -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def integrate_density(
-    curve: DensityCurve, lo: float, hi: float, rel_tol: float = 1e-6, opts: SolverOptions | None = None
-) -> float:
+def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     """Adaptive trapezoid integral of the predicted density over [lo, hi].
 
     The mesh starts as the grid points inside, taken from the curve's solution,
     plus lo and hi, solved at eta_used from their grid neighbours.  Halving a
     cell solves its midpoint from the neighbours' average, and each half keeps
     half the cell's trapezoid change.  Every cell is halved until the changes
-    sum to at most rel_tol relative (1e-12 absolute), then only cells whose
+    sum to at most _QUAD_REL_TOL relative (1e-12 absolute), then only cells whose
     change exceeds their width's share of it, so a square-root spectral edge
     whose change cancels the bulk's cannot end the refinement early.
     """
@@ -514,10 +510,9 @@ def integrate_density(
     if lo == hi:
         return 0.0
     if curve.source is None or curve.solution is None:
-        raise ValueError("curve lacks its source profile or solution; cannot refine")
+        raise InvalidSpec("curve lacks its source profile or solution; cannot refine")
     profile, grid, table = curve.source, curve.grid, curve.solution
-    eta = curve.eta_used
-    solver_opts = opts or SolverOptions()
+    eta, solver_opts = curve.eta_used, SolverOptions()
 
     ends = np.array([lo, hi])
     start = np.array([np.interp(ends, grid, row) for row in table])  # linear between grid neighbours
@@ -539,7 +534,7 @@ def integrate_density(
         xs, vals = np.insert(xs, cells + 1, mids), np.insert(vals, cells + 1, mid_vals)
         g = np.insert(g, cells + 1, g_mid, axis=1)
         total = float(np.trapezoid(vals, xs))
-        tol = max(rel_tol * abs(total), 1e-12)
+        tol = max(_QUAD_REL_TOL * abs(total), 1e-12)
         uniform = uniform and abs(change.sum()) > tol
         cells = np.arange(change.size) if uniform else np.flatnonzero(np.abs(change) * (hi - lo) > tol * np.diff(xs))
         if cells.size == 0:
@@ -555,7 +550,7 @@ def detect_bulk(curve: DensityCurve, eps: float) -> list[BulkInterval]:
     cannot masquerade as bulk; runs shorter than two grid points are dropped.
     """
     if not eps > 0:
-        raise ValueError("eps must be positive")
+        raise InvalidSpec("eps must be positive")
     mask = np.concatenate(([False], curve.values >= max(eps, curve.eta_used ** (2.0 / 3.0)), [False]))
     edges = np.flatnonzero(mask[1:] != mask[:-1])  # run starts and (exclusive) ends, alternating
     return [BulkInterval(lo=float(curve.grid[a]), hi=float(curve.grid[b - 1]), min_density=eps)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import SampledMatrix
-from .errors import InvalidSpec, MissingVectors, NoConvergence
+from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange
 from .qve import SpectralPoint
 
 _TINY = np.finfo(np.float64).tiny
@@ -37,7 +36,7 @@ class TridiagonalForm:
         diag = np.array(self.diag, dtype=np.float64)
         offdiag = np.array(self.offdiag, dtype=np.float64)
         if diag.ndim != 1 or offdiag.shape != (max(diag.size - 1, 0),):
-            raise ValueError("need length-n diag and length-(n-1) offdiag")
+            raise InvalidSpec("need length-n diag and length-(n-1) offdiag")
         diag.setflags(write=False)
         offdiag.setflags(write=False)
         object.__setattr__(self, "diag", diag)
@@ -59,21 +58,21 @@ class SpectrumSummary:
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("eigenvalues must be a nonempty 1-d array")
+            raise InvalidSpec("eigenvalues must be a nonempty 1-d array")
         if np.any(np.diff(vals) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
+            raise InvalidSpec("eigenvalues must be sorted ascending")
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         if self.eigenvectors is not None and self.eigenvectors.shape != (vals.size, vals.size):
-            raise ValueError("eigenvectors must be n x n with one column per eigenvalue")
+            raise InvalidSpec("eigenvectors must be n x n with one column per eigenvalue")
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
 
 
-def _as_array(m: SampledMatrix | np.ndarray) -> np.ndarray:
-    a = m.data if isinstance(m, SampledMatrix) else np.asarray(m, dtype=np.float64)
+def _as_array(m: np.ndarray) -> np.ndarray:
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidSpec(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -93,7 +92,7 @@ def _lapack_dsytrd():
     return signature(pointer(capsule, name(capsule)))
 
 
-def tridiagonalize(m: SampledMatrix | np.ndarray) -> TridiagonalForm:
+def tridiagonalize(m: np.ndarray) -> TridiagonalForm:
     """Householder reduction Q^T A Q = T of a symmetric matrix, read from its upper triangle."""
     a = np.array(_as_array(m), dtype=np.float64, order="F")  # dsytrd overwrites it
     n = a.shape[0]
@@ -104,7 +103,7 @@ def tridiagonalize(m: SampledMatrix | np.ndarray) -> TridiagonalForm:
         _lapack_dsytrd()(b"U", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(n, 1)), d.ctypes.data,
                          e.ctypes.data, tau.ctypes.data, work.ctypes.data, ctypes.c_int(lwork), info)
         if info.value != 0:
-            raise NoConvergence(f"tridiagonal reduction failed (info={info.value})")
+            raise NonConvergence(f"tridiagonal reduction failed (info={info.value})")
 
     query = np.empty(1)
     dsytrd(query, -1)  # the queried workspace runs the blocked reduction, about 1.7x faster at n = 2000
@@ -147,14 +146,14 @@ def count_in_interval(t: TridiagonalForm, lo: float, hi: float) -> int:
     shift counts as lying above it.
     """
     if not lo <= hi:
-        raise ValueError(f"need lo <= hi, got ({lo}, {hi}]")
+        raise OutOfRange(f"need lo <= hi, got ({lo}, {hi}]")
     if lo == hi:
         return 0
     below = eigenvalue_counts_below(t, np.array([lo, hi]))
     return int(below[1] - below[0])
 
 
-def eigen_full(m: SampledMatrix | np.ndarray, want_vectors: bool = False) -> SpectrumSummary:
+def eigen_full(m: np.ndarray, want_vectors: bool = False) -> SpectrumSummary:
     """Full symmetric eigendecomposition, eigenvalues ascending."""
     a = _as_array(m)
     try:
@@ -163,7 +162,7 @@ def eigen_full(m: SampledMatrix | np.ndarray, want_vectors: bool = False) -> Spe
         else:
             vals, vecs = np.linalg.eigvalsh(a), None
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
+        raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
     inf_norms = np.abs(vecs).max(axis=0) if vecs is not None else None
     return SpectrumSummary(eigenvalues=vals, eigenvectors=vecs, inf_norms=inf_norms)
 
@@ -180,9 +179,7 @@ def eigvec_inf_norms(s: SpectrumSummary) -> np.ndarray:
     return np.abs(s.eigenvectors).max(axis=0)
 
 
-def schur_resolvent_check(
-    m: SampledMatrix | np.ndarray, k: int, point: SpectralPoint
-) -> tuple[complex, complex]:
+def schur_resolvent_check(m: np.ndarray, k: int, point: SpectralPoint) -> tuple[complex, complex]:
     """k-th resolvent diagonal entry, by direct solve and by Schur complement.
 
     direct = [(W - z)^{-1}]_{kk};  schur = 1/(W_kk - z - a_k^T (W_k - z)^{-1} a_k)
@@ -192,7 +189,7 @@ def schur_resolvent_check(
     a = _as_array(m)
     n = a.shape[0]
     if not 0 <= k < n:
-        raise ValueError(f"index k={k} out of range for n={n}")
+        raise InvalidSpec(f"index k={k} out of range for n={n}")
     z = point.z
     eye = np.eye(n)
     rhs = np.zeros(n, dtype=np.complex128)

@@ -57,6 +57,8 @@ from .spectra import (
 )
 
 _QUANTILES = (0.5, 0.9, 0.99)
+# interlacing_test cycles its rank-d updates through d = 2.._MAX_RANK
+_MAX_RANK = 5
 
 
 def report_json_bytes(payload: dict) -> bytes:
@@ -381,6 +383,8 @@ def verify_stieltjes_closeness(
 ) -> StieltjesReport:
     """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial."""
     etas = sorted(float(e) for e in np.atleast_1d(eta_grid))
+    if not etas:
+        raise InvalidSpec("eta grid is empty")
     floor = stieltjes_eta_floor(cfg.ensemble)
     if etas[0] < floor:
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
@@ -605,12 +609,12 @@ def interval_shift(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> int:
     return abs(bumped - base)
 
 
-def interlacing_test(trials: int, n: int, seed: int, max_rank: int = 5) -> InterlacingReport:
+def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
     """Check that rank-r symmetric updates move interval counts by at most r.
 
     Each trial draws a random symmetric matrix, a rank-1 update vv^T and a
     random interval, asserting a count shift <= 1; a rank-d update (d cycling
-    2..max_rank) must shift counts by <= d.  Raises AssertionFailure with the
+    2.._MAX_RANK) must shift counts by <= d.  Raises AssertionFailure with the
     counterexample on any violation.
     """
     if n < 2:
@@ -623,8 +627,8 @@ def interlacing_test(trials: int, n: int, seed: int, max_rank: int = 5) -> Inter
         key_a = rng.stream_key(seed + t, rng.TAG_VALUES)
         key_v = rng.stream_key(seed + t, rng.TAG_AUX)
         a = _symmetric_from_upper(n, iu, ju, 2.0 * rng.uniforms(key_a, rng.pair_counters(iu, ju)) - 1.0)
-        vs = 2.0 * rng.uniforms(key_v, rng.pair_counters(np.repeat(np.arange(max_rank), n), np.tile(np.arange(n), max_rank))) - 1.0
-        vs = vs.reshape(max_rank, n)
+        rows, cols = np.repeat(np.arange(_MAX_RANK), n), np.tile(np.arange(n), _MAX_RANK)
+        vs = (2.0 * rng.uniforms(key_v, rng.pair_counters(rows, cols)) - 1.0).reshape(_MAX_RANK, n)
         endpoints = span * (2.0 * rng.uniforms(key_v, np.array([2**40 + 2 * t, 2**40 + 2 * t + 1])) - 1.0)
         lo, hi = float(endpoints.min()), float(endpoints.max())
 
@@ -637,7 +641,7 @@ def interlacing_test(trials: int, n: int, seed: int, max_rank: int = 5) -> Inter
                 counterexample={"trial": t, "seed": seed, "lo": lo, "hi": hi, "shift": shift1},
             )
 
-        rank = 2 + (t % (max_rank - 1))
+        rank = 2 + (t % (_MAX_RANK - 1))
         bd = vs[:rank].T @ vs[:rank]
         shift_d = interval_shift(a, bd, lo, hi)
         max_by_rank[rank] = max(max_by_rank.get(rank, 0), shift_d)

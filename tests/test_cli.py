@@ -280,3 +280,66 @@ def test_malformed_json_exits_one_with_an_error_record(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_zero_tol_is_honoured(tmp_path, capsys):
+    prof_path = tmp_path / "p.json"
+    qve.save_profile(qve.VarianceProfile.constant(4), prof_path)
+    out = tmp_path / "sol.json"
+    args = ["qve-solve", "--profile", str(prof_path), "--x", "0", "--eta", "0.1", "--tol", "0", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert json.loads(out.read_text())["residual"] == 0.0
+
+
+def _config_failure(capsys) -> str:
+    """The message of the one "config" record on stderr, which holds no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err)
+    assert record["error"] == "config"
+    return record["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qve-solve", "--profile", "{profile}", "--eta", "-1"], "im > 0"),
+    (["density", "--profile", "{profile}", "--eta", "0", "--out", "{tmp}/rho.csv"], "eta must be positive"),
+    (["verify-stieltjes", "--config", "{campaign}", "--eta", ","], "eta grid is empty"),
+])
+def test_invalid_argument_exits_one(tmp_path, profile_path, campaign_path, capsys, argv, message):
+    paths = {"profile": profile_path, "campaign": campaign_path, "tmp": tmp_path}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    assert message in _config_failure(capsys)
+
+
+def test_non_integer_threads_variable_exits_one(tmp_path, campaign_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPECLAW_THREADS", "abc")
+    assert cli.main(["verify-local-law", "--config", campaign_path, "--out", str(tmp_path / "r.json")]) == 1
+    assert "SPECLAW_THREADS" in _config_failure(capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"trials": "d\u00e9j\u00e0"}'.encode("latin-1"))
+    assert cli.main(["verify-local-law", "--config", str(path)]) == 1
+    assert "utf-8" in _config_failure(capsys)
+
+
+def test_failed_eigensolver_exits_two_with_null_context(campaign_path, monkeypatch, capsys):
+    def failing_eigvalsh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    assert cli.main(["verify-stieltjes", "--config", campaign_path, "--eta", "0.5"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "non_convergence", "message": "dense eigensolver failed: Eigenvalues did not converge",
+                      "x": None, "eta": None, "residual": None, "iterations": None}
+
+
+def test_internal_bug_is_not_reported_as_a_config_problem(tmp_path, profile_path, monkeypatch):
+    def buggy(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(qve, "extract_density", buggy)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["density", "--profile", profile_path, "--out", str(tmp_path / "rho.csv")])

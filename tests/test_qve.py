@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes
 from speclaw import qve
-from speclaw.errors import InvalidProfile, NonConvergence, OutOfRange
+from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange
 
 CONST8 = qve.VarianceProfile.constant(8)
 
@@ -195,9 +195,9 @@ def test_block_density_has_unit_mass_and_matches_full_profile(d, seed):
 
 
 def test_extract_density_rejects_bad_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         qve.extract_density(CONST8, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         qve.extract_density(CONST8, np.array([0.0, 1.0]), eta=-1.0)
 
 
@@ -283,7 +283,7 @@ def test_curve_without_source_or_solution_cannot_refine(constant_curve):
     fields = dict(grid=constant_curve.grid, values=constant_curve.values, eta_used=constant_curve.eta_used,
                   profile_hash=constant_curve.profile_hash)
     for extra in ({"source": constant_curve.source}, {"solution": constant_curve.solution}):
-        with pytest.raises(ValueError, match="cannot refine"):
+        with pytest.raises(InvalidSpec, match="cannot refine"):
             qve.integrate_density(qve.DensityCurve(**fields, **extra), -1.0, 1.0)
 
 
@@ -335,10 +335,16 @@ def test_profile_validation():
 
 
 def test_spectral_point_requires_upper_half_plane():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         qve.SpectralPoint(0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         qve.SpectralPoint(0.0, -1.0)
+
+
+@pytest.mark.parametrize("options", [{"tol": float("nan")}, {"tol": -1e-12}, {"max_iter": 0}])
+def test_solver_options_reject_invalid_values(options):
+    with pytest.raises(InvalidSpec):
+        qve.SolverOptions(**options)
 
 
 def test_profile_json_round_trip(tmp_path):

@@ -12,7 +12,7 @@ from scipy.linalg import lapack
 from conftest import semicircle_stieltjes
 from speclaw import ensembles as ens
 from speclaw import qve, spectra, verify
-from speclaw.errors import InvalidSpec, MissingVectors
+from speclaw.errors import InvalidSpec, MissingVectors, OutOfRange
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -124,6 +124,18 @@ def test_non_square_input_is_invalid():
         spectra.tridiagonalize(np.zeros((2, 3)))
     with pytest.raises(InvalidSpec):
         spectra.eigen_full(np.zeros(4))
+
+
+def test_invalid_arguments_raise_typed_errors():
+    t = spectra.tridiagonalize(FLIP)
+    with pytest.raises(OutOfRange):
+        spectra.count_in_interval(t, 1.0, 0.0)
+    with pytest.raises(InvalidSpec):
+        spectra.schur_resolvent_check(FLIP, 2, qve.SpectralPoint(0.0, 1.0))
+    with pytest.raises(InvalidSpec):
+        spectra.TridiagonalForm(diag=np.zeros(3), offdiag=np.zeros(3))
+    with pytest.raises(InvalidSpec):
+        spectra.SpectrumSummary(eigenvalues=np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

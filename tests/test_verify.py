@@ -1,4 +1,5 @@
 import ast
+import builtins
 import json
 import math
 from pathlib import Path
@@ -349,6 +350,21 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_package_raises_no_builtin_exceptions():
+    # a failure carries its exit code and error record only as a SpecLawError; the
+    # parser's SystemExit and bare re-raises are the only other raises allowed
+    for path in sorted(Path(speclaw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+                if isinstance(cls, type) and issubclass(cls, BaseException) and cls is not SystemExit:
+                    lines.append(node.lineno)
+        assert lines == [], f"{path.name}: builtin exception raised on lines {lines}"
 
 
 def test_failure_rates_non_increasing_and_decay():
