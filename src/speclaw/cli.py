@@ -36,8 +36,8 @@ def _grid_spec(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:count, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or not lo < hi:
-        raise argparse.ArgumentTypeError(f"grid needs lo < hi and count >= 2, got {text!r}")
+    if count < 2 or not -np.inf < lo < hi < np.inf:
+        raise argparse.ArgumentTypeError(f"grid needs finite lo < hi and count >= 2, got {text!r}")
     return np.linspace(lo, hi, count)
 
 

@@ -6,9 +6,11 @@ stochastic-block-model adjacency matrices.  All entries derive from the
 counter-based streams in `rng`, so a spec plus a seed pins the matrix bit
 for bit.  A dense spec keeps its profile in canonical form, the exact block
 form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
-variance coeffs[labels[i], labels[j]].  Matrices are stored raw; `scaling`
-is the multiplier that produces the normalized dense or sparse matrix whose
-spectrum the predictions address (block models are centered instead).
+variance coeffs[labels[i], labels[j]].  Every sample is drawn once, as the
+raw entries of its upper triangle.  `sample` fills the raw matrix from them
+and keeps `scaling`, the multiplier that normalizes a dense or sparse
+sample; `normalized_sample` fills the matrix whose spectrum the predictions
+address directly, scaled, or centered and scaled for block models.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class SbmSpec:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "probs", probs)
         n = self.n
-        if self.d >= n / math.log(n) and n > 2:
+        if n > 2 and self.d >= n / math.log(n):
             warnings.warn(
                 f"d={self.d} classes at n={n} is in the unbounded-blocks regime; "
                 "predictions use the n-dependent block profile",
@@ -150,7 +152,10 @@ class SbmSpec:
 
     @property
     def sigma_squared(self) -> float:
+        """p(1-p) at p = max p_kl, the largest noise scale of the block model."""
         p = self.p_max
+        if p == 0.0:  # probabilities lie in [0, 1), so sigma vanishes only here
+            raise DegenerateVariance("all block probabilities are 0 or 1; sigma vanishes")
         return p * (1.0 - p)
 
     def block_labels(self) -> np.ndarray:
@@ -180,10 +185,6 @@ class SampledMatrix:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    def normalized(self) -> np.ndarray:
-        """The matrix the spectral predictions refer to (data * scaling)."""
-        return self.data * self.scaling
-
 
 def _symmetric_from_upper(n: int, iu, ju, vals) -> np.ndarray:
     out = np.zeros((n, n))
@@ -192,65 +193,75 @@ def _symmetric_from_upper(n: int, iu, ju, vals) -> np.ndarray:
     return out
 
 
-def sample_wigner(spec: WignerSpec) -> SampledMatrix:
-    """Dense Wigner-type sample; entry (i,j) has mean 0 and variance s_ij.
+def _upper_entries(spec: EnsembleSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The one draw of a sample: (n, iu, ju, raw upper-triangle entries, scaling).
 
-    s_ij = coeffs[labels[i], labels[j]]; a full profile is n classes of one row.
+    Dense entry (i,j) has mean 0 and variance s_ij = coeffs[labels[i], labels[j]]
+    (a full profile is n classes of one row).  Sparse entries multiply those
+    values by a Bernoulli(p) mask from an independent stream on the same
+    counters, so kept entries equal the dense ones bit for bit.  Block models
+    draw {0,1} edges with probability p_kl and a zero diagonal.
     """
-    n = spec.n
-    if isinstance(spec.profile, VarianceProfile):
-        labels, coeffs = np.arange(n), spec.profile.entries
+    base = spec.base if isinstance(spec, SparseSpec) else spec
+    n = base.n
+    iu, ju = np.triu_indices(n)
+    counters = rng.pair_counters(iu, ju)
+    if isinstance(spec, SbmSpec):
+        labels = spec.block_labels()
+        p_edge = spec.probs[labels[iu], labels[ju]]
+        vals = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
+        vals[iu == ju] = 0.0
+        return n, iu, ju, vals, 1.0
+    if isinstance(base.profile, VarianceProfile):
+        labels, coeffs = np.arange(n), base.profile.entries
     else:
-        labels, coeffs = block_labels(spec.profile, n), spec.profile.coeffs
-    iu, ju = np.triu_indices(n)
-    counters = rng.pair_counters(iu, ju)
-    vals = spec.law.sample(rng.stream_key(spec.seed, rng.TAG_VALUES), counters)
+        labels, coeffs = block_labels(base.profile, n), base.profile.coeffs
+    vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
     vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
-    return SampledMatrix(n=n, data=_symmetric_from_upper(n, iu, ju, vals), scaling=1.0 / math.sqrt(n))
+    if isinstance(spec, WignerSpec):
+        return n, iu, ju, vals, 1.0 / math.sqrt(n)
+    keep = rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p
+    return n, iu, ju, vals * keep, 1.0 / math.sqrt(n * spec.p)
 
 
-def sample_sparse(spec: SparseSpec) -> SampledMatrix:
-    """Bernoulli(p) sparsification of the base dense sample, rescaled by 1/sqrt(np).
-
-    The mask stream is keyed independently of the value stream, so the kept
-    entries equal the dense sample's entries bit for bit.
-    """
-    base = sample_wigner(spec.base)
-    n = spec.base.n
-    iu, ju = np.triu_indices(n)
-    counters = rng.pair_counters(iu, ju)
-    keep = rng.uniforms(rng.stream_key(spec.base.seed, rng.TAG_MASK), counters) < spec.p
-    data = _symmetric_from_upper(n, iu, ju, base.data[iu, ju] * keep)
-    return SampledMatrix(n=n, data=data, scaling=1.0 / math.sqrt(n * spec.p))
-
-
-def sample_sbm(spec: SbmSpec) -> SampledMatrix:
-    """Adjacency matrix of a stochastic block model: zero diagonal, {0,1} entries."""
-    n = spec.n
-    labels = spec.block_labels()
-    iu, ju = np.triu_indices(n, k=1)
-    counters = rng.pair_counters(iu, ju)
-    p_edge = spec.probs[labels[iu], labels[ju]]
-    edges = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
-    return SampledMatrix(n=n, data=_symmetric_from_upper(n, iu, ju, edges))
-
-
-def center_and_scale_sbm(adj: SampledMatrix, spec: SbmSpec) -> SampledMatrix:
-    """(A - E A~)/(sqrt(n) sigma): subtract the block-mean matrix, then rescale.
+def _centered(spec: SbmSpec, adjacency: np.ndarray, rows, cols) -> np.ndarray:
+    """(A - E A~)/(sqrt(n) sigma) on the adjacency entries at (rows, cols).
 
     E A~ carries p_kl on every entry of block (k,l), diagonal included, so the
     rank-d mean structure is removed before normalizing by the largest noise
     scale sigma = sqrt(p(1-p)), p = max p_kl.
     """
+    sigma2 = spec.sigma_squared
+    labels = spec.block_labels()
+    return (adjacency - spec.probs[labels[rows], labels[cols]]) / (math.sqrt(spec.n) * math.sqrt(sigma2))
+
+
+def sample(spec: EnsembleSpec) -> SampledMatrix:
+    """The raw symmetric sample of any ensemble, with its normalizing multiplier."""
+    n, iu, ju, vals, scaling = _upper_entries(spec)
+    return SampledMatrix(n=n, data=_symmetric_from_upper(n, iu, ju, vals), scaling=scaling)
+
+
+# the per-kind names stay importable: the package exports them and tracers patch them
+sample_wigner = sample_sparse = sample_sbm = sample
+
+
+def normalized_sample(spec: EnsembleSpec) -> np.ndarray:
+    """The matrix the spectral predictions refer to, filled once from one draw.
+
+    Dense and sparse entries are multiplied by `scaling`; block models are
+    centered and scaled instead (`center_and_scale_sbm` on the raw sample).
+    """
+    n, iu, ju, vals, scaling = _upper_entries(spec)
+    vals = _centered(spec, vals, iu, ju) if isinstance(spec, SbmSpec) else vals * scaling
+    return _symmetric_from_upper(n, iu, ju, vals)
+
+
+def center_and_scale_sbm(adj: SampledMatrix, spec: SbmSpec) -> SampledMatrix:
+    """The centered, rescaled block-model matrix of a raw adjacency sample."""
     if adj.n != spec.n:
         raise InvalidSpec(f"adjacency is {adj.n}x{adj.n} but spec has n={spec.n}")
-    sigma2 = spec.sigma_squared
-    if sigma2 == 0.0:
-        raise DegenerateVariance("all block probabilities are 0 or 1; sigma vanishes")
-    labels = spec.block_labels()
-    expected = spec.probs[labels[:, None], labels[None, :]]
-    data = (adj.data - expected) / (math.sqrt(spec.n) * math.sqrt(sigma2))
-    return SampledMatrix(n=spec.n, data=data)
+    return SampledMatrix(n=spec.n, data=_centered(spec, adj.data, *np.ogrid[: spec.n, : spec.n]))
 
 
 def effective_profile(spec: EnsembleSpec) -> Profile:
@@ -266,8 +277,6 @@ def effective_profile(spec: EnsembleSpec) -> Profile:
     if isinstance(spec, SparseSpec):
         return spec.base.profile
     sigma2 = spec.sigma_squared
-    if sigma2 == 0.0:
-        raise DegenerateVariance("all block probabilities are 0 or 1; sigma vanishes")
     sigma2_blocks = spec.probs * (1.0 - spec.probs)
     coeffs = sigma2_blocks / sigma2
     if coeffs.min() <= 0.0:
@@ -306,21 +315,6 @@ def with_seed(spec: EnsembleSpec, seed: int) -> EnsembleSpec:
     else:
         object.__setattr__(out, "seed", seed)
     return out
-
-
-def sample(spec: EnsembleSpec) -> SampledMatrix:
-    if isinstance(spec, WignerSpec):
-        return sample_wigner(spec)
-    if isinstance(spec, SparseSpec):
-        return sample_sparse(spec)
-    return sample_sbm(spec)
-
-
-def normalized_sample(spec: EnsembleSpec) -> np.ndarray:
-    """Sample and normalize: data*scaling, or the centered matrix for block models."""
-    if isinstance(spec, SbmSpec):
-        return center_and_scale_sbm(sample_sbm(spec), spec).data
-    return sample(spec).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -463,8 +463,8 @@ def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) ->
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if xs.size == 0:
         return np.empty(0)
-    if not eta > 0:
-        raise InvalidSpec("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise InvalidSpec(f"eta must be positive and finite, got {eta}")
     g, _, _ = _solve_batch(profile, xs, eta, SolverOptions())
     return _m_of(profile, g).imag / math.pi
 
@@ -479,8 +479,8 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise InvalidSpec("grid must be strictly increasing with at least two points")
-    if not eta > 0:
-        raise InvalidSpec("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise InvalidSpec(f"eta must be positive and finite, got {eta}")
     solver_profile = reduce_profile(profile)
     g, _, _ = _solve_batch(solver_profile, grid, eta, SolverOptions())
     values = _m_of(solver_profile, g).imag / math.pi

@@ -15,7 +15,7 @@ import csv
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class SpectrumSummary:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    inf_norms: np.ndarray | None = None
+    inf_norms: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=np.float64)
@@ -63,8 +63,12 @@ class SpectrumSummary:
             raise InvalidSpec("eigenvalues must be sorted ascending")
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
-        if self.eigenvectors is not None and self.eigenvectors.shape != (vals.size, vals.size):
-            raise InvalidSpec("eigenvectors must be n x n with one column per eigenvalue")
+        if self.eigenvectors is not None:
+            if self.eigenvectors.shape != (vals.size, vals.size):
+                raise InvalidSpec("eigenvectors must be n x n with one column per eigenvalue")
+            norms = np.abs(self.eigenvectors).max(axis=0)
+            norms.setflags(write=False)
+            object.__setattr__(self, "inf_norms", norms)
 
     @property
     def n(self) -> int:
@@ -163,8 +167,7 @@ def eigen_full(m: np.ndarray, want_vectors: bool = False) -> SpectrumSummary:
             vals, vecs = np.linalg.eigvalsh(a), None
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
-    inf_norms = np.abs(vecs).max(axis=0) if vecs is not None else None
-    return SpectrumSummary(eigenvalues=vals, eigenvectors=vecs, inf_norms=inf_norms)
+    return SpectrumSummary(eigenvalues=vals, eigenvectors=vecs)
 
 
 def stieltjes_empirical(s: SpectrumSummary, point: SpectralPoint) -> complex:
@@ -174,9 +177,9 @@ def stieltjes_empirical(s: SpectrumSummary, point: SpectralPoint) -> complex:
 
 def eigvec_inf_norms(s: SpectrumSummary) -> np.ndarray:
     """Sup-norm of each unit eigenvector; always within [1/sqrt(n), 1]."""
-    if s.eigenvectors is None:
+    if s.inf_norms is None:
         raise MissingVectors("summary holds no eigenvectors")
-    return np.abs(s.eigenvectors).max(axis=0)
+    return s.inf_norms
 
 
 def schur_resolvent_check(m: np.ndarray, k: int, point: SpectralPoint) -> tuple[complex, complex]:

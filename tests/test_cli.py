@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,7 @@ _PROJECTION = {"n": 4, "sigma": [1.0] * 4, "subspace_dim": 2, "weights": [1.0, 1
     ("sample", {**_WIGNER, "n": 20.0}),
     ("sample", {**_WIGNER, "profile": {"d": 1, "weights": [1.0], "coeffs": [["1.0"]]}}),
     ("sample", {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5], 0.5], "seed": 0}),
+    ("verify-local-law", {**_CAMPAIGN, "eta": float("inf")}),  # written as Infinity
 ])
 def test_malformed_json_exits_one_with_an_error_record(tmp_path, capsys, command, payload):
     path = tmp_path / "input.json"
@@ -304,11 +306,23 @@ def _config_failure(capsys) -> str:
     (["qve-solve", "--profile", "{profile}", "--eta", "-1"], "im > 0"),
     (["density", "--profile", "{profile}", "--eta", "0", "--out", "{tmp}/rho.csv"], "eta must be positive"),
     (["verify-stieltjes", "--config", "{campaign}", "--eta", ","], "eta grid is empty"),
+    (["density", "--profile", "{profile}", "--eta", "inf", "--out", "{tmp}/rho.csv"], "eta must be positive and finite"),
 ])
 def test_invalid_argument_exits_one(tmp_path, profile_path, campaign_path, capsys, argv, message):
     paths = {"profile": profile_path, "campaign": campaign_path, "tmp": tmp_path}
     assert cli.main([arg.format(**paths) for arg in argv]) == 1
     assert message in _config_failure(capsys)
+
+
+@pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "nan:1:5"])
+def test_non_finite_grid_end_exits_one_without_warnings(tmp_path, profile_path, capsys, grid):
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("always")
+        cli.main(["density", "--profile", profile_path, "--grid", grid, "--out", str(tmp_path / "rho.csv")])
+    assert exc.value.code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err and "finite lo < hi" in err
 
 
 def test_non_integer_threads_variable_exits_one(tmp_path, campaign_path, monkeypatch, capsys):

@@ -116,6 +116,17 @@ def sample_as_before(entries, law, seed):
     return out
 
 
+def sbm_as_before(spec):
+    """Block-model adjacency drawn on the strict upper triangle only."""
+    n, labels = spec.n, spec.block_labels()
+    iu, ju = np.triu_indices(n, k=1)
+    p_edge = spec.probs[labels[iu], labels[ju]]
+    edges = rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), rng.pair_counters(iu, ju)) < p_edge
+    out = np.zeros((n, n))
+    out[iu, ju] = out[ju, iu] = edges
+    return out
+
+
 @pytest.mark.parametrize("kind", ens.LAW_KINDS)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), d=st.integers(min_value=1, max_value=5))
 @settings(max_examples=15)
@@ -139,6 +150,66 @@ def test_block_and_expanded_profiles_sample_identically(kind, seed, d):
         assert np.array_equal(ens.sample(spec).data, sample_as_before(entries.entries, law, seed))
     sparse = [ens.sample(ens.SparseSpec(base=wigner_spec(n, seed, law, prof), p=0.3)).data for prof in (block, full)]
     assert np.array_equal(sparse[0], sparse[1])
+
+
+@st.composite
+def ensemble_specs(draw):
+    """Dense (block, full or irreducible profile), sparse and block-model specs."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["block", "full", "irreducible", "sbm"]))
+    d = draw(st.integers(min_value=1, max_value=4))
+    sizes = gen.integers(1, 9, size=d)
+    n = int(sizes.sum())
+    if kind == "sbm":
+        probs = gen.uniform(0.0, 0.95, size=(d, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small n puts d in the unbounded-blocks regime
+            return ens.SbmSpec(d=d, sizes=tuple(sizes), probs=(probs + probs.T) / 2.0, seed=seed)
+    coeffs = gen.uniform(0.1, 1.0, size=(d, d))
+    block = qve.BlockProfile(d=d, weights=sizes / n, coeffs=(coeffs + coeffs.T) / 2.0)
+    profile = {"block": block, "full": qve.expand_block_profile(block, n),
+               "irreducible": random_profile(n, seed=seed % 1000)}[kind]
+    law = draw(st.sampled_from(ens.LAW_KINDS))
+    bound = draw(st.floats(min_value=1.0, max_value=4.0)) if law == "scaled_bernoulli_centered" else None
+    spec = wigner_spec(n, seed, ens.EntryLaw(law, bound), profile)
+    p = draw(st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return spec if p is None else ens.SparseSpec(base=spec, p=p)
+
+
+@given(spec=ensemble_specs())
+@settings(max_examples=60)
+def test_normalized_sample_equals_the_composed_raw_path(spec):
+    m = ens.sample(spec)
+    if isinstance(spec, ens.SbmSpec):
+        assert np.array_equal(m.data, sbm_as_before(spec))
+        labels = spec.block_labels()
+        expected = spec.probs[labels[:, None], labels[None, :]]
+        centered = (sbm_as_before(spec) - expected) / (math.sqrt(spec.n) * math.sqrt(spec.sigma_squared))
+        composed = ens.center_and_scale_sbm(m, spec).data
+        assert composed.tobytes() == centered.tobytes()
+    else:
+        composed = m.data * m.scaling
+    assert ens.normalized_sample(spec).tobytes() == composed.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    wigner_spec(30, seed=1, profile=random_profile(30, seed=2)),
+    ens.SparseSpec(base=wigner_spec(30, seed=1), p=0.3),
+    ens.SbmSpec(d=2, sizes=(10, 20), probs=np.array([[0.5, 0.1], [0.1, 0.3]]), seed=1),
+], ids=["wigner", "sparse", "sbm"])
+def test_trial_matrix_is_one_draw(monkeypatch, spec):
+    calls = []
+    triu_indices, pair_counters = np.triu_indices, rng.pair_counters
+    monkeypatch.setattr(np, "triu_indices", lambda *a, **k: calls.append("triu") or triu_indices(*a, **k))
+    monkeypatch.setattr(rng, "pair_counters", lambda *a: calls.append("counters") or pair_counters(*a))
+
+    def no_sampled_matrix(*args, **kwargs):
+        raise AssertionError("the trial path built a SampledMatrix")
+
+    monkeypatch.setattr(ens, "SampledMatrix", no_sampled_matrix)
+    ens.normalized_sample(spec)
+    assert sorted(calls) == ["counters", "triu"]
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_empirical_transform_approaches_prediction():
     spec = ens.WignerSpec(
         n=2000, profile=qve.VarianceProfile.constant(2000), law=ens.EntryLaw("rademacher"), seed=17
     )
-    s = spectra.eigen_full(ens.sample_wigner(spec).normalized())
+    s = spectra.eigen_full(ens.normalized_sample(spec))
     got = spectra.stieltjes_empirical(s, qve.SpectralPoint(0.0, 0.05))
     assert abs(got - semicircle_stieltjes(0.05j)) < 0.05
 
@@ -372,6 +372,14 @@ def test_inf_norms_delocalized_extreme():
     flat = np.ones((n, n)) / n  # rank one; top eigenvector is constant
     s = spectra.eigen_full(flat, want_vectors=True)
     assert spectra.eigvec_inf_norms(s)[-1] == pytest.approx(1.0 / np.sqrt(n))
+
+
+def test_inf_norms_are_derived_once_from_the_vectors():
+    u = np.linalg.qr(random_symmetric(12, seed=4))[0]
+    s = spectra.SpectrumSummary(eigenvalues=np.arange(12.0), eigenvectors=u)
+    assert np.array_equal(s.inf_norms, np.abs(u).max(axis=0))
+    assert spectra.eigvec_inf_norms(s) is s.inf_norms
+    assert not s.inf_norms.flags.writeable
 
 
 def test_inf_norms_require_vectors():
