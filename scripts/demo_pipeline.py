@@ -6,13 +6,13 @@ so the file formats are easy to inspect.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from speclaw import cli, ensembles as ens, qve, verify
+from speclaw.errors import read_json, report_json_bytes
 
 
 def main() -> int:
@@ -27,19 +27,19 @@ def main() -> int:
     n = args.n
 
     profile_path = work / "profile.json"
-    qve.save_profile(qve.VarianceProfile.constant(n), profile_path)
+    qve.VarianceProfile.constant(n).to_json(profile_path)
 
     wigner = ens.WignerSpec(
         n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0
     )
     wigner_path = work / "wigner.json"
-    ens.save_ensemble(wigner, wigner_path)
+    wigner.to_json(wigner_path)
 
     sbm = ens.SbmSpec(
         d=2, sizes=(n // 2, n // 2), probs=np.array([[0.2, 0.05], [0.05, 0.2]]), seed=0
     )
     sbm_path = work / "sbm.json"
-    ens.save_ensemble(sbm, sbm_path)
+    sbm.to_json(sbm_path)
 
     campaign = verify.LocalLawConfig(
         ensemble=wigner,
@@ -47,16 +47,14 @@ def main() -> int:
         interval_len_factor=verify.factor_for_length(0.4, wigner),
     )
     campaign_path = work / "local_law.json"
-    with open(campaign_path, "w", encoding="utf-8") as fh:
-        json.dump(campaign.to_dict(), fh, indent=2, sort_keys=True)
+    campaign.to_json(campaign_path)
 
     projection = verify.ProjectionTestSpec(
         n=n, sigma=np.ones(n), subspace_dim=n // 4, weights=np.ones(n // 4),
         t_grid=np.arange(1.0, 6.0), trials=200, seed=0,
     )
     projection_path = work / "projection.json"
-    with open(projection_path, "w", encoding="utf-8") as fh:
-        json.dump(projection.to_dict(), fh, indent=2, sort_keys=True)
+    projection.to_json(projection_path)
 
     stages = [
         ["density", "--profile", str(profile_path), "--grid", "-3:3:301", "--out", str(work / "rho.csv")],
@@ -75,13 +73,15 @@ def main() -> int:
         if code != 0:
             print(f"stage failed with exit {code}", file=sys.stderr)
             return code
-    # every JSON report re-parses into the dataclass that wrote it, byte for byte
-    for cls, name in ((verify.LocalLawReport, "local_law_report"), (verify.StieltjesReport, "stieltjes_report"),
-                      (verify.DelocReport, "deloc_report"), (verify.ProjectionReport, "projection_report"),
-                      (verify.InterlacingReport, "interlacing_report")):
-        raw = (work / f"{name}.json").read_bytes()
-        if verify.report_json_bytes(cls.from_dict(json.loads(raw)).to_dict()) != raw:
-            print(f"{name}.json does not round-trip through {cls.__name__}", file=sys.stderr)
+    # every JSON input and report re-reads into the record that wrote it, byte for byte
+    for kind, name in ((qve.Profile, "profile"), (ens.EnsembleSpec, "wigner"), (ens.EnsembleSpec, "sbm"),
+                       (verify.LocalLawConfig, "local_law"), (verify.ProjectionTestSpec, "projection"),
+                       (verify.LocalLawReport, "local_law_report"), (verify.StieltjesReport, "stieltjes_report"),
+                       (verify.DelocReport, "deloc_report"), (verify.ProjectionReport, "projection_report"),
+                       (verify.InterlacingReport, "interlacing_report")):
+        path = work / f"{name}.json"
+        if report_json_bytes(read_json(kind, path).to_dict()) != path.read_bytes():
+            print(f"{name}.json does not round-trip through read_json", file=sys.stderr)
             return 1
     print(f"artifacts in {work}/")
     return 0

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import ensembles, qve, spectra, verify
-from .errors import InvalidSpec, SpecLawError
+from .errors import InvalidSpec, SpecLawError, read_json, write_json
 
 EXIT_OK = 0
 
@@ -122,7 +122,7 @@ def run(args: argparse.Namespace) -> int:
     command = args.command
 
     if command == "qve-solve":
-        profile = qve.load_profile(args.profile)
+        profile = read_json(qve.Profile, args.profile)
         opts = qve.SolverOptions(tol=args.tol) if args.tol is not None else None
         sol = qve.solve_qve(profile, qve.SpectralPoint(args.x, args.eta), opts)
         payload = {
@@ -134,19 +134,19 @@ def run(args: argparse.Namespace) -> int:
             "iterations": sol.iterations,
         }
         if args.out:
-            verify.write_json(payload, args.out)
+            write_json(payload, args.out)
         print(f"m={sol.m.real:.12g}{sol.m.imag:+.12g}i residual={sol.residual:.3g}")
         return EXIT_OK
 
     if command == "density":
-        profile = qve.load_profile(args.profile)
+        profile = read_json(qve.Profile, args.profile)
         curve = qve.extract_density(profile, args.grid, eta=args.eta)
         qve.density_to_csv(curve, args.out)
         print(f"rows={curve.grid.size} mass={curve.mass():.6f} out={args.out}")
         return EXIT_OK
 
     if command == "sample":
-        spec = ensembles.load_ensemble(args.ensemble)
+        spec = read_json(ensembles.EnsembleSpec, args.ensemble)
         if args.seed is not None:
             spec = ensembles.with_seed(spec, args.seed)
         matrix = ensembles.sample(spec)
@@ -159,7 +159,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if command == "spectrum":
-        spec = ensembles.load_ensemble(args.ensemble)
+        spec = read_json(ensembles.EnsembleSpec, args.ensemble)
         if args.seed is not None:
             spec = ensembles.with_seed(spec, args.seed)
         summary = spectra.eigen_full(ensembles.normalized_sample(spec), want_vectors=args.vectors)
@@ -198,8 +198,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if command == "test-projection":
-        with open(args.config, encoding="utf-8") as fh:
-            spec = verify.ProjectionTestSpec.from_dict(json.load(fh))
+        spec = read_json(verify.ProjectionTestSpec, args.config)
         report = verify.projection_concentration_test(spec)
         if args.out:
             report.to_json(args.out)

@@ -11,12 +11,14 @@ raw entries of its upper triangle.  `sample` fills the raw matrix from them
 and keeps `scaling`, the multiplier that normalizes a dense or sparse
 sample; `normalized_sample` fills the matrix whose spectrum the predictions
 address directly, scaled, or centered and scaled for block models.
+
+Specs are JSON records (`errors.record`) tagged by "kind": "wigner",
+"sparse" or "sbm"; `read_json(EnsembleSpec, path)` reads any of them.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
 import struct
 import warnings
@@ -26,21 +28,14 @@ import numpy as np
 import scipy.io
 
 from . import rng
-from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, json_array, json_object, json_value
-from .qve import (
-    BlockProfile,
-    Profile,
-    VarianceProfile,
-    block_labels,
-    profile_from_dict,
-    profile_to_dict,
-    reduce_profile,
-)
+from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, record
+from .qve import BlockProfile, Profile, VarianceProfile, block_labels, reduce_profile
 
 LAW_KINDS = ("rademacher", "uniform_bounded", "scaled_bernoulli_centered")
 _SQRT3 = math.sqrt(3.0)
 
 
+@record()
 @dataclass(frozen=True)
 class EntryLaw:
     """Mean-zero, unit-variance entry distribution bounded by `bound`.
@@ -48,8 +43,9 @@ class EntryLaw:
     rademacher: +/-1 (bound 1).  uniform_bounded: uniform on
     [-sqrt(3), sqrt(3)] (bound sqrt(3)).  scaled_bernoulli_centered: takes
     value K with probability 1/(1+K^2) and -1/K otherwise, so the bound K
-    itself parameterizes the law.  The profile later multiplies samples by
-    sqrt(s_ij) to give entry variance s_ij.
+    itself parameterizes the law, finite and >= 1.  A bound of None (absent
+    or null in JSON) takes the law's default.  The profile later multiplies
+    samples by sqrt(s_ij) to give entry variance s_ij.
     """
 
     kind: str
@@ -58,16 +54,12 @@ class EntryLaw:
     def __post_init__(self):
         if self.kind not in LAW_KINDS:
             raise InvalidSpec(f"unknown entry law {self.kind!r}, expected one of {LAW_KINDS}")
-        bound = self.bound
-        if bound is None:
-            bound = {"rademacher": 1.0, "uniform_bounded": _SQRT3, "scaled_bernoulli_centered": 3.0}[self.kind]
-        bound = float(bound)
-        if self.kind == "rademacher" and abs(bound - 1.0) > 1e-12:
-            raise InvalidSpec("rademacher entries are +/-1; bound must be 1")
-        if self.kind == "uniform_bounded" and abs(bound - _SQRT3) > 1e-12:
-            raise InvalidSpec("unit-variance bounded uniform requires bound sqrt(3)")
-        if self.kind == "scaled_bernoulli_centered" and bound < 1.0:
-            raise InvalidSpec("scaled centered Bernoulli needs bound >= 1")
+        default = {"rademacher": 1.0, "uniform_bounded": _SQRT3, "scaled_bernoulli_centered": 3.0}[self.kind]
+        bound = default if self.bound is None else float(self.bound)
+        if self.kind == "scaled_bernoulli_centered" and not 1.0 <= bound < math.inf:
+            raise InvalidSpec(f"scaled centered Bernoulli needs a finite bound >= 1, got {bound}")
+        if self.kind != "scaled_bernoulli_centered" and not abs(bound - default) <= 1e-12:
+            raise InvalidSpec(f"unit-variance {self.kind} entries have bound {default:.12g}, got {bound}")
         object.__setattr__(self, "bound", bound)
 
     def sample(self, key: np.uint64, counters: np.ndarray) -> np.ndarray:
@@ -81,6 +73,7 @@ class EntryLaw:
         return np.where(hit, k, -1.0 / k)
 
 
+@record("wigner")
 @dataclass(frozen=True)
 class WignerSpec:
     """Dense ensemble; `profile` is stored as reduce_profile of the one given."""
@@ -101,6 +94,7 @@ class WignerSpec:
         object.__setattr__(self, "profile", profile)
 
 
+@record("sparse")
 @dataclass(frozen=True)
 class SparseSpec:
     base: WignerSpec
@@ -111,6 +105,7 @@ class SparseSpec:
             raise InvalidSpec(f"keep probability must lie in (0, 1], got p={self.p}")
 
 
+@record("sbm")
 @dataclass(frozen=True)
 class SbmSpec:
     d: int
@@ -318,58 +313,7 @@ def with_seed(spec: EnsembleSpec, seed: int) -> EnsembleSpec:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def ensemble_to_dict(spec: EnsembleSpec) -> dict:
-    if isinstance(spec, WignerSpec):
-        return {
-            "kind": "wigner",
-            "n": spec.n,
-            "profile": profile_to_dict(spec.profile),
-            "law": {"kind": spec.law.kind, "bound": spec.law.bound},
-            "seed": spec.seed,
-        }
-    if isinstance(spec, SparseSpec):
-        return {"kind": "sparse", "base": ensemble_to_dict(spec.base), "p": spec.p}
-    return {
-        "kind": "sbm",
-        "d": spec.d,
-        "sizes": list(spec.sizes),
-        "probs": spec.probs.tolist(),
-        "seed": spec.seed,
-    }
-
-
-def ensemble_from_dict(data: dict) -> EnsembleSpec:
-    """Parse an ensemble_to_dict object; InvalidSpec names any missing, unknown or mistyped field."""
-    kind = json_value(data, dict, "ensemble").get("kind")
-    if kind == "wigner":
-        data = json_object(data, "wigner ensemble", {"kind": str, "n": int, "profile": dict, "law": dict, "seed": int})
-        law = json_object(data["law"], "wigner ensemble.law", {"kind": str, "bound": float}, optional={"bound"})
-        return WignerSpec(n=data["n"], profile=profile_from_dict(data["profile"]), law=EntryLaw(**law), seed=data["seed"])
-    if kind == "sparse":
-        data = json_object(data, "sparse ensemble", {"kind": str, "base": dict, "p": float})
-        base = ensemble_from_dict(data["base"])
-        if not isinstance(base, WignerSpec):
-            raise InvalidSpec("sparse base must be a dense ensemble")
-        return SparseSpec(base=base, p=data["p"])
-    if kind == "sbm":
-        data = json_object(data, "sbm ensemble", {"kind": str, "d": int, "sizes": list, "probs": list, "seed": int})
-        sizes = tuple(json_value(s, int, "sbm ensemble.sizes[]") for s in data["sizes"])
-        return SbmSpec(d=data["d"], sizes=sizes, probs=json_array(data["probs"], "sbm ensemble.probs"), seed=data["seed"])
-    raise InvalidSpec(f"unknown ensemble kind {kind!r}")
-
-
-def save_ensemble(spec: EnsembleSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(spec), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_ensemble(path) -> EnsembleSpec:
-    with open(path, encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
+# matrix export
 
 
 def save_matrix_binary(matrix: SampledMatrix, path) -> None:

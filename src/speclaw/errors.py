@@ -1,8 +1,20 @@
-"""Exception types shared across the package, and the JSON checks that raise them.
+"""Exception types shared across the package, and the one JSON codec.
 
 Each exception class carries its CLI exit code and the fields of its JSON
 error record: {"error": kind, "message": ...} plus the class's context.
+
+Every JSON record of the package (profile, entry law, ensemble, campaign
+config, report) gets its to_dict/from_dict/to_json from the `record` class
+decorator, driven by its dataclass fields, and is read back by `read_json`.
+All are written in one byte form, `report_json_bytes` (sorted keys, indent
+2).  Input that is not a JSON object of the declared fields and types raises
+InvalidSpec naming the field.
 """
+
+import json
+import types
+import typing
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -78,39 +90,131 @@ class AssertionFailure(SpecLawError):
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "an integer", float: "a number"}
 
 
-def json_value(value, kind: type, where: str, error: type = InvalidSpec):
-    """`value` if it is JSON of type `kind`, else raise `error` naming `where`.
+def json_value(value, kind: type, where: str):
+    """`value` if it is JSON of type `kind`, else raise InvalidSpec naming `where`.
 
     An integer passes as a float (and comes back as one), a boolean as
-    neither; kind `object` accepts anything.
+    neither.
     """
     if isinstance(value, kind) and not (isinstance(value, bool) and kind in (int, float)):
         return value
     if kind is float and type(value) is int:
         return float(value)
     got = next((name for t, name in _JSON_TYPES.items() if isinstance(value, t)), "null")
-    raise error(f"{where} must be {_JSON_TYPES[kind]}, got {got}")
+    raise InvalidSpec(f"{where} must be {_JSON_TYPES[kind]}, got {got}")
 
 
-def json_object(data, where: str, kinds: dict, optional=(), error: type = InvalidSpec) -> dict:
-    """The JSON object `data`, each value checked by json_value against kinds[key].
-
-    Every key of `kinds` not in `optional` must be present, and no other key.
-    """
-    json_value(data, dict, where, error)
-    missing = [key for key in kinds if key not in data and key not in optional]
-    unknown = sorted(data.keys() - kinds.keys())
-    if missing or unknown:
-        raise error(f"{where}: {'missing' if missing else 'unknown'} field {(missing or unknown)[0]!r}")
-    return {key: json_value(value, kinds[key], f"{where}.{key}", error) for key, value in data.items()}
-
-
-def json_array(value, where: str, error: type = InvalidSpec) -> np.ndarray:
+def json_array(value, where: str) -> np.ndarray:
     """The JSON array of numbers `value` (arrays of arrays for a matrix) as a numpy array."""
     try:
-        array = np.asarray(json_value(value, list, where, error))
+        array = np.asarray(json_value(value, list, where))
     except ValueError:  # ragged nesting
         array = None
     if array is None or array.dtype.kind not in "iuf":
-        raise error(f"{where} must be an array of numbers")
+        raise InvalidSpec(f"{where} must be an array of numbers")
     return array
+
+
+def report_json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def write_json(payload: dict, path) -> None:
+    """Write report_json_bytes(payload), the one byte form of every JSON artifact."""
+    with open(path, "wb") as fh:
+        fh.write(report_json_bytes(payload))
+
+
+def read_json(kind, path):
+    """The record of type `kind`, a record class or a union of them, stored at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return _decode(kind, json.load(fh), str(path))
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def _holds(member, data: dict) -> bool:
+    """Whether JSON object `data` is a `member` record: its tag, else all its required fields."""
+    if member.tag is not None:
+        return data.get("kind") == member.tag
+    return all(f.name in data for f in fields(member) if f.default is MISSING)
+
+
+def _decode(kind, value, where: str):
+    """`value` read from JSON as the annotation `kind`, or InvalidSpec naming `where`.
+
+    For `X | None`, JSON null gives None; a union of records gives the member
+    whose tag the object's "kind" names, or else whose required fields it holds.
+    """
+    if hasattr(kind, "from_dict"):
+        return kind.from_dict(value)
+    if kind is np.ndarray:
+        return json_array(value, where)
+    args, origin = typing.get_args(kind), typing.get_origin(kind)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        members = [a for a in args if a is not type(None)]
+        if len(members) == 1:
+            return _decode(members[0], value, where)
+        data = json_value(value, dict, where)
+        member = next((m for m in members if _holds(m, data)), None)
+        if member is None:
+            raise InvalidSpec(f"{where} is none of {', '.join(m.__name__ for m in members)}")
+        return member.from_dict(data)
+    if origin in (list, tuple):
+        items = [_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(json_value(value, list, where))]
+        return items if origin is list else tuple(items)
+    if origin is dict:  # JSON keys are strings; dict[int, ...] parses them back
+        return {
+            _decode(args[0], int(k) if args[0] is int and str(k).isdigit() else k, f"{where} key"):
+            _decode(args[1], v, f"{where}[{k!r}]")
+            for k, v in json_value(value, dict, where).items()
+        }
+    return json_value(value, kind, where)
+
+
+def record(tag: str | None = None):
+    """Class decorator giving a dataclass to_dict, from_dict and to_json driven by its fields.
+
+    to_dict encodes nested records, arrays, lists and tuples (as lists);
+    from_dict requires every field without a default and no other key,
+    decodes each field by its annotation, leaves absent defaulted fields to
+    their defaults, and raises InvalidSpec naming the field otherwise.  A
+    tagged class writes "kind": tag first and requires it on read.  The
+    methods are set on the class itself, one function object per class.
+    """
+
+    def decorate(cls):
+        hints = typing.get_type_hints(cls)
+        kinds = {f.name: hints[f.name] for f in fields(cls)}
+        optional = {f.name for f in fields(cls) if f.default is not MISSING}
+        head = {} if tag is None else {"kind": tag}
+        names = [*head, *kinds]
+
+        def to_dict(self) -> dict:
+            return {**head, **{name: _encode(getattr(self, name)) for name in kinds}}
+
+        def from_dict(owner, data: dict):
+            data = dict(json_value(data, dict, cls.__name__))
+            missing = [key for key in names if key not in data and key not in optional]
+            unknown = sorted(data.keys() - set(names))
+            if missing or unknown:
+                raise InvalidSpec(f"{cls.__name__}: {'missing' if missing else 'unknown'} field {(missing or unknown)[0]!r}")
+            if tag is not None and (found := data.pop("kind")) != tag:
+                raise InvalidSpec(f"{cls.__name__}.kind must be {tag!r}, got {found!r}")
+            return owner(**{k: _decode(kinds[k], v, f"{cls.__name__}.{k}") for k, v in data.items()})
+
+        def to_json(self, path) -> None:
+            write_json(self.to_dict(), path)
+
+        cls.tag, cls.to_dict, cls.from_dict, cls.to_json = tag, to_dict, classmethod(from_dict), to_json
+        return cls
+
+    return decorate

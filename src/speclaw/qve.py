@@ -19,19 +19,22 @@ eta = 1 to the target eta by factors of 0.1 (the plain iteration slows down
 as eta -> 0) and stops each abscissa once max_k |1/g_k + z + (S g)_k| <= tol.
 Its mixing weights come from small normal equations, a defect stalled at the
 rounding floor ends it early, and quadrature reuses the curve's solutions.
+
+Both profile classes are untagged JSON records (`errors.record`), {"n",
+"entries"} and {"d", "weights", "coeffs"}; `read_json(Profile, path)` tells
+them apart by their fields.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, json_array, json_object, json_value
+from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, record
 
 DEFAULT_ETA = 1e-6
 ETA_START = 1.0
@@ -65,6 +68,7 @@ class SpectralPoint:
         return complex(self.re, self.im)
 
 
+@record()
 @dataclass(frozen=True)
 class VarianceProfile:
     """Symmetric n x n matrix of entry variances, bounded in (0, 1]."""
@@ -98,6 +102,7 @@ class VarianceProfile:
         return cls(n=n, entries=np.full((n, n), float(value)))
 
 
+@record()
 @dataclass(frozen=True)
 class BlockProfile:
     """d-class reduction of a block-constant profile: weights alpha, coefficients c_kl."""
@@ -230,35 +235,6 @@ def profile_fingerprint(profile: Profile) -> str:
         digest.update(repr(a.shape).encode())
         digest.update(np.ascontiguousarray(a, dtype="<f8"))
     return digest.hexdigest()[:16]
-
-
-def profile_to_dict(profile: Profile) -> dict:
-    if isinstance(profile, VarianceProfile):
-        return {"n": profile.n, "entries": profile.entries.tolist()}
-    return {"d": profile.d, "weights": profile.weights.tolist(), "coeffs": profile.coeffs.tolist()}
-
-
-def profile_from_dict(data: dict) -> Profile:
-    """Parse a profile_to_dict object; InvalidProfile names any missing, unknown or mistyped field."""
-    if "entries" in json_value(data, dict, "profile", InvalidProfile):
-        data = json_object(data, "profile", {"n": int, "entries": list}, error=InvalidProfile)
-        return VarianceProfile(n=data["n"], entries=json_array(data["entries"], "profile.entries", InvalidProfile))
-    if "coeffs" in data:
-        data = json_object(data, "block profile", {"d": int, "weights": list, "coeffs": list}, error=InvalidProfile)
-        weights, coeffs = (json_array(data[k], f"block profile.{k}", InvalidProfile) for k in ("weights", "coeffs"))
-        return BlockProfile(d=data["d"], weights=weights, coeffs=coeffs)
-    raise InvalidProfile("profile dict needs either 'entries' or 'coeffs'")
-
-
-def save_profile(profile: Profile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_dict(profile), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_profile(path) -> Profile:
-    with open(path, encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))
 
 
 def block_labels(block: BlockProfile, n: int) -> np.ndarray:

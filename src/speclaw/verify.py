@@ -1,23 +1,21 @@
 """Monte Carlo campaigns confronting sampled spectra with the predictions.
 
 Each campaign is a deterministic function of (config, base_seed): trial i
-samples with seed base_seed + i, and aggregation is order-independent.  One
-codec, the `_record` class decorator, gives every config and report dataclass
-its to_dict/from_dict/to_json: a report serializes to JSON (some also to CSV)
-and re-parses into the type that produced it, and a config that is not a JSON
-object of the declared fields and types raises InvalidSpec naming the field.
+samples with seed base_seed + i, and aggregation is order-independent.  Every
+config and report dataclass is a JSON record (`errors.record`): a report
+serializes to JSON (some also to CSV) and re-parses into the type that
+produced it, and a config that is not a JSON object of the declared fields
+and types raises InvalidSpec naming the field.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import math
 import os
-import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +27,12 @@ from .ensembles import (
     _symmetric_from_upper,
     boundedness_flag,
     effective_profile,
-    ensemble_from_dict,
     ensemble_parameters,
-    ensemble_to_dict,
     normalized_sample,
     with_seed,
 )
-from .errors import AssertionFailure, EmptyBulk, InvalidSpec, json_array, json_object, json_value
+# report_json_bytes is re-exported, the byte form reports are compared in
+from .errors import AssertionFailure, EmptyBulk, InvalidSpec, read_json, record, report_json_bytes
 from .qve import (
     DEFAULT_ETA,
     BulkInterval,
@@ -61,73 +58,7 @@ _QUANTILES = (0.5, 0.9, 0.99)
 _MAX_RANK = 5
 
 
-def report_json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-
-
-def write_json(payload: dict, path) -> None:
-    """Write report_json_bytes(payload), the one byte form of every JSON artifact."""
-    with open(path, "wb") as fh:
-        fh.write(report_json_bytes(payload))
-
-
-def _encode(value):
-    if isinstance(value, EnsembleSpec):
-        return ensemble_to_dict(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, list):
-        return [_encode(v) for v in value]
-    return value.to_dict() if hasattr(value, "to_dict") else value
-
-
-def _decode(kind, value, where: str):
-    """`value` read from JSON as the annotation `kind`, or InvalidSpec naming `where`."""
-    if kind == EnsembleSpec:
-        return ensemble_from_dict(value)
-    if hasattr(kind, "from_dict"):
-        return kind.from_dict(value)
-    if kind is np.ndarray:
-        return json_array(value, where)
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is list:
-        return [_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(json_value(value, list, where))]
-    if typing.get_origin(kind) is dict:  # JSON keys are strings; dict[int, ...] parses them back
-        return {
-            _decode(args[0], int(k) if args[0] is int and str(k).isdigit() else k, f"{where} key"):
-            _decode(args[1], v, f"{where}[{k!r}]")
-            for k, v in json_value(value, dict, where).items()
-        }
-    return json_value(value, kind, where)
-
-
-def _record(cls):
-    """Give dataclass `cls` a to_dict, from_dict and to_json driven by its fields.
-
-    to_dict encodes nested records, ensemble specs and arrays; from_dict decodes
-    each field by its annotation, leaves absent defaulted fields to their
-    defaults, and raises InvalidSpec for anything else.  The methods are set on
-    the class itself, one function object per class.
-    """
-    hints = typing.get_type_hints(cls)
-    kinds = {f.name: hints[f.name] for f in fields(cls)}
-    optional = {f.name for f in fields(cls) if f.default is not MISSING}
-
-    def to_dict(self) -> dict:
-        return {name: _encode(getattr(self, name)) for name in kinds}
-
-    def from_dict(owner, data: dict):
-        data = json_object(data, cls.__name__, dict.fromkeys(kinds, object), optional)
-        return owner(**{k: _decode(kinds[k], v, f"{cls.__name__}.{k}") for k, v in data.items()})
-
-    def to_json(self, path) -> None:
-        write_json(self.to_dict(), path)
-
-    cls.to_dict, cls.from_dict, cls.to_json = to_dict, classmethod(from_dict), to_json
-    return cls
-
-
-@_record
+@record()
 @dataclass(frozen=True)
 class LocalLawConfig:
     """One eigenvalue-counting campaign over a seeded ensemble.
@@ -156,6 +87,8 @@ class LocalLawConfig:
             raise InvalidSpec("need at least one trial and one interval")
         if not self.interval_len_factor > 0:
             raise InvalidSpec("interval_len_factor must be positive")
+        if ensemble_parameters(self.ensemble)[0] < 2:
+            raise InvalidSpec("campaigns need n >= 2: their lengths and scales carry log n")
 
     def interval_length(self) -> float:
         n, k, p_eff = ensemble_parameters(self.ensemble)
@@ -169,8 +102,7 @@ def factor_for_length(length: float, ensemble: EnsembleSpec) -> float:
 
 
 def load_local_law_config(path) -> LocalLawConfig:
-    with open(path, encoding="utf-8") as fh:
-        return LocalLawConfig.from_dict(json.load(fh))
+    return read_json(LocalLawConfig, path)
 
 
 def place_intervals(bulk: BulkInterval, length: float, num: int) -> list[tuple[float, float]]:
@@ -260,7 +192,7 @@ def _map_trials(fn, trials: int, threads: int | None) -> list:
 # local law
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class IntervalRecord:
     lo: float
@@ -271,7 +203,7 @@ class IntervalRecord:
     pass_fraction: float
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class LocalLawReport:
     config: dict
@@ -352,7 +284,7 @@ def verify_local_law(
 # Stieltjes-transform closeness
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class StieltjesRecord:
     x: float
@@ -361,7 +293,7 @@ class StieltjesRecord:
     discrepancies: list[float]
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class StieltjesReport:
     config: dict
@@ -428,7 +360,7 @@ def verify_stieltjes_closeness(
 # delocalization
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class DelocTrialRecord:
     trial: int
@@ -437,7 +369,7 @@ class DelocTrialRecord:
     max_ratio: float
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class DelocReport:
     config: dict
@@ -494,7 +426,7 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
 # projection concentration
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class ProjectionTestSpec:
     """Concentration test of weighted projections of a bounded random vector.
@@ -516,6 +448,8 @@ class ProjectionTestSpec:
         sigma = np.array(self.sigma, dtype=np.float64)
         weights = np.array(self.weights, dtype=np.float64)
         t_grid = np.array(self.t_grid, dtype=np.float64)
+        if not all(np.isfinite(a).all() for a in (sigma, weights, t_grid)):
+            raise InvalidSpec("sigma, weights and t_grid must be finite")
         if sigma.shape != (self.n,) or sigma.min() < 0 or sigma.max() > 1:
             raise InvalidSpec("sigma must hold n variances in [0, 1]")
         if not (1 <= self.subspace_dim <= self.n):
@@ -531,7 +465,7 @@ class ProjectionTestSpec:
             object.__setattr__(self, name, arr)
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class ProjectionReport:
     spec: dict
@@ -591,7 +525,7 @@ def projection_concentration_test(spec: ProjectionTestSpec) -> ProjectionReport:
 # interlacing
 
 
-@_record
+@record()
 @dataclass(frozen=True)
 class InterlacingReport:
     trials: int

@@ -15,7 +15,7 @@ from speclaw import cli, ensembles as ens, qve, spectra, verify
 @pytest.fixture()
 def profile_path(tmp_path):
     path = tmp_path / "const.json"
-    qve.save_profile(qve.VarianceProfile.constant(8), path)
+    qve.VarianceProfile.constant(8).to_json(path)
     return str(path)
 
 
@@ -25,7 +25,7 @@ def ensemble_path(tmp_path):
         n=80, profile=qve.VarianceProfile.constant(80), law=ens.EntryLaw("rademacher"), seed=1
     )
     path = tmp_path / "wigner.json"
-    ens.save_ensemble(spec, path)
+    spec.to_json(path)
     return str(path)
 
 
@@ -169,7 +169,7 @@ def test_missing_file_exits_one(tmp_path, capsys):
 def test_non_convergence_exits_two(tmp_path, capsys):
     # a defect of 1e-17 is below the rounding of 1/g + z + Sg at |z| = 2 (2.2e-16)
     prof_path = tmp_path / "p.json"
-    qve.save_profile(qve.VarianceProfile.constant(4), prof_path)
+    qve.VarianceProfile.constant(4).to_json(prof_path)
     code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "2.0", "--eta", "1e-12", "--tol", "1e-17"])
     assert code == 2
     record = json.loads(capsys.readouterr().err)
@@ -184,7 +184,7 @@ def test_stalled_solve_exits_two_without_using_up_its_iterations(tmp_path, capsy
     # the defect sits at the rounding floor, far above tol = 1e-17, for good; the solver
     # must say so within a few dozen sweeps instead of spending max_iter = 10000
     prof_path = tmp_path / "p.json"
-    qve.save_profile(qve.VarianceProfile.constant(4), prof_path)
+    qve.VarianceProfile.constant(4).to_json(prof_path)
     code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "2.0", "--eta", "1e-12", "--tol", "1e-17"])
     assert code == 2
     record = json.loads(capsys.readouterr().err)
@@ -253,6 +253,7 @@ def test_sbm_reports_identical_across_blas_threads_and_workers(tmp_path, command
 
 _WIGNER = {"kind": "wigner", "n": 20, "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},
            "law": {"kind": "rademacher"}, "seed": 0}
+_SBM = {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5]], "seed": 0}
 _CAMPAIGN = {"ensemble": _WIGNER, "trials": 2, "interval_len_factor": 5.0}
 _PROJECTION = {"n": 4, "sigma": [1.0] * 4, "subspace_dim": 2, "weights": [1.0, 1.0], "t_grid": [1.0], "trials": 3}
 
@@ -273,6 +274,15 @@ _PROJECTION = {"n": 4, "sigma": [1.0] * 4, "subspace_dim": 2, "weights": [1.0, 1
     ("sample", {**_WIGNER, "profile": {"d": 1, "weights": [1.0], "coeffs": [["1.0"]]}}),
     ("sample", {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5], 0.5], "seed": 0}),
     ("verify-local-law", {**_CAMPAIGN, "eta": float("inf")}),  # written as Infinity
+    ("sample", {**_WIGNER, "law": {"kind": "scaled_bernoulli_centered", "bound": float("nan")}}),
+    ("sample", {**_WIGNER, "law": {"kind": "scaled_bernoulli_centered", "bound": float("inf")}}),
+    ("test-projection", {**_PROJECTION, "sigma": [1.0, float("nan"), 1.0, 1.0]}),
+    ("test-projection", {**_PROJECTION, "weights": [1.0, float("nan")]}),
+    ("test-projection", {**_PROJECTION, "t_grid": [1.0, float("inf")]}),
+    ("sample", {**_WIGNER, "profile": {"n": 20, "entries": [[1.0] * 20] * 20, **_WIGNER["profile"]}}),
+    ("sample", {k: v for k, v in _WIGNER.items() if k != "kind"}),
+    ("sample", {"kind": "sparse", "base": _SBM, "p": 0.5}),
+    ("sample", {**_SBM, "sizes": [True]}),
 ])
 def test_malformed_json_exits_one_with_an_error_record(tmp_path, capsys, command, payload):
     path = tmp_path / "input.json"
@@ -286,7 +296,7 @@ def test_malformed_json_exits_one_with_an_error_record(tmp_path, capsys, command
 
 def test_zero_tol_is_honoured(tmp_path, capsys):
     prof_path = tmp_path / "p.json"
-    qve.save_profile(qve.VarianceProfile.constant(4), prof_path)
+    qve.VarianceProfile.constant(4).to_json(prof_path)
     out = tmp_path / "sol.json"
     args = ["qve-solve", "--profile", str(prof_path), "--x", "0", "--eta", "0.1", "--tol", "0", "--out", str(out)]
     assert cli.main(args) == 0
@@ -300,6 +310,18 @@ def _config_failure(capsys) -> str:
     record = json.loads(err)
     assert record["error"] == "config"
     return record["message"]
+
+
+@pytest.mark.parametrize("command", ["verify-local-law", "verify-stieltjes", "verify-deloc"])
+@pytest.mark.parametrize("ensemble", [{**_WIGNER, "n": 1}, {**_SBM, "sizes": [1]}], ids=["wigner", "sbm"])
+def test_single_node_campaign_exits_one_without_a_report(tmp_path, capsys, command, ensemble):
+    # log n = 0 would zero the interval length, the eta floor and the deloc normalization
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({**_CAMPAIGN, "ensemble": ensemble}))
+    eta = ["--eta", "0.5"] if command == "verify-stieltjes" else []
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "r.json"), *eta]) == 1
+    assert "n >= 2" in _config_failure(capsys)
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

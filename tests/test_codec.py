@@ -1,0 +1,213 @@
+"""The one JSON codec: every record type round-trips through to_json and read_json."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speclaw import ensembles as ens
+from speclaw import qve, verify
+from speclaw.errors import InvalidSpec, read_json, report_json_bytes
+
+reals = st.floats(min_value=-1e6, max_value=1e6)
+positives = st.floats(min_value=1e-6, max_value=1e6)
+units = st.floats(min_value=0.0, max_value=1.0)
+counts = st.integers(min_value=0, max_value=10**6)
+seeds = st.integers(min_value=0, max_value=2**62)
+
+
+def _symmetric(seed: int, d: int, lo: float, hi: float) -> np.ndarray:
+    a = np.random.default_rng(seed).uniform(lo, hi, size=(d, d))
+    return (a + a.T) / 2.0
+
+
+@st.composite
+def variance_profiles(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    return qve.VarianceProfile(n=n, entries=_symmetric(draw(seeds), n, 0.05, 1.0))
+
+
+@st.composite
+def block_profiles(draw):
+    sizes = np.array(draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)))
+    return qve.BlockProfile(d=sizes.size, weights=sizes / sizes.sum(), coeffs=_symmetric(draw(seeds), sizes.size, 0.05, 1.0))
+
+
+@st.composite
+def entry_laws(draw):
+    kind = draw(st.sampled_from(ens.LAW_KINDS))
+    bound = draw(st.floats(min_value=1.0, max_value=10.0)) if kind == "scaled_bernoulli_centered" else None
+    return ens.EntryLaw(kind, bound)
+
+
+@st.composite
+def wigner_specs(draw):
+    profile = draw(variance_profiles() | block_profiles())
+    # block weights are at least 1/20, so 20 rows give every class one
+    n = profile.n if isinstance(profile, qve.VarianceProfile) else 20
+    return ens.WignerSpec(n=n, profile=profile, law=draw(entry_laws()), seed=draw(seeds))
+
+
+@st.composite
+def sparse_specs(draw):
+    return ens.SparseSpec(base=draw(wigner_specs()), p=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+
+
+@st.composite
+def sbm_specs(draw):
+    sizes = tuple(draw(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small n puts d in the unbounded-blocks regime
+        return ens.SbmSpec(d=len(sizes), sizes=sizes, probs=_symmetric(draw(seeds), len(sizes), 0.0, 0.95), seed=draw(seeds))
+
+
+ensemble_specs = wigner_specs() | sparse_specs() | sbm_specs()
+
+
+@st.composite
+def local_law_configs(draw):
+    ensemble = draw(ensemble_specs.filter(lambda spec: ens.ensemble_parameters(spec)[0] >= 2))
+    return verify.LocalLawConfig(
+        ensemble=ensemble, eps=draw(positives), delta=draw(st.floats(min_value=1e-6, max_value=0.999)),
+        interval_len_factor=draw(positives), num_intervals=draw(st.integers(min_value=1, max_value=9)),
+        trials=draw(st.integers(min_value=1, max_value=99)), base_seed=draw(seeds), eta=draw(positives),
+    )
+
+
+@st.composite
+def interval_records(draw):
+    trials = draw(st.integers(min_value=0, max_value=5))
+    return verify.IntervalRecord(
+        lo=draw(reals), hi=draw(reals), predicted=draw(reals),
+        observed=draw(st.lists(counts, min_size=trials, max_size=trials)),
+        deviations=draw(st.lists(positives, min_size=trials, max_size=trials)), pass_fraction=draw(units),
+    )
+
+
+@st.composite
+def local_law_reports(draw):
+    return verify.LocalLawReport(
+        config=draw(local_law_configs()).to_dict(), n=draw(counts), intervals=draw(st.lists(interval_records(), max_size=3)),
+        trial_pass=draw(st.lists(st.booleans(), max_size=5)), pass_fraction=draw(units),
+        max_deviation=draw(positives), k_bound_flag=draw(st.booleans()),
+    )
+
+
+@st.composite
+def stieltjes_records(draw):
+    return verify.StieltjesRecord(
+        x=draw(reals), eta=draw(positives), predicted=[draw(reals), draw(positives)],
+        discrepancies=draw(st.lists(positives, max_size=5)),
+    )
+
+
+@st.composite
+def stieltjes_reports(draw):
+    return verify.StieltjesReport(
+        config=draw(local_law_configs()).to_dict(), eta_floor=draw(positives),
+        records=draw(st.lists(stieltjes_records(), max_size=3)), trial_sup=draw(st.lists(positives, max_size=5)),
+        max_discrepancy=draw(positives), median_sup=draw(positives),
+    )
+
+
+@st.composite
+def deloc_trial_records(draw):
+    return verify.DelocTrialRecord(
+        trial=draw(counts), bulk_count=draw(counts), max_inf_norm=draw(units), max_ratio=draw(positives)
+    )
+
+
+@st.composite
+def deloc_reports(draw):
+    return verify.DelocReport(
+        config=draw(local_law_configs()).to_dict(), records=draw(st.lists(deloc_trial_records(), max_size=3)),
+        ratio_quantiles={"q50": draw(positives), "q90": draw(positives), "q99": draw(positives)},
+        max_ratio=draw(positives), k_bound_flag=draw(st.booleans()),
+    )
+
+
+@st.composite
+def projection_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    dim = draw(st.integers(min_value=1, max_value=n))
+    return verify.ProjectionTestSpec(
+        n=n, sigma=draw(st.lists(units, min_size=n, max_size=n)), subspace_dim=dim,
+        weights=draw(st.lists(units, min_size=dim, max_size=dim)),
+        t_grid=draw(st.lists(positives, min_size=1, max_size=4)),
+        trials=draw(st.integers(min_value=1, max_value=500)), seed=draw(seeds),
+    )
+
+
+@st.composite
+def projection_reports(draw):
+    rows = [{"t": t, "failure_rate": r} for t, r in draw(st.lists(st.tuples(positives, units), max_size=4))]
+    return verify.ProjectionReport(spec=draw(projection_specs()).to_dict(), center=draw(positives), rows=rows)
+
+
+@st.composite
+def interlacing_reports(draw):
+    return verify.InterlacingReport(
+        trials=draw(counts), n=draw(counts), seed=draw(seeds), max_shift_rank1=draw(st.integers(0, 1)),
+        max_shift_by_rank=draw(st.dictionaries(st.integers(2, 5), st.integers(0, 5))), passed=draw(st.booleans()),
+    )
+
+
+# (the type a file is read back as, records of one class)
+RECORDS = {
+    "VarianceProfile": (qve.Profile, variance_profiles()),
+    "BlockProfile": (qve.Profile, block_profiles()),
+    "EntryLaw": (ens.EntryLaw, entry_laws()),
+    "WignerSpec": (ens.EnsembleSpec, wigner_specs()),
+    "SparseSpec": (ens.EnsembleSpec, sparse_specs()),
+    "SbmSpec": (ens.EnsembleSpec, sbm_specs()),
+    "LocalLawConfig": (verify.LocalLawConfig, local_law_configs()),
+    "IntervalRecord": (verify.IntervalRecord, interval_records()),
+    "LocalLawReport": (verify.LocalLawReport, local_law_reports()),
+    "StieltjesRecord": (verify.StieltjesRecord, stieltjes_records()),
+    "StieltjesReport": (verify.StieltjesReport, stieltjes_reports()),
+    "DelocTrialRecord": (verify.DelocTrialRecord, deloc_trial_records()),
+    "DelocReport": (verify.DelocReport, deloc_reports()),
+    "ProjectionTestSpec": (verify.ProjectionTestSpec, projection_specs()),
+    "ProjectionReport": (verify.ProjectionReport, projection_reports()),
+    "InterlacingReport": (verify.InterlacingReport, interlacing_reports()),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+@given(data=st.data())
+@settings(max_examples=25)
+def test_every_record_round_trips_byte_for_byte(tmp_path_factory, name, data):
+    kind, records = RECORDS[name]
+    record = data.draw(records)
+    assert type(record).__name__ == name
+    path = tmp_path_factory.mktemp("codec") / f"{name}.json"
+    record.to_json(path)
+    back = read_json(kind, path)
+    assert type(back) is type(record)
+    assert report_json_bytes(back.to_dict()) == path.read_bytes()
+
+
+def test_null_bound_loads_as_the_default_bound():
+    for kind in ens.LAW_KINDS:
+        assert ens.EntryLaw.from_dict({"kind": kind, "bound": None}) == ens.EntryLaw.from_dict({"kind": kind})
+    assert ens.EntryLaw.from_dict({"kind": "uniform_bounded", "bound": None}).bound == pytest.approx(math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.5])
+def test_scaled_bernoulli_needs_a_finite_bound_of_at_least_one(value):
+    with pytest.raises(InvalidSpec, match="finite bound >= 1"):
+        ens.EntryLaw("scaled_bernoulli_centered", value)
+
+
+def test_tagged_records_check_their_tag_and_untagged_ones_keep_their_kind_field():
+    spec = ens.SbmSpec(d=1, sizes=(4,), probs=np.array([[0.5]]), seed=0)
+    assert spec.to_dict()["kind"] == "sbm"
+    with pytest.raises(InvalidSpec, match="kind"):
+        ens.SbmSpec.from_dict({**spec.to_dict(), "kind": "wigner"})
+    with pytest.raises(InvalidSpec, match="missing field 'kind'"):
+        ens.SbmSpec.from_dict({k: v for k, v in spec.to_dict().items() if k != "kind"})
+    assert ens.EntryLaw.from_dict({"kind": "rademacher"}).kind == "rademacher"
+    assert set(qve.VarianceProfile.constant(2).to_dict()) == {"n", "entries"}

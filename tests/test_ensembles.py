@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_profile
 from speclaw import ensembles as ens
 from speclaw import qve, rng
-from speclaw.errors import DegenerateVariance, InvalidProfile, InvalidSpec
+from speclaw.errors import DegenerateVariance, InvalidProfile, InvalidSpec, read_json
 
 
 def wigner_spec(n, seed=0, law=None, profile=None):
@@ -356,19 +356,19 @@ def test_ensemble_parameters():
 def test_ensemble_json_round_trip(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("specs") / "e.json"
     spec = ens.SparseSpec(base=wigner_spec(12, seed=seed), p=0.25)
-    ens.save_ensemble(spec, path)
-    back = ens.load_ensemble(path)
+    spec.to_json(path)
+    back = read_json(ens.EnsembleSpec, path)
     assert back.p == spec.p and back.base.seed == spec.base.seed
     assert back.base.law == spec.base.law
-    assert qve.profile_to_dict(back.base.profile) == qve.profile_to_dict(spec.base.profile)
+    assert back.base.profile.to_dict() == spec.base.profile.to_dict()
     assert np.array_equal(ens.sample(back).data, ens.sample(spec).data)
 
 
 def test_sbm_json_round_trip(tmp_path):
     spec = ens.SbmSpec(d=2, sizes=(6, 4), probs=np.array([[0.3, 0.1], [0.1, 0.2]]), seed=5)
     path = tmp_path / "sbm.json"
-    ens.save_ensemble(spec, path)
-    back = ens.load_ensemble(path)
+    spec.to_json(path)
+    back = read_json(ens.EnsembleSpec, path)
     assert back.sizes == spec.sizes
     assert np.array_equal(back.probs, spec.probs)
 

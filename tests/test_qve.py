@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes
 from speclaw import qve
-from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange
+from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, read_json
 
 CONST8 = qve.VarianceProfile.constant(8)
 
@@ -350,14 +350,14 @@ def test_solver_options_reject_invalid_values(options):
 def test_profile_json_round_trip(tmp_path):
     prof = random_profile(6, seed=3)
     path = tmp_path / "p.json"
-    qve.save_profile(prof, path)
-    back = qve.load_profile(path)
+    prof.to_json(path)
+    back = read_json(qve.Profile, path)
     assert isinstance(back, qve.VarianceProfile)
     assert np.array_equal(back.entries, prof.entries)
 
     block = qve.BlockProfile(d=2, weights=np.array([0.25, 0.75]), coeffs=np.array([[1.0, 0.5], [0.5, 0.9]]))
-    qve.save_profile(block, path)
-    back = qve.load_profile(path)
+    block.to_json(path)
+    back = read_json(qve.Profile, path)
     assert isinstance(back, qve.BlockProfile)
     assert np.array_equal(back.coeffs, block.coeffs)
     payload = json.loads(path.read_text())

@@ -185,7 +185,7 @@ def test_legacy_full_profile_config_runs_like_the_compact_one(tmp_path):
     block = qve.BlockProfile(d=2, weights=np.array([60, 90]) / 150, coeffs=np.array([[1.0, 0.4], [0.4, 0.7]]))
     compact = dense_config(n=150, trials=2, length=0.5, profile=block)
     legacy = compact.to_dict()
-    legacy["ensemble"]["profile"] = qve.profile_to_dict(qve.expand_block_profile(block, 150))
+    legacy["ensemble"]["profile"] = qve.expand_block_profile(block, 150).to_dict()
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(legacy))
     loaded = verify.load_local_law_config(path)
