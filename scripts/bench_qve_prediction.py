@@ -69,10 +69,12 @@ def measure(repeats: int) -> dict:
         qve._solve_batch = solve
 
     stages, g = [], None
+    # a baseline tree older than the tol argument takes a SolverOptions in its place
+    tol = qve.SolverOptions() if hasattr(qve, "SolverOptions") else qve.DEFAULT_TOL
     for eta in qve._eta_schedule(cfg.eta):
         if g is None:
             g = np.repeat((-1.0 / (grid + 1j * eta))[None, :], profile.dim, axis=0)
-        g, _, iterations = solve(profile, grid, float(eta), qve.SolverOptions(), g)
+        g, _, iterations = solve(profile, grid, float(eta), tol, initial=g)
         stages.append({"eta": float(eta), "map_evaluations": int(iterations.sum()), "max_per_point": int(iterations.max())})
 
     def blas(config: dict) -> str:

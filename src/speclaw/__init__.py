@@ -2,7 +2,6 @@
 
 from .ensembles import (
     EntryLaw,
-    SampledMatrix,
     SbmSpec,
     SparseSpec,
     WignerSpec,
@@ -28,7 +27,6 @@ from .qve import (
     BulkInterval,
     DensityCurve,
     QveSolution,
-    SolverOptions,
     SpectralPoint,
     VarianceProfile,
     detect_bulk,

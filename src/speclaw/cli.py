@@ -53,7 +53,7 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", required=True)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=qve.DEFAULT_TOL)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("density", help="tabulate the predicted spectral density")
@@ -83,9 +83,10 @@ def build_parser() -> _Parser:
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--csv", default=None)
         if name == "verify-stieltjes":
             p.add_argument("--eta", type=_eta_list, required=True, help="comma-separated eta grid")
+        else:  # the stieltjes report has no CSV form
+            p.add_argument("--csv", default=None)
 
     p = sub.add_parser("test-projection", help="projection-concentration failure rates")
     p.add_argument("--config", required=True)
@@ -123,8 +124,7 @@ def run(args: argparse.Namespace) -> int:
 
     if command == "qve-solve":
         profile = read_json(qve.Profile, args.profile)
-        opts = qve.SolverOptions(tol=args.tol) if args.tol is not None else None
-        sol = qve.solve_qve(profile, qve.SpectralPoint(args.x, args.eta), opts)
+        sol = qve.solve_qve(profile, qve.SpectralPoint(args.x, args.eta), args.tol)
         payload = {
             "x": args.x,
             "eta": args.eta,
@@ -154,8 +154,7 @@ def run(args: argparse.Namespace) -> int:
             ensembles.save_matrix_market(matrix, args.out)
         else:
             ensembles.save_matrix_binary(matrix, args.out)
-        nnz = int(np.count_nonzero(matrix.data))
-        print(f"n={matrix.n} nnz={nnz} scaling={matrix.scaling:.6g} out={args.out}")
+        print(f"n={len(matrix)} nnz={np.count_nonzero(matrix)} out={args.out}")
         return EXIT_OK
 
     if command == "spectrum":
@@ -193,8 +192,7 @@ def run(args: argparse.Namespace) -> int:
             report.to_json(args.out)
         if args.csv:
             report.to_csv(args.csv)
-        q = report.ratio_quantiles
-        print(f"max_ratio={report.max_ratio:.6g} q99={q.get('q99', float('nan')):.6g}")
+        print(f"max_ratio={report.max_ratio:.6g} q99={report.ratio_quantiles['q99']:.6g}")
         return EXIT_OK
 
     if command == "test-projection":
@@ -243,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         failure = exc
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:  # reading an input file
         failure = SpecLawError(str(exc))
-    print(json.dumps(failure.record(), sort_keys=True), file=sys.stderr)
+    print(json.dumps(failure.record(), sort_keys=True, allow_nan=False), file=sys.stderr)
     return failure.exit_code
 
 

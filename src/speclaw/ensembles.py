@@ -7,10 +7,9 @@ counter-based streams in `rng`, so a spec plus a seed pins the matrix bit
 for bit.  A dense spec keeps its profile in canonical form, the exact block
 form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
 variance coeffs[labels[i], labels[j]].  Every sample is drawn once, as the
-raw entries of its upper triangle.  `sample` fills the raw matrix from them
-and keeps `scaling`, the multiplier that normalizes a dense or sparse
-sample; `normalized_sample` fills the matrix whose spectrum the predictions
-address directly, scaled, or centered and scaled for block models.
+raw entries of its upper triangle.  `sample` fills the raw matrix from them;
+`normalized_sample` fills the matrix whose spectrum the predictions address
+directly, scaled by 1/sqrt(n p), or centered and scaled for block models.
 
 Specs are JSON records (`errors.record`) tagged by "kind": "wigner",
 "sparse" or "sbm"; `read_json(EnsembleSpec, path)` reads any of them.
@@ -160,27 +159,6 @@ class SbmSpec:
 EnsembleSpec = WignerSpec | SparseSpec | SbmSpec
 
 
-@dataclass(frozen=True)
-class SampledMatrix:
-    """One sampled symmetric matrix plus the multiplier that normalizes it.
-
-    Block-model adjacency matrices keep scaling 1: they are normalized by
-    center_and_scale_sbm instead.
-    """
-
-    n: int
-    data: np.ndarray
-    scaling: float = 1.0
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.shape != (self.n, self.n):
-            raise InvalidSpec(f"matrix must be {self.n}x{self.n}")
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-
 def _symmetric_from_upper(n: int, iu, ju, vals) -> np.ndarray:
     out = np.zeros((n, n))
     out[iu, ju] = vals
@@ -188,8 +166,8 @@ def _symmetric_from_upper(n: int, iu, ju, vals) -> np.ndarray:
     return out
 
 
-def _upper_entries(spec: EnsembleSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
-    """The one draw of a sample: (n, iu, ju, raw upper-triangle entries, scaling).
+def _upper_entries(spec: EnsembleSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The one draw of a sample: (n, iu, ju, raw upper-triangle entries).
 
     Dense entry (i,j) has mean 0 and variance s_ij = coeffs[labels[i], labels[j]]
     (a full profile is n classes of one row).  Sparse entries multiply those
@@ -206,7 +184,7 @@ def _upper_entries(spec: EnsembleSpec) -> tuple[int, np.ndarray, np.ndarray, np.
         p_edge = spec.probs[labels[iu], labels[ju]]
         vals = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
         vals[iu == ju] = 0.0
-        return n, iu, ju, vals, 1.0
+        return n, iu, ju, vals
     if isinstance(base.profile, VarianceProfile):
         labels, coeffs = np.arange(n), base.profile.entries
     else:
@@ -214,9 +192,9 @@ def _upper_entries(spec: EnsembleSpec) -> tuple[int, np.ndarray, np.ndarray, np.
     vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
     vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
     if isinstance(spec, WignerSpec):
-        return n, iu, ju, vals, 1.0 / math.sqrt(n)
+        return n, iu, ju, vals
     keep = rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p
-    return n, iu, ju, vals * keep, 1.0 / math.sqrt(n * spec.p)
+    return n, iu, ju, vals * keep
 
 
 def _centered(spec: SbmSpec, adjacency: np.ndarray, rows, cols) -> np.ndarray:
@@ -231,10 +209,9 @@ def _centered(spec: SbmSpec, adjacency: np.ndarray, rows, cols) -> np.ndarray:
     return (adjacency - spec.probs[labels[rows], labels[cols]]) / (math.sqrt(spec.n) * math.sqrt(sigma2))
 
 
-def sample(spec: EnsembleSpec) -> SampledMatrix:
-    """The raw symmetric sample of any ensemble, with its normalizing multiplier."""
-    n, iu, ju, vals, scaling = _upper_entries(spec)
-    return SampledMatrix(n=n, data=_symmetric_from_upper(n, iu, ju, vals), scaling=scaling)
+def sample(spec: EnsembleSpec) -> np.ndarray:
+    """The raw symmetric sample of any ensemble."""
+    return _symmetric_from_upper(*_upper_entries(spec))
 
 
 # the per-kind names stay importable: the package exports them and tracers patch them
@@ -244,19 +221,20 @@ sample_wigner = sample_sparse = sample_sbm = sample
 def normalized_sample(spec: EnsembleSpec) -> np.ndarray:
     """The matrix the spectral predictions refer to, filled once from one draw.
 
-    Dense and sparse entries are multiplied by `scaling`; block models are
-    centered and scaled instead (`center_and_scale_sbm` on the raw sample).
+    Dense and sparse entries are multiplied by 1/sqrt(n p_eff); block models
+    are centered and scaled instead (`center_and_scale_sbm` on the raw sample).
     """
-    n, iu, ju, vals, scaling = _upper_entries(spec)
-    vals = _centered(spec, vals, iu, ju) if isinstance(spec, SbmSpec) else vals * scaling
+    n, iu, ju, vals = _upper_entries(spec)
+    p_eff = ensemble_parameters(spec)[2]
+    vals = _centered(spec, vals, iu, ju) if isinstance(spec, SbmSpec) else vals * (1.0 / math.sqrt(n * p_eff))
     return _symmetric_from_upper(n, iu, ju, vals)
 
 
-def center_and_scale_sbm(adj: SampledMatrix, spec: SbmSpec) -> SampledMatrix:
+def center_and_scale_sbm(adj: np.ndarray, spec: SbmSpec) -> np.ndarray:
     """The centered, rescaled block-model matrix of a raw adjacency sample."""
-    if adj.n != spec.n:
-        raise InvalidSpec(f"adjacency is {adj.n}x{adj.n} but spec has n={spec.n}")
-    return SampledMatrix(n=spec.n, data=_centered(spec, adj.data, *np.ogrid[: spec.n, : spec.n]))
+    if np.shape(adj) != (spec.n, spec.n):
+        raise InvalidSpec(f"adjacency has shape {np.shape(adj)} but spec has n={spec.n}")
+    return _centered(spec, adj, *np.ogrid[: spec.n, : spec.n])
 
 
 def effective_profile(spec: EnsembleSpec) -> Profile:
@@ -316,11 +294,11 @@ def with_seed(spec: EnsembleSpec, seed: int) -> EnsembleSpec:
 # matrix export
 
 
-def save_matrix_binary(matrix: SampledMatrix, path) -> None:
-    """Row-major float64 dump with an 8-byte little-endian size header."""
+def save_matrix_binary(matrix: np.ndarray, path) -> None:
+    """Row-major float64 dump of a square matrix with an 8-byte little-endian size header."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", matrix.n))
-        fh.write(np.ascontiguousarray(matrix.data, dtype="<f8").tobytes())
+        fh.write(struct.pack("<q", len(matrix)))
+        fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
 def load_matrix_binary(path) -> np.ndarray:
@@ -333,5 +311,5 @@ def load_matrix_binary(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8", offset=8).reshape(n, n).astype(np.float64)
 
 
-def save_matrix_market(matrix: SampledMatrix, path) -> None:
-    scipy.io.mmwrite(str(path), matrix.data, symmetry="symmetric")
+def save_matrix_market(matrix: np.ndarray, path) -> None:
+    scipy.io.mmwrite(str(path), matrix, symmetry="symmetric")

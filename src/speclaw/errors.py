@@ -1,17 +1,20 @@
 """Exception types shared across the package, and the one JSON codec.
 
 Each exception class carries its CLI exit code and the fields of its JSON
-error record: {"error": kind, "message": ...} plus the class's context.
+error record: {"error": kind, "message": ...} plus the class's context, where
+a non-finite float is written as null.
 
 Every JSON record of the package (profile, entry law, ensemble, campaign
 config, report) gets its to_dict/from_dict/to_json from the `record` class
 decorator, driven by its dataclass fields, and is read back by `read_json`.
-All are written in one byte form, `report_json_bytes` (sorted keys, indent
-2).  Input that is not a JSON object of the declared fields and types raises
-InvalidSpec naming the field.
+All are written in one byte form, `report_json_bytes`: sorted keys, indent
+2, and strict JSON, so a NaN or infinity raises ValueError.  Input that is
+not a JSON object of the declared fields and types raises InvalidSpec naming
+the field.
 """
 
 import json
+import math
 import types
 import typing
 from dataclasses import MISSING, fields
@@ -28,7 +31,9 @@ class SpecLawError(Exception):
 
     def record(self) -> dict:
         """The machine-readable error record the CLI prints on stderr."""
-        return {"error": self.kind, "message": str(self), **{key: getattr(self, key) for key in self.context}}
+        context = {key: getattr(self, key) for key in self.context}
+        finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in context.items()}
+        return {"error": self.kind, "message": str(self), **finite}
 
 
 class InvalidProfile(SpecLawError):
@@ -116,7 +121,7 @@ def json_array(value, where: str) -> np.ndarray:
 
 
 def report_json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def write_json(payload: dict, path) -> None:

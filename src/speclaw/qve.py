@@ -40,6 +40,10 @@ DEFAULT_ETA = 1e-6
 ETA_START = 1.0
 ETA_RATIO = 0.1
 DEFAULT_GRID = (-3.0, 3.0, 601)
+# stop at a defect max_k |1/g_k + z + (S g)_k| <= DEFAULT_TOL, after at most
+# _MAX_ITER map evaluations per eta stage
+DEFAULT_TOL = 1e-10
+_MAX_ITER = 10_000
 
 # iterates mixed per Anderson step
 _ANDERSON_DEPTH = 6
@@ -144,24 +148,9 @@ Profile = VarianceProfile | BlockProfile
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Stop at a defect max_k |1/g_k + z + (S g)_k| <= tol; at most max_iter map evaluations per eta stage."""
-
-    tol: float = 1e-10
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if not self.tol >= 0.0:
-            raise InvalidSpec(f"tol must be a nonnegative number, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidSpec(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
 class QveSolution:
     """Converged solution vector g at one spectral point, with its defect."""
 
-    point: SpectralPoint
     g: np.ndarray
     m: complex
     residual: float
@@ -322,7 +311,7 @@ def _mixing_coeffs(df: np.ndarray, fa: np.ndarray) -> np.ndarray:
 
 
 def _solve_batch(
-    profile: Profile, xs: np.ndarray, eta: float, opts: SolverOptions, initial: np.ndarray | None = None
+    profile: Profile, xs: np.ndarray, eta: float, tol: float = DEFAULT_TOL, initial: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the equation at the points xs + i*eta, all columns at once.
 
@@ -331,12 +320,12 @@ def _solve_batch(
     map evaluations it took.  Each column runs an undamped Anderson iteration
     (Walker & Ni 2011) on the map g -> -1/(z + W g), mixing the last
     _ANDERSON_DEPTH iterates by a least-squares fit of their residuals; a
-    column stops once its defect is <= opts.tol, and the rest keep iterating
+    column stops once its defect is <= tol, and the rest keep iterating
     as one matrix product.  A mixed step that leaves the upper half plane is
     replaced by the plain map step, which stays in it.  Without a warm start
     the columns descend together from eta = ETA_START by factors of at most
     ETA_RATIO, each stage starting from the previous one's solution.  Raises
-    NonConvergence for the worst column when a stage uses up opts.max_iter, or
+    NonConvergence for the worst column when a stage uses up _MAX_ITER, or
     once a best defect stays put for _STALL_SWEEPS sweeps at the rounding
     floor of max_k |z + (W g)_k|, which no lower tol can pass.
     """
@@ -360,12 +349,12 @@ def _solve_batch(
         best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
         df = np.zeros((num, depth, dim), dtype=np.complex128)
         dstep = np.zeros_like(df)
-        for k in range(opts.max_iter + 1):
+        for k in range(_MAX_ITER + 1):
             denom = za + ga @ wt
             res = np.abs(1.0 / ga + denom).max(axis=1)
             stale[idx] = np.where(res < best[idx], 0, stale[idx] + 1)
             best[idx] = np.minimum(best[idx], res)
-            done = res <= opts.tol
+            done = res <= tol
             if done.any():
                 g[idx[done]], residual[idx[done]] = ga[done], res[done]
                 keep = ~done
@@ -377,12 +366,12 @@ def _solve_batch(
             stuck = stale[idx] >= _STALL_SWEEPS
             stuck[stuck] = best[idx[stuck]] <= _STALL_ROUNDING * np.abs(denom[stuck]).max(axis=1)
             stalled = stuck.any()
-            if stalled or k == opts.max_iter:
+            if stalled or k == _MAX_ITER:
                 cause = idx[stuck] if stalled else idx
                 worst = cause[np.argmax(best[cause])]
-                why = "(stalled at the rounding floor)" if stalled else f"after {opts.max_iter} iterations"
+                why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
                 raise NonConvergence(
-                    f"fixed point not below tol={opts.tol:g} {why} at z={xs[worst]:g}+{eta_k:g}i "
+                    f"fixed point not below tol={tol:g} {why} at z={xs[worst]:g}+{eta_k:g}i "
                     f"(best residual {best[worst]:.3g}) on the way to eta={eta:g}",
                     x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
                 )
@@ -406,32 +395,20 @@ def _m_of(profile: Profile, g: np.ndarray) -> np.ndarray:
     return profile.weights @ g
 
 
-def solve_qve(
-    profile: Profile,
-    point: SpectralPoint,
-    opts: SolverOptions | None = None,
-    initial: np.ndarray | None = None,
-) -> QveSolution:
+def solve_qve(profile: Profile, point: SpectralPoint, tol: float = DEFAULT_TOL) -> QveSolution:
     """Solve the quadratic vector equation at one spectral point.
 
     A batch of one for _solve_batch: Anderson iteration, after an eta-descent
-    from ETA_START unless `initial` gives a warm start, until the defect
-    max_k |1/g_k + z + (S g)_k| is <= opts.tol.  Raises NonConvergence when a
-    stage runs out of opts.max_iter iterations or the defect stalls above
-    opts.tol at the rounding floor.
+    from ETA_START, until the defect max_k |1/g_k + z + (S g)_k| is <= tol.
+    Raises NonConvergence when a stage runs out of _MAX_ITER iterations or the
+    defect stalls above tol at the rounding floor.
     """
-    opts = opts or SolverOptions()
-    if initial is not None:
-        initial = np.array(initial, dtype=np.complex128)
-        if initial.shape != (profile.dim,) or not np.all(initial.imag > 0):
-            raise InvalidSpec("warm start must be a length-dim vector with positive imaginary parts")
-        initial = initial[:, None]
-    g, residual, iterations = _solve_batch(profile, np.array([point.re]), point.im, opts, initial)
+    if not tol >= 0.0:
+        raise InvalidSpec(f"tol must be a nonnegative number, got {tol}")
+    g, residual, iterations = _solve_batch(profile, np.array([point.re]), point.im, tol)
     g = g[:, 0]
     g.setflags(write=False)
-    return QveSolution(
-        point=point, g=g, m=complex(_m_of(profile, g)), residual=float(residual[0]), iterations=int(iterations[0])
-    )
+    return QveSolution(g=g, m=complex(_m_of(profile, g)), residual=float(residual[0]), iterations=int(iterations[0]))
 
 
 def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) -> np.ndarray:
@@ -441,7 +418,7 @@ def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) ->
         return np.empty(0)
     if not 0 < eta < math.inf:
         raise InvalidSpec(f"eta must be positive and finite, got {eta}")
-    g, _, _ = _solve_batch(profile, xs, eta, SolverOptions())
+    g, _, _ = _solve_batch(profile, xs, eta)
     return _m_of(profile, g).imag / math.pi
 
 
@@ -458,7 +435,7 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     if not 0 < eta < math.inf:
         raise InvalidSpec(f"eta must be positive and finite, got {eta}")
     solver_profile = reduce_profile(profile)
-    g, _, _ = _solve_batch(solver_profile, grid, eta, SolverOptions())
+    g, _, _ = _solve_batch(solver_profile, grid, eta)
     values = _m_of(solver_profile, g).imag / math.pi
     return DensityCurve(grid, values, eta, profile_fingerprint(profile), source=solver_profile, solution=g)
 
@@ -487,12 +464,11 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
         return 0.0
     if curve.source is None or curve.solution is None:
         raise InvalidSpec("curve lacks its source profile or solution; cannot refine")
-    profile, grid, table = curve.source, curve.grid, curve.solution
-    eta, solver_opts = curve.eta_used, SolverOptions()
+    profile, grid, table, eta = curve.source, curve.grid, curve.solution, curve.eta_used
 
     ends = np.array([lo, hi])
     start = np.array([np.interp(ends, grid, row) for row in table])  # linear between grid neighbours
-    g_ends, _, _ = _solve_batch(profile, ends, eta, solver_opts, initial=start)
+    g_ends, _, _ = _solve_batch(profile, ends, eta, initial=start)
     inner = (grid > lo) & (grid < hi)
     xs = np.concatenate(([lo], grid[inner], [hi]))
     g = np.concatenate((g_ends[:, :1], table[:, inner], g_ends[:, 1:]), axis=1)
@@ -502,7 +478,7 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     cells, uniform = np.arange(xs.size - 1), True
     for _ in range(24):
         mids = (xs[cells] + xs[cells + 1]) / 2.0
-        g_mid, _, _ = _solve_batch(profile, mids, eta, solver_opts, (g[:, cells] + g[:, cells + 1]) / 2.0)
+        g_mid, _, _ = _solve_batch(profile, mids, eta, initial=(g[:, cells] + g[:, cells + 1]) / 2.0)
         mid_vals = _m_of(profile, g_mid).imag / math.pi
         half = (xs[cells + 1] - xs[cells]) / 8.0 * (2.0 * mid_vals - vals[cells] - vals[cells + 1])
         change[cells] = half

@@ -31,8 +31,7 @@ from .ensembles import (
     normalized_sample,
     with_seed,
 )
-# report_json_bytes is re-exported, the byte form reports are compared in
-from .errors import AssertionFailure, EmptyBulk, InvalidSpec, read_json, record, report_json_bytes
+from .errors import AssertionFailure, EmptyBulk, InvalidSpec, read_json, record
 from .qve import (
     DEFAULT_ETA,
     BulkInterval,
@@ -225,23 +224,17 @@ class LocalLawReport:
                     writer.writerow([repr(rec.lo), repr(rec.hi), t, obs, repr(rec.predicted), repr(dev)])
 
 
-def verify_local_law(
-    cfg: LocalLawConfig,
-    threads: int | None = None,
-    intervals: list[tuple[float, float]] | None = None,
-) -> LocalLawReport:
+def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLawReport:
     """Count eigenvalues on bulk intervals across trials and compare with n * integral(rho).
 
     The equation is solved once (the density curve is cached for the whole
     campaign); trial i samples the ensemble with seed base_seed + i, scales it,
-    tridiagonalizes, and Sturm-counts every interval.  `intervals` overrides
-    the default placement for experiments with hand-chosen windows.
+    tridiagonalizes, and Sturm-counts every interval.
     """
     n, _, _ = ensemble_parameters(cfg.ensemble)
     curve = _prediction_curve(cfg)
     _, widest = _widest_bulk(curve, cfg.eps)
-    if intervals is None:
-        intervals = place_intervals(widest, cfg.interval_length(), cfg.num_intervals)
+    intervals = place_intervals(widest, cfg.interval_length(), cfg.num_intervals)
     predicted = [n * integrate_density(curve, lo, hi) for lo, hi in intervals]
     endpoints = np.ravel(intervals)  # integrate_density has checked lo <= hi
 
@@ -389,7 +382,10 @@ class DelocReport:
 
 
 def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> DelocReport:
-    """Sup-norms of bulk eigenvectors, normalized by K sqrt(log n)/sqrt(n p_eff)."""
+    """Sup-norms of bulk eigenvectors, normalized by K sqrt(log n)/sqrt(n p_eff).
+
+    Raises EmptyBulk when no trial has an eigenvalue in the predicted bulk.
+    """
     n, k_bound, p_eff = ensemble_parameters(cfg.ensemble)
     curve = _prediction_curve(cfg)
     bulks, _ = _widest_bulk(curve, cfg.eps)
@@ -408,16 +404,14 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
         DelocTrialRecord(trial=i, bulk_count=c, max_inf_norm=mn, max_ratio=mr)
         for i, (c, mn, mr, _) in enumerate(results)
     ]
-    pooled = np.concatenate([r[3] for r in results]) if results else np.empty(0)
-    quantiles = {
-        f"q{int(100 * q)}": float(np.quantile(pooled, q)) if pooled.size else math.nan
-        for q in _QUANTILES
-    }
+    pooled = np.concatenate([r[3] for r in results])
+    if pooled.size == 0:
+        raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
     return DelocReport(
         config=cfg.to_dict(),
         records=records,
-        ratio_quantiles=quantiles,
-        max_ratio=float(pooled.max()) if pooled.size else math.nan,
+        ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
+        max_ratio=float(pooled.max()),
         k_bound_flag=boundedness_flag(cfg.ensemble),
     )
 
@@ -478,9 +472,7 @@ class ProjectionReport:
 
 def haar_basis(n: int, d: int, seed: int) -> np.ndarray:
     """First d columns of a seeded Haar-distributed orthogonal matrix."""
-    ii = np.arange(n, dtype=np.uint64)[:, None]
-    jj = np.arange(n, dtype=np.uint64)[None, :]
-    counters = (ii << np.uint64(32)) | jj
+    counters = rng.pair_counters(np.arange(n)[:, None], np.arange(n)[None, :])
     gauss = rng.normals(rng.stream_key(seed, rng.TAG_GAUSS), counters)
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))[None, :]
@@ -498,9 +490,7 @@ def projection_concentration_test(spec: ProjectionTestSpec) -> ProjectionReport:
     tr_terms = (u * u).T @ spec.sigma
     center = float(spec.weights @ tr_terms)
 
-    ii = np.arange(spec.n, dtype=np.uint64)[:, None]
-    tt = np.arange(spec.trials, dtype=np.uint64)[None, :]
-    counters = (ii << np.uint64(32)) | tt
+    counters = rng.pair_counters(np.arange(spec.n)[:, None], np.arange(spec.trials)[None, :])
     signs = rng.rademacher(rng.stream_key(spec.seed, rng.TAG_AUX), counters)
     x = np.sqrt(spec.sigma)[:, None] * signs
 

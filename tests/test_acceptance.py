@@ -15,6 +15,7 @@ import pytest
 from conftest import random_profile, semicircle_stieltjes
 from speclaw import ensembles as ens
 from speclaw import qve, spectra, verify
+from speclaw.errors import report_json_bytes
 
 
 def report_line(num, ok, detail):
@@ -130,10 +131,9 @@ def test_criterion_3_block_full_consistency():
         coeffs = (coeffs + coeffs.T) / 2.0
         block = qve.BlockProfile(d=d, weights=sizes / 400.0, coeffs=coeffs)
         full = qve.expand_block_profile(block, 400)
-        opts = qve.SolverOptions(tol=1e-12)
         for k in range(4):
             point = qve.SpectralPoint(float(gen.uniform(-3, 3)), float(gen.uniform(0.2, 2.0)))
-            diff = abs(qve.solve_qve(block, point, opts).m - qve.solve_qve(full, point, opts).m)
+            diff = abs(qve.solve_qve(block, point, tol=1e-12).m - qve.solve_qve(full, point, tol=1e-12).m)
             worst = max(worst, diff)
     report_line(3, worst <= 1e-9, f"max |m_block - m_full| = {worst:.2e} over 20 points (tol 1e-9)")
 
@@ -301,7 +301,7 @@ def test_criterion_12_determinism(dense_report, sparse_reports, sbm_report):
         "sbm": (sbm_report, verify.verify_local_law(sbm_campaign(), threads=2)),
     }
     identical = {
-        k: verify.report_json_bytes(a.to_dict()) == verify.report_json_bytes(b.to_dict())
+        k: report_json_bytes(a.to_dict()) == report_json_bytes(b.to_dict())
         for k, (a, b) in repeats.items()
     }
     report_line(

@@ -133,6 +133,15 @@ def test_verify_deloc_command(tmp_path, campaign_path, capsys):
     verify.DelocReport.from_dict(json.loads(out.read_text()))
 
 
+def test_stieltjes_csv_flag_exits_one_with_usage(tmp_path, campaign_path, capsys):
+    # the stieltjes report has no CSV form, so the flag is not accepted
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-stieltjes", "--config", campaign_path, "--eta", "0.5", "--csv", str(tmp_path / "st.csv")])
+    assert exc.value.code == 1
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "st.csv").exists()
+
+
 def test_projection_command(tmp_path, capsys):
     spec = verify.ProjectionTestSpec(
         n=64, sigma=np.ones(64), subspace_dim=16, weights=np.ones(16),
@@ -292,6 +301,36 @@ def test_malformed_json_exits_one_with_an_error_record(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
+def _strict_json(text: str):
+    """`text` parsed as JSON that holds no NaN or Infinity."""
+
+    def reject(constant):
+        raise AssertionError(f"non-finite constant {constant} in {text!r}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_deloc_campaign_with_an_empty_bulk_exits_one(tmp_path, capsys):
+    # eps 0.315 keeps a bulk round the density's peak that no eigenvalue of n = 4 reaches
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"ensemble": {**_WIGNER, "n": 4}, "trials": 2, "eps": 0.315}))
+    assert cli.main(["verify-deloc", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    captured = capsys.readouterr()
+    assert "max_ratio" not in captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert _strict_json(lines[0])["error"] == "config"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_non_finite_error_context_is_written_as_null(profile_path, capsys):
+    code = cli.main(["qve-solve", "--profile", profile_path, "--x=1e308", "--eta", "1e308"])
+    assert code == 2
+    record = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "non_convergence"
+    assert record["residual"] is None
 
 
 def test_zero_tol_is_honoured(tmp_path, capsys):

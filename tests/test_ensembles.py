@@ -62,30 +62,31 @@ def test_laws_are_centered_unit_variance_and_bounded(kind, bound):
 
 def test_rademacher_two_by_two_support():
     m = ens.sample_wigner(wigner_spec(2, seed=42))
-    assert set(np.unique(m.data)) <= {-1.0, 1.0}
-    assert m.data[0, 1] == m.data[1, 0]
-    assert m.scaling == pytest.approx(1.0 / math.sqrt(2.0))
+    assert set(np.unique(m)) <= {-1.0, 1.0}
+    assert m[0, 1] == m[1, 0]
+    n, _, p_eff = ens.ensemble_parameters(wigner_spec(2, seed=42))
+    assert 1.0 / math.sqrt(n * p_eff) == pytest.approx(1.0 / math.sqrt(2.0))
 
 
 def test_fixed_seed_reproduces_bit_identical_matrices():
     spec = wigner_spec(64, seed=7)
     a = ens.sample_wigner(spec)
     b = ens.sample_wigner(spec)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     c = ens.sample_wigner(wigner_spec(64, seed=8))
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
 
 
 def test_symmetry_is_bitwise():
     m = ens.sample_wigner(wigner_spec(80, seed=3, law=ens.EntryLaw("uniform_bounded")))
-    assert np.array_equal(m.data, m.data.T)
+    assert np.array_equal(m, m.T)
 
 
 def test_empirical_variance_matches_profile():
     spec = wigner_spec(500, seed=11, law=ens.EntryLaw("uniform_bounded"))
     m = ens.sample_wigner(spec)
     iu, ju = np.triu_indices(500, k=1)
-    offdiag = m.data[iu, ju]
+    offdiag = m[iu, ju]
     assert abs(offdiag.var()) == pytest.approx(1.0, abs=0.1)
     assert abs(offdiag.mean()) < 5.0 / math.sqrt(offdiag.size)
 
@@ -94,7 +95,7 @@ def test_profile_scales_entry_variance():
     block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.25], [0.25, 1.0]]))
     profile = qve.expand_block_profile(block, 600)
     m = ens.sample_wigner(wigner_spec(600, seed=2, profile=profile))
-    cross = m.data[:300, 300:]
+    cross = m[:300, 300:]
     assert cross.var() == pytest.approx(0.25, abs=0.02)
 
 
@@ -147,8 +148,8 @@ def test_block_and_expanded_profiles_sample_identically(kind, seed, d):
     irreducible = random_profile(n, seed=seed % 1000)
     for profile, entries in ((block, full), (full, full), (permuted, permuted), (irreducible, irreducible)):
         spec = wigner_spec(n, seed, law, profile)
-        assert np.array_equal(ens.sample(spec).data, sample_as_before(entries.entries, law, seed))
-    sparse = [ens.sample(ens.SparseSpec(base=wigner_spec(n, seed, law, prof), p=0.3)).data for prof in (block, full)]
+        assert np.array_equal(ens.sample(spec), sample_as_before(entries.entries, law, seed))
+    sparse = [ens.sample(ens.SparseSpec(base=wigner_spec(n, seed, law, prof), p=0.3)) for prof in (block, full)]
     assert np.array_equal(sparse[0], sparse[1])
 
 
@@ -182,14 +183,15 @@ def ensemble_specs(draw):
 def test_normalized_sample_equals_the_composed_raw_path(spec):
     m = ens.sample(spec)
     if isinstance(spec, ens.SbmSpec):
-        assert np.array_equal(m.data, sbm_as_before(spec))
+        assert np.array_equal(m, sbm_as_before(spec))
         labels = spec.block_labels()
         expected = spec.probs[labels[:, None], labels[None, :]]
         centered = (sbm_as_before(spec) - expected) / (math.sqrt(spec.n) * math.sqrt(spec.sigma_squared))
-        composed = ens.center_and_scale_sbm(m, spec).data
+        composed = ens.center_and_scale_sbm(m, spec)
         assert composed.tobytes() == centered.tobytes()
     else:
-        composed = m.data * m.scaling
+        n, _, p_eff = ens.ensemble_parameters(spec)
+        composed = m * (1.0 / math.sqrt(n * p_eff))
     assert ens.normalized_sample(spec).tobytes() == composed.tobytes()
 
 
@@ -203,13 +205,10 @@ def test_trial_matrix_is_one_draw(monkeypatch, spec):
     triu_indices, pair_counters = np.triu_indices, rng.pair_counters
     monkeypatch.setattr(np, "triu_indices", lambda *a, **k: calls.append("triu") or triu_indices(*a, **k))
     monkeypatch.setattr(rng, "pair_counters", lambda *a: calls.append("counters") or pair_counters(*a))
-
-    def no_sampled_matrix(*args, **kwargs):
-        raise AssertionError("the trial path built a SampledMatrix")
-
-    monkeypatch.setattr(ens, "SampledMatrix", no_sampled_matrix)
+    fill = ens._symmetric_from_upper
+    monkeypatch.setattr(ens, "_symmetric_from_upper", lambda *a: calls.append("fill") or fill(*a))
     ens.normalized_sample(spec)
-    assert sorted(calls) == ["counters", "triu"]
+    assert sorted(calls) == ["counters", "fill", "triu"]
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +219,23 @@ def test_p_one_mask_is_identity():
     base = wigner_spec(50, seed=3)
     dense = ens.sample_wigner(base)
     sparse = ens.sample_sparse(ens.SparseSpec(base=base, p=1.0))
-    assert np.array_equal(dense.data, sparse.data)
+    assert np.array_equal(dense, sparse)
 
 
 def test_sparse_keep_fraction():
     base = wigner_spec(1000, seed=5)
     m = ens.sample_sparse(ens.SparseSpec(base=base, p=0.05))
     iu, ju = np.triu_indices(1000, k=1)
-    frac = np.count_nonzero(m.data[iu, ju]) / iu.size
+    frac = np.count_nonzero(m[iu, ju]) / iu.size
     assert frac == pytest.approx(0.05, abs=0.01)
-    assert m.scaling == pytest.approx(1.0 / math.sqrt(1000 * 0.05))
+    n, _, p_eff = ens.ensemble_parameters(ens.SparseSpec(base=base, p=0.05))
+    assert 1.0 / math.sqrt(n * p_eff) == pytest.approx(1.0 / math.sqrt(1000 * 0.05))
 
 
 def test_sparse_mask_independent_of_values():
     base = wigner_spec(300, seed=9)
     m = ens.sample_sparse(ens.SparseSpec(base=base, p=0.5))
-    kept = m.data[np.triu_indices(300, k=1)]
+    kept = m[np.triu_indices(300, k=1)]
     kept = kept[kept != 0.0]
     # kept entries are +-1 in balanced proportion; dependence would skew them
     assert abs(kept.mean()) < 5.0 / math.sqrt(kept.size)
@@ -253,40 +253,40 @@ def test_p_zero_rejected():
 def test_minimal_sbm_entries():
     spec = ens.SbmSpec(d=1, sizes=(2,), probs=np.array([[0.5]]), seed=1)
     a = ens.sample_sbm(spec)
-    assert a.data[0, 0] == 0.0 and a.data[1, 1] == 0.0
-    assert a.data[0, 1] in (0.0, 1.0)
-    assert a.data[0, 1] == a.data[1, 0]
+    assert a[0, 0] == 0.0 and a[1, 1] == 0.0
+    assert a[0, 1] in (0.0, 1.0)
+    assert a[0, 1] == a[1, 0]
 
 
 def test_sbm_block_densities():
     probs = np.array([[0.1, 0.02], [0.02, 0.1]])
     spec = ens.SbmSpec(d=2, sizes=(500, 500), probs=probs, seed=4)
     a = ens.sample_sbm(spec)
-    within = a.data[:500, :500][np.triu_indices(500, k=1)]
-    cross = a.data[:500, 500:]
+    within = a[:500, :500][np.triu_indices(500, k=1)]
+    cross = a[:500, 500:]
     assert within.mean() == pytest.approx(0.1, abs=0.01)
     assert cross.mean() == pytest.approx(0.02, abs=0.005)
 
 
 def test_all_zero_probabilities_give_zero_matrix():
     spec = ens.SbmSpec(d=2, sizes=(5, 5), probs=np.zeros((2, 2)), seed=0)
-    assert not ens.sample_sbm(spec).data.any()
+    assert not ens.sample_sbm(spec).any()
 
 
 def test_center_and_scale_arithmetic():
     spec = ens.SbmSpec(d=1, sizes=(2,), probs=np.array([[0.5]]), seed=0)
     centered = ens.center_and_scale_sbm(ens.sample_sbm(spec), spec)
     unit = 0.5 / (math.sqrt(2.0) * 0.5)
-    assert abs(centered.data[0, 0]) == pytest.approx(unit)
-    assert centered.data[0, 0] == pytest.approx(-unit)
-    assert abs(centered.data[0, 1]) == pytest.approx(unit)
+    assert abs(centered[0, 0]) == pytest.approx(unit)
+    assert centered[0, 0] == pytest.approx(-unit)
+    assert abs(centered[0, 1]) == pytest.approx(unit)
 
 
 def test_centering_removes_the_mean():
     probs = np.array([[0.2, 0.05], [0.05, 0.15]])
     spec = ens.SbmSpec(d=2, sizes=(300, 200), probs=probs, seed=8)
     centered = ens.center_and_scale_sbm(ens.sample_sbm(spec), spec)
-    offdiag = centered.data[np.triu_indices(500, k=1)]
+    offdiag = centered[np.triu_indices(500, k=1)]
     assert abs(offdiag.mean()) <= 3.0 * offdiag.std() / math.sqrt(offdiag.size)
 
 
@@ -361,7 +361,7 @@ def test_ensemble_json_round_trip(tmp_path_factory, seed):
     assert back.p == spec.p and back.base.seed == spec.base.seed
     assert back.base.law == spec.base.law
     assert back.base.profile.to_dict() == spec.base.profile.to_dict()
-    assert np.array_equal(ens.sample(back).data, ens.sample(spec).data)
+    assert np.array_equal(ens.sample(back), ens.sample(spec))
 
 
 def test_sbm_json_round_trip(tmp_path):
@@ -378,7 +378,7 @@ def test_binary_matrix_round_trip(tmp_path):
     path = tmp_path / "m.bin"
     ens.save_matrix_binary(m, path)
     back = ens.load_matrix_binary(path)
-    assert np.array_equal(back, m.data)
+    assert np.array_equal(back, m)
 
 
 @pytest.mark.parametrize(
@@ -403,7 +403,7 @@ def test_matrix_market_round_trip(tmp_path):
     path = tmp_path / "m.mtx"
     ens.save_matrix_market(m, path)
     back = np.asarray(scipy.io.mmread(str(path)))
-    assert np.allclose(back, m.data)
+    assert np.allclose(back, m)
 
 
 def test_with_seed_rewrites_the_right_field():
@@ -426,5 +426,5 @@ def test_with_seed_skips_the_profile_scan(monkeypatch, sparse):
     monkeypatch.setattr(ens, "reduce_profile", lambda profile: calls.append(1) or real(profile))
     reseeded = ens.with_seed(spec, 17)
     assert calls == []
-    assert np.array_equal(ens.sample(reseeded).data, ens.sample(build(17)).data)
+    assert np.array_equal(ens.sample(reseeded), ens.sample(build(17)))
     assert (spec.base.seed if sparse else spec.seed) == 1  # the original is untouched

@@ -57,9 +57,10 @@ def test_solution_invariants_on_closed_form_grid():
             assert np.all(np.abs(sol.g) <= 1.0 / eta)
 
 
-def test_nonconvergence_reports_offending_point():
+def test_nonconvergence_reports_offending_point(monkeypatch):
+    monkeypatch.setattr(qve, "_MAX_ITER", 5)
     with pytest.raises(NonConvergence) as err:
-        qve.solve_qve(CONST8, qve.SpectralPoint(2.0, 1e-9), qve.SolverOptions(max_iter=5))
+        qve.solve_qve(CONST8, qve.SpectralPoint(2.0, 1e-9))
     assert err.value.eta == 1e-9
 
 
@@ -103,9 +104,8 @@ def test_block_and_full_solutions_agree(d, seed, x, eta):
     block = qve.BlockProfile(d=d, weights=8 * sizes / n, coeffs=coeffs)
     full = qve.expand_block_profile(block, n)
     point = qve.SpectralPoint(x, eta)
-    opts = qve.SolverOptions(tol=1e-12)
-    m_block = qve.solve_qve(block, point, opts).m
-    m_full = qve.solve_qve(full, point, opts).m
+    m_block = qve.solve_qve(block, point, tol=1e-12).m
+    m_full = qve.solve_qve(full, point, tol=1e-12).m
     assert abs(m_block - m_full) < 1e-9
 
 
@@ -121,11 +121,12 @@ def test_continuation_reaches_the_real_axis_limit():
 def test_single_step_continuation_equals_direct_solve():
     # eta = 0.3 is one step below the start; the warm start skips the descent
     point = qve.SpectralPoint(0.7, 0.3)
-    opts = qve.SolverOptions(tol=1e-13)
-    cont = qve.solve_qve(CONST8, point, opts)
-    direct = qve.solve_qve(CONST8, point, opts, initial=np.full(8, -1.0 / point.z))
-    assert np.allclose(direct.g, cont.g, atol=1e-12)
-    assert qve.solve_qve(CONST8, point, opts, initial=cont.g).iterations == 0
+    xs = np.array([point.re])
+    cont = qve.solve_qve(CONST8, point, tol=1e-13)
+    direct, _, _ = qve._solve_batch(CONST8, xs, point.im, tol=1e-13, initial=np.full((8, 1), -1.0 / point.z))
+    assert np.allclose(direct[:, 0], cont.g, atol=1e-12)
+    _, _, iterations = qve._solve_batch(CONST8, xs, point.im, tol=1e-13, initial=cont.g[:, None])
+    assert iterations[0] == 0
 
 
 def test_outside_support_imaginary_part_vanishes():
@@ -341,10 +342,10 @@ def test_spectral_point_requires_upper_half_plane():
         qve.SpectralPoint(0.0, -1.0)
 
 
-@pytest.mark.parametrize("options", [{"tol": float("nan")}, {"tol": -1e-12}, {"max_iter": 0}])
+@pytest.mark.parametrize("options", [{"tol": float("nan")}, {"tol": -1e-12}])
 def test_solver_options_reject_invalid_values(options):
     with pytest.raises(InvalidSpec):
-        qve.SolverOptions(**options)
+        qve.solve_qve(CONST8, qve.SpectralPoint(0.0, 1.0), **options)
 
 
 def test_profile_json_round_trip(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 from speclaw import ensembles as ens
 import speclaw
 from speclaw import qve, verify
-from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec
+from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec, report_json_bytes
+from speclaw.spectra import count_in_interval, tridiagonalize
 
 
 def dense_config(n=300, trials=4, length=0.4, seed=100, profile=None, **kw):
@@ -37,11 +38,12 @@ def dense_report():
 
 def test_full_span_interval_counts_everything():
     cfg = dense_config(n=300, trials=3)
-    report = verify.verify_local_law(cfg, intervals=[(-3.0, 3.0)])
-    rec = report.intervals[0]
-    assert rec.predicted == pytest.approx(300.0, abs=0.5)
-    assert rec.observed == [300, 300, 300]
-    assert max(rec.deviations) <= 1e-3
+    predicted = 300 * qve.integrate_density(verify._prediction_curve(cfg), -3.0, 3.0)
+    trials = [ens.with_seed(cfg.ensemble, cfg.base_seed + i) for i in range(cfg.trials)]
+    observed = [count_in_interval(tridiagonalize(ens.normalized_sample(spec)), -3.0, 3.0) for spec in trials]
+    assert predicted == pytest.approx(300.0, abs=0.5)
+    assert observed == [300, 300, 300]
+    assert max(abs(o - predicted) / (300 * 6.0) for o in observed) <= 1e-3
 
 
 def test_interval_placement_matches_config(dense_report):
@@ -101,7 +103,7 @@ def test_campaigns_default_to_the_usable_cpus(monkeypatch, campaign):
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     serial = campaign(cfg)
     assert pools == [3]
-    assert verify.report_json_bytes(pooled.to_dict()) == verify.report_json_bytes(serial.to_dict())
+    assert report_json_bytes(pooled.to_dict()) == report_json_bytes(serial.to_dict())
 
 
 def test_pass_fraction_consistency(dense_report):
@@ -119,8 +121,8 @@ def test_report_is_deterministic_and_thread_invariant():
     a = verify.verify_local_law(cfg)
     b = verify.verify_local_law(cfg)
     c = verify.verify_local_law(cfg, threads=2)
-    assert verify.report_json_bytes(a.to_dict()) == verify.report_json_bytes(b.to_dict())
-    assert verify.report_json_bytes(a.to_dict()) == verify.report_json_bytes(c.to_dict())
+    assert report_json_bytes(a.to_dict()) == report_json_bytes(b.to_dict())
+    assert report_json_bytes(a.to_dict()) == report_json_bytes(c.to_dict())
 
 
 def test_sparse_p_one_matches_dense_pipeline():
@@ -171,9 +173,9 @@ def test_empty_bulk_raises():
 def test_local_law_report_round_trip(tmp_path, dense_report):
     path = tmp_path / "r.json"
     dense_report.to_json(path)
-    assert path.read_bytes() == verify.report_json_bytes(dense_report.to_dict())
+    assert path.read_bytes() == report_json_bytes(dense_report.to_dict())
     back = verify.LocalLawReport.from_dict(json.loads(path.read_text()))
-    assert verify.report_json_bytes(back.to_dict()) == verify.report_json_bytes(dense_report.to_dict())
+    assert report_json_bytes(back.to_dict()) == report_json_bytes(dense_report.to_dict())
     csv_path = tmp_path / "r.csv"
     dense_report.to_csv(csv_path)
     lines = csv_path.read_text().strip().splitlines()
@@ -193,7 +195,7 @@ def test_legacy_full_profile_config_runs_like_the_compact_one(tmp_path):
     a = verify.verify_local_law(loaded).to_dict()
     b = verify.verify_local_law(compact).to_dict()
     assert a.pop("config") == b.pop("config")
-    assert verify.report_json_bytes(a) == verify.report_json_bytes(b)
+    assert report_json_bytes(a) == report_json_bytes(b)
 
 
 def test_constant_dense_config_is_compact():
