@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""Time the QVE prediction of a profile-local-law campaign on two source trees.
+"""Time the QVE prediction of a local-law campaign on two source trees.
 
-    python scripts/bench_qve_prediction.py --baseline OLD_CHECKOUT/src --out BENCH_qve_prediction.json
+    python scripts/bench_qve_prediction.py --baseline OLD_CHECKOUT/src --out BENCH_pooled_prediction.json
 
-The input is perfbench's profile-local-law campaign at seed 1 (a seeded
-irreducible n = 200 profile, 601-point grid, eta = 1e-6).  Fresh interpreters
-importing speclaw from the baseline tree and from this checkout's src/
-alternate --rounds times.  Each makes one warm-up prediction, then times
-`extract_density` and the campaign's three `integrate_density` calls
---repeats times; the JSON records the median and best of each side's samples.
-It also records the map evaluations of every eta stage of the density solve
-(replayed stage by stage through `qve._solve_batch` with warm starts, which is
-what the solver does internally), the abscissas and map evaluations of the
-quadrature, the predicted counts, and the machine: core count, Python, numpy,
-scipy and their BLAS builds.
+The campaign prediction is what `verify_local_law` computes before its
+trials: `extract_density` on the default 601-point grid at eta = 1e-6, then
+`integrate_density` on three intervals of length 0.3 placed in the widest
+bulk at eps = 0.1.  The profiles are seeded irreducible n x n profiles
+(entries uniform in [0.3, 1], symmetrized, `numpy.random.default_rng(1)`) at
+n = 200, perfbench's profile-local-law profile at seed 1, and at n = 1000.
+
+Fresh interpreters importing speclaw from the baseline tree and from this
+checkout's src/ alternate --rounds times.  Each makes one warm-up prediction
+at n = 200, then times the prediction --repeats times per size and per worker
+count (1 and 2).  A tree with `verify._campaign_map` predicts the way its
+campaigns do: inside the campaign's map, which pins the bundled OpenBLAS to
+one thread and, at 2 workers, solves the density's column blocks and the
+three integrals on a thread pool.  An older tree predicts serially at its
+default BLAS thread count before any pool opens, as its campaigns did, so its
+two worker counts time the same path.  The JSON records the median and best
+of each side's samples, the predicted counts n * integral (which must agree
+between the sides), and the machine: core count, Python, numpy, scipy and
+their BLAS builds.
 """
 
 import argparse
@@ -26,69 +34,60 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SIZES = (200, 1000)
+WORKERS = (1, 2)
+EPS, LENGTH, INTERVALS = 0.1, 0.3, 3
 
 
 def measure(repeats: int) -> dict:
     """One side's samples, run inside a child interpreter."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    import contextlib
+
     import numpy as np
     import scipy
-    import workloads
     from speclaw import qve, verify
 
-    cfg = workloads.build_config("profile-local-law", 1)
-    profile = verify.effective_profile(cfg.ensemble)
     grid = qve.default_grid()
 
-    def quadrature(curve):
-        widest = max(qve.detect_bulk(curve, cfg.eps), key=lambda b: b.width)
-        intervals = verify.place_intervals(widest, cfg.interval_length(), cfg.num_intervals)
-        return intervals, [profile.n * qve.integrate_density(curve, lo, hi) for lo, hi in intervals]
+    def profile(n: int):
+        a = np.random.default_rng(1).uniform(0.3, 1.0, size=(n, n))
+        return qve.VarianceProfile(n=n, entries=(a + a.T) / 2.0)
 
-    quadrature(qve.extract_density(profile, grid, eta=cfg.eta))  # warm-up
-    density_s, quadrature_s = [], []
-    for _ in range(repeats):
+    def campaign_map(workers: int):
+        if hasattr(verify, "_campaign_map"):
+            return verify._campaign_map(workers)
+        return contextlib.nullcontext(map)
+
+    def prediction(prof, workers: int) -> tuple[float, float, list[float]]:
+        """(density seconds, quadrature seconds, predicted counts) of one campaign prediction."""
         t0 = time.perf_counter()
-        curve = qve.extract_density(profile, grid, eta=cfg.eta)
-        t1 = time.perf_counter()
-        quadrature(curve)
-        density_s.append(t1 - t0)
-        quadrature_s.append(time.perf_counter() - t1)
+        with campaign_map(workers) as mapper:
+            kwargs = {"mapper": mapper} if hasattr(verify, "_campaign_map") else {}
+            curve = qve.extract_density(prof, grid, eta=qve.DEFAULT_ETA, **kwargs)
+            t1 = time.perf_counter()
+            widest = max(qve.detect_bulk(curve, EPS), key=lambda b: b.width)
+            intervals = verify.place_intervals(widest, LENGTH, INTERVALS)
+            predicted = [prof.n * q for q in mapper(lambda iv: qve.integrate_density(curve, *iv), intervals)]
+        return t1 - t0, time.perf_counter() - t1, predicted
 
-    solve, calls = qve._solve_batch, []
-
-    def counting_solve(prof, xs, *args, **kwargs):
-        out = solve(prof, xs, *args, **kwargs)
-        calls.append((xs.size, int(out[2].sum())))
-        return out
-
-    qve._solve_batch = counting_solve
-    try:
-        intervals, predicted = quadrature(curve)
-    finally:
-        qve._solve_batch = solve
-
-    stages, g = [], None
-    # a baseline tree older than the tol argument takes a SolverOptions in its place
-    tol = qve.SolverOptions() if hasattr(qve, "SolverOptions") else qve.DEFAULT_TOL
-    for eta in qve._eta_schedule(cfg.eta):
-        if g is None:
-            g = np.repeat((-1.0 / (grid + 1j * eta))[None, :], profile.dim, axis=0)
-        g, _, iterations = solve(profile, grid, float(eta), tol, initial=g)
-        stages.append({"eta": float(eta), "map_evaluations": int(iterations.sum()), "max_per_point": int(iterations.max())})
+    profiles = {n: profile(n) for n in SIZES}
+    prediction(profiles[SIZES[0]], 1)  # warm-up
+    samples: dict = {}
+    for n, prof in profiles.items():
+        for workers in WORKERS:
+            runs = [prediction(prof, workers) for _ in range(repeats)]
+            samples[f"n{n}_workers{workers}"] = {
+                "density_s": [r[0] for r in runs],
+                "quadrature_s": [r[1] for r in runs],
+                "predicted": runs[0][2],
+            }
 
     def blas(config: dict) -> str:
         info = config.get("Build Dependencies", {}).get("blas", {})
         return f"{info.get('name')} {info.get('version')}"
 
     return {
-        "density_s": density_s,
-        "quadrature_s": quadrature_s,
-        "map_evaluations_per_stage": stages,
-        "quadrature": {"solver_calls": len(calls), "points": sum(p for p, _ in calls),
-                       "map_evaluations": sum(e for _, e in calls)},
-        "intervals": intervals,
-        "predicted": predicted,
+        "samples": samples,
         "environment": {
             "cores": len(os.sched_getaffinity(0)),
             "python": sys.version.split()[0],
@@ -107,9 +106,9 @@ def summary(samples: list[float]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", required=True, help="src/ directory of the tree to compare against")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_qve_prediction.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_pooled_prediction.json"))
     parser.add_argument("--rounds", type=int, default=2)
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--measure", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
@@ -125,24 +124,29 @@ def main() -> int:
                                  env=env, check=True, capture_output=True, text=True).stdout
             runs[side].append(json.loads(out))
     report = {"command": f"scripts/bench_qve_prediction.py --rounds {args.rounds} --repeats {args.repeats}",
-              "workload": "perfbench profile-local-law, seed 1: irreducible n = 200 profile, 601-point grid, eta 1e-6",
+              "workload": "campaign prediction: extract_density on the 601-point grid at eta 1e-6 plus three "
+                          "integrate_density calls, seeded irreducible profiles at n = 200 and n = 1000",
               "sides": "parent = the --baseline tree, change = this checkout",
               "rounds": args.rounds, "repeats_per_round": args.repeats,
               "environment": runs["change"][0]["environment"]}
+    keys = list(runs["change"][0]["samples"])
     for side, results in runs.items():
-        first = results[0]
-        report[side] = {
-            "extract_density_s": summary([t for res in results for t in res["density_s"]]),
-            "three_integrate_density_s": summary([t for res in results for t in res["quadrature_s"]]),
-            "map_evaluations_per_stage": first["map_evaluations_per_stage"],
-            "quadrature": first["quadrature"],
-            "intervals": first["intervals"],
-            "predicted": first["predicted"],
-        }
+        report[side] = {}
+        for key in keys:
+            per_run = [res["samples"][key] for res in results]
+            density = [t for s in per_run for t in s["density_s"]]
+            quadrature = [t for s in per_run for t in s["quadrature_s"]]
+            report[side][key] = {
+                "prediction_s": summary([a + b for a, b in zip(density, quadrature)]),
+                "extract_density_s": summary(density),
+                "three_integrate_density_s": summary(quadrature),
+                "predicted": per_run[0]["predicted"],
+            }
+    report["identical_predictions"] = all(report["parent"][k]["predicted"] == report["change"][k]["predicted"]
+                                          for k in keys)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps({side: {k: report[side][k]["median"] for k in ("extract_density_s", "three_integrate_density_s")}
-                      for side in sides}))
-    return 0
+    print(json.dumps({side: {k: report[side][k]["prediction_s"]["median"] for k in keys} for side in sides}))
+    return 0 if report["identical_predictions"] else 1
 
 
 if __name__ == "__main__":

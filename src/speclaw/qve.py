@@ -19,6 +19,9 @@ eta = 1 to the target eta by factors of 0.1 (the plain iteration slows down
 as eta -> 0) and stops each abscissa once max_k |1/g_k + z + (S g)_k| <= tol.
 Its mixing weights come from small normal equations, a defect stalled at the
 rounding floor ends it early, and quadrature reuses the curve's solutions.
+Abscissas share nothing but the product with S, so `extract_density` solves a
+profile of dimension >= _BLOCK_MIN_DIM in fixed blocks of about
+_BLOCK_COLUMNS grid points, serially or through a caller's pool map.
 
 Both profile classes are untagged JSON records (`errors.record`), {"n",
 "entries"} and {"d", "weights", "coeffs"}; `read_json(Profile, path)` tells
@@ -28,6 +31,7 @@ them apart by their fields.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -54,6 +58,11 @@ _STALL_SWEEPS = 50
 _STALL_ROUNDING = 4 * np.finfo(np.float64).eps
 # integrate_density refines until the trapezoid changes sum to this, relative
 _QUAD_REL_TOL = 1e-6
+# extract_density solves profiles of dimension >= _BLOCK_MIN_DIM in blocks of
+# about _BLOCK_COLUMNS grid points; for smaller ones the extra batches cost more
+# than the smaller working set saves
+_BLOCK_MIN_DIM = 48
+_BLOCK_COLUMNS = 100
 
 
 @dataclass(frozen=True)
@@ -327,66 +336,73 @@ def _solve_batch(
     ETA_RATIO, each stage starting from the previous one's solution.  Raises
     NonConvergence for the worst column when a stage uses up _MAX_ITER, or
     once a best defect stays put for _STALL_SWEEPS sweeps at the rounding
-    floor of max_k |z + (W g)_k|, which no lower tol can pass.
+    floor of max_k |z + (W g)_k|, which no lower tol can pass; and for the
+    first column whose defect is not finite (a point whose -1/z over- or
+    underflows), at once and without numpy floating-point warnings.
     """
-    wt = _weight_matrix(profile).T.astype(np.complex128)
-    num, dim = xs.size, profile.dim
-    depth = min(_ANDERSON_DEPTH, dim)
-    if initial is None:
-        schedule = _eta_schedule(eta)
-        g = np.repeat((-1.0 / (xs + 1j * schedule[0]))[:, None], dim, axis=1)
-    else:
-        schedule = np.array([eta])
-        g = np.array(initial, dtype=np.complex128).T
-    residual = np.full(num, np.inf)
-    iterations = np.zeros(num, dtype=np.int64)
+    with np.errstate(all="ignore"):  # a non-finite defect raises NonConvergence instead
+        wt = _weight_matrix(profile).T.astype(np.complex128)
+        num, dim = xs.size, profile.dim
+        depth = min(_ANDERSON_DEPTH, dim)
+        if initial is None:
+            schedule = _eta_schedule(eta)
+            g = np.repeat((-1.0 / (xs + 1j * schedule[0]))[:, None], dim, axis=1)
+        else:
+            schedule = np.array([eta])
+            g = np.array(initial, dtype=np.complex128).T
+        residual = np.full(num, np.inf)
+        iterations = np.zeros(num, dtype=np.int64)
 
-    for eta_k in schedule:
-        # per active column: rows of g, and one row per history slot of the
-        # differences of the residual f = map(g) - g and of the plain step map(g)
-        idx = np.arange(num)
-        ga, za = g.copy(), (xs + 1j * eta_k)[:, None]
-        best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
-        df = np.zeros((num, depth, dim), dtype=np.complex128)
-        dstep = np.zeros_like(df)
-        for k in range(_MAX_ITER + 1):
-            denom = za + ga @ wt
-            res = np.abs(1.0 / ga + denom).max(axis=1)
-            stale[idx] = np.where(res < best[idx], 0, stale[idx] + 1)
-            best[idx] = np.minimum(best[idx], res)
-            done = res <= tol
-            if done.any():
-                g[idx[done]], residual[idx[done]] = ga[done], res[done]
-                keep = ~done
-                idx, ga, za, denom, df, dstep = idx[keep], ga[keep], za[keep], denom[keep], df[keep], dstep[keep]
+        for eta_k in schedule:
+            # per active column: rows of g, and one row per history slot of the
+            # differences of the residual f = map(g) - g and of the plain step map(g)
+            idx = np.arange(num)
+            ga, za = g.copy(), (xs + 1j * eta_k)[:, None]
+            best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
+            df = np.zeros((num, depth, dim), dtype=np.complex128)
+            dstep = np.zeros_like(df)
+            for k in range(_MAX_ITER + 1):
+                denom = za + ga @ wt
+                res = np.abs(1.0 / ga + denom).max(axis=1)
+                if not np.isfinite(res).all():
+                    bad = idx[np.argmin(np.isfinite(res))]
+                    raise NonConvergence(f"defect not finite at z={xs[bad]:g}+{eta_k:g}i on the way to eta={eta:g}",
+                                         x=float(xs[bad]), eta=eta, residual=math.inf, iterations=int(iterations[bad]))
+                stale[idx] = np.where(res < best[idx], 0, stale[idx] + 1)
+                best[idx] = np.minimum(best[idx], res)
+                done = res <= tol
+                if done.any():
+                    g[idx[done]], residual[idx[done]] = ga[done], res[done]
+                    keep = ~done
+                    idx, ga, za, denom, df, dstep = idx[keep], ga[keep], za[keep], denom[keep], df[keep], dstep[keep]
+                    if k:
+                        f_prev, step_prev = f_prev[keep], step_prev[keep]
+                if idx.size == 0:
+                    break
+                stuck = stale[idx] >= _STALL_SWEEPS
+                stuck[stuck] = best[idx[stuck]] <= _STALL_ROUNDING * np.abs(denom[stuck]).max(axis=1)
+                stalled = stuck.any()
+                if stalled or k == _MAX_ITER:
+                    cause = idx[stuck] if stalled else idx
+                    worst = cause[np.argmax(best[cause])]
+                    why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
+                    raise NonConvergence(
+                        f"fixed point not below tol={tol:g} {why} at z={xs[worst]:g}+{eta_k:g}i "
+                        f"(best residual {best[worst]:.3g}) on the way to eta={eta:g}",
+                        x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
+                    )
+                iterations[idx] += 1
+                step = -1.0 / denom  # the plain map step, mixed below once there is history
+                fa, ga = step - ga, step
                 if k:
-                    f_prev, step_prev = f_prev[keep], step_prev[keep]
-            if idx.size == 0:
-                break
-            stuck = stale[idx] >= _STALL_SWEEPS
-            stuck[stuck] = best[idx[stuck]] <= _STALL_ROUNDING * np.abs(denom[stuck]).max(axis=1)
-            stalled = stuck.any()
-            if stalled or k == _MAX_ITER:
-                cause = idx[stuck] if stalled else idx
-                worst = cause[np.argmax(best[cause])]
-                why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
-                raise NonConvergence(
-                    f"fixed point not below tol={tol:g} {why} at z={xs[worst]:g}+{eta_k:g}i "
-                    f"(best residual {best[worst]:.3g}) on the way to eta={eta:g}",
-                    x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
-                )
-            iterations[idx] += 1
-            step = -1.0 / denom  # the plain map step, mixed below once there is history
-            fa, ga = step - ga, step
-            if k:
-                slot, used = (k - 1) % depth, min(k, depth)
-                df[:, slot], dstep[:, slot] = fa - f_prev, step - step_prev
-                gamma = _mixing_coeffs(df[:, :used].transpose(0, 2, 1), fa[:, :, None])
-                mixed = step - (gamma.transpose(0, 2, 1) @ dstep[:, :used])[:, 0]
-                ok = (mixed.imag > 0).all(axis=1)
-                ga = np.where(ok[:, None], mixed, step)
-            f_prev, step_prev = fa, step
-    return g.T, residual, iterations
+                    slot, used = (k - 1) % depth, min(k, depth)
+                    df[:, slot], dstep[:, slot] = fa - f_prev, step - step_prev
+                    gamma = _mixing_coeffs(df[:, :used].transpose(0, 2, 1), fa[:, :, None])
+                    mixed = step - (gamma.transpose(0, 2, 1) @ dstep[:, :used])[:, 0]
+                    ok = (mixed.imag > 0).all(axis=1)
+                    ga = np.where(ok[:, None], mixed, step)
+                f_prev, step_prev = fa, step
+        return g.T, residual, iterations
 
 
 def _m_of(profile: Profile, g: np.ndarray) -> np.ndarray:
@@ -422,12 +438,17 @@ def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) ->
     return _m_of(profile, g).imag / math.pi
 
 
-def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA) -> DensityCurve:
+def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA, mapper=map) -> DensityCurve:
     """Tabulate the predicted density on a strictly increasing grid.
 
     Block-constant profiles are reduced to their block form first (identical
     prediction, far cheaper); the reduced profile is kept as the curve's source
     and its solution vectors at every grid point as the curve's solution.
+
+    A reduced profile of dimension >= _BLOCK_MIN_DIM is solved in len(grid) //
+    _BLOCK_COLUMNS column blocks, one _solve_batch each, through `mapper` (a
+    pool's map runs them in parallel).  The layout ignores `mapper`, so the
+    curve does too, and of several failing blocks the one of lowest x raises.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -435,7 +456,11 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     if not 0 < eta < math.inf:
         raise InvalidSpec(f"eta must be positive and finite, got {eta}")
     solver_profile = reduce_profile(profile)
-    g, _, _ = _solve_batch(solver_profile, grid, eta)
+    blocks = max(grid.size // _BLOCK_COLUMNS, 1) if solver_profile.dim >= _BLOCK_MIN_DIM else 1
+    solve = functools.partial(_solve_batch, solver_profile, eta=eta)
+    # stacked as len(grid) x dim and transposed, the memory layout of one batch:
+    # the sums over g's rows in _m_of round differently in the other layout
+    g = np.concatenate([g.T for g, _, _ in mapper(solve, np.array_split(grid, blocks))]).T
     values = _m_of(solver_profile, g).imag / math.pi
     return DensityCurve(grid, values, eta, profile_fingerprint(profile), source=solver_profile, solution=g)
 

@@ -10,6 +10,7 @@ and types raises InvalidSpec naming the field.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -127,8 +128,8 @@ def _widest_bulk(curve: DensityCurve, eps: float) -> tuple[list[BulkInterval], B
     return bulks, max(bulks, key=lambda b: b.width)
 
 
-def _prediction_curve(cfg: LocalLawConfig) -> DensityCurve:
-    return extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta)
+def _prediction_curve(cfg: LocalLawConfig, mapper=map) -> DensityCurve:
+    return extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
 
 
 @functools.cache
@@ -160,17 +161,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_trials(fn, trials: int, threads: int | None) -> list:
-    """[fn(0), ..., fn(trials - 1)], run by a pool of `threads` workers when threads > 1.
+@contextlib.contextmanager
+def _campaign_map(threads: int | None):
+    """A map for one campaign: the builtin map, or a pool's map when threads > 1.
 
     threads=None, the default of every campaign, means the usable CPU count.
+    The campaign hands it its prediction blocks, its quadrature intervals and
+    its trials; each caller lists the results, in input order.
 
-    Every trial runs its BLAS/LAPACK single-threaded at any worker count: the
-    parallelism comes from the pool, and a report does not depend on the BLAS
-    thread count.  The pin is process-global while the trials run, and the
-    previous counts come back afterwards, also when a trial raises.  It covers
-    the OpenBLAS bundled with numpy and scipy wheels; with any other BLAS it is
-    a no-op and that library keeps its own threading.
+    Every BLAS/LAPACK call runs single-threaded at any worker count while the
+    campaign holds the map: the parallelism comes from the pool, and a report
+    does not depend on the BLAS thread count.  The pin is process-global, and
+    the previous counts come back afterwards, also when the campaign raises.
+    It covers the OpenBLAS bundled with numpy and scipy wheels; with any other
+    BLAS it is a no-op and that library keeps its own threading.
     """
     threads = _usable_cpus() if threads is None else threads
     controls = _openblas_thread_controls()
@@ -178,10 +182,8 @@ def _map_trials(fn, trials: int, threads: int | None) -> list:
     for _, set_threads in controls:
         set_threads(1)
     try:
-        if threads <= 1:
-            return [fn(i) for i in range(trials)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials)))
+        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+            yield map if pool is None else pool.map
     finally:
         for (_, set_threads), count in zip(controls, saved):
             set_threads(count)
@@ -232,18 +234,19 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
     tridiagonalizes, and Sturm-counts every interval.
     """
     n, _, _ = ensemble_parameters(cfg.ensemble)
-    curve = _prediction_curve(cfg)
-    _, widest = _widest_bulk(curve, cfg.eps)
-    intervals = place_intervals(widest, cfg.interval_length(), cfg.num_intervals)
-    predicted = [n * integrate_density(curve, lo, hi) for lo, hi in intervals]
-    endpoints = np.ravel(intervals)  # integrate_density has checked lo <= hi
 
     def run_trial(i: int) -> list[int]:
         spec = with_seed(cfg.ensemble, cfg.base_seed + i)
         below = eigenvalue_counts_below(tridiagonalize(normalized_sample(spec)), endpoints)  # one Sturm sweep
         return (below[1::2] - below[::2]).tolist()
 
-    observed_rows = _map_trials(run_trial, cfg.trials, threads)
+    with _campaign_map(threads) as mapper:
+        curve = _prediction_curve(cfg, mapper)
+        _, widest = _widest_bulk(curve, cfg.eps)
+        intervals = place_intervals(widest, cfg.interval_length(), cfg.num_intervals)
+        predicted = [n * q for q in mapper(lambda iv: integrate_density(curve, *iv), intervals)]
+        endpoints = np.ravel(intervals)  # integrate_density has checked lo <= hi
+        observed_rows = list(mapper(run_trial, range(cfg.trials)))
 
     records = []
     trial_dev_max = np.zeros(cfg.trials)
@@ -314,12 +317,6 @@ def verify_stieltjes_closeness(
     if etas[0] < floor:
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
     n, _, _ = ensemble_parameters(cfg.ensemble)
-    curve = _prediction_curve(cfg)
-    _, widest = _widest_bulk(curve, cfg.eps)
-    xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
-    profile = curve.source
-    points = [(float(x), eta) for x in xs for eta in etas]
-    predicted = {pt: solve_qve(profile, SpectralPoint(*pt)).m for pt in points}
 
     def run_trial(i: int) -> list[float]:
         spec = with_seed(cfg.ensemble, cfg.base_seed + i)
@@ -329,7 +326,13 @@ def verify_stieltjes_closeness(
             for (x, eta) in points
         ]
 
-    rows = _map_trials(run_trial, cfg.trials, threads)
+    with _campaign_map(threads) as mapper:
+        curve = _prediction_curve(cfg, mapper)
+        _, widest = _widest_bulk(curve, cfg.eps)
+        xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
+        points = [(float(x), eta) for x in xs for eta in etas]
+        predicted = {pt: solve_qve(curve.source, SpectralPoint(*pt)).m for pt in points}
+        rows = list(mapper(run_trial, range(cfg.trials)))
     records = []
     for j, (x, eta) in enumerate(points):
         m = predicted[(x, eta)]
@@ -387,8 +390,6 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
     Raises EmptyBulk when no trial has an eigenvalue in the predicted bulk.
     """
     n, k_bound, p_eff = ensemble_parameters(cfg.ensemble)
-    curve = _prediction_curve(cfg)
-    bulks, _ = _widest_bulk(curve, cfg.eps)
 
     def run_trial(i: int) -> tuple[int, float, float, np.ndarray]:
         spec = with_seed(cfg.ensemble, cfg.base_seed + i)
@@ -399,7 +400,9 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
         norms = ratios * k_bound * math.sqrt(math.log(n)) / math.sqrt(n * p_eff)
         return ratios.size, float(norms.max()), float(ratios.max()), ratios
 
-    results = _map_trials(run_trial, cfg.trials, threads)
+    with _campaign_map(threads) as mapper:
+        bulks, _ = _widest_bulk(_prediction_curve(cfg, mapper), cfg.eps)
+        results = list(mapper(run_trial, range(cfg.trials)))
     records = [
         DelocTrialRecord(trial=i, bulk_count=c, max_inf_norm=mn, max_ratio=mr)
         for i, (c, mn, mr, _) in enumerate(results)

@@ -333,6 +333,23 @@ def test_non_finite_error_context_is_written_as_null(profile_path, capsys):
     assert record["residual"] is None
 
 
+def test_non_finite_defect_fails_at_once_with_one_record(profile_path):
+    # -1/z underflows at this point, so every defect is infinite from the first sweep
+    src = str(Path(speclaw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-m", "speclaw.cli", "qve-solve", "--profile", profile_path, "--x=1e308", "--eta", "1e308"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1
+    record = _strict_json(lines[0])
+    assert record["error"] == "non_convergence"
+    assert record["residual"] is None
+    assert record["iterations"] <= 1
+
+
 def test_zero_tol_is_honoured(tmp_path, capsys):
     prof_path = tmp_path / "p.json"
     qve.VarianceProfile.constant(4).to_json(prof_path)

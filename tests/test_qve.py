@@ -280,6 +280,18 @@ def test_integral_matches_fine_trapezoid_of_density_batch(make_profile, edge_poi
         assert qve.integrate_density(curve, lo, hi) == pytest.approx(np.trapezoid(rho, xs), rel=1e-6)
 
 
+@pytest.mark.parametrize("n, seed", [(12, 3), (qve._BLOCK_MIN_DIM - 1, 4), (qve._BLOCK_MIN_DIM, 5), (90, 6)])
+def test_blocked_density_matches_one_batch_over_the_grid(n, seed):
+    # profiles of dimension >= _BLOCK_MIN_DIM are solved in column blocks; each
+    # column iterates on its own, so the blocks give the one-batch solution
+    profile = random_profile(n, seed=seed)
+    grid = qve.default_grid()
+    curve = qve.extract_density(profile, grid)
+    g, _, _ = qve._solve_batch(profile, grid, qve.DEFAULT_ETA)
+    np.testing.assert_allclose(curve.solution, g, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(curve.values, g.mean(axis=0).imag / np.pi, rtol=1e-12, atol=1e-300)
+
+
 def test_curve_without_source_or_solution_cannot_refine(constant_curve):
     fields = dict(grid=constant_curve.grid, values=constant_curve.values, eta_used=constant_curve.eta_used,
                   profile_hash=constant_curve.profile_hash)

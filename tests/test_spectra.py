@@ -111,7 +111,8 @@ def test_reduction_releases_the_interpreter_lock():
     thread.start()
     try:
         idle = rate(lambda: time.sleep(0.3))
-        busy = rate(lambda: verify._map_trials(lambda i: spectra.tridiagonalize(a), 1, 1))
+        with verify._campaign_map(1) as mapper:
+            busy = rate(lambda: list(mapper(lambda i: spectra.tridiagonalize(a), range(1))))
     finally:
         stop[0] = True
         thread.join(timeout=10.0)

@@ -10,7 +10,7 @@ import pytest
 from speclaw import ensembles as ens
 import speclaw
 from speclaw import qve, verify
-from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec, report_json_bytes
+from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec, NonConvergence, report_json_bytes
 from speclaw.spectra import count_in_interval, tridiagonalize
 
 
@@ -62,8 +62,14 @@ def test_deviations_are_recomputable(dense_report):
             assert dev == pytest.approx(abs(obs - rec.predicted) / (n * (rec.hi - rec.lo)))
 
 
+def irreducible_config(n=qve._BLOCK_MIN_DIM + 12, trials=2, seed=7):
+    """A campaign whose profile reduces to nothing, so its prediction is solved in column blocks."""
+    a = np.random.default_rng(seed).uniform(0.3, 1.0, size=(n, n))
+    return dense_config(n=n, trials=trials, length=0.4, profile=qve.VarianceProfile(n=n, entries=(a + a.T) / 2.0))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_map_trials_pins_blas_and_restores_it(threads):
+def test_campaign_map_pins_blas_and_restores_it(threads):
     controls = verify._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS bundled with numpy/scipy")
@@ -72,15 +78,79 @@ def test_map_trials_pins_blas_and_restores_it(threads):
     def trial(i):
         return [get() for get, _ in controls]
 
-    assert verify._map_trials(trial, 3, threads) == [[1] * len(controls)] * 3
+    with verify._campaign_map(threads) as mapper:
+        assert list(mapper(trial, range(3))) == [[1] * len(controls)] * 3
     assert [get() for get, _ in controls] == before
 
     def failing(i):
         raise ValueError(f"trial {i}")
 
-    with pytest.raises(ValueError):
-        verify._map_trials(failing, 3, threads)
+    with pytest.raises(ValueError), verify._campaign_map(threads) as mapper:
+        list(mapper(failing, range(3)))
     assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
+    controls = verify._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS bundled with numpy/scipy")
+    before = [get() for get, _ in controls]
+    solve, seen = qve._solve_batch, []
+
+    def recording_solve(profile, xs, *args, **kwargs):
+        seen.append((kwargs.get("initial") is None, [get() for get, _ in controls]))  # cold: a prediction block
+        return solve(profile, xs, *args, **kwargs)
+
+    monkeypatch.setattr(qve, "_solve_batch", recording_solve)
+    verify.verify_local_law(irreducible_config(), threads=threads)
+    blocks = [pins for cold, pins in seen if cold]
+    quadrature = [pins for cold, pins in seen if not cold]
+    assert len(blocks) == qve.default_grid().size // qve._BLOCK_COLUMNS
+    assert quadrature
+    assert all(pins == [1] * len(controls) for pins in blocks + quadrature)
+    assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pin_is_restored_when_a_prediction_block_raises(monkeypatch, threads):
+    controls = verify._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS bundled with numpy/scipy")
+    before = [get() for get, _ in controls]
+    solve = qve._solve_batch
+
+    def failing_solve(profile, xs, *args, **kwargs):
+        if xs[0] > 0.0:
+            raise NonConvergence("block failed", x=float(xs[0]), eta=qve.DEFAULT_ETA)
+        return solve(profile, xs, *args, **kwargs)
+
+    monkeypatch.setattr(qve, "_solve_batch", failing_solve)
+    with pytest.raises(NonConvergence):
+        verify.verify_local_law(irreducible_config(), threads=threads)
+    assert [get() for get, _ in controls] == before
+
+
+def test_blocked_nonconvergence_names_the_lowest_failing_block_at_any_worker_count(monkeypatch):
+    monkeypatch.setattr(qve, "_MAX_ITER", 3)
+    profile = verify.effective_profile(irreducible_config().ensemble)
+    grid = qve.default_grid()
+    failures = []
+    for threads in (1, 2):
+        with pytest.raises(NonConvergence) as err, verify._campaign_map(threads) as mapper:
+            qve.extract_density(profile, grid, mapper=mapper)
+        failures.append((err.value.x, err.value.eta))
+    first_block = np.array_split(grid, grid.size // qve._BLOCK_COLUMNS)[0]
+    with pytest.raises(NonConvergence) as err:
+        qve._solve_batch(profile, first_block, qve.DEFAULT_ETA)
+    assert failures == [(err.value.x, err.value.eta)] * 2
+
+
+@pytest.mark.parametrize("campaign", [verify.verify_local_law, verify.verify_delocalization])
+def test_blocked_campaign_reports_identical_at_any_worker_count(campaign):
+    cfg = irreducible_config()
+    reports = {report_json_bytes(campaign(cfg, threads=threads).to_dict()) for threads in (1, 2, 3)}
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("campaign", [
