@@ -3,10 +3,12 @@
 Householder tridiagonalization feeds a Sturm-sequence pivot count that
 returns exact eigenvalue counts on half-open intervals (lo, hi] without a
 full diagonalization; the dense eigensolver stays available as the
-cross-checking slow path.  The reduction runs scipy's LAPACK outside the
-interpreter lock, so trial workers overlap.  Also: empirical Stieltjes
-transforms, eigenvector sup-norms, and the Schur-complement identity for
-resolvent diagonal entries.
+cross-checking slow path.  The reduction runs LAPACK outside the interpreter
+lock, so trial workers overlap: dsytrd from scipy's LAPACK below
+_TWO_STAGE_MIN_N, and from that size on the two-stage dsytrd_2stage that the
+bundled OpenBLAS exports, which does most of its work in matrix-matrix
+products.  Also: empirical Stieltjes transforms, eigenvector sup-norms, and
+the Schur-complement identity for resolvent diagonal entries.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange
 from .qve import SpectralPoint
 
 _TINY = np.finfo(np.float64).tiny
+# tridiagonalize reduces in two stages from this size on: at one BLAS thread
+# dsytrd_2stage loses to dsytrd up to n = 800, draws about even at 1000 and
+# wins from 1200 on (BENCH_two_stage_reduction.json)
+_TWO_STAGE_MIN_N = 1200
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,27 @@ def _as_array(m: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
+def bundled_openblas() -> tuple:
+    """(library, symbol suffix) of each OpenBLAS build that the scipy and numpy
+    wheels bundle in <site-packages>/scipy.libs and numpy.libs, scipy's first;
+    empty for any other BLAS (MKL, Accelerate, a system library).  The suffix
+    is "64_" for a build with 64-bit LAPACK integers and "" otherwise."""
+    found = []
+    for module in (scipy, np):
+        root = Path(module.__file__).parent
+        for lib in sorted(root.parent.glob(f"{root.name}.libs/*openblas*")):
+            try:
+                dll = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                if all(hasattr(dll, f"scipy_openblas_{op}_num_threads{suffix}") for op in ("get", "set")):
+                    found.append((dll, suffix))
+                    break
+    return tuple(found)
+
+
+@functools.cache
 def _lapack_dsytrd():
     """dsytrd of scipy's LAPACK as a ctypes function: unlike f2py, ctypes releases the interpreter lock."""
     from scipy.linalg import cython_lapack
@@ -96,9 +125,31 @@ def _lapack_dsytrd():
     return signature(pointer(capsule, name(capsule)))
 
 
-def tridiagonalize(m: np.ndarray) -> TridiagonalForm:
-    """Householder reduction Q^T A Q = T of a symmetric matrix, read from its upper triangle."""
-    a = np.array(_as_array(m), dtype=np.float64, order="F")  # dsytrd overwrites it
+@functools.cache
+def _lapack_dsytrd_2stage():
+    """(dsytrd_2stage, its integer type) from the bundled OpenBLAS, or None
+    when no bundled build exports it (cython_lapack does not)."""
+    for dll, suffix in bundled_openblas():
+        function = getattr(dll, f"scipy_dsytrd_2stage_{suffix}", None)
+        if function is not None:
+            integer = ctypes.c_int64 if suffix else ctypes.c_int
+            int_p, ptr = ctypes.POINTER(integer), ctypes.c_void_p
+            # (vect, uplo, n, a, lda, d, e, tau, hous2, lhous2, work, lwork, info, len(vect), len(uplo))
+            function.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, ptr, int_p, ptr, ptr, ptr,
+                                 ptr, int_p, ptr, int_p, int_p, ctypes.c_size_t, ctypes.c_size_t]
+            function.restype = None
+            return function, integer
+    return None
+
+
+def _check_info(info) -> None:
+    if info.value != 0:
+        raise NonConvergence(f"tridiagonal reduction failed (info={info.value})")
+
+
+def _reduce_one_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of a square float64 array by dsytrd, read from its upper triangle."""
+    a = np.array(a, order="F")  # dsytrd overwrites it
     n = a.shape[0]
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)
 
@@ -106,13 +157,52 @@ def tridiagonalize(m: np.ndarray) -> TridiagonalForm:
         info = ctypes.c_int(0)
         _lapack_dsytrd()(b"U", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(n, 1)), d.ctypes.data,
                          e.ctypes.data, tau.ctypes.data, work.ctypes.data, ctypes.c_int(lwork), info)
-        if info.value != 0:
-            raise NonConvergence(f"tridiagonal reduction failed (info={info.value})")
+        _check_info(info)
 
     query = np.empty(1)
     dsytrd(query, -1)  # the queried workspace runs the blocked reduction, about 1.7x faster at n = 2000
     dsytrd(np.empty(int(query[0])), int(query[0]))
-    return TridiagonalForm(diag=d, offdiag=e[: max(n - 1, 0)])
+    return d, e[: max(n - 1, 0)]
+
+
+def _reduce_two_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of a square float64 array with n >= 2 by dsytrd_2stage (dense to
+    band to tridiagonal), read from its upper triangle; needs _lapack_dsytrd_2stage()."""
+    dsytrd_2stage, integer = _lapack_dsytrd_2stage()
+    # Fortran reads this C-order copy as the transpose, so its lower triangle is the caller's upper
+    a = np.array(a, order="C")
+    n = a.shape[0]
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+
+    def reduce(hous: np.ndarray, lhous: int, work: np.ndarray, lwork: int) -> None:
+        info = integer(0)
+        dsytrd_2stage(b"N", b"L", integer(n), a.ctypes.data, integer(n), d.ctypes.data, e.ctypes.data,
+                      tau.ctypes.data, hous.ctypes.data, integer(lhous), work.ctypes.data, integer(lwork), info, 1, 1)
+        _check_info(info)
+
+    hous_query, work_query = np.empty(1), np.empty(1)
+    reduce(hous_query, -1, work_query, -1)
+    lhous, lwork = int(hous_query[0]), int(work_query[0])
+    reduce(np.empty(lhous), lhous, np.empty(lwork), lwork)
+    return d, e[: n - 1]
+
+
+def tridiagonalize(m: np.ndarray) -> TridiagonalForm:
+    """Orthogonal reduction Q^T A Q = T of a symmetric matrix, read from its upper triangle.
+
+    From n = _TWO_STAGE_MIN_N on, and when the bundled OpenBLAS exports it,
+    LAPACK's two-stage dsytrd_2stage reduces A to a band and the band to T,
+    mostly in matrix-matrix products; below that size, or without the symbol,
+    dsytrd's Householder reduction does.  Both run outside the interpreter
+    lock.  The two give T up to rounding, so eigenvalue counts agree except
+    where an eigenvalue lies within rounding of a shift.
+    """
+    a = _as_array(m)
+    if a.shape[0] >= _TWO_STAGE_MIN_N and _lapack_dsytrd_2stage() is not None:
+        d, e = _reduce_two_stage(a)
+    else:
+        d, e = _reduce_one_stage(a)
+    return TridiagonalForm(diag=d, offdiag=e)
 
 
 def eigenvalue_counts_below(t: TridiagonalForm, shifts: np.ndarray) -> np.ndarray:

@@ -11,16 +11,12 @@ and types raises InvalidSpec naming the field.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import rng
 from .ensembles import (
@@ -45,6 +41,7 @@ from .qve import (
     solve_qve,
 )
 from .spectra import (
+    bundled_openblas,
     count_in_interval,
     eigen_full,
     eigenvalue_counts_below,
@@ -132,26 +129,10 @@ def _prediction_curve(cfg: LocalLawConfig, mapper=map) -> DensityCurve:
     return extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
 
 
-@functools.cache
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS builds that the numpy
-    and scipy wheels bundle in <site-packages>/numpy.libs and scipy.libs; empty
-    for any other BLAS (MKL, Accelerate, a system library)."""
-    controls = []
-    for module in (np, scipy):
-        root = Path(module.__file__).parent
-        for lib in sorted(root.parent.glob(f"{root.name}.libs/*openblas*")):
-            try:
-                dll = ctypes.CDLL(str(lib))
-            except OSError:
-                continue
-            for suffix in ("64_", ""):
-                get_threads = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
-                set_threads = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get_threads is not None and set_threads is not None:
-                    controls.append((get_threads, set_threads))
-                    break
-    return tuple(controls)
+    """(get, set) thread-count functions of each bundled OpenBLAS; empty for any other BLAS."""
+    return tuple((getattr(dll, f"scipy_openblas_get_num_threads{suffix}"),
+                  getattr(dll, f"scipy_openblas_set_num_threads{suffix}")) for dll, suffix in bundled_openblas())
 
 
 def _usable_cpus() -> int:

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import speclaw
 from speclaw import cli, ensembles as ens, qve, spectra, verify
@@ -252,6 +257,14 @@ def test_reports_identical_across_blas_threads_and_workers(tmp_path):
     assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, "verify-local-law")) == 1
 
 
+def test_two_stage_campaign_reports_identical_at_any_worker_count(tmp_path):
+    # at n = _TWO_STAGE_MIN_N every trial is reduced by dsytrd_2stage of the bundled OpenBLAS
+    n = spectra._TWO_STAGE_MIN_N
+    spec = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0)
+    cfg = verify.LocalLawConfig(ensemble=spec, trials=2, interval_len_factor=verify.factor_for_length(0.2, spec))
+    assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, "verify-local-law")) == 1
+
+
 @pytest.mark.parametrize("command, extra", [("verify-deloc", ()), ("verify-stieltjes", ("--eta", "0.05"))])
 def test_sbm_reports_identical_across_blas_threads_and_workers(tmp_path, command, extra):
     # n = 400 is large enough for OpenBLAS to thread the eigensolver when it may
@@ -310,6 +323,79 @@ def _strict_json(text: str):
         raise AssertionError(f"non-finite constant {constant} in {text!r}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def _main_in_process(argv: list[str], out: Path) -> None:
+    """Run cli.main(argv) and require one of the two clean outcomes: exit 0
+    with a strict-JSON report at `out`, or exit 1 or 2 with exactly one
+    strict-JSON line on stderr and no report."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected a value
+            code = exc.code
+    assert not caught, [str(w.message) for w in caught]  # each would be one more line on stderr
+    if code == 0:
+        assert stderr.getvalue() == ""
+        _strict_json(out.read_text())
+    else:
+        assert code in (1, 2), (code, stderr.getvalue())
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert _strict_json(lines[0])["error"]
+        assert not out.exists()
+
+
+@st.composite
+def tiny_campaigns(draw):
+    """A campaign config of a wigner, sparse or SBM ensemble with n in 2..12, as JSON."""
+    n = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**16))
+    unit = st.floats(0.01, 1.0)
+    law = {"kind": draw(st.sampled_from(["rademacher", "uniform_bounded"]))}
+    wigner = {"kind": "wigner", "n": n, "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},
+              "law": law, "seed": seed}
+    kind = draw(st.sampled_from(["wigner", "sparse", "sbm"]))
+    if kind == "wigner":
+        ensemble = wigner
+    elif kind == "sparse":
+        ensemble = {"kind": "sparse", "base": wigner, "p": draw(unit)}
+    else:
+        first = draw(st.integers(1, n - 1))
+        cross = draw(unit)
+        ensemble = {"kind": "sbm", "d": 2, "sizes": [first, n - first],
+                    "probs": [[draw(unit), cross], [cross, draw(unit)]], "seed": seed}
+    return {"ensemble": ensemble, "eps": draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+            "trials": draw(st.integers(1, 3)), "interval_len_factor": draw(st.floats(0.1, 50.0))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=tiny_campaigns(), command=st.sampled_from(["verify-local-law", "verify-stieltjes", "verify-deloc"]),
+       eta=st.floats(1e-3, 10.0))
+def test_fuzzed_tiny_campaigns_exit_cleanly(config, command, eta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "campaign.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(config))
+        extra = ["--eta", repr(eta)] if command == "verify-stieltjes" else []
+        _main_in_process([command, "--config", str(path), "--threads", "1", "--out", str(out), *extra], out)
+
+
+_EXTREME = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-8, 1.0, 2.0, 1e8, 1e300, 1e308, 1.7976931348623157e308]
+_SIGNED = st.sampled_from(_EXTREME + [-v for v in _EXTREME] + [float("inf"), float("-inf"), float("nan")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_SIGNED | st.floats(), eta=_SIGNED | st.floats(), block=st.booleans())
+def test_fuzzed_qve_solve_at_extreme_points_exits_cleanly(x, eta, block):
+    profile = (qve.BlockProfile(d=2, weights=np.array([0.3, 0.7]), coeffs=np.array([[1.0, 0.2], [0.2, 0.6]]))
+               if block else qve.VarianceProfile.constant(4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "profile.json", Path(tmp) / "solution.json"
+        profile.to_json(path)
+        _main_in_process(["qve-solve", "--profile", str(path), f"--x={x!r}", f"--eta={eta!r}", "--out", str(out)], out)
 
 
 def test_deloc_campaign_with_an_empty_bulk_exits_one(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,8 +96,10 @@ def test_reduction_matches_scipy_dsytrd_bit_for_bit(a):
 def test_reduction_releases_the_interpreter_lock():
     # a pure-Python counter thread gets about 5 % of its idle rate while a
     # reduction holds the lock, and about all of it while the reduction runs
-    # outside the lock (one BLAS thread, so each thread has its own core)
+    # outside the lock (one BLAS thread, so each thread has its own core);
+    # n is above _TWO_STAGE_MIN_N, so this covers the two-stage call
     a = random_symmetric(1500, seed=7)
+    assert a.shape[0] >= spectra._TWO_STAGE_MIN_N
     count, stop = [0], [False]
 
     def counter():
@@ -118,6 +122,76 @@ def test_reduction_releases_the_interpreter_lock():
         thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert busy >= 0.25 * idle
+
+
+def two_stage_inputs(n):
+    """A random symmetric matrix and normalized SBM and sparse samples of size n."""
+    sbm = ens.SbmSpec(d=2, sizes=(n // 2, n - n // 2), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=n)
+    base = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=n)
+    return [random_symmetric(n, seed=n) / np.sqrt(n), ens.normalized_sample(sbm),
+            ens.normalized_sample(ens.SparseSpec(base=base, p=0.1))]
+
+
+requires_two_stage = pytest.mark.skipif(spectra._lapack_dsytrd_2stage() is None,
+                                        reason="no bundled OpenBLAS exports dsytrd_2stage")
+
+
+@requires_two_stage
+@pytest.mark.parametrize("n", [spectra._TWO_STAGE_MIN_N, spectra._TWO_STAGE_MIN_N + 301])
+def test_two_stage_reduction_keeps_counts_and_eigenvalues(n):
+    gen = np.random.default_rng(n)
+    for a in two_stage_inputs(n):
+        t = spectra.tridiagonalize(a)
+        ev = np.linalg.eigvalsh(a)
+        norm = np.abs(ev).max()
+        assert np.abs(scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag) - ev).max() <= 1e-12 * norm
+        for lo, hi in np.sort(gen.uniform(-1.2 * norm, 1.2 * norm, size=(200, 2)), axis=1):
+            assert spectra.count_in_interval(t, lo, hi) == int(np.count_nonzero((ev > lo) & (ev <= hi)))
+
+
+@requires_two_stage
+def test_two_stage_reduction_reads_only_the_upper_triangle():
+    a = random_symmetric(spectra._TWO_STAGE_MIN_N, seed=3)
+    t = spectra.tridiagonalize(a)
+    a[np.tril_indices_from(a, -1)] = np.nan
+    poisoned = spectra.tridiagonalize(a)
+    assert np.array_equal(poisoned.diag, t.diag)
+    assert np.array_equal(poisoned.offdiag, t.offdiag)
+
+
+def test_reduction_dispatches_on_size(monkeypatch):
+    calls = []
+
+    def recording_two_stage(a):
+        calls.append(a.shape[0])
+        return np.zeros(2), np.zeros(1)
+
+    monkeypatch.setattr(spectra, "_lapack_dsytrd_2stage", lambda: object())
+    monkeypatch.setattr(spectra, "_reduce_two_stage", recording_two_stage)
+    n = spectra._TWO_STAGE_MIN_N
+    spectra.tridiagonalize(np.eye(n - 1))
+    spectra.tridiagonalize(np.eye(n))
+    assert calls == [n]
+
+
+def test_reduction_without_the_two_stage_symbol_is_dsytrd(monkeypatch):
+    monkeypatch.setattr(spectra, "_lapack_dsytrd_2stage", lambda: None)
+    a = random_symmetric(spectra._TWO_STAGE_MIN_N, seed=5)
+    _, d, e, _, info = lapack.dsytrd(a, lwork=int(lapack.dsytrd_lwork(a.shape[0])[0]))
+    assert info == 0
+    t = spectra.tridiagonalize(a)
+    assert np.array_equal(t.diag, d)
+    assert np.array_equal(t.offdiag, e)
+
+
+def test_bundled_scipy_openblas_exports_the_two_stage_reduction():
+    # a scipy wheel bundles OpenBLAS, and this keeps its two-stage path from
+    # falling back to dsytrd unnoticed
+    root = Path(scipy.__file__).parent
+    if not list(root.parent.glob(f"{root.name}.libs/*openblas*")):
+        pytest.skip("scipy bundles no OpenBLAS")
+    assert spectra.bundled_openblas()
+    assert spectra._lapack_dsytrd_2stage() is not None
 
 
 def test_non_square_input_is_invalid():
