@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 
 from . import rng
 from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, record
@@ -312,4 +311,6 @@ def load_matrix_binary(path) -> np.ndarray:
 
 
 def save_matrix_market(matrix: np.ndarray, path) -> None:
+    import scipy.io  # loaded here, not at import: only `sample --format mm` writes Matrix Market
+
     scipy.io.mmwrite(str(path), matrix, symmetry="symmetric")

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange
 from .qve import SpectralPoint
@@ -95,7 +94,12 @@ def bundled_openblas() -> tuple:
     """(library, symbol suffix) of each OpenBLAS build that the scipy and numpy
     wheels bundle in <site-packages>/scipy.libs and numpy.libs, scipy's first;
     empty for any other BLAS (MKL, Accelerate, a system library).  The suffix
-    is "64_" for a build with 64-bit LAPACK integers and "" otherwise."""
+    is "64_" for a build with 64-bit LAPACK integers and "" otherwise.
+
+    scipy is imported here, not with this module, so that `import speclaw`
+    loads no scipy module; a campaign first calls this when it opens its map."""
+    import scipy
+
     found = []
     for module in (scipy, np):
         root = Path(module.__file__).parent

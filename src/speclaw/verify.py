@@ -146,7 +146,8 @@ def _usable_cpus() -> int:
 def _campaign_map(threads: int | None):
     """A map for one campaign: the builtin map, or a pool's map when threads > 1.
 
-    threads=None, the default of every campaign, means the usable CPU count.
+    threads=None, the default of every campaign, means the usable CPU count;
+    a count below 1 raises InvalidSpec.
     The campaign hands it its prediction blocks, its quadrature intervals and
     its trials; each caller lists the results, in input order.
 
@@ -158,6 +159,8 @@ def _campaign_map(threads: int | None):
     BLAS it is a no-op and that library keeps its own threading.
     """
     threads = _usable_cpus() if threads is None else threads
+    if threads < 1:
+        raise InvalidSpec(f"need at least 1 worker thread, got {threads}")
     controls = _openblas_thread_controls()
     saved = [get_threads() for get_threads, _ in controls]
     for _, set_threads in controls:
@@ -527,6 +530,8 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
     """
     if n < 2:
         raise InvalidSpec("need n >= 2")
+    if trials < 1:
+        raise InvalidSpec(f"need at least 1 trial, got {trials}")
     max_rank1 = 0
     max_by_rank: dict[int, int] = {}
     span = 2.5 * math.sqrt(n)

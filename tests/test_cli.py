@@ -449,7 +449,7 @@ def _config_failure(capsys) -> str:
     """The message of the one "config" record on stderr, which holds no traceback."""
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    record = json.loads(err)
+    record = _strict_json(err)
     assert record["error"] == "config"
     return record["message"]
 
@@ -494,6 +494,25 @@ def test_non_integer_threads_variable_exits_one(tmp_path, campaign_path, monkeyp
     assert cli.main(["verify-local-law", "--config", campaign_path, "--out", str(tmp_path / "r.json")]) == 1
     assert "SPECLAW_THREADS" in _config_failure(capsys)
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0")],
+                         ids=["threads-0", "threads-negative", "env-0"])
+def test_fewer_than_one_worker_exits_one(tmp_path, campaign_path, monkeypatch, capsys, flag, env):
+    if env is not None:  # --threads overrides the variable
+        monkeypatch.setenv("SPECLAW_THREADS", env)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-local-law", "--config", campaign_path, *flag, "--out", str(out)]) == 1
+    assert "at least 1 worker" in _config_failure(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_interlacing_without_trials_exits_one(tmp_path, capsys, trials):
+    out = tmp_path / "i.json"
+    assert cli.main(["test-interlacing", "--trials", trials, "--n", "10", "--out", str(out)]) == 1
+    assert "at least 1 trial" in _config_failure(capsys)
+    assert not out.exists()
 
 
 def test_non_utf8_config_exits_one(tmp_path, capsys):

@@ -176,6 +176,12 @@ def test_campaigns_default_to_the_usable_cpus(monkeypatch, campaign):
     assert report_json_bytes(pooled.to_dict()) == report_json_bytes(serial.to_dict())
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_campaign_rejects_fewer_than_one_worker(threads):
+    with pytest.raises(InvalidSpec, match="at least 1 worker"):
+        verify.verify_local_law(dense_config(n=60, trials=2, length=0.5), threads=threads)
+
+
 def test_pass_fraction_consistency(dense_report):
     cfg = verify.LocalLawConfig.from_dict(dense_report.config)
     per_trial = np.zeros(cfg.trials)
@@ -511,3 +517,10 @@ def test_interlacing_report_round_trip(tmp_path):
 def test_interlacing_requires_n_at_least_two():
     with pytest.raises(InvalidSpec):
         verify.interlacing_test(trials=1, n=1, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_interlacing_requires_at_least_one_trial(trials):
+    # no trial would pass vacuously with violations=0
+    with pytest.raises(InvalidSpec, match="at least 1 trial"):
+        verify.interlacing_test(trials=trials, n=10, seed=0)
