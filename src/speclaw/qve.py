@@ -17,15 +17,19 @@ One solver does every solve: an undamped Anderson iteration on the map
 g -> -1/(z + S g), batched over the abscissas, which first descends from
 eta = 1 to the target eta by factors of 0.1 (the plain iteration slows down
 as eta -> 0) and stops each abscissa once max_k |1/g_k + z + (S g)_k| <= tol.
-Its mixing weights come from small normal equations, a defect stalled at the
-rounding floor ends it early, and quadrature reuses the curve's solutions.
-Abscissas share nothing but the product with S, so `extract_density` solves a
-profile of dimension >= _BLOCK_MIN_DIM in fixed blocks of about
-_BLOCK_COLUMNS grid points, serially or through a caller's pool map.
+Its mixing weights come from small normal equations over a Gram matrix that
+grows by one row per sweep, a sweep works in place on the columns still
+active, S g is one real matrix product for the real and imaginary parts, a
+defect stalled at the rounding floor ends it early, and quadrature reuses the
+curve's solutions.  Abscissas share nothing but the product with S, so
+`extract_density` solves a profile of dimension >= _BLOCK_MIN_DIM in fixed
+blocks of about _BLOCK_COLUMNS grid points, serially or through a caller's
+pool map.
 
 Both profile classes are untagged JSON records (`errors.record`), {"n",
 "entries"} and {"d", "weights", "coeffs"}; `read_json(Profile, path)` tells
-them apart by their fields.
+them apart by their fields.  Campaign reports cite a full profile by its n
+and `profile_fingerprint` instead of its entries.
 """
 
 from __future__ import annotations
@@ -302,21 +306,20 @@ def _eta_schedule(eta: float) -> np.ndarray:
     return np.geomspace(ETA_START, eta, steps + 1)
 
 
-def _mixing_coeffs(df: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """Least-squares Anderson weights, pinv(df) @ fa, for batch x dim x depth df.
+def _mixing_coeffs(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares Anderson weights pinv(A) @ fa of a batch x dim x depth history A,
+    from its Gram matrices gram = A^H A and right-hand sides rhs = A^H fa.
 
     Solves (A^H A + 1e-14 tr(A^H A) I) y = A^H fa, gamma = D y, where D scales
-    df's nonzero columns to unit length: the shift keeps collinear histories
+    A's nonzero columns to unit length: the shift keeps collinear histories
     solvable, and the scaling stops it damping the short columns of late sweeps.
     """
-    dfh = df.conj().transpose(0, 2, 1)
-    gram = dfh @ df
     diag = np.arange(gram.shape[1])
     norms = np.sqrt(gram[:, diag, diag].real)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[:, :, None]
-    gram *= scale * scale.transpose(0, 2, 1)
+    gram = gram * (scale * scale.transpose(0, 2, 1))
     gram[:, diag, diag] += 1e-14 * diag.size  # 1e-14 tr(A^H A) when no column is zero
-    return scale * np.linalg.solve(gram, scale * (dfh @ fa))
+    return scale * np.linalg.solve(gram, scale * rhs)
 
 
 def _solve_batch(
@@ -339,9 +342,18 @@ def _solve_batch(
     floor of max_k |z + (W g)_k|, which no lower tol can pass; and for the
     first column whose defect is not finite (a point whose -1/z over- or
     underflows), at once and without numpy floating-point warnings.
+
+    The sweep touches only the columns still active, which it keeps as the
+    leading rows of buffers allocated once per call: when columns converge,
+    the last active rows move into their places and `idx` follows each
+    column's x.  The Anderson history is a ring of _ANDERSON_DEPTH slots
+    whose Gram matrix gains one row and column per sweep, and W g is one real
+    matrix product over the stacked real and imaginary parts of g.  A
+    column's arithmetic does not depend on the rest of the batch, up to how
+    the BLAS rounds one row of a product.
     """
     with np.errstate(all="ignore"):  # a non-finite defect raises NonConvergence instead
-        wt = _weight_matrix(profile).T.astype(np.complex128)
+        wt = np.ascontiguousarray(_weight_matrix(profile).T)
         num, dim = xs.size, profile.dim
         depth = min(_ANDERSON_DEPTH, dim)
         if initial is None:
@@ -353,37 +365,48 @@ def _solve_batch(
         residual = np.full(num, np.inf)
         iterations = np.zeros(num, dtype=np.int64)
 
+        # per column, one row each: the iterate, its defect's z + W g, the residual
+        # f = map(g) - g and plain step map(g) of this sweep (f[k % 2]) and the last,
+        # their differences in the history ring, and the ring's Gram matrix
+        ga, denom = np.empty((num, dim), dtype=np.complex128), np.empty((num, dim), dtype=np.complex128)
+        f, step = np.empty((2, num, dim), dtype=np.complex128), np.empty((2, num, dim), dtype=np.complex128)
+        df, dstep = np.empty((num, depth, dim), dtype=np.complex128), np.empty((num, depth, dim), dtype=np.complex128)
+        gram = np.empty((num, depth, depth), dtype=np.complex128)
+        planes, wg = np.empty((num, 2, dim)), np.empty((num, 2, dim))  # real and imaginary parts of ga and W ga
         for eta_k in schedule:
-            # per active column: rows of g, and one row per history slot of the
-            # differences of the residual f = map(g) - g and of the plain step map(g)
-            idx = np.arange(num)
-            ga, za = g.copy(), (xs + 1j * eta_k)[:, None]
+            idx, a = np.arange(num), num
+            ga[:] = g
             best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
-            df = np.zeros((num, depth, dim), dtype=np.complex128)
-            dstep = np.zeros_like(df)
             for k in range(_MAX_ITER + 1):
-                denom = za + ga @ wt
-                res = np.abs(1.0 / ga + denom).max(axis=1)
+                cur = k % 2
+                planes[:a, 0], planes[:a, 1] = ga[:a].real, ga[:a].imag
+                np.matmul(planes[:a].reshape(2 * a, dim), wt, out=wg[:a].reshape(2 * a, dim))
+                np.add(wg[:a, 0], xs[idx[:a], None], out=denom[:a].real)
+                np.add(wg[:a, 1], eta_k, out=denom[:a].imag)
+                res = np.abs(1.0 / ga[:a] + denom[:a]).max(axis=1)
                 if not np.isfinite(res).all():
-                    bad = idx[np.argmin(np.isfinite(res))]
+                    bad = idx[:a][~np.isfinite(res)].min()
                     raise NonConvergence(f"defect not finite at z={xs[bad]:g}+{eta_k:g}i on the way to eta={eta:g}",
                                          x=float(xs[bad]), eta=eta, residual=math.inf, iterations=int(iterations[bad]))
-                stale[idx] = np.where(res < best[idx], 0, stale[idx] + 1)
-                best[idx] = np.minimum(best[idx], res)
+                cols = idx[:a]
+                stale[cols] = np.where(res < best[cols], 0, stale[cols] + 1)
+                best[cols] = np.minimum(best[cols], res)
                 done = res <= tol
                 if done.any():
-                    g[idx[done]], residual[idx[done]] = ga[done], res[done]
-                    keep = ~done
-                    idx, ga, za, denom, df, dstep = idx[keep], ga[keep], za[keep], denom[keep], df[keep], dstep[keep]
-                    if k:
-                        f_prev, step_prev = f_prev[keep], step_prev[keep]
-                if idx.size == 0:
+                    pos = np.flatnonzero(done)
+                    g[idx[pos]], residual[idx[pos]] = ga[pos], res[pos]
+                    a -= pos.size
+                    holes, movers = pos[pos < a], a + np.flatnonzero(~done[a:])
+                    for rows in (idx, ga, denom, f[1 - cur], step[1 - cur], df, dstep, gram):
+                        rows[holes] = rows[movers]
+                if a == 0:
                     break
-                stuck = stale[idx] >= _STALL_SWEEPS
-                stuck[stuck] = best[idx[stuck]] <= _STALL_ROUNDING * np.abs(denom[stuck]).max(axis=1)
+                cols = idx[:a]
+                stuck = stale[cols] >= _STALL_SWEEPS
+                stuck[stuck] = best[cols[stuck]] <= _STALL_ROUNDING * np.abs(denom[:a][stuck]).max(axis=1)
                 stalled = stuck.any()
                 if stalled or k == _MAX_ITER:
-                    cause = idx[stuck] if stalled else idx
+                    cause = np.sort(cols[stuck] if stalled else cols)  # ties go to the lowest column
                     worst = cause[np.argmax(best[cause])]
                     why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
                     raise NonConvergence(
@@ -391,17 +414,22 @@ def _solve_batch(
                         f"(best residual {best[worst]:.3g}) on the way to eta={eta:g}",
                         x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
                     )
-                iterations[idx] += 1
-                step = -1.0 / denom  # the plain map step, mixed below once there is history
-                fa, ga = step - ga, step
-                if k:
-                    slot, used = (k - 1) % depth, min(k, depth)
-                    df[:, slot], dstep[:, slot] = fa - f_prev, step - step_prev
-                    gamma = _mixing_coeffs(df[:, :used].transpose(0, 2, 1), fa[:, :, None])
-                    mixed = step - (gamma.transpose(0, 2, 1) @ dstep[:, :used])[:, 0]
-                    ok = (mixed.imag > 0).all(axis=1)
-                    ga = np.where(ok[:, None], mixed, step)
-                f_prev, step_prev = fa, step
+                iterations[cols] += 1
+                # the plain map step, mixed below once there is history
+                st, fa = np.divide(-1.0, denom[:a], out=step[cur, :a]), f[cur, :a]
+                np.subtract(st, ga[:a], out=fa)
+                if k == 0:
+                    ga[:a] = st
+                    continue
+                slot, used = (k - 1) % depth, min(k, depth)
+                new = np.subtract(fa, f[1 - cur, :a], out=df[:a, slot])
+                np.subtract(st, step[1 - cur, :a], out=dstep[:a, slot])
+                row = np.vecdot(new[:, None, :], df[:a, :used])  # row slot of A^H A
+                gram[:a, slot, :used], gram[:a, :used, slot] = row, row.conj()
+                gamma = _mixing_coeffs(gram[:a, :used, :used], np.vecdot(df[:a, :used], fa[:, None, :])[:, :, None])
+                mixed = np.subtract(st, (gamma.transpose(0, 2, 1) @ dstep[:a, :used])[:, 0], out=ga[:a])
+                left = ~(mixed.imag > 0).all(axis=1)  # mixed steps that left the half plane
+                mixed[left] = st[left]
         return g.T, residual, iterations
 
 
@@ -427,15 +455,20 @@ def solve_qve(profile: Profile, point: SpectralPoint, tol: float = DEFAULT_TOL) 
     return QveSolution(g=g, m=complex(_m_of(profile, g)), residual=float(residual[0]), iterations=int(iterations[0]))
 
 
-def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) -> np.ndarray:
-    """Im m(x + i*eta)/pi for an array of abscissas, solved simultaneously."""
+def stieltjes_batch(profile: Profile, xs: np.ndarray, eta: float) -> np.ndarray:
+    """m(x + i*eta) for an array of abscissas, solved as one batch."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if xs.size == 0:
-        return np.empty(0)
+        return np.empty(0, dtype=np.complex128)
     if not 0 < eta < math.inf:
         raise InvalidSpec(f"eta must be positive and finite, got {eta}")
     g, _, _ = _solve_batch(profile, xs, eta)
-    return _m_of(profile, g).imag / math.pi
+    return _m_of(profile, g)
+
+
+def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) -> np.ndarray:
+    """Im m(x + i*eta)/pi for an array of abscissas, solved simultaneously."""
+    return stieltjes_batch(profile, xs, eta).imag / math.pi
 
 
 def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA, mapper=map) -> DensityCurve:

@@ -14,13 +14,15 @@ import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import rng
 from .ensembles import (
     EnsembleSpec,
+    SparseSpec,
+    WignerSpec,
     _symmetric_from_upper,
     boundedness_flag,
     effective_profile,
@@ -34,11 +36,12 @@ from .qve import (
     BulkInterval,
     DensityCurve,
     SpectralPoint,
+    VarianceProfile,
     default_grid,
     detect_bulk,
     extract_density,
     integrate_density,
-    solve_qve,
+    stieltjes_batch,
 )
 from .spectra import (
     bundled_openblas,
@@ -127,6 +130,25 @@ def _widest_bulk(curve: DensityCurve, eps: float) -> tuple[list[BulkInterval], B
 
 def _prediction_curve(cfg: LocalLawConfig, mapper=map) -> DensityCurve:
     return extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
+
+
+def _report_config(cfg: LocalLawConfig, curve: DensityCurve) -> dict:
+    """cfg.to_dict() for a report's `config`, a full VarianceProfile cited as {"n", "fingerprint"}.
+
+    The fingerprint is the curve's profile_hash: the curve was solved from that
+    very profile, so a campaign hashes it once.  Block profiles and SBM specs
+    stay inline; the config file keeps the entries.
+    """
+
+    def encode(value):
+        if isinstance(value, VarianceProfile):
+            return {"n": value.n, "fingerprint": curve.profile_hash}
+        if isinstance(value, (LocalLawConfig, WignerSpec, SparseSpec)):
+            head = {} if value.tag is None else {"kind": value.tag}
+            return head | {f.name: encode(getattr(value, f.name)) for f in fields(value)}
+        return value.to_dict() if hasattr(value, "to_dict") else value
+
+    return encode(cfg)
 
 
 def _openblas_thread_controls() -> tuple:
@@ -250,7 +272,7 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
         )
     trial_pass = [bool(d <= cfg.delta) for d in trial_dev_max]
     return LocalLawReport(
-        config=cfg.to_dict(),
+        config=_report_config(cfg, curve),
         n=n,
         intervals=records,
         trial_pass=trial_pass,
@@ -305,29 +327,24 @@ def verify_stieltjes_closeness(
     def run_trial(i: int) -> list[float]:
         spec = with_seed(cfg.ensemble, cfg.base_seed + i)
         summary = eigen_full(normalized_sample(spec))
-        return [
-            abs(stieltjes_empirical(summary, SpectralPoint(x, eta)) - predicted[(x, eta)])
-            for (x, eta) in points
-        ]
+        return [abs(stieltjes_empirical(summary, pt) - m) for pt, m in zip(points, predicted)]
 
     with _campaign_map(threads) as mapper:
         curve = _prediction_curve(cfg, mapper)
         _, widest = _widest_bulk(curve, cfg.eps)
         xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
-        points = [(float(x), eta) for x in xs for eta in etas]
-        predicted = {pt: solve_qve(curve.source, SpectralPoint(*pt)).m for pt in points}
+        points = [SpectralPoint(float(x), eta) for x in xs for eta in etas]
+        # one batch per eta over all xs, in the order of `points`
+        per_eta = list(mapper(lambda eta: stieltjes_batch(curve.source, xs, eta), etas))
+        predicted = [complex(m[j]) for j in range(xs.size) for m in per_eta]
         rows = list(mapper(run_trial, range(cfg.trials)))
-    records = []
-    for j, (x, eta) in enumerate(points):
-        m = predicted[(x, eta)]
-        records.append(
-            StieltjesRecord(
-                x=x, eta=eta, predicted=[m.real, m.imag], discrepancies=[row[j] for row in rows]
-            )
-        )
+    records = [
+        StieltjesRecord(x=pt.re, eta=pt.im, predicted=[m.real, m.imag], discrepancies=[row[j] for row in rows])
+        for j, (pt, m) in enumerate(zip(points, predicted))
+    ]
     trial_sup = [float(max(row)) for row in rows]
     return StieltjesReport(
-        config=cfg.to_dict(),
+        config=_report_config(cfg, curve),
         eta_floor=floor,
         records=records,
         trial_sup=trial_sup,
@@ -385,7 +402,8 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
         return ratios.size, float(norms.max()), float(ratios.max()), ratios
 
     with _campaign_map(threads) as mapper:
-        bulks, _ = _widest_bulk(_prediction_curve(cfg, mapper), cfg.eps)
+        curve = _prediction_curve(cfg, mapper)
+        bulks, _ = _widest_bulk(curve, cfg.eps)
         results = list(mapper(run_trial, range(cfg.trials)))
     records = [
         DelocTrialRecord(trial=i, bulk_count=c, max_inf_norm=mn, max_ratio=mr)
@@ -395,7 +413,7 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
     if pooled.size == 0:
         raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
     return DelocReport(
-        config=cfg.to_dict(),
+        config=_report_config(cfg, curve),
         records=records,
         ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
         max_ratio=float(pooled.max()),

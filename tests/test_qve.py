@@ -129,6 +129,103 @@ def test_single_step_continuation_equals_direct_solve():
     assert iterations[0] == 0
 
 
+# ---------------------------------------------------------------------------
+# the batch sweep: compaction and the Gram ring, against batches of one
+
+
+def _defect(profile, xs, eta, g):
+    w = qve._weight_matrix(profile)
+    return np.abs(1.0 / g + (xs + 1j * eta)[None, :] + w @ g).max(axis=0)
+
+
+@st.composite
+def irreducible_batches(draw):
+    """An irreducible profile of dimension 1-64 and abscissas inside the bulk,
+    at the edges +-2 and beyond them, in drawn order, so that columns converge
+    on different sweeps and compaction moves rows about."""
+    dim = draw(st.integers(min_value=1, max_value=64))
+    profile = random_profile(dim, seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+                             low=draw(st.floats(min_value=0.05, max_value=0.5)))
+    inner = draw(st.lists(st.floats(min_value=-4.0, max_value=4.0), max_size=6))
+    xs = draw(st.permutations([*inner, -2.0, 2.0, -2.5, 3.5]))
+    eta = draw(st.floats(min_value=1e-3, max_value=1.0))
+    return profile, np.array(xs), eta
+
+
+@given(batch=irreducible_batches())
+@settings(max_examples=60)
+def test_batch_columns_match_batches_of_one(batch):
+    profile, xs, eta = batch
+    cold, residual, _ = qve._solve_batch(profile, xs, eta)
+    warm_start = qve._solve_batch(profile, xs, 2.0 * eta)[0]  # the solution at twice eta
+    warm, warm_residual, _ = qve._solve_batch(profile, xs, eta, initial=warm_start)
+    for g, res, initial in ((cold, residual, None), (warm, warm_residual, warm_start)):
+        assert np.all(res <= qve.DEFAULT_TOL)
+        scale = np.abs(g).max(axis=0)
+        assert np.all(_defect(profile, xs, eta, g) <= qve.DEFAULT_TOL + 1e-13 * (1.0 + scale))
+        for j in range(xs.size):
+            alone, _, _ = qve._solve_batch(profile, xs[j:j + 1], eta,
+                                           initial=None if initial is None else initial[:, j:j + 1])
+            assert np.abs(g[:, j] - alone[:, 0]).max() <= 1e-12 * np.abs(alone).max()
+
+
+def _failure(profile, xs, eta, **kwargs):
+    with pytest.raises(NonConvergence) as err:
+        qve._solve_batch(profile, xs, eta, **kwargs)
+    e = err.value
+    return e.x, e.eta, e.residual, e.iterations
+
+
+def test_max_iter_failure_matches_the_column_alone(monkeypatch):
+    # one eta stage from a warm start; _MAX_ITER leaves the slowest column short,
+    # after the others have converged and been compacted away
+    profile = random_profile(20, seed=11)
+    xs, eta = np.array([2.0, 3.5, -0.4, 1.2, -2.7]), 1e-3
+    start = qve._solve_batch(profile, xs, 1.0)[0]
+    _, _, iterations = qve._solve_batch(profile, xs, eta, initial=start)
+    second, slowest = np.sort(iterations)[-2:]
+    assert second < slowest
+    monkeypatch.setattr(qve, "_MAX_ITER", int(second))
+    j = int(np.argmax(iterations))
+    alone = _failure(profile, xs[j:j + 1], eta, initial=start[:, j:j + 1])
+    assert _failure(profile, xs, eta, initial=start) == alone
+    assert alone[0] == xs[j] and alone[3] == second
+
+
+def test_stall_matches_the_column_alone():
+    # at x = 1e308 the imaginary part of -1/z underflows, so the defect sticks
+    # near eta, far above tol and far below the rounding floor of |z|
+    profile = random_profile(7, seed=5)
+    xs, eta = np.array([0.5, 1e308, -1.5, 2.5]), 1.0
+    alone = _failure(profile, xs[1:2], eta)
+    assert _failure(profile, xs, eta) == alone
+    assert alone[0] == 1e308 and alone[3] == qve._STALL_SWEEPS
+
+
+def test_non_finite_defect_matches_the_column_alone():
+    # the last column starts where z + W g has real and imaginary parts of 1e308:
+    # its first defect is finite, but -1/(z + W g) rounds to 0, so the second is
+    # not; the first two columns start at their solutions and converge at once
+    profile, eta = qve.VarianceProfile.constant(3), 0.5
+    xs = np.array([0.3, -0.7, 1.1])
+    good, _, _ = qve._solve_batch(profile, xs[:2], eta)
+    start = np.concatenate([good, np.full((3, 1), 1e308 * (1 + 1j))], axis=1)
+    alone = _failure(profile, xs[2:], eta, initial=start[:, 2:])
+    assert _failure(profile, xs, eta, initial=start) == alone == (1.1, eta, np.inf, 1)
+
+
+def test_tied_failures_name_the_lowest_column(monkeypatch):
+    # x = +-2 on a constant profile mirror each other bit for bit, so their best
+    # defects tie; once x = 0.3 converges, -2 moves into its row, ahead of 2
+    profile, eta = qve.VarianceProfile.constant(3), 1e-3
+    xs = np.array([0.3, 2.0, -2.0])
+    start = qve._solve_batch(profile, xs, 1.0)[0]
+    _, _, iterations = qve._solve_batch(profile, xs, eta, initial=start)
+    assert iterations[0] < iterations[1] == iterations[2]
+    monkeypatch.setattr(qve, "_MAX_ITER", int(iterations[0]))
+    assert _failure(profile, xs, eta, initial=start)[0] == 2.0
+
+
 def test_outside_support_imaginary_part_vanishes():
     sol = qve.solve_qve(CONST8, qve.SpectralPoint(3.0, 1e-6))
     assert sol.m.imag <= 1e-4
@@ -400,13 +497,19 @@ def test_reduce_profile_recovers_blocks():
     assert abs(qve.solve_qve(red, point).m - qve.solve_qve(block, point).m) < 1e-10
 
 
+def _mixing_coeffs_of(df, fa):
+    """The Anderson weights of history df and residual fa, through their Gram matrix."""
+    dfh = df.conj().transpose(0, 2, 1)
+    return qve._mixing_coeffs(dfh @ df, dfh @ fa)
+
+
 @pytest.mark.parametrize("used", [1, 3])
 def test_mixing_coefficients_match_pinv(used):
     gen = np.random.default_rng(used)
     df = gen.standard_normal((5, 4, used)) + 1j * gen.standard_normal((5, 4, used))
     df[0] = 0.0  # a stalled column: no usable history
     fa = gen.standard_normal((5, 4, 1)) + 1j * gen.standard_normal((5, 4, 1))
-    assert np.allclose(qve._mixing_coeffs(df, fa), np.linalg.pinv(df) @ fa, rtol=1e-12, atol=1e-15)
+    assert np.allclose(_mixing_coeffs_of(df, fa), np.linalg.pinv(df) @ fa, rtol=1e-12, atol=1e-15)
 
 
 @given(
@@ -437,7 +540,7 @@ def test_mixing_coefficients_match_pinv_differentially(batch, depth, extra_rows,
     df[:zero_columns] = 0.0  # stalled columns: no usable history
     fa = 10.0 ** gen.uniform(-8, 8, size=(batch, 1, 1)) * gaussian(batch, dim, 1)
 
-    got = qve._mixing_coeffs(df, fa)
+    got = _mixing_coeffs_of(df, fa)
     want = np.linalg.pinv(df) @ fa
     assert got.shape == want.shape
     assert np.all(got[:zero_columns] == 0.0)

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -274,6 +275,55 @@ def test_legacy_full_profile_config_runs_like_the_compact_one(tmp_path):
     assert report_json_bytes(a) == report_json_bytes(b)
 
 
+def _campaigns():
+    return [verify.verify_local_law, lambda cfg, **kw: verify.verify_stieltjes_closeness(cfg, [0.3, 0.5], **kw),
+            verify.verify_delocalization]
+
+
+def _sparse(cfg, p=0.6):
+    spec = ens.SparseSpec(base=cfg.ensemble, p=p)
+    return dataclasses.replace(cfg, ensemble=spec, interval_len_factor=verify.factor_for_length(0.4, spec))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("campaign", _campaigns())
+def test_full_profile_reports_cite_the_profile_by_fingerprint(tmp_path, campaign, sparse):
+    cfg = _sparse(irreducible_config()) if sparse else irreducible_config()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    loaded = verify.load_local_law_config(path)
+    report = campaign(loaded).to_dict()
+    wigner = loaded.ensemble.base if sparse else loaded.ensemble
+    cited = {"n": wigner.n, "fingerprint": qve.profile_fingerprint(wigner.profile)}
+    expected = loaded.to_dict()
+    (expected["ensemble"]["base"] if sparse else expected["ensemble"])["profile"] = cited
+    assert report["config"] == expected
+    assert len(report_json_bytes(report)) < 8192
+
+
+@pytest.mark.parametrize("campaign", _campaigns())
+@pytest.mark.parametrize("make_config", [
+    lambda: dense_config(n=60, trials=2, length=0.5),  # the constant profile is a d = 1 block
+    lambda: dense_config(n=60, trials=2, length=0.5, profile=qve.BlockProfile(
+        d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.4], [0.4, 0.7]]))),
+    lambda: _sparse(dense_config(n=60, trials=2, length=0.5)),
+    lambda: verify.LocalLawConfig(
+        ensemble=ens.SbmSpec(d=2, sizes=(30, 30), probs=np.array([[0.5, 0.1], [0.1, 0.5]]), seed=0),
+        interval_len_factor=0.5, trials=2),
+])
+def test_compact_reports_embed_the_config_unchanged(campaign, make_config):
+    cfg = make_config()
+    assert campaign(cfg).to_dict()["config"] == cfg.to_dict()
+
+
+def test_cited_local_law_report_round_trips_byte_for_byte(tmp_path):
+    report = verify.verify_local_law(irreducible_config())
+    path = tmp_path / "r.json"
+    report.to_json(path)
+    back = verify.LocalLawReport.from_dict(json.loads(path.read_text()))
+    assert report_json_bytes(back.to_dict()) == path.read_bytes()
+
+
 def test_constant_dense_config_is_compact():
     cfg = dense_config(n=2000, trials=20)
     assert len(json.dumps(cfg.to_dict(), sort_keys=True)) < 1024
@@ -325,6 +375,17 @@ def test_stieltjes_floor_enforced():
     floor = verify.stieltjes_eta_floor(cfg.ensemble)
     with pytest.raises(InvalidSpec):
         verify.verify_stieltjes_closeness(cfg, [floor / 2.0])
+
+
+def test_stieltjes_batches_match_per_point_solves_at_any_worker_count():
+    cfg = irreducible_config()
+    reports = [verify.verify_stieltjes_closeness(cfg, [0.3, 0.5, 1.0], threads=threads) for threads in (1, 2, 3)]
+    assert len({report_json_bytes(r.to_dict()) for r in reports}) == 1
+    profile = verify.effective_profile(cfg.ensemble)
+    assert len(reports[0].records) == 3 * cfg.num_intervals
+    for rec in reports[0].records:
+        want = qve.solve_qve(profile, qve.SpectralPoint(rec.x, rec.eta)).m
+        assert abs(complex(*rec.predicted) - want) <= 1e-12 * abs(want)
 
 
 def test_stieltjes_report_round_trip(tmp_path):
