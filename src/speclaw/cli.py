@@ -36,13 +36,23 @@ def _grid_spec(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:count, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or not -np.inf < lo < hi < np.inf:
-        raise argparse.ArgumentTypeError(f"grid needs finite lo < hi and count >= 2, got {text!r}")
+    if count < 2 or not (lo < hi and hi - lo < np.inf):  # a finite span has finite ends
+        raise argparse.ArgumentTypeError(f"grid needs finite lo < hi, a finite hi - lo and count >= 2, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
 def _eta_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
+
+
+# campaign command -> (name of its verify function, its summary line); the
+# function is looked up on `verify` at call time, where a tracer may wrap it
+_CAMPAIGNS = {
+    "verify-local-law": ("verify_local_law", "pass_fraction={r.pass_fraction:.4f} max_deviation={r.max_deviation:.6g}"),
+    "verify-stieltjes": ("verify_stieltjes_closeness",
+                         "max_discrepancy={r.max_discrepancy:.6g} median_sup={r.median_sup:.6g}"),
+    "verify-deloc": ("verify_delocalization", "max_ratio={r.max_ratio:.6g} q99={r.ratio_quantiles[q99]:.6g}"),
+}
 
 
 def build_parser() -> _Parser:
@@ -74,7 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vectors", action="store_true")
     p.add_argument("--out", required=True)
 
-    for name in ("verify-local-law", "verify-stieltjes", "verify-deloc"):
+    for name in _CAMPAIGNS:
         p = sub.add_parser(name, help=f"run the {name.removeprefix('verify-')} campaign")
         p.add_argument("--config", required=True)
         p.add_argument("--trials", type=int, default=None)
@@ -112,12 +122,6 @@ def _threads(args) -> int | None:
         raise InvalidSpec(f"SPECLAW_THREADS must be an integer, got {env!r}") from None
 
 
-def _load_campaign(args) -> verify.LocalLawConfig:
-    overrides = {"trials": args.trials, "base_seed": args.seed, "eps": args.eps, "delta": args.delta}
-    cfg = verify.load_local_law_config(args.config)
-    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     command = args.command
@@ -147,8 +151,7 @@ def run(args: argparse.Namespace) -> int:
 
     if command == "sample":
         spec = read_json(ensembles.EnsembleSpec, args.ensemble)
-        if args.seed is not None:
-            spec = ensembles.with_seed(spec, args.seed)
+        spec = spec if args.seed is None else ensembles.with_seed(spec, args.seed)
         matrix = ensembles.sample(spec)
         if args.format == "mm":
             ensembles.save_matrix_market(matrix, args.out)
@@ -159,40 +162,25 @@ def run(args: argparse.Namespace) -> int:
 
     if command == "spectrum":
         spec = read_json(ensembles.EnsembleSpec, args.ensemble)
-        if args.seed is not None:
-            spec = ensembles.with_seed(spec, args.seed)
+        spec = spec if args.seed is None else ensembles.with_seed(spec, args.seed)
         summary = spectra.eigen_full(ensembles.normalized_sample(spec), want_vectors=args.vectors)
         spectra.spectrum_to_csv(summary, args.out)
         lam = summary.eigenvalues
         print(f"n={summary.n} lambda_min={lam[0]:.6g} lambda_max={lam[-1]:.6g} out={args.out}")
         return EXIT_OK
 
-    if command == "verify-local-law":
-        cfg = _load_campaign(args)
-        report = verify.verify_local_law(cfg, threads=_threads(args))
+    if command in _CAMPAIGNS:
+        name, summary = _CAMPAIGNS[command]
+        overrides = {"trials": args.trials, "base_seed": args.seed, "eps": args.eps, "delta": args.delta}
+        cfg = dataclasses.replace(verify.load_local_law_config(args.config),
+                                  **{k: v for k, v in overrides.items() if v is not None})
+        eta_grid = [args.eta] if command == "verify-stieltjes" else []
+        report = getattr(verify, name)(cfg, *eta_grid, threads=_threads(args))
         if args.out:
             report.to_json(args.out)
-        if args.csv:
+        if getattr(args, "csv", None):
             report.to_csv(args.csv)
-        print(f"pass_fraction={report.pass_fraction:.4f} max_deviation={report.max_deviation:.6g}")
-        return EXIT_OK
-
-    if command == "verify-stieltjes":
-        cfg = _load_campaign(args)
-        report = verify.verify_stieltjes_closeness(cfg, args.eta, threads=_threads(args))
-        if args.out:
-            report.to_json(args.out)
-        print(f"max_discrepancy={report.max_discrepancy:.6g} median_sup={report.median_sup:.6g}")
-        return EXIT_OK
-
-    if command == "verify-deloc":
-        cfg = _load_campaign(args)
-        report = verify.verify_delocalization(cfg, threads=_threads(args))
-        if args.out:
-            report.to_json(args.out)
-        if args.csv:
-            report.to_csv(args.csv)
-        print(f"max_ratio={report.max_ratio:.6g} q99={report.ratio_quantiles['q99']:.6g}")
+        print(summary.format(r=report))
         return EXIT_OK
 
     if command == "test-projection":
@@ -217,14 +205,9 @@ def run(args: argparse.Namespace) -> int:
 def _merge_negative_values(argv: list[str]) -> list[str]:
     # argparse mistakes values like "-3:3:600" for flags; fold them into --flag=value
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--grid", "--x") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if merged and merged[-1] in ("--grid", "--x") and tok.startswith("-"):
+            merged[-1] = f"{merged[-1]}={tok}"
         else:
             merged.append(tok)
     return merged

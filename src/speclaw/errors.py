@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one JSON codec.
+"""Exception types shared across the package, the one JSON codec and the CSV writer.
 
 Each exception class carries its CLI exit code and the fields of its JSON
 error record: {"error": kind, "message": ...} plus the class's context, where
@@ -13,6 +13,7 @@ not a JSON object of the declared fields and types raises InvalidSpec naming
 the field.
 """
 
+import csv
 import json
 import math
 import types
@@ -128,6 +129,14 @@ def write_json(payload: dict, path) -> None:
     """Write report_json_bytes(payload), the one byte form of every JSON artifact."""
     with open(path, "wb") as fh:
         fh.write(report_json_bytes(payload))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """The one CSV form: the csv module's default dialect (CRLF), floats as repr(float), None as ''."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_json(kind, path):

@@ -34,7 +34,6 @@ and `profile_fingerprint` instead of its entries.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import math
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, record
+from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, record, write_csv
 
 DEFAULT_ETA = 1e-6
 ETA_START = 1.0
@@ -209,11 +208,10 @@ class DensityCurve:
 
 @dataclass(frozen=True)
 class BulkInterval:
-    """Grid-aligned interval on which the tabulated density stays >= min_density."""
+    """Grid-aligned interval on which the tabulated density stays >= the bulk threshold."""
 
     lo: float
     hi: float
-    min_density: float
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -340,8 +338,10 @@ def _solve_batch(
     NonConvergence for the worst column when a stage uses up _MAX_ITER, or
     once a best defect stays put for _STALL_SWEEPS sweeps at the rounding
     floor of max_k |z + (W g)_k|, which no lower tol can pass; and for the
-    first column whose defect is not finite (a point whose -1/z over- or
-    underflows), at once and without numpy floating-point warnings.
+    first column whose defect turns non-finite, at once and without numpy
+    floating-point warnings.  A defect already non-finite at the first
+    iterate (a point whose -1/z over- or underflows) raises InvalidSpec
+    instead: no iteration can start there.
 
     The sweep touches only the columns still active, which it keeps as the
     leading rows of buffers allocated once per call: when columns converge,
@@ -352,7 +352,7 @@ def _solve_batch(
     column's arithmetic does not depend on the rest of the batch, up to how
     the BLAS rounds one row of a product.
     """
-    with np.errstate(all="ignore"):  # a non-finite defect raises NonConvergence instead
+    with np.errstate(all="ignore"):  # a non-finite defect raises instead
         wt = np.ascontiguousarray(_weight_matrix(profile).T)
         num, dim = xs.size, profile.dim
         depth = min(_ANDERSON_DEPTH, dim)
@@ -373,7 +373,7 @@ def _solve_batch(
         df, dstep = np.empty((num, depth, dim), dtype=np.complex128), np.empty((num, depth, dim), dtype=np.complex128)
         gram = np.empty((num, depth, depth), dtype=np.complex128)
         planes, wg = np.empty((num, 2, dim)), np.empty((num, 2, dim))  # real and imaginary parts of ga and W ga
-        for eta_k in schedule:
+        for stage, eta_k in enumerate(schedule):
             idx, a = np.arange(num), num
             ga[:] = g
             best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
@@ -386,6 +386,9 @@ def _solve_batch(
                 res = np.abs(1.0 / ga[:a] + denom[:a]).max(axis=1)
                 if not np.isfinite(res).all():
                     bad = idx[:a][~np.isfinite(res)].min()
+                    if stage == k == 0:  # no iteration can start here: a bad input, not a failed solve
+                        raise InvalidSpec(f"first defect not finite at x={float(xs[bad])!r}, eta={eta!r}: "
+                                          "-1/z over- or underflows")
                     raise NonConvergence(f"defect not finite at z={xs[bad]:g}+{eta_k:g}i on the way to eta={eta:g}",
                                          x=float(xs[bad]), eta=eta, residual=math.inf, iterations=int(iterations[bad]))
                 cols = idx[:a]
@@ -563,13 +566,9 @@ def detect_bulk(curve: DensityCurve, eps: float) -> list[BulkInterval]:
         raise InvalidSpec("eps must be positive")
     mask = np.concatenate(([False], curve.values >= max(eps, curve.eta_used ** (2.0 / 3.0)), [False]))
     edges = np.flatnonzero(mask[1:] != mask[:-1])  # run starts and (exclusive) ends, alternating
-    return [BulkInterval(lo=float(curve.grid[a]), hi=float(curve.grid[b - 1]), min_density=eps)
+    return [BulkInterval(lo=float(curve.grid[a]), hi=float(curve.grid[b - 1]))
             for a, b in zip(edges[::2], edges[1::2]) if b - a >= 2]
 
 
 def density_to_csv(curve: DensityCurve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "rho"])
-        for x, v in zip(curve.grid, curve.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
+    write_csv(path, ["x", "rho"], zip(curve.grid, curve.values))

@@ -13,7 +13,6 @@ the Schur-complement identity for resolvent diagonal entries.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import math
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange
+from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange, write_csv
 from .qve import SpectralPoint
 
 _TINY = np.finfo(np.float64).tiny
@@ -304,12 +303,9 @@ def schur_resolvent_check(m: np.ndarray, k: int, point: SpectralPoint) -> tuple[
 
 
 def spectrum_to_csv(s: SpectrumSummary, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue", "inf_norm"])
-        norms = s.inf_norms if s.inf_norms is not None else [None] * s.n
-        for i, (lam, nrm) in enumerate(zip(s.eigenvalues, norms)):
-            writer.writerow([i, repr(float(lam)), "" if nrm is None else repr(float(nrm))])
+    """One row per eigenvalue; the inf_norm column is empty without vectors."""
+    norms = s.inf_norms if s.inf_norms is not None else [None] * s.n
+    write_csv(path, ["index", "eigenvalue", "inf_norm"], zip(range(s.n), s.eigenvalues, norms))
 
 
 def bulk_indices(s: SpectrumSummary, intervals) -> np.ndarray:

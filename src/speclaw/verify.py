@@ -1,5 +1,11 @@
 """Monte Carlo campaigns confronting sampled spectra with the predictions.
 
+The local-law, Stieltjes and delocalization campaigns run one pipeline,
+`_campaign`: under one campaign map (the worker pool, BLAS pinned to one
+thread) it predicts the density, finds its bulk, lets the campaign plan
+what every trial needs, and maps the trials over seeded normalized samples.
+Each campaign adds only its plan, its trial and its aggregation.
+
 Each campaign is a deterministic function of (config, base_seed): trial i
 samples with seed base_seed + i, and aggregation is order-independent.  Every
 config and report dataclass is a JSON record (`errors.record`): a report
@@ -30,7 +36,7 @@ from .ensembles import (
     normalized_sample,
     with_seed,
 )
-from .errors import AssertionFailure, EmptyBulk, InvalidSpec, read_json, record
+from .errors import AssertionFailure, EmptyBulk, InvalidSpec, read_json, record, write_csv
 from .qve import (
     DEFAULT_ETA,
     BulkInterval,
@@ -90,10 +96,6 @@ class LocalLawConfig:
         if ensemble_parameters(self.ensemble)[0] < 2:
             raise InvalidSpec("campaigns need n >= 2: their lengths and scales carry log n")
 
-    def interval_length(self) -> float:
-        n, k, p_eff = ensemble_parameters(self.ensemble)
-        return self.interval_len_factor * k * k * math.log(n) / (n * p_eff)
-
 
 def factor_for_length(length: float, ensemble: EnsembleSpec) -> float:
     """interval_len_factor that makes the campaign intervals exactly `length` wide."""
@@ -119,17 +121,6 @@ def place_intervals(bulk: BulkInterval, length: float, num: int) -> list[tuple[f
     else:
         mids = np.linspace(mlo, mhi, num)
     return [(float(m - length / 2.0), float(m + length / 2.0)) for m in mids]
-
-
-def _widest_bulk(curve: DensityCurve, eps: float) -> tuple[list[BulkInterval], BulkInterval]:
-    bulks = detect_bulk(curve, eps)
-    if not bulks:
-        raise EmptyBulk(f"predicted density never reaches eps={eps:g}")
-    return bulks, max(bulks, key=lambda b: b.width)
-
-
-def _prediction_curve(cfg: LocalLawConfig, mapper=map) -> DensityCurve:
-    return extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
 
 
 def _report_config(cfg: LocalLawConfig, curve: DensityCurve) -> dict:
@@ -195,6 +186,24 @@ def _campaign_map(threads: int | None):
             set_threads(count)
 
 
+def _campaign(cfg: LocalLawConfig, threads: int | None, plan, trial) -> tuple[dict, object, list]:
+    """Predict, find the bulk, plan, then map the trials, all under one campaign map.
+
+    Raises EmptyBulk when the predicted density has no bulk.  Trial i maps to
+    trial(normalized sample of seed base_seed + i, plan(curve, bulks, widest, mapper)).
+    Returns the report's config citation, the plan and the trial results in trial order.
+    """
+    with _campaign_map(threads) as mapper:
+        curve = extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
+        bulks = detect_bulk(curve, cfg.eps)
+        if not bulks:
+            raise EmptyBulk(f"predicted density never reaches eps={cfg.eps:g}")
+        planned = plan(curve, bulks, max(bulks, key=lambda b: b.width), mapper)
+        results = list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i)), planned),
+                              range(cfg.trials)))
+    return _report_config(cfg, curve), planned, results
+
+
 # ---------------------------------------------------------------------------
 # local law
 
@@ -222,57 +231,42 @@ class LocalLawReport:
     k_bound_flag: bool
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["interval_lo", "interval_hi", "trial", "observed", "predicted", "deviation"])
-            for rec in self.intervals:
-                for t, (obs, dev) in enumerate(zip(rec.observed, rec.deviations)):
-                    writer.writerow([repr(rec.lo), repr(rec.hi), t, obs, repr(rec.predicted), repr(dev)])
+        write_csv(path, ["interval_lo", "interval_hi", "trial", "observed", "predicted", "deviation"],
+                  ([rec.lo, rec.hi, t, obs, rec.predicted, dev] for rec in self.intervals
+                   for t, (obs, dev) in enumerate(zip(rec.observed, rec.deviations))))
 
 
 def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLawReport:
     """Count eigenvalues on bulk intervals across trials and compare with n * integral(rho).
 
-    The equation is solved once (the density curve is cached for the whole
-    campaign); trial i samples the ensemble with seed base_seed + i, scales it,
-    tridiagonalizes, and Sturm-counts every interval.
+    The intervals sit in the widest bulk and their predictions are integrated
+    once per campaign; each trial tridiagonalizes its sample and Sturm-counts
+    every interval in one sweep.
     """
-    n, _, _ = ensemble_parameters(cfg.ensemble)
+    n, k, p_eff = ensemble_parameters(cfg.ensemble)
 
-    def run_trial(i: int) -> list[int]:
-        spec = with_seed(cfg.ensemble, cfg.base_seed + i)
-        below = eigenvalue_counts_below(tridiagonalize(normalized_sample(spec)), endpoints)  # one Sturm sweep
-        return (below[1::2] - below[::2]).tolist()
+    def plan(curve, bulks, widest, mapper):
+        length = cfg.interval_len_factor * k * k * math.log(n) / (n * p_eff)
+        intervals = place_intervals(widest, length, cfg.num_intervals)
+        return intervals, [n * q for q in mapper(lambda iv: integrate_density(curve, *iv), intervals)]
 
-    with _campaign_map(threads) as mapper:
-        curve = _prediction_curve(cfg, mapper)
-        _, widest = _widest_bulk(curve, cfg.eps)
-        intervals = place_intervals(widest, cfg.interval_length(), cfg.num_intervals)
-        predicted = [n * q for q in mapper(lambda iv: integrate_density(curve, *iv), intervals)]
-        endpoints = np.ravel(intervals)  # integrate_density has checked lo <= hi
-        observed_rows = list(mapper(run_trial, range(cfg.trials)))
+    def trial(matrix, planned):  # one Sturm sweep; integrate_density has checked lo <= hi
+        below = eigenvalue_counts_below(tridiagonalize(matrix), np.ravel(planned[0]))
+        return below[1::2] - below[::2]
 
-    records = []
-    trial_dev_max = np.zeros(cfg.trials)
-    for j, (lo, hi) in enumerate(intervals):
-        obs = [row[j] for row in observed_rows]
-        devs = [abs(o - predicted[j]) / (n * (hi - lo)) for o in obs]
-        trial_dev_max = np.maximum(trial_dev_max, devs)
-        records.append(
-            IntervalRecord(
-                lo=lo,
-                hi=hi,
-                predicted=predicted[j],
-                observed=obs,
-                deviations=devs,
-                pass_fraction=float(np.mean([d <= cfg.delta for d in devs])),
-            )
-        )
-    trial_pass = [bool(d <= cfg.delta) for d in trial_dev_max]
+    config, (intervals, predicted), rows = _campaign(cfg, threads, plan, trial)
+    observed = np.array(rows)  # trials x intervals
+    lo, hi = np.array(intervals).T
+    deviations = np.abs(observed - predicted) / (n * (hi - lo))
+    interval_pass, trial_dev_max = (deviations <= cfg.delta).mean(axis=0), deviations.max(axis=1)
+    trial_pass = (trial_dev_max <= cfg.delta).tolist()
+    records = [
+        IntervalRecord(lo=lo_j, hi=hi_j, predicted=predicted[j], observed=observed[:, j].tolist(),
+                       deviations=deviations[:, j].tolist(), pass_fraction=float(interval_pass[j]))
+        for j, (lo_j, hi_j) in enumerate(intervals)
+    ]
     return LocalLawReport(
-        config=_report_config(cfg, curve),
+        config=config,
         n=n,
         intervals=records,
         trial_pass=trial_pass,
@@ -312,9 +306,7 @@ def stieltjes_eta_floor(ensemble: EnsembleSpec) -> float:
     return k * k * math.log(n) / (n * p_eff)
 
 
-def verify_stieltjes_closeness(
-    cfg: LocalLawConfig, eta_grid, threads: int | None = None
-) -> StieltjesReport:
+def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | None = None) -> StieltjesReport:
     """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial."""
     etas = sorted(float(e) for e in np.atleast_1d(eta_grid))
     if not etas:
@@ -322,29 +314,24 @@ def verify_stieltjes_closeness(
     floor = stieltjes_eta_floor(cfg.ensemble)
     if etas[0] < floor:
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
-    n, _, _ = ensemble_parameters(cfg.ensemble)
 
-    def run_trial(i: int) -> list[float]:
-        spec = with_seed(cfg.ensemble, cfg.base_seed + i)
-        summary = eigen_full(normalized_sample(spec))
-        return [abs(stieltjes_empirical(summary, pt) - m) for pt, m in zip(points, predicted)]
-
-    with _campaign_map(threads) as mapper:
-        curve = _prediction_curve(cfg, mapper)
-        _, widest = _widest_bulk(curve, cfg.eps)
+    def plan(curve, bulks, widest, mapper):
         xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
-        points = [SpectralPoint(float(x), eta) for x in xs for eta in etas]
-        # one batch per eta over all xs, in the order of `points`
-        per_eta = list(mapper(lambda eta: stieltjes_batch(curve.source, xs, eta), etas))
-        predicted = [complex(m[j]) for j in range(xs.size) for m in per_eta]
-        rows = list(mapper(run_trial, range(cfg.trials)))
-    records = [
-        StieltjesRecord(x=pt.re, eta=pt.im, predicted=[m.real, m.imag], discrepancies=[row[j] for row in rows])
-        for j, (pt, m) in enumerate(zip(points, predicted))
-    ]
+        per_eta = list(mapper(lambda eta: stieltjes_batch(curve.source, xs, eta), etas))  # one batch per eta
+        # (point, predicted m) pairs, x-major
+        return [(SpectralPoint(float(x), eta), complex(m[j])) for j, x in enumerate(xs)
+                for eta, m in zip(etas, per_eta)]
+
+    def trial(matrix, planned):
+        summary = eigen_full(matrix)
+        return [abs(stieltjes_empirical(summary, pt) - m) for pt, m in planned]
+
+    config, planned, rows = _campaign(cfg, threads, plan, trial)
+    records = [StieltjesRecord(x=pt.re, eta=pt.im, predicted=[m.real, m.imag], discrepancies=[row[j] for row in rows])
+               for j, (pt, m) in enumerate(planned)]
     trial_sup = [float(max(row)) for row in rows]
     return StieltjesReport(
-        config=_report_config(cfg, curve),
+        config=config,
         eta_floor=floor,
         records=records,
         trial_sup=trial_sup,
@@ -376,13 +363,8 @@ class DelocReport:
     k_bound_flag: bool
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "bulk_count", "max_inf_norm", "max_ratio"])
-            for r in self.records:
-                writer.writerow([r.trial, r.bulk_count, repr(r.max_inf_norm), repr(r.max_ratio)])
+        write_csv(path, ["trial", "bulk_count", "max_inf_norm", "max_ratio"],
+                  ([r.trial, r.bulk_count, r.max_inf_norm, r.max_ratio] for r in self.records))
 
 
 def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> DelocReport:
@@ -392,28 +374,21 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
     """
     n, k_bound, p_eff = ensemble_parameters(cfg.ensemble)
 
-    def run_trial(i: int) -> tuple[int, float, float, np.ndarray]:
-        spec = with_seed(cfg.ensemble, cfg.base_seed + i)
-        summary = eigen_full(normalized_sample(spec), want_vectors=True)
-        ratios = normalized_deloc_ratios(summary, bulks, n, k_bound, p_eff)
+    def trial(matrix, bulks):
+        ratios = normalized_deloc_ratios(eigen_full(matrix, want_vectors=True), bulks, n, k_bound, p_eff)
         if ratios.size == 0:
             return 0, 0.0, 0.0, ratios
         norms = ratios * k_bound * math.sqrt(math.log(n)) / math.sqrt(n * p_eff)
         return ratios.size, float(norms.max()), float(ratios.max()), ratios
 
-    with _campaign_map(threads) as mapper:
-        curve = _prediction_curve(cfg, mapper)
-        bulks, _ = _widest_bulk(curve, cfg.eps)
-        results = list(mapper(run_trial, range(cfg.trials)))
-    records = [
-        DelocTrialRecord(trial=i, bulk_count=c, max_inf_norm=mn, max_ratio=mr)
-        for i, (c, mn, mr, _) in enumerate(results)
-    ]
+    config, _, results = _campaign(cfg, threads, lambda curve, bulks, widest, mapper: bulks, trial)
+    records = [DelocTrialRecord(trial=i, bulk_count=c, max_inf_norm=mn, max_ratio=mr)
+               for i, (c, mn, mr, _) in enumerate(results)]
     pooled = np.concatenate([r[3] for r in results])
     if pooled.size == 0:
         raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
     return DelocReport(
-        config=_report_config(cfg, curve),
+        config=config,
         records=records,
         ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
         max_ratio=float(pooled.max()),

@@ -258,7 +258,7 @@ def test_criterion_10_delocalization_scaling():
         summary = spectra.eigen_full(np.diag(np.arange(1.0, n + 1) / n), want_vectors=True)
         return float(
             spectra.normalized_deloc_ratios(
-                summary, [qve.BulkInterval(lo=0.0, hi=1.0, min_density=0.1)], n=n, bound=1.0, p_eff=1.0
+                summary, [qve.BulkInterval(lo=0.0, hi=1.0)], n=n, bound=1.0, p_eff=1.0
             ).max()
         )
 

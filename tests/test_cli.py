@@ -411,29 +411,47 @@ def test_deloc_campaign_with_an_empty_bulk_exits_one(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_non_finite_error_context_is_written_as_null(profile_path, capsys):
-    code = cli.main(["qve-solve", "--profile", profile_path, "--x=1e308", "--eta", "1e308"])
+def test_non_finite_error_context_is_written_as_null(profile_path, monkeypatch, capsys):
+    # no qve-solve point turns its defect non-finite after a finite start, so the
+    # solve starts from a warm start whose second defect overflows (see test_qve)
+    def diverging_solve(profile, point, tol):
+        start = np.full((profile.dim, 1), 1e308 * (1 + 1j))
+        qve._solve_batch(profile, np.array([point.re]), point.im, tol, initial=start)
+
+    monkeypatch.setattr(qve, "solve_qve", diverging_solve)
+    code = cli.main(["qve-solve", "--profile", profile_path, "--x", "1.1", "--eta", "0.5"])
     assert code == 2
     record = _strict_json(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "non_convergence"
-    assert record["residual"] is None
+    assert (record["x"], record["eta"], record["residual"]) == (1.1, 0.5, None)
 
 
 def test_non_finite_defect_fails_at_once_with_one_record(profile_path):
-    # -1/z underflows at this point, so every defect is infinite from the first sweep
+    # -1/z underflows at this point, so the defect of the very first iterate is infinite
     src = str(Path(speclaw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
         [sys.executable, "-m", "speclaw.cli", "qve-solve", "--profile", profile_path, "--x=1e308", "--eta", "1e308"],
         env=env, capture_output=True, text=True,
     )
-    assert run.returncode == 2
+    assert run.returncode == 1
     lines = run.stderr.splitlines()
     assert len(lines) == 1
     record = _strict_json(lines[0])
-    assert record["error"] == "non_convergence"
-    assert record["residual"] is None
-    assert record["iterations"] <= 1
+    assert record["error"] == "config"
+    assert "x=1e+308" in record["message"] and "eta=1e+308" in record["message"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["density", "--grid=1e308:1.5e308:2", "--eta", "1e308", "--out", "{tmp}/rho.csv"], 1),
+    (["qve-solve", "--x=1e300", "--eta", "1"], 2),  # starts finite, then stalls at the rounding floor
+])
+def test_unstartable_point_exits_one_and_a_stall_exits_two(tmp_path, profile_path, capsys, argv, code):
+    argv = [argv[0], "--profile", profile_path, *(arg.format(tmp=tmp_path) for arg in argv[1:])]
+    assert cli.main(argv) == code
+    record = _strict_json(capsys.readouterr().err.strip())
+    assert record["error"] == ("config" if code == 1 else "non_convergence")
+    assert not (tmp_path / "rho.csv").exists()
 
 
 def test_zero_tol_is_honoured(tmp_path, capsys):
@@ -478,7 +496,7 @@ def test_invalid_argument_exits_one(tmp_path, profile_path, campaign_path, capsy
     assert message in _config_failure(capsys)
 
 
-@pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "nan:1:5"])
+@pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "nan:1:5", "-1e308:1e308:5"])
 def test_non_finite_grid_end_exits_one_without_warnings(tmp_path, profile_path, capsys, grid):
     with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
         warnings.simplefilter("always")

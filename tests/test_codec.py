@@ -1,5 +1,8 @@
-"""The one JSON codec: every record type round-trips through to_json and read_json."""
+"""The one JSON codec: every record type round-trips through to_json and read_json; every CSV
+writer reads back through csv.reader."""
 
+import csv
+import functools
 import math
 import warnings
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclaw import ensembles as ens
-from speclaw import qve, verify
+from speclaw import qve, spectra, verify
 from speclaw.errors import InvalidSpec, read_json, report_json_bytes
 
 reals = st.floats(min_value=-1e6, max_value=1e6)
@@ -211,3 +214,60 @@ def test_tagged_records_check_their_tag_and_untagged_ones_keep_their_kind_field(
         ens.SbmSpec.from_dict({k: v for k, v in spec.to_dict().items() if k != "kind"})
     assert ens.EntryLaw.from_dict({"kind": "rademacher"}).kind == "rademacher"
     assert set(qve.VarianceProfile.constant(2).to_dict()) == {"n", "entries"}
+
+
+# floats whose shortest repr has every digit, or sits at the ends of the range
+_AWKWARD = [0.1, 1 / 3, -2.0 / 7.0, 5e-324, 1.7976931348623157e308, -0.0, 1e22]
+
+
+def _density_csv(path):
+    grid = np.array([-1.0, -1 / 3, 0.1, 0.7])
+    curve = qve.DensityCurve(grid=grid, values=np.array(_AWKWARD[:4]) ** 2, eta_used=1e-6, profile_hash="0")
+    qve.density_to_csv(curve, path)
+    return ["x", "rho"], [[x, v] for x, v in zip(curve.grid, curve.values)]
+
+
+def _spectrum_csv(path, vectors):
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    summary = spectra.SpectrumSummary(np.sort(_AWKWARD[:4]), q if vectors else None)
+    spectra.spectrum_to_csv(summary, path)
+    norms = summary.inf_norms if vectors else [None] * 4
+    rows = [[i, lam, nrm] for i, (lam, nrm) in enumerate(zip(summary.eigenvalues, norms))]
+    return ["index", "eigenvalue", "inf_norm"], rows
+
+
+def _local_law_csv(path):
+    rec = verify.IntervalRecord(lo=-1 / 3, hi=0.1, predicted=_AWKWARD[1], observed=[3, 0],
+                                deviations=_AWKWARD[4:6], pass_fraction=0.5)
+    report = verify.LocalLawReport(config={}, n=9, intervals=[rec, rec], trial_pass=[True, False], pass_fraction=0.5,
+                                   max_deviation=_AWKWARD[4], k_bound_flag=True)
+    report.to_csv(path)
+    rows = [[r.lo, r.hi, t, obs, r.predicted, dev] for r in report.intervals
+            for t, (obs, dev) in enumerate(zip(r.observed, r.deviations))]
+    return ["interval_lo", "interval_hi", "trial", "observed", "predicted", "deviation"], rows
+
+
+def _deloc_csv(path):
+    records = [verify.DelocTrialRecord(trial=t, bulk_count=7 * t, max_inf_norm=a, max_ratio=b)
+               for t, (a, b) in enumerate(zip(_AWKWARD, _AWKWARD[::-1]))]
+    verify.DelocReport(config={}, records=records, ratio_quantiles={}, max_ratio=1.0, k_bound_flag=False).to_csv(path)
+    rows = [[r.trial, r.bulk_count, r.max_inf_norm, r.max_ratio] for r in records]
+    return ["trial", "bulk_count", "max_inf_norm", "max_ratio"], rows
+
+
+@pytest.mark.parametrize("writer", [_density_csv, functools.partial(_spectrum_csv, vectors=True),
+                                    functools.partial(_spectrum_csv, vectors=False), _local_law_csv, _deloc_csv],
+                         ids=["density", "spectrum-vectors", "spectrum", "local-law", "deloc"])
+def test_csv_writers_read_back_their_header_and_exact_values(tmp_path, writer):
+    path = tmp_path / "table.csv"
+    header, rows = writer(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert path.read_bytes().endswith(b"\r\n")
+    assert table[0] == header
+    parsed = [[None if cell == "" else int(cell) if type(v) is int else float(cell) for cell, v in zip(line, row)]
+              for line, row in zip(table[1:], rows)]
+    assert len(table) == len(rows) + 1 and all(len(line) == len(header) for line in table)
+    assert parsed == rows
+    assert all(math.copysign(1.0, a) == math.copysign(1.0, b) for line, row in zip(parsed, rows)
+               for a, b in zip(line, row) if isinstance(b, float))

@@ -1,11 +1,15 @@
-"""The benchmark's traced run patches speclaw names; each must exist and come back intact.
+"""The benchmark's traced run patches speclaw names; each must exist and come back intact,
+and a traced campaign must keep every trial below its campaign span.
 
 Reads perfbench/layers.py and perfbench/tracer.py, the traced run's list of
 wrapped functions and its patcher, without running any workload.
 """
 
 import importlib
+import json
 from pathlib import Path
+
+import pytest
 
 import speclaw
 from speclaw import cli, ensembles, qve, rng, spectra, verify
@@ -45,3 +49,41 @@ def test_install_patches_every_listed_name_and_uninstall_restores_it(monkeypatch
     for ns, snapshot in zip(namespaces, before):
         changed = [k for k, v in vars(ns).items() if snapshot.get(k) is not v]
         assert not changed, f"{ns.__name__}: {changed} differ after uninstall"
+
+
+_TINY_CAMPAIGN = {"ensemble": {"kind": "wigner", "n": 20, "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},
+                               "law": {"kind": "rademacher"}, "seed": 0},
+                  "trials": 3, "interval_len_factor": 5.0}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command, extra", [("verify-local-law", []), ("verify-stieltjes", ["--eta", "0.5"]),
+                                            ("verify-deloc", [])])
+def test_traced_campaign_span_holds_every_trial(tmp_path, monkeypatch, capsys, command, extra, threads):
+    # the CLI must reach each campaign through the `verify` attribute the tracer wraps;
+    # a reference captured at import would leave the traced run without a campaign span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer_mod = importlib.import_module("tracer")
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps(_TINY_CAMPAIGN))
+
+    tracer = tracer_mod.Tracer()
+    layers.install(tracer)
+    # SPANS lists no Stieltjes campaign; wrap it the way the listed campaigns are wrapped
+    tracer.patch(verify, "verify_stieltjes_closeness", "verify.self_s", (speclaw, *MODULES.values()))
+    try:
+        assert cli.main([command, "--config", str(config), "--threads", str(threads), *extra]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    spans = tracer.spans
+    (campaign,) = [i for i, s in enumerate(spans) if s.name == "verify.self_s"]
+    trial_spans = [s for s in spans if s.name in layers.TRIAL_SPANS]
+    assert trial_spans
+    for span in trial_spans:  # a trial span nested in another hangs below the campaign through it
+        while spans[span.parent].name in layers.TRIAL_SPANS:
+            span = spans[span.parent]
+        assert span.parent == campaign, (span.name, spans[span.parent].name)
+    assert layers.per_layer(tracer)["verify.trials"] == _TINY_CAMPAIGN["trials"]

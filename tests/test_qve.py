@@ -408,7 +408,6 @@ def test_bulk_at_tenth_matches_closed_form(constant_curve):
     step = constant_curve.grid[1] - constant_curve.grid[0]
     assert abs(bulk.lo + edge) <= step
     assert abs(bulk.hi - edge) <= step
-    assert bulk.min_density == 0.1
 
 
 def test_bulk_empty_when_eps_exceeds_peak(constant_curve):

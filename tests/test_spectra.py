@@ -465,7 +465,7 @@ def test_inf_norms_require_vectors():
 
 def test_bulk_indices_and_ratios():
     s = spectra.eigen_full(np.diag(np.linspace(-1, 1, 9)), want_vectors=True)
-    intervals = [qve.BulkInterval(lo=-0.5, hi=0.5, min_density=0.1)]
+    intervals = [qve.BulkInterval(lo=-0.5, hi=0.5)]
     idx = spectra.bulk_indices(s, intervals)
     assert np.all(np.abs(s.eigenvalues[idx]) <= 0.5)
     ratios = spectra.normalized_deloc_ratios(s, intervals, n=9, bound=1.0, p_eff=1.0)

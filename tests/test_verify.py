@@ -39,7 +39,8 @@ def dense_report():
 
 def test_full_span_interval_counts_everything():
     cfg = dense_config(n=300, trials=3)
-    predicted = 300 * qve.integrate_density(verify._prediction_curve(cfg), -3.0, 3.0)
+    curve = qve.extract_density(ens.effective_profile(cfg.ensemble), qve.default_grid(), eta=cfg.eta)
+    predicted = 300 * qve.integrate_density(curve, -3.0, 3.0)
     trials = [ens.with_seed(cfg.ensemble, cfg.base_seed + i) for i in range(cfg.trials)]
     observed = [count_in_interval(tridiagonalize(ens.normalized_sample(spec)), -3.0, 3.0) for spec in trials]
     assert predicted == pytest.approx(300.0, abs=0.5)
@@ -342,7 +343,7 @@ def test_config_validation():
 
 
 def test_interval_placement_insets_and_falls_back():
-    bulk = qve.BulkInterval(lo=-1.9, hi=1.9, min_density=0.1)
+    bulk = qve.BulkInterval(lo=-1.9, hi=1.9)
     narrow = verify.place_intervals(bulk, 0.2, 3)
     assert narrow[0][0] >= bulk.lo + 0.2 / 2 - 1e-12
     assert narrow[-1][1] <= bulk.hi - 0.2 / 2 + 1e-12
@@ -420,7 +421,7 @@ def test_deloc_negative_control_is_localized():
     n = 200
     control = np.diag(np.linspace(0.1, 1.0, n))
     s = spectra.eigen_full(control, want_vectors=True)
-    intervals = [qve.BulkInterval(lo=0.0, hi=1.0, min_density=0.1)]
+    intervals = [qve.BulkInterval(lo=0.0, hi=1.0)]
     ratios = spectra.normalized_deloc_ratios(s, intervals, n=n, bound=1.0, p_eff=1.0)
     expected = math.sqrt(n / math.log(n))
     assert np.allclose(ratios, expected)
