@@ -1,5 +1,8 @@
 """Experiment runner: one binary, one subcommand per pipeline stage.
 
+The five report commands (three campaigns, test-projection, test-interlacing)
+share one branch: the verify function, --out, --csv if any, the summary line.
+
 Exit codes: 0 success, 1 config/IO/validation problems, 2 numerical
 non-convergence, 3 a verification assertion failed.  A failure prints the
 JSON record of its SpecLawError (errors.py holds the contract) on stderr;
@@ -12,13 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import ensembles, qve, spectra, verify
-from .errors import InvalidSpec, SpecLawError, read_json, write_json
+from .errors import SpecLawError, read_json, write_json
 
 EXIT_OK = 0
 
@@ -45,13 +47,27 @@ def _eta_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-# campaign command -> (name of its verify function, its summary line); the
-# function is looked up on `verify` at call time, where a tracer may wrap it
-_CAMPAIGNS = {
-    "verify-local-law": ("verify_local_law", "pass_fraction={r.pass_fraction:.4f} max_deviation={r.max_deviation:.6g}"),
-    "verify-stieltjes": ("verify_stieltjes_closeness",
-                         "max_discrepancy={r.max_discrepancy:.6g} median_sup={r.median_sup:.6g}"),
-    "verify-deloc": ("verify_delocalization", "max_ratio={r.max_ratio:.6g} q99={r.ratio_quantiles[q99]:.6g}"),
+def _campaign_config(args) -> verify.LocalLawConfig:
+    """The --config campaign with the command-line overrides applied (--delta: verify-local-law only)."""
+    overrides = {"trials": args.trials, "base_seed": args.seed, "eps": args.eps, "delta": getattr(args, "delta", None)}
+    return dataclasses.replace(verify.load_local_law_config(args.config),
+                               **{k: v for k, v in overrides.items() if v is not None})
+
+
+# report command -> (name of its verify function, its arguments from the parsed
+# command line, its summary line); the function is looked up on `verify` at
+# call time, where a tracer may wrap it
+_REPORTS = {
+    "verify-local-law": ("verify_local_law", lambda a: (_campaign_config(a), a.threads),
+                         lambda r: f"pass_fraction={r.pass_fraction:.4f} max_deviation={r.max_deviation:.6g}"),
+    "verify-stieltjes": ("verify_stieltjes_closeness", lambda a: (_campaign_config(a), a.eta, a.threads),
+                         lambda r: f"max_discrepancy={r.max_discrepancy:.6g} median_sup={r.median_sup:.6g}"),
+    "verify-deloc": ("verify_delocalization", lambda a: (_campaign_config(a), a.threads),
+                     lambda r: f"max_ratio={r.max_ratio:.6g} q99={r.ratio_quantiles['q99']:.6g}"),
+    "test-projection": ("projection_concentration_test", lambda a: (read_json(verify.ProjectionTestSpec, a.config),),
+                        lambda r: f"failure_rate_first={r.rates()[0]:.4f} failure_rate_last={r.rates()[-1]:.4f}"),
+    "test-interlacing": ("interlacing_test", lambda a: (a.trials, a.n, a.seed),
+                         lambda r: f"violations=0 trials={r.trials} max_rank1_shift={r.max_shift_rank1}"),
 }
 
 
@@ -84,14 +100,15 @@ def build_parser() -> _Parser:
     p.add_argument("--vectors", action="store_true")
     p.add_argument("--out", required=True)
 
-    for name in _CAMPAIGNS:
+    for name in ("verify-local-law", "verify-stieltjes", "verify-deloc"):
         p = sub.add_parser(name, help=f"run the {name.removeprefix('verify-')} campaign")
         p.add_argument("--config", required=True)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        if name == "verify-local-law":  # the only campaign that reads delta
+            p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--threads", type=int, default=None, help="trial workers (default: the usable CPU count)")
         p.add_argument("--out", default=None)
         if name == "verify-stieltjes":
             p.add_argument("--eta", type=_eta_list, required=True, help="comma-separated eta grid")
@@ -109,17 +126,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     return parser
-
-
-def _threads(args) -> int | None:
-    """Trial workers: --threads, else SPECLAW_THREADS, else None (the usable CPU count)."""
-    env = os.environ.get("SPECLAW_THREADS")
-    if args.threads is not None or env is None:
-        return args.threads
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidSpec(f"SPECLAW_THREADS must be an integer, got {env!r}") from None
 
 
 def run(args: argparse.Namespace) -> int:
@@ -169,37 +175,14 @@ def run(args: argparse.Namespace) -> int:
         print(f"n={summary.n} lambda_min={lam[0]:.6g} lambda_max={lam[-1]:.6g} out={args.out}")
         return EXIT_OK
 
-    if command in _CAMPAIGNS:
-        name, summary = _CAMPAIGNS[command]
-        overrides = {"trials": args.trials, "base_seed": args.seed, "eps": args.eps, "delta": args.delta}
-        cfg = dataclasses.replace(verify.load_local_law_config(args.config),
-                                  **{k: v for k, v in overrides.items() if v is not None})
-        eta_grid = [args.eta] if command == "verify-stieltjes" else []
-        report = getattr(verify, name)(cfg, *eta_grid, threads=_threads(args))
-        if args.out:
-            report.to_json(args.out)
-        if getattr(args, "csv", None):
-            report.to_csv(args.csv)
-        print(summary.format(r=report))
-        return EXIT_OK
-
-    if command == "test-projection":
-        spec = read_json(verify.ProjectionTestSpec, args.config)
-        report = verify.projection_concentration_test(spec)
-        if args.out:
-            report.to_json(args.out)
-        rates = report.rates()
-        print(f"failure_rate_first={rates[0]:.4f} failure_rate_last={rates[-1]:.4f}")
-        return EXIT_OK
-
-    if command == "test-interlacing":
-        report = verify.interlacing_test(args.trials, args.n, args.seed)
-        if args.out:
-            report.to_json(args.out)
-        print(f"violations=0 trials={report.trials} max_rank1_shift={report.max_shift_rank1}")
-        return EXIT_OK
-
-    raise SpecLawError(f"unknown command {command!r}")
+    name, inputs, summary = _REPORTS[command]  # argparse admits no other command
+    report = getattr(verify, name)(*inputs(args))
+    if args.out:
+        report.to_json(args.out)
+    if getattr(args, "csv", None):
+        report.to_csv(args.csv)
+    print(summary(report))
+    return EXIT_OK
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

@@ -16,6 +16,7 @@ the field.
 import csv
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import MISSING, fields
@@ -99,12 +100,14 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a bo
 def json_value(value, kind: type, where: str):
     """`value` if it is JSON of type `kind`, else raise InvalidSpec naming `where`.
 
-    An integer passes as a float (and comes back as one), a boolean as
-    neither.
+    An integer in the float range passes as a float (and comes back as one),
+    a boolean as neither.
     """
     if isinstance(value, kind) and not (isinstance(value, bool) and kind in (int, float)):
         return value
     if kind is float and type(value) is int:
+        if abs(value) > sys.float_info.max:
+            raise InvalidSpec(f"{where} is an integer too large for a float")
         return float(value)
     got = next((name for t, name in _JSON_TYPES.items() if isinstance(value, t)), "null")
     raise InvalidSpec(f"{where} must be {_JSON_TYPES[kind]}, got {got}")

@@ -461,8 +461,6 @@ def solve_qve(profile: Profile, point: SpectralPoint, tol: float = DEFAULT_TOL) 
 def stieltjes_batch(profile: Profile, xs: np.ndarray, eta: float) -> np.ndarray:
     """m(x + i*eta) for an array of abscissas, solved as one batch."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if xs.size == 0:
-        return np.empty(0, dtype=np.complex128)
     if not 0 < eta < math.inf:
         raise InvalidSpec(f"eta must be positive and finite, got {eta}")
     g, _, _ = _solve_batch(profile, xs, eta)

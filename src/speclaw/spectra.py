@@ -244,8 +244,6 @@ def count_in_interval(t: TridiagonalForm, lo: float, hi: float) -> int:
     """
     if not lo <= hi:
         raise OutOfRange(f"need lo <= hi, got ({lo}, {hi}]")
-    if lo == hi:
-        return 0
     below = eigenvalue_counts_below(t, np.array([lo, hi]))
     return int(below[1] - below[0])
 
@@ -294,10 +292,7 @@ def schur_resolvent_check(m: np.ndarray, k: int, point: SpectralPoint) -> tuple[
     keep = np.arange(n) != k
     minor = a[np.ix_(keep, keep)]
     col = a[keep, k].astype(np.complex128)
-    if n == 1:
-        y = 0.0 + 0.0j
-    else:
-        y = complex(col @ np.linalg.solve(minor - z * np.eye(n - 1), col))
+    y = complex(col @ np.linalg.solve(minor - z * np.eye(n - 1), col))  # 0 for n = 1: both are empty
     schur = 1.0 / (a[k, k] - z - y)
     return direct, schur
 

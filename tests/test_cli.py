@@ -166,6 +166,58 @@ def test_interlacing_command(tmp_path, capsys):
     assert "violations=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trial, rank", [(0, 1), (1, 1), (0, 2), (2, 4)])
+def test_interlacing_violation_exits_three_with_its_counterexample(tmp_path, monkeypatch, capsys, trial, rank):
+    # each trial counts its base matrix, then its rank-1 and its rank-d update (d = 2 + trial % 4);
+    # every count reads 0 except the one of trial `trial`'s rank-`rank` update
+    target = 3 * trial + (1 if rank == 1 else 2)
+    calls = []
+
+    def count(form, lo, hi):
+        calls.append((lo, hi))
+        return rank + 1 if len(calls) - 1 == target else 0
+
+    monkeypatch.setattr(verify, "count_in_interval", count)
+    out = tmp_path / "i.json"
+    assert cli.main(["test-interlacing", "--trials", "5", "--n", "10", "--seed", "7", "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    lo, hi = calls[target]
+    assert record["error"] == "assertion_failure"
+    assert record["message"] == f"rank-{rank} update moved the count on ({lo:g}, {hi:g}] by {rank + 1}"
+    assert record["counterexample"] == {"trial": trial, "seed": 7, "lo": lo, "hi": hi, "rank": rank, "shift": rank + 1}
+    assert len(calls) == target + 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [("test-projection", "projection_concentration_test"),
+                                           ("test-interlacing", "interlacing_test")])
+def test_lemma_commands_look_their_function_up_at_call_time(tmp_path, monkeypatch, command, name):
+    # the one report branch calls whatever `verify` holds then, as a tracer's wrapper
+    seen = []
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: seen.append(args) or original(*args))
+    cfg = tmp_path / "proj.json"
+    cfg.write_text(json.dumps(_PROJECTION))
+    argv = ["--config", str(cfg)] if command == "test-projection" else ["--trials", "2", "--n", "6"]
+    assert cli.main([command, *argv, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(seen) == 1 and (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [("verify-deloc", []), ("verify-stieltjes", ["--eta", "0.5"])])
+def test_delta_is_a_usage_error_where_the_campaign_ignores_it(campaign_path, capsys, command, extra):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", campaign_path, "--delta", "0.2", *extra])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--delta" in err
+
+
+def test_delta_overrides_the_local_law_config(tmp_path, campaign_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-local-law", "--config", campaign_path, "--delta", "0.3", "--threads", "1",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["delta"] == 0.3
+
+
 def test_unknown_flag_exits_one_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["density", "--bogus"])
@@ -219,16 +271,6 @@ def test_failed_reduction_exits_two(tmp_path, campaign_path, monkeypatch, capsys
     assert record["error"] == "non_convergence"
     assert "info=-4" in record["message"]
     assert not (tmp_path / "r.json").exists()
-
-
-def test_threads_env_fallback(tmp_path, campaign_path, monkeypatch):
-    monkeypatch.setenv("SPECLAW_THREADS", "2")
-    out = tmp_path / "r.json"
-    assert cli.main(["verify-local-law", "--config", campaign_path, "--out", str(out)]) == 0
-    monkeypatch.delenv("SPECLAW_THREADS")
-    out2 = tmp_path / "r2.json"
-    assert cli.main(["verify-local-law", "--config", campaign_path, "--out", str(out2)]) == 0
-    assert out.read_bytes() == out2.read_bytes()
 
 
 def _reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra):
@@ -507,18 +549,8 @@ def test_non_finite_grid_end_exits_one_without_warnings(tmp_path, profile_path, 
     assert "RuntimeWarning" not in err and "finite lo < hi" in err
 
 
-def test_non_integer_threads_variable_exits_one(tmp_path, campaign_path, monkeypatch, capsys):
-    monkeypatch.setenv("SPECLAW_THREADS", "abc")
-    assert cli.main(["verify-local-law", "--config", campaign_path, "--out", str(tmp_path / "r.json")]) == 1
-    assert "SPECLAW_THREADS" in _config_failure(capsys)
-    assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0")],
-                         ids=["threads-0", "threads-negative", "env-0"])
-def test_fewer_than_one_worker_exits_one(tmp_path, campaign_path, monkeypatch, capsys, flag, env):
-    if env is not None:  # --threads overrides the variable
-        monkeypatch.setenv("SPECLAW_THREADS", env)
+@pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads", "-3"]], ids=["threads-0", "threads-negative"])
+def test_fewer_than_one_worker_exits_one(tmp_path, campaign_path, capsys, flag):
     out = tmp_path / "r.json"
     assert cli.main(["verify-local-law", "--config", campaign_path, *flag, "--out", str(out)]) == 1
     assert "at least 1 worker" in _config_failure(capsys)
@@ -530,6 +562,20 @@ def test_interlacing_without_trials_exits_one(tmp_path, capsys, trials):
     out = tmp_path / "i.json"
     assert cli.main(["test-interlacing", "--trials", trials, "--n", "10", "--out", str(out)]) == 1
     assert "at least 1 trial" in _config_failure(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, payload", [
+    ("LocalLawConfig.eps", {**_CAMPAIGN, "eps": "HUGE"}),
+    ("EntryLaw.bound", {**_CAMPAIGN, "ensemble": {**_WIGNER, "law": {"kind": "scaled_bernoulli_centered",
+                                                                     "bound": "HUGE"}}}),
+])
+def test_integer_beyond_the_float_range_exits_one_with_a_config_record(tmp_path, capsys, where, payload):
+    path = tmp_path / "llaw.json"
+    path.write_text(json.dumps(payload).replace('"HUGE"', "9" * 401))  # 401 digits, beyond 1.8e308
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-local-law", "--config", str(path), "--out", str(out)]) == 1
+    assert where in _config_failure(capsys)
     assert not out.exists()
 
 

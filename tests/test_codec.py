@@ -205,6 +205,20 @@ def test_scaled_bernoulli_needs_a_finite_bound_of_at_least_one(value):
         ens.EntryLaw("scaled_bernoulli_centered", value)
 
 
+@pytest.mark.parametrize("kind, data, where", [
+    (ens.EntryLaw, {"kind": "scaled_bernoulli_centered", "bound": 10**400}, "EntryLaw.bound"),
+    (verify.LocalLawConfig, {"ensemble": {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5]], "seed": 0},
+                             "eps": -(10**400)}, "LocalLawConfig.eps"),
+])
+def test_integer_beyond_the_float_range_names_its_field(kind, data, where):
+    with pytest.raises(InvalidSpec, match=rf"^{where} is an integer too large for a float$"):
+        kind.from_dict(data)
+    # the largest integer below the float range still passes, as a float
+    top = int(np.finfo(np.float64).max)
+    field = where.split(".")[1]
+    assert getattr(kind.from_dict({**data, field: top}), field) == float(top)
+
+
 def test_tagged_records_check_their_tag_and_untagged_ones_keep_their_kind_field():
     spec = ens.SbmSpec(d=1, sizes=(4,), probs=np.array([[0.5]]), seed=0)
     assert spec.to_dict()["kind"] == "sbm"

@@ -226,6 +226,14 @@ def test_tied_failures_name_the_lowest_column(monkeypatch):
     assert _failure(profile, xs, eta, initial=start)[0] == 2.0
 
 
+@pytest.mark.parametrize("profile", [qve.VarianceProfile.constant(5),
+                                     qve.BlockProfile(d=2, weights=np.array([0.4, 0.6]),
+                                                      coeffs=np.array([[1.0, 0.5], [0.5, 1.0]]))])
+def test_stieltjes_batch_of_no_abscissas_is_empty(profile):
+    m = qve.stieltjes_batch(profile, np.array([]), 0.1)
+    assert m.dtype == np.complex128 and m.shape == (0,)
+
+
 def test_outside_support_imaginary_part_vanishes():
     sol = qve.solve_qve(CONST8, qve.SpectralPoint(3.0, 1e-6))
     assert sol.m.imag <= 1e-4

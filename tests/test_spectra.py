@@ -412,6 +412,13 @@ def test_schur_on_diagonal_matrix():
         assert schur == pytest.approx(direct)
 
 
+def test_schur_one_by_one_has_no_minor():
+    point = qve.SpectralPoint(0.2, 0.4)
+    direct, schur = spectra.schur_resolvent_check(np.array([[0.3]]), 0, point)
+    assert direct == pytest.approx(1.0 / (0.3 - point.z), rel=1e-15)
+    assert schur == 1.0 / (0.3 - point.z)
+
+
 def test_schur_two_by_two_hand_value():
     w = FLIP / np.sqrt(2.0)
     direct, schur = spectra.schur_resolvent_check(w, 0, qve.SpectralPoint(0.0, 1.0))

@@ -415,6 +415,21 @@ def test_deloc_ratios_obey_unit_vector_floor():
     assert report.max_ratio == pytest.approx(max(r.max_ratio for r in report.records))
 
 
+def test_deloc_trial_without_bulk_eigenvalues_records_zeros(monkeypatch):
+    # trial 1 finds no eigenvalue in the bulk; the pooled quantiles come from the others
+    original, calls = verify.normalized_deloc_ratios, []
+
+    def ratios(*args):
+        calls.append(None)
+        return original(*args)[:0] if len(calls) == 2 else original(*args)
+
+    monkeypatch.setattr(verify, "normalized_deloc_ratios", ratios)
+    report = verify.verify_delocalization(dense_config(n=100, trials=3), threads=1)
+    assert report.records[1] == verify.DelocTrialRecord(trial=1, bulk_count=0, max_inf_norm=0.0, max_ratio=0.0)
+    assert report.records[0].bulk_count > 0 and report.records[2].bulk_count > 0
+    assert report.max_ratio == max(r.max_ratio for r in report.records)
+
+
 def test_deloc_negative_control_is_localized():
     from speclaw import spectra
 
@@ -547,16 +562,27 @@ def test_haar_basis_is_orthonormal():
 # interlacing
 
 
+def _count(a: np.ndarray, lo: float, hi: float) -> int:
+    return count_in_interval(tridiagonalize(a), lo, hi)
+
+
 def test_zero_update_shifts_nothing():
     a = np.diag(np.arange(1.0, 6.0))
-    assert verify.interval_shift(a, np.zeros((5, 5)), 0.5, 3.5) == 0
+    assert _count(a + np.zeros((5, 5)), 0.5, 3.5) == _count(a, 0.5, 3.5) == 3
 
 
 def test_unit_rank_one_shift_is_exactly_one():
     n = 6
     b = np.zeros((n, n))
     b[0, 0] = 1.0
-    assert verify.interval_shift(np.zeros((n, n)), b, 0.5, 1.5) == 1
+    assert _count(np.zeros((n, n)) + b, 0.5, 1.5) - _count(np.zeros((n, n)), 0.5, 1.5) == 1
+
+
+def test_interlacing_counts_each_trial_base_once(monkeypatch):
+    forms = []
+    monkeypatch.setattr(verify, "tridiagonalize", lambda a: forms.append(a) or tridiagonalize(a))
+    verify.interlacing_test(trials=4, n=10, seed=1)
+    assert len(forms) == 3 * 4  # the base matrix, its rank-1 and its rank-d update
 
 
 def test_interlacing_campaign_has_no_violations():
