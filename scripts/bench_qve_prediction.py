@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the QVE prediction of a local-law campaign on two source trees.
 
-    python scripts/bench_qve_prediction.py --baseline OLD_CHECKOUT/src --out BENCH_lean_sweeps.json
+    python scripts/bench_qve_prediction.py --baseline OLD_CHECKOUT/src --out BENCH_x_continuation.json
 
 The campaign prediction is what `verify_local_law` computes before its
 trials: `extract_density` on the default 601-point grid at eta = 1e-6, then
@@ -14,7 +14,7 @@ bulk at eps = 0.1.  The profiles:
   [0.3, 1], symmetrized, `numpy.random.default_rng(1)`); n = 200 is
   perfbench's profile-local-law profile at seed 1;
 - `n2000`: the same at n = 2000, once per round and at 2 workers only,
-  against the 6 s target of an irreducible n = 2000 campaign prediction.
+  against the 2.5 s target of an irreducible n = 2000 campaign prediction.
 
 Fresh interpreters importing speclaw from the baseline tree and from this
 checkout's src/ alternate --rounds times.  Each makes one warm-up prediction
@@ -27,9 +27,11 @@ and the three integrals on a thread pool.  An older tree predicts serially at
 its default BLAS thread count before any pool opens, as its campaigns did, so
 its two worker counts time the same path.  The JSON records the median and
 best of each side's samples, the predicted counts n * integral and the map
-evaluations summed over every `_solve_batch` call of one prediction (both
-compared between the sides), and the machine: core count, Python, numpy,
-scipy and their BLAS builds.
+evaluations of one prediction (both compared between the sides), and the
+machine: core count, Python, numpy, scipy and their BLAS builds.  Map
+evaluations are summed over the `_solve_batch` calls of each phase: the
+density's eta-descents (`coarse`, every grid point on a tree without
+continuation in x), its warm-started columns (`fine`) and the quadrature.
 """
 
 import argparse
@@ -44,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = (1, 2)
 EPS, LENGTH, INTERVALS = 0.1, 0.3, 3
-TARGET_N2000_S = 6.0
+TARGET_N2000_S = 2.5
 
 
 def measure(repeats: int) -> dict:
@@ -61,7 +63,7 @@ def measure(repeats: int) -> dict:
 
     def counting_solve(*args, **kwargs):
         g, residual, iterations = solve(*args, **kwargs)
-        evaluations.append(int(iterations.sum()))
+        evaluations.append((kwargs.get("initial") is None, int(iterations.sum())))
         return g, residual, iterations
 
     qve._solve_batch = counting_solve
@@ -75,18 +77,22 @@ def measure(repeats: int) -> dict:
             return verify._campaign_map(workers)
         return contextlib.nullcontext(map)
 
-    def prediction(prof, n: int, workers: int) -> tuple[float, float, list[float], int]:
-        """(density seconds, quadrature seconds, predicted counts, map evaluations) of one prediction."""
+    def prediction(prof, n: int, workers: int) -> tuple[float, float, list[float], dict]:
+        """(density seconds, quadrature seconds, predicted counts, map evaluations per phase) of one prediction."""
         evaluations.clear()
         t0 = time.perf_counter()
         with campaign_map(workers) as mapper:
             kwargs = {"mapper": mapper} if hasattr(verify, "_campaign_map") else {}
             curve = qve.extract_density(prof, grid, eta=qve.DEFAULT_ETA, **kwargs)
             t1 = time.perf_counter()
+            density_calls = len(evaluations)
             widest = max(qve.detect_bulk(curve, EPS), key=lambda b: b.width)
             intervals = verify.place_intervals(widest, LENGTH, INTERVALS)
             predicted = [n * q for q in mapper(lambda iv: qve.integrate_density(curve, *iv), intervals)]
-        return t1 - t0, time.perf_counter() - t1, predicted, sum(evaluations)
+        phases = {"coarse": sum(e for cold, e in evaluations[:density_calls] if cold),
+                  "fine": sum(e for cold, e in evaluations[:density_calls] if not cold),
+                  "quadrature": sum(e for _, e in evaluations[density_calls:])}
+        return t1 - t0, time.perf_counter() - t1, predicted, phases
 
     sbm = ens.SbmSpec(d=2, sizes=(1000, 1000), probs=np.array([[0.1, 0.02], [0.02, 0.1]]), seed=0)
     # name: (profile, n, worker counts, repeats)
@@ -133,7 +139,7 @@ def summary(samples: list[float]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", required=True, help="src/ directory of the tree to compare against")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_lean_sweeps.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_x_continuation.json"))
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--measure", type=int, help=argparse.SUPPRESS)

@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return run(args)
     except SpecLawError as exc:
         failure = exc
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:  # reading an input file
+    except OSError as exc:  # reading an input file
         failure = SpecLawError(str(exc))
     print(json.dumps(failure.record(), sort_keys=True, allow_nan=False), file=sys.stderr)
     return failure.exit_code

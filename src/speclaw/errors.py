@@ -101,9 +101,11 @@ def json_value(value, kind: type, where: str):
     """`value` if it is JSON of type `kind`, else raise InvalidSpec naming `where`.
 
     An integer in the float range passes as a float (and comes back as one),
-    a boolean as neither.
+    an integer field takes int64 values only, and a boolean is neither.
     """
     if isinstance(value, kind) and not (isinstance(value, bool) and kind in (int, float)):
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise InvalidSpec(f"{where} is an integer beyond the int64 range")
         return value
     if kind is float and type(value) is int:
         if abs(value) > sys.float_info.max:
@@ -145,7 +147,11 @@ def write_csv(path, header: list[str], rows) -> None:
 def read_json(kind, path):
     """The record of type `kind`, a record class or a union of them, stored at `path`."""
     with open(path, encoding="utf-8") as fh:
-        return _decode(kind, json.load(fh), str(path))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer literal past int()'s digit limit
+            raise InvalidSpec(str(exc)) from exc
+    return _decode(kind, data, str(path))
 
 
 def _encode(value):

@@ -21,10 +21,10 @@ Its mixing weights come from small normal equations over a Gram matrix that
 grows by one row per sweep, a sweep works in place on the columns still
 active, S g is one real matrix product for the real and imaginary parts, a
 defect stalled at the rounding floor ends it early, and quadrature reuses the
-curve's solutions.  Abscissas share nothing but the product with S, so
-`extract_density` solves a profile of dimension >= _BLOCK_MIN_DIM in fixed
-blocks of about _BLOCK_COLUMNS grid points, serially or through a caller's
-pool map.
+curve's solutions.  `extract_density` descends in eta only at every
+_COARSE_STRIDE-th grid point and starts the others at the target eta from
+their neighbours, as quadrature does; abscissas share nothing but the product
+with S, so large profiles go in fixed column blocks through a pool's map.
 
 Both profile classes are untagged JSON records (`errors.record`), {"n",
 "entries"} and {"d", "weights", "coeffs"}; `read_json(Profile, path)` tells
@@ -61,11 +61,13 @@ _STALL_SWEEPS = 50
 _STALL_ROUNDING = 4 * np.finfo(np.float64).eps
 # integrate_density refines until the trapezoid changes sum to this, relative
 _QUAD_REL_TOL = 1e-6
-# extract_density solves profiles of dimension >= _BLOCK_MIN_DIM in blocks of
-# about _BLOCK_COLUMNS grid points; for smaller ones the extra batches cost more
-# than the smaller working set saves
-_BLOCK_MIN_DIM = 48
-_BLOCK_COLUMNS = 100
+# profiles of dimension >= _BLOCK_MIN_DIM are solved in blocks of at most
+# _BLOCK_COLUMNS abscissas; for smaller ones the extra batches cost more than
+# the smaller working set saves
+_BLOCK_MIN_DIM = 200
+_BLOCK_COLUMNS = 50
+# extract_density descends in eta at every _COARSE_STRIDE-th grid point only
+_COARSE_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,9 @@ class VarianceProfile:
     def dim(self) -> int:
         return self.n
 
+    # W^T, C-contiguous: the right operand of _solve_batch's product, built once per profile
+    _weight_t = functools.cached_property(lambda self: np.ascontiguousarray(_weight_matrix(self).T))
+
     @classmethod
     def constant(cls, n: int, value: float = 1.0) -> "VarianceProfile":
         return cls(n=n, entries=np.full((n, n), float(value)))
@@ -154,6 +159,8 @@ class BlockProfile:
     @property
     def dim(self) -> int:
         return self.d
+
+    _weight_t = VarianceProfile._weight_t  # the same cached W^T, from this class's W
 
 
 Profile = VarianceProfile | BlockProfile
@@ -353,7 +360,7 @@ def _solve_batch(
     the BLAS rounds one row of a product.
     """
     with np.errstate(all="ignore"):  # a non-finite defect raises instead
-        wt = np.ascontiguousarray(_weight_matrix(profile).T)
+        wt = profile._weight_t
         num, dim = xs.size, profile.dim
         depth = min(_ANDERSON_DEPTH, dim)
         if initial is None:
@@ -472,6 +479,22 @@ def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) ->
     return stieltjes_batch(profile, xs, eta).imag / math.pi
 
 
+def _solve_blocks(profile: Profile, xs: np.ndarray, eta: float, mapper=map, known=None, g_known=None) -> np.ndarray:
+    """Solutions at xs + i*eta by eta-descent or, given solutions g_known at the nondecreasing
+    `known`, at eta alone from the linear interpolation of each point's two neighbours there;
+    in blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`."""
+    start = None
+    if known is not None:
+        right = np.clip(np.searchsorted(known, xs, side="right"), 1, known.size - 1)
+        width = known[right] - known[right - 1]  # 0 in a mesh cell narrower than its midpoint's rounding
+        t = np.divide(xs - known[right - 1], width, out=np.zeros_like(xs), where=width > 0)
+        start = g_known[:, right - 1] * (1.0 - t) + g_known[:, right] * t
+    blocks = np.array_split(np.arange(xs.size), -(-xs.size // _BLOCK_COLUMNS) or 1 if profile.dim >= _BLOCK_MIN_DIM else 1)
+    # the first failing block raises; stacked and transposed, g has one batch's layout, in which _m_of rounds
+    solved = mapper(lambda c: _solve_batch(profile, xs[c], eta, initial=None if start is None else start[:, c])[0].T, blocks)
+    return np.concatenate(list(solved)).T
+
+
 def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA, mapper=map) -> DensityCurve:
     """Tabulate the predicted density on a strictly increasing grid.
 
@@ -479,10 +502,9 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     prediction, far cheaper); the reduced profile is kept as the curve's source
     and its solution vectors at every grid point as the curve's solution.
 
-    A reduced profile of dimension >= _BLOCK_MIN_DIM is solved in len(grid) //
-    _BLOCK_COLUMNS column blocks, one _solve_batch each, through `mapper` (a
-    pool's map runs them in parallel).  The layout ignores `mapper`, so the
-    curve does too, and of several failing blocks the one of lowest x raises.
+    Continuation in x: every _COARSE_STRIDE-th grid point and the last descend in eta,
+    then the others are solved at eta alone from their two coarse neighbours'
+    solutions.  Both phases run in fixed column blocks through `mapper`.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -490,11 +512,10 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     if not 0 < eta < math.inf:
         raise InvalidSpec(f"eta must be positive and finite, got {eta}")
     solver_profile = reduce_profile(profile)
-    blocks = max(grid.size // _BLOCK_COLUMNS, 1) if solver_profile.dim >= _BLOCK_MIN_DIM else 1
-    solve = functools.partial(_solve_batch, solver_profile, eta=eta)
-    # stacked as len(grid) x dim and transposed, the memory layout of one batch:
-    # the sums over g's rows in _m_of round differently in the other layout
-    g = np.concatenate([g.T for g, _, _ in mapper(solve, np.array_split(grid, blocks))]).T
+    coarse = (np.arange(grid.size) % _COARSE_STRIDE == 0) | (np.arange(grid.size) == grid.size - 1)
+    g = np.empty((grid.size, solver_profile.dim), dtype=np.complex128).T  # one batch's memory layout
+    g[:, coarse] = _solve_blocks(solver_profile, grid[coarse], eta, mapper)
+    g[:, ~coarse] = _solve_blocks(solver_profile, grid[~coarse], eta, mapper, known=grid[coarse], g_known=g[:, coarse])
     values = _m_of(solver_profile, g).imag / math.pi
     return DensityCurve(grid, values, eta, profile_fingerprint(profile), source=solver_profile, solution=g)
 
@@ -507,10 +528,10 @@ def default_grid() -> np.ndarray:
 def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     """Adaptive trapezoid integral of the predicted density over [lo, hi].
 
-    The mesh starts as the grid points inside, taken from the curve's solution,
-    plus lo and hi, solved at eta_used from their grid neighbours.  Halving a
-    cell solves its midpoint from the neighbours' average, and each half keeps
-    half the cell's trapezoid change.  Every cell is halved until the changes
+    The mesh starts as lo, the grid points inside and hi, each solved at
+    eta_used alone from the linear interpolation of its grid neighbours' solutions.
+    Halving a cell solves its midpoint that way from the cell's ends, and each
+    half keeps half the cell's trapezoid change.  Every cell is halved until the changes
     sum to at most _QUAD_REL_TOL relative (1e-12 absolute), then only cells whose
     change exceeds their width's share of it, so a square-root spectral edge
     whose change cancels the bulk's cannot end the refinement early.
@@ -519,25 +540,18 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
         raise OutOfRange(f"[{lo}, {hi}] exceeds the tabulated span [{curve.grid[0]}, {curve.grid[-1]}]")
     if not lo <= hi:
         raise OutOfRange(f"need lo <= hi, got [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
     if curve.source is None or curve.solution is None:
         raise InvalidSpec("curve lacks its source profile or solution; cannot refine")
     profile, grid, table, eta = curve.source, curve.grid, curve.solution, curve.eta_used
 
-    ends = np.array([lo, hi])
-    start = np.array([np.interp(ends, grid, row) for row in table])  # linear between grid neighbours
-    g_ends, _, _ = _solve_batch(profile, ends, eta, initial=start)
-    inner = (grid > lo) & (grid < hi)
-    xs = np.concatenate(([lo], grid[inner], [hi]))
-    g = np.concatenate((g_ends[:, :1], table[:, inner], g_ends[:, 1:]), axis=1)
+    xs = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
+    g = _solve_blocks(profile, xs, eta, known=grid, g_known=table)  # a grid point starts from, and keeps, its solution
     vals = _m_of(profile, g).imag / math.pi
-    total = float(np.trapezoid(vals, xs))
     change = np.zeros(xs.size - 1)  # per cell: its share of the trapezoid change of the last halving
     cells, uniform = np.arange(xs.size - 1), True
     for _ in range(24):
         mids = (xs[cells] + xs[cells + 1]) / 2.0
-        g_mid, _, _ = _solve_batch(profile, mids, eta, initial=(g[:, cells] + g[:, cells + 1]) / 2.0)
+        g_mid = _solve_blocks(profile, mids, eta, known=xs, g_known=g)
         mid_vals = _m_of(profile, g_mid).imag / math.pi
         half = (xs[cells + 1] - xs[cells]) / 8.0 * (2.0 * mid_vals - vals[cells] - vals[cells + 1])
         change[cells] = half

@@ -579,6 +579,19 @@ def test_integer_beyond_the_float_range_exits_one_with_a_config_record(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload", [
+    json.dumps({**_CAMPAIGN, "eps": "HUGE"}).replace('"HUGE"', "9" * 5000),  # past int()'s 4300-digit limit
+    json.dumps({**_CAMPAIGN, "ensemble": {**_WIGNER, "n": 10**30}}),  # beyond int64
+], ids=["5000-digit-eps", "n-beyond-int64"])
+def test_integer_literal_out_of_range_exits_one_with_a_config_record(tmp_path, capsys, payload):
+    path = tmp_path / "llaw.json"
+    path.write_text(payload)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-local-law", "--config", str(path), "--out", str(out)]) == 1
+    _config_failure(capsys)
+    assert not out.exists()
+
+
 def test_non_utf8_config_exits_one(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"trials": "d\u00e9j\u00e0"}'.encode("latin-1"))

@@ -219,6 +219,29 @@ def test_integer_beyond_the_float_range_names_its_field(kind, data, where):
     assert getattr(kind.from_dict({**data, field: top}), field) == float(top)
 
 
+@pytest.mark.parametrize("kind, data, where", [
+    (ens.WignerSpec, {"kind": "wigner", "n": 10**30, "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},
+                      "law": {"kind": "rademacher"}, "seed": 0}, "WignerSpec.n"),
+    (ens.SbmSpec, {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5]], "seed": -(2**63) - 1}, "SbmSpec.seed"),
+])
+def test_integer_beyond_int64_names_its_field(kind, data, where):
+    with pytest.raises(InvalidSpec, match=rf"^{where} is an integer beyond the int64 range$"):
+        kind.from_dict(data)
+
+
+def test_int64_ends_still_pass():
+    sbm = {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5]]}
+    for seed in (2**63 - 1, -(2**63)):
+        assert ens.SbmSpec.from_dict({**sbm, "seed": seed}).seed == seed
+
+
+def test_integer_literal_past_the_digit_limit_is_invalid_input(tmp_path):
+    path = tmp_path / "llaw.json"
+    path.write_text('{"eps": ' + "9" * 5000 + "}")
+    with pytest.raises(InvalidSpec):  # int()'s digit limit, or, on a Python without one, the float range
+        read_json(verify.LocalLawConfig, path)
+
+
 def test_tagged_records_check_their_tag_and_untagged_ones_keep_their_kind_field():
     spec = ens.SbmSpec(d=1, sizes=(4,), probs=np.array([[0.5]]), seed=0)
     assert spec.to_dict()["kind"] == "sbm"

@@ -385,16 +385,106 @@ def test_integral_matches_fine_trapezoid_of_density_batch(make_profile, edge_poi
         assert qve.integrate_density(curve, lo, hi) == pytest.approx(np.trapezoid(rho, xs), rel=1e-6)
 
 
-@pytest.mark.parametrize("n, seed", [(12, 3), (qve._BLOCK_MIN_DIM - 1, 4), (qve._BLOCK_MIN_DIM, 5), (90, 6)])
+def _coarse_mask(size: int) -> np.ndarray:
+    """extract_density's eta-descent subgrid: every _COARSE_STRIDE-th point and the last."""
+    mask = np.arange(size) % qve._COARSE_STRIDE == 0
+    mask[-1] = True
+    return mask
+
+
+@pytest.mark.parametrize("n, seed", [(12, 3), (47, 4), (48, 5), (90, 6), (qve._BLOCK_MIN_DIM - 1, 4),
+                                     (qve._BLOCK_MIN_DIM, 5)])
 def test_blocked_density_matches_one_batch_over_the_grid(n, seed):
     # profiles of dimension >= _BLOCK_MIN_DIM are solved in column blocks; each
-    # column iterates on its own, so the blocks give the one-batch solution
+    # column iterates on its own, so the blocks give the solution of each phase
+    # done as one batch: the coarse subgrid by descent, then, from the curve's
+    # coarse solutions, the rest from the linear interpolation (1 - t) g_left +
+    # t g_right of their coarse neighbours (the curve's own starts, so that a
+    # rounding difference of the coarse phase is not amplified near an edge)
     profile = random_profile(n, seed=seed)
     grid = qve.default_grid()
     curve = qve.extract_density(profile, grid)
-    g, _, _ = qve._solve_batch(profile, grid, qve.DEFAULT_ETA)
+    coarse = _coarse_mask(grid.size)
+    g = np.empty((n, grid.size), dtype=np.complex128)
+    g[:, coarse] = qve._solve_batch(profile, grid[coarse], qve.DEFAULT_ETA)[0]
+    left = np.flatnonzero(~coarse) // qve._COARSE_STRIDE * qve._COARSE_STRIDE
+    right = np.minimum(left + qve._COARSE_STRIDE, grid.size - 1)
+    t = (grid[~coarse] - grid[left]) / (grid[right] - grid[left])
+    start = curve.solution[:, left] * (1.0 - t) + curve.solution[:, right] * t
+    g[:, ~coarse] = qve._solve_batch(profile, grid[~coarse], qve.DEFAULT_ETA, initial=start)[0]
     np.testing.assert_allclose(curve.solution, g, rtol=1e-12, atol=0)
     np.testing.assert_allclose(curve.values, g.mean(axis=0).imag / np.pi, rtol=1e-12, atol=1e-300)
+
+
+# Two solutions whose defects are both <= DEFAULT_TOL = 1e-10 differ by the defect
+# times the inverse of the equation's stability operator.  At a square-root edge
+# that inverse grows like eta**-0.5 = 1e3 at DEFAULT_ETA, so the continuation and
+# the full descent may differ there by about 1e-7 of the density's peak; 1e-6 of
+# the peak leaves a factor of ten.  Away from the edges they agree near 1e-10.
+_CONTINUATION_RTOL_OF_PEAK = 1e-6
+
+
+def _check_against_full_descent(profile, grid):
+    curve = qve.extract_density(profile, grid)
+    assert (_defect(curve.source, grid, qve.DEFAULT_ETA, curve.solution) <= 1.001 * qve.DEFAULT_TOL).all()
+    oracle = qve.density_batch(profile, grid)
+    np.testing.assert_allclose(curve.values, oracle, rtol=0, atol=_CONTINUATION_RTOL_OF_PEAK * oracle.max())
+
+
+@st.composite
+def continuation_cases(draw):
+    """A d = 1 or d = 2 block profile or an irreducible profile of dimension 1-64,
+    and a uniform grid of 2-200 points from below -2 to above 2, so that it
+    crosses both edges of the support (inside [-2, 2] for entries <= 1)."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["d1", "d2", "irreducible"]))
+    if kind == "d1":
+        profile = qve.BlockProfile(d=1, weights=np.ones(1), coeffs=np.full((1, 1), gen.uniform(0.05, 1.0)))
+    elif kind == "d2":
+        w = gen.uniform(0.1, 0.9)
+        a = gen.uniform(0.05, 1.0, size=(2, 2))
+        profile = qve.BlockProfile(d=2, weights=np.array([w, 1.0 - w]), coeffs=(a + a.T) / 2.0)
+    else:
+        profile = random_profile(draw(st.integers(min_value=1, max_value=64)), seed=seed,
+                                 low=draw(st.floats(min_value=0.05, max_value=0.5)))
+    lo, hi = draw(st.floats(min_value=-3.0, max_value=-2.01)), draw(st.floats(min_value=2.01, max_value=3.0))
+    return profile, np.linspace(lo, hi, draw(st.integers(min_value=2, max_value=200)))
+
+
+@given(case=continuation_cases())
+@settings(max_examples=60)
+def test_continuation_in_x_matches_the_full_descent(case):
+    _check_against_full_descent(*case)
+
+
+def test_fine_columns_start_from_their_neighbours(monkeypatch):
+    # a start from -1/z at eta = 1e-6 would take hundreds of map evaluations per
+    # column; interpolated neighbours take a handful (14 at most on this profile)
+    solve, fine = qve._solve_batch, []
+
+    def recording_solve(profile, xs, eta, tol=qve.DEFAULT_TOL, initial=None):
+        g, residual, iterations = solve(profile, xs, eta, tol, initial=initial)
+        if initial is not None:
+            fine.extend(iterations)
+        return g, residual, iterations
+
+    monkeypatch.setattr(qve, "_solve_batch", recording_solve)
+    qve.extract_density(_irreducible_profile(), qve.default_grid())
+    assert len(fine) == (~_coarse_mask(qve.default_grid().size)).sum()
+    assert max(fine) <= 20
+
+
+def test_fine_column_between_coarse_neighbours_across_an_edge():
+    # the coarse subgrid of this grid is its two ends, 1.85 inside the semicircle's
+    # support and 2.15 outside it: every other point starts from the interpolation
+    # of a bulk and a gap solution, 2.0 right on the edge
+    grid = np.linspace(1.85, 2.15, 11)
+    assert _coarse_mask(grid.size).tolist() == [True] + [False] * 9 + [True]
+    _check_against_full_descent(CONST8, grid)
+    curve = qve.extract_density(CONST8, grid)
+    exact = [semicircle_stieltjes(complex(x, qve.DEFAULT_ETA)).imag / np.pi for x in grid]
+    np.testing.assert_allclose(curve.values, exact, rtol=0, atol=_CONTINUATION_RTOL_OF_PEAK / np.pi)
 
 
 def test_curve_without_source_or_solution_cannot_refine(constant_curve):

@@ -70,6 +70,11 @@ def irreducible_config(n=qve._BLOCK_MIN_DIM + 12, trials=2, seed=7):
     return dense_config(n=n, trials=trials, length=0.4, profile=qve.VarianceProfile(n=n, entries=(a + a.T) / 2.0))
 
 
+def _coarse_points(grid):
+    """The subgrid extract_density solves by eta-descent: every _COARSE_STRIDE-th point and the last."""
+    return np.unique(np.append(grid[::qve._COARSE_STRIDE], grid[-1]))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_campaign_map_pins_blas_and_restores_it(threads):
     controls = verify._openblas_thread_controls()
@@ -106,11 +111,11 @@ def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
 
     monkeypatch.setattr(qve, "_solve_batch", recording_solve)
     verify.verify_local_law(irreducible_config(), threads=threads)
-    blocks = [pins for cold, pins in seen if cold]
-    quadrature = [pins for cold, pins in seen if not cold]
-    assert len(blocks) == qve.default_grid().size // qve._BLOCK_COLUMNS
-    assert quadrature
-    assert all(pins == [1] * len(controls) for pins in blocks + quadrature)
+    coarse = [pins for cold, pins in seen if cold]
+    warm = [pins for cold, pins in seen if not cold]  # the fine phase's blocks and the quadrature
+    assert len(coarse) == math.ceil(_coarse_points(qve.default_grid()).size / qve._BLOCK_COLUMNS)
+    assert warm
+    assert all(pins == [1] * len(controls) for pins in coarse + warm)
     assert [get() for get, _ in controls] == before
 
 
@@ -134,6 +139,7 @@ def test_pin_is_restored_when_a_prediction_block_raises(monkeypatch, threads):
 
 
 def test_blocked_nonconvergence_names_the_lowest_failing_block_at_any_worker_count(monkeypatch):
+    # three map evaluations per eta stage cannot finish the coarse phase's descent
     monkeypatch.setattr(qve, "_MAX_ITER", 3)
     profile = verify.effective_profile(irreducible_config().ensemble)
     grid = qve.default_grid()
@@ -142,10 +148,34 @@ def test_blocked_nonconvergence_names_the_lowest_failing_block_at_any_worker_cou
         with pytest.raises(NonConvergence) as err, verify._campaign_map(threads) as mapper:
             qve.extract_density(profile, grid, mapper=mapper)
         failures.append((err.value.x, err.value.eta))
-    first_block = np.array_split(grid, grid.size // qve._BLOCK_COLUMNS)[0]
+    coarse = _coarse_points(grid)
+    first_block = np.array_split(coarse, math.ceil(coarse.size / qve._BLOCK_COLUMNS))[0]
     with pytest.raises(NonConvergence) as err:
         qve._solve_batch(profile, first_block, qve.DEFAULT_ETA)
     assert failures == [(err.value.x, err.value.eta)] * 2
+
+
+def test_fine_phase_nonconvergence_names_the_same_point_at_any_worker_count(monkeypatch):
+    # tol = 0 for the warm-started columns: each fine block stalls at the rounding
+    # floor after the coarse phase has converged, and the pool must raise the
+    # failure of the first fine block whatever the worker count
+    solve = qve._solve_batch
+
+    def fine_tol_zero(profile, xs, eta, tol=qve.DEFAULT_TOL, initial=None):
+        return solve(profile, xs, eta, 0.0 if initial is not None else tol, initial=initial)
+
+    monkeypatch.setattr(qve, "_solve_batch", fine_tol_zero)
+    profile = verify.effective_profile(irreducible_config().ensemble)
+    grid = qve.default_grid()
+    failures = []
+    for threads in (1, 2, 3):
+        with pytest.raises(NonConvergence, match="stalled") as err, verify._campaign_map(threads) as mapper:
+            qve.extract_density(profile, grid, mapper=mapper)
+        failures.append((err.value.x, err.value.eta, err.value.residual, err.value.iterations))
+    assert failures == [failures[0]] * 3
+    fine = np.setdiff1d(grid, _coarse_points(grid))
+    first_block = np.array_split(fine, math.ceil(fine.size / qve._BLOCK_COLUMNS))[0]
+    assert failures[0][0] in first_block
 
 
 @pytest.mark.parametrize("campaign", [verify.verify_local_law, verify.verify_delocalization])
