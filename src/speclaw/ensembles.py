@@ -6,10 +6,10 @@ stochastic-block-model adjacency matrices.  All entries derive from the
 counter-based streams in `rng`, so a spec plus a seed pins the matrix bit
 for bit.  A dense spec keeps its profile in canonical form, the exact block
 form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
-variance coeffs[labels[i], labels[j]].  Every sample is drawn once, as the
-raw entries of its upper triangle.  `sample` fills the raw matrix from them;
-`normalized_sample` fills the matrix whose spectrum the predictions address
-directly, scaled by 1/sqrt(n p), or centered and scaled for block models.
+variance coeffs[labels[i], labels[j]].  `sample` draws the raw matrix once,
+from the entries of its upper triangle.  `normalized_sample`, the matrix the
+predictions address, is that sample scaled by 1/sqrt(n p) in place, or for
+block models centered and scaled by `center_and_scale_sbm`.
 
 Specs are JSON records (`errors.record`) tagged by "kind": "wigner",
 "sparse" or "sbm"; `read_json(EnsembleSpec, path)` reads any of them.
@@ -82,6 +82,8 @@ class WignerSpec:
     seed: int
 
     def __post_init__(self):
+        if self.n >= 2**32:
+            raise InvalidSpec(f"n={self.n} must be below 2**32: pair counters hold 32-bit indices")
         if not isinstance(self.profile, (VarianceProfile, BlockProfile)):
             raise InvalidSpec("dense ensembles need a variance profile")
         if isinstance(self.profile, VarianceProfile) and self.profile.n != self.n:
@@ -118,6 +120,8 @@ class SbmSpec:
             raise InvalidSpec(f"need d >= 1 class sizes, got d={self.d}, sizes={sizes}")
         if min(sizes) < 1:
             raise InvalidSpec("every class must be nonempty")
+        if sum(sizes) >= 2**32:
+            raise InvalidSpec(f"n={sum(sizes)} must be below 2**32: pair counters hold 32-bit indices")
         if probs.shape != (self.d, self.d):
             raise InvalidSpec(f"probs must be {self.d}x{self.d}")
         if not np.array_equal(probs, probs.T):
@@ -165,8 +169,8 @@ def _symmetric_from_upper(n: int, iu, ju, vals) -> np.ndarray:
     return out
 
 
-def _upper_entries(spec: EnsembleSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The one draw of a sample: (n, iu, ju, raw upper-triangle entries).
+def sample(spec: EnsembleSpec) -> np.ndarray:
+    """The raw symmetric sample of any ensemble, one draw of its upper triangle.
 
     Dense entry (i,j) has mean 0 and variance s_ij = coeffs[labels[i], labels[j]]
     (a full profile is n classes of one row).  Sparse entries multiply those
@@ -180,37 +184,18 @@ def _upper_entries(spec: EnsembleSpec) -> tuple[int, np.ndarray, np.ndarray, np.
     counters = rng.pair_counters(iu, ju)
     if isinstance(spec, SbmSpec):
         labels = spec.block_labels()
-        p_edge = spec.probs[labels[iu], labels[ju]]
+        p_edge = spec.probs[labels[iu], labels[ju]] * (iu != ju)  # no edge on the diagonal
         vals = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
-        vals[iu == ju] = 0.0
-        return n, iu, ju, vals
+        return _symmetric_from_upper(n, iu, ju, vals)
     if isinstance(base.profile, VarianceProfile):
         labels, coeffs = np.arange(n), base.profile.entries
     else:
         labels, coeffs = block_labels(base.profile, n), base.profile.coeffs
     vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
     vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
-    if isinstance(spec, WignerSpec):
-        return n, iu, ju, vals
-    keep = rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p
-    return n, iu, ju, vals * keep
-
-
-def _centered(spec: SbmSpec, adjacency: np.ndarray, rows, cols) -> np.ndarray:
-    """(A - E A~)/(sqrt(n) sigma) on the adjacency entries at (rows, cols).
-
-    E A~ carries p_kl on every entry of block (k,l), diagonal included, so the
-    rank-d mean structure is removed before normalizing by the largest noise
-    scale sigma = sqrt(p(1-p)), p = max p_kl.
-    """
-    sigma2 = spec.sigma_squared
-    labels = spec.block_labels()
-    return (adjacency - spec.probs[labels[rows], labels[cols]]) / (math.sqrt(spec.n) * math.sqrt(sigma2))
-
-
-def sample(spec: EnsembleSpec) -> np.ndarray:
-    """The raw symmetric sample of any ensemble."""
-    return _symmetric_from_upper(*_upper_entries(spec))
+    if isinstance(spec, SparseSpec):
+        vals = vals * (rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p)
+    return _symmetric_from_upper(n, iu, ju, vals)
 
 
 # the per-kind names stay importable: the package exports them and tracers patch them
@@ -218,22 +203,30 @@ sample_wigner = sample_sparse = sample_sbm = sample
 
 
 def normalized_sample(spec: EnsembleSpec) -> np.ndarray:
-    """The matrix the spectral predictions refer to, filled once from one draw.
-
-    Dense and sparse entries are multiplied by 1/sqrt(n p_eff); block models
-    are centered and scaled instead (`center_and_scale_sbm` on the raw sample).
-    """
-    n, iu, ju, vals = _upper_entries(spec)
-    p_eff = ensemble_parameters(spec)[2]
-    vals = _centered(spec, vals, iu, ju) if isinstance(spec, SbmSpec) else vals * (1.0 / math.sqrt(n * p_eff))
-    return _symmetric_from_upper(n, iu, ju, vals)
+    """The matrix the predictions refer to: the raw `sample` scaled in place by
+    1/sqrt(n p_eff), or for block models centered by `center_and_scale_sbm`."""
+    if isinstance(spec, SbmSpec):
+        return center_and_scale_sbm(sample(spec), spec)
+    matrix = sample(spec)
+    n, _, p_eff = ensemble_parameters(spec)
+    matrix *= 1.0 / math.sqrt(n * p_eff)
+    return matrix
 
 
 def center_and_scale_sbm(adj: np.ndarray, spec: SbmSpec) -> np.ndarray:
-    """The centered, rescaled block-model matrix of a raw adjacency sample."""
+    """(A - E A~)/(sqrt(n) sigma) of a raw adjacency sample A, in a new array.
+
+    E A~ carries p_kl on every entry of block (k,l), diagonal included, so the
+    rank-d mean structure is removed before normalizing by the largest noise
+    scale sigma = sqrt(p(1-p)), p = max p_kl.
+    """
     if np.shape(adj) != (spec.n, spec.n):
         raise InvalidSpec(f"adjacency has shape {np.shape(adj)} but spec has n={spec.n}")
-    return _centered(spec, adj, *np.ogrid[: spec.n, : spec.n])
+    scale = math.sqrt(spec.n) * math.sqrt(spec.sigma_squared)
+    labels = spec.block_labels()
+    out = spec.probs[labels[:, None], labels[None, :]]
+    np.subtract(adj, out, out=out)
+    return np.divide(out, scale, out=out)
 
 
 def effective_profile(spec: EnsembleSpec) -> Profile:

@@ -417,6 +417,8 @@ class ProjectionTestSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidSpec(f"need n >= 1, got n={self.n}")
         sigma = np.array(self.sigma, dtype=np.float64)
         weights = np.array(self.weights, dtype=np.float64)
         t_grid = np.array(self.t_grid, dtype=np.float64)
@@ -513,8 +515,8 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
     by at most r.  Raises AssertionFailure with the counterexample (trial,
     seed, lo, hi, rank, shift) on the first violation.
     """
-    if n < 2:
-        raise InvalidSpec("need n >= 2")
+    if not 2 <= n < 2**32:  # pair counters hold 32-bit indices
+        raise InvalidSpec(f"need 2 <= n < 2**32, got n={n}")
     if trials < 1:
         raise InvalidSpec(f"need at least 1 trial, got {trials}")
     max_by_rank = {1: 0}

@@ -565,6 +565,36 @@ def test_interlacing_without_trials_exits_one(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+def test_projection_without_coordinates_exits_one(tmp_path, capsys):
+    path = tmp_path / "proj.json"
+    path.write_text(json.dumps({**_PROJECTION, "n": 0, "sigma": []}))
+    out = tmp_path / "r.json"
+    assert cli.main(["test-projection", "--config", str(path), "--out", str(out)]) == 1
+    assert "n >= 1" in _config_failure(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, payload", [
+    ("sample", "--ensemble", {**_WIGNER, "n": 2**32 + 1}),
+    ("sample", "--ensemble", {**_SBM, "d": 2, "sizes": [2**31, 2**31 + 1], "probs": [[0.5, 0.1], [0.1, 0.5]]}),
+    ("verify-deloc", "--config", {**_CAMPAIGN, "ensemble": {**_SBM, "sizes": [2**32]}}),
+], ids=["wigner", "sbm", "sbm-campaign"])
+def test_n_past_the_pair_counter_range_exits_one(tmp_path, capsys, command, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main([command, flag, str(path), "--out", str(out)]) == 1
+    assert "must be below 2**32" in _config_failure(capsys)
+    assert not out.exists()
+
+
+def test_interlacing_past_the_pair_counter_range_exits_one(tmp_path, capsys):
+    out = tmp_path / "i.json"
+    assert cli.main(["test-interlacing", "--trials", "1", "--n", str(2**32), "--out", str(out)]) == 1
+    assert "n < 2**32" in _config_failure(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where, payload", [
     ("LocalLawConfig.eps", {**_CAMPAIGN, "eps": "HUGE"}),
     ("EntryLaw.bound", {**_CAMPAIGN, "ensemble": {**_WIGNER, "law": {"kind": "scaled_bernoulli_centered",

@@ -229,6 +229,28 @@ def test_integer_beyond_int64_names_its_field(kind, data, where):
         kind.from_dict(data)
 
 
+_BLOCK_WIGNER = {"kind": "wigner", "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},
+                 "law": {"kind": "rademacher"}, "seed": 0}
+
+
+@pytest.mark.parametrize("kind, data", [
+    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32 + 1}),
+    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32}),
+    (ens.SparseSpec, {"kind": "sparse", "base": {**_BLOCK_WIGNER, "n": 2**32}, "p": 0.5}),
+    (ens.SbmSpec, {"kind": "sbm", "d": 2, "sizes": [2**31, 2**31], "probs": [[0.5, 0.1], [0.1, 0.5]], "seed": 0}),
+], ids=["wigner-2**32+1", "wigner-2**32", "sparse-2**32", "sbm-sum-2**32"])
+def test_n_past_the_pair_counter_range_is_invalid(kind, data):
+    # pair counters pack each row and column index into 32 bits
+    with pytest.raises(InvalidSpec, match=r"^n=\d+ must be below 2\*\*32"):
+        kind.from_dict(data)
+
+
+def test_sbm_of_the_largest_counted_size_still_loads():
+    spec = ens.SbmSpec.from_dict({"kind": "sbm", "d": 2, "sizes": [2**31, 2**31 - 1],
+                                  "probs": [[0.5, 0.1], [0.1, 0.5]], "seed": 0})
+    assert spec.n == 2**32 - 1
+
+
 def test_int64_ends_still_pass():
     sbm = {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5]]}
     for seed in (2**63 - 1, -(2**63)):

@@ -195,6 +195,63 @@ def test_normalized_sample_equals_the_composed_raw_path(spec):
     assert ens.normalized_sample(spec).tobytes() == composed.tobytes()
 
 
+def normalized_as_before(spec):
+    """The normalized matrix built the earlier way: the upper triangle's raw
+    entries scaled (dense, sparse) or centered (block models), then filled."""
+    base = spec.base if isinstance(spec, ens.SparseSpec) else spec
+    n = base.n
+    iu, ju = np.triu_indices(n)
+    counters = rng.pair_counters(iu, ju)
+    if isinstance(spec, ens.SbmSpec):
+        labels = spec.block_labels()
+        p_edge = spec.probs[labels[iu], labels[ju]]
+        vals = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
+        vals[iu == ju] = 0.0
+        vals = (vals - p_edge) / (math.sqrt(n) * math.sqrt(spec.sigma_squared))
+    else:
+        if isinstance(base.profile, qve.VarianceProfile):
+            labels, coeffs = np.arange(n), base.profile.entries
+        else:
+            labels, coeffs = qve.block_labels(base.profile, n), base.profile.coeffs
+        vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
+        vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
+        if isinstance(spec, ens.SparseSpec):
+            vals = vals * (rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p)
+        vals = vals * (1.0 / math.sqrt(n * ens.ensemble_parameters(spec)[2]))
+    out = np.zeros((n, n))
+    out[iu, ju] = vals
+    out[ju, iu] = vals
+    return out
+
+
+@given(spec=ensemble_specs())
+@settings(max_examples=60)
+def test_normalized_sample_equals_the_earlier_upper_triangle_path(spec):
+    assert ens.normalized_sample(spec).tobytes() == normalized_as_before(spec).tobytes()
+
+
+@pytest.mark.parametrize("sizes, probs", [
+    ((1,), [[0.3]]),
+    ((2,), [[0.5]]),
+    ((150, 250), [[0.1, 0.02], [0.02, 0.07]]),
+    ((40, 1, 60), [[0.9, 0.0, 0.2], [0.0, 0.0, 0.6], [0.2, 0.6, 0.05]]),
+    ((300, 300), [[0.02, 0.02], [0.02, 0.02]]),
+])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+def test_normalized_sbm_equals_the_earlier_upper_triangle_path(sizes, probs, seed):
+    spec = ens.SbmSpec(d=len(sizes), sizes=sizes, probs=np.array(probs), seed=seed)
+    assert ens.normalized_sample(spec).tobytes() == normalized_as_before(spec).tobytes()
+
+
+def test_centering_leaves_its_input_unchanged():
+    spec = ens.SbmSpec(d=2, sizes=(30, 50), probs=np.array([[0.3, 0.1], [0.1, 0.2]]), seed=4)
+    adj = ens.sample(spec)
+    before = adj.copy()
+    centered = ens.center_and_scale_sbm(adj, spec)
+    assert adj.tobytes() == before.tobytes()
+    assert not np.shares_memory(centered, adj)
+
+
 @pytest.mark.parametrize("spec", [
     wigner_spec(30, seed=1, profile=random_profile(30, seed=2)),
     ens.SparseSpec(base=wigner_spec(30, seed=1), p=0.3),

@@ -54,19 +54,25 @@ def test_install_patches_every_listed_name_and_uninstall_restores_it(monkeypatch
 _TINY_CAMPAIGN = {"ensemble": {"kind": "wigner", "n": 20, "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},
                                "law": {"kind": "rademacher"}, "seed": 0},
                   "trials": 3, "interval_len_factor": 5.0}
+_TINY_SBM_CAMPAIGN = {**_TINY_CAMPAIGN, "ensemble": {"kind": "sbm", "d": 2, "sizes": [10, 10],
+                                                     "probs": [[0.5, 0.1], [0.1, 0.5]], "seed": 0}}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("command, extra", [("verify-local-law", []), ("verify-stieltjes", ["--eta", "0.5"]),
-                                            ("verify-deloc", [])])
-def test_traced_campaign_span_holds_every_trial(tmp_path, monkeypatch, capsys, command, extra, threads):
+@pytest.mark.parametrize("command, extra, payload", [
+    pytest.param("verify-local-law", [], _TINY_CAMPAIGN, id="verify-local-law-extra0"),
+    pytest.param("verify-stieltjes", ["--eta", "0.5"], _TINY_CAMPAIGN, id="verify-stieltjes-extra1"),
+    pytest.param("verify-deloc", [], _TINY_CAMPAIGN, id="verify-deloc-extra2"),
+    pytest.param("verify-deloc", [], _TINY_SBM_CAMPAIGN, id="verify-deloc-sbm"),
+])
+def test_traced_campaign_span_holds_every_trial(tmp_path, monkeypatch, capsys, command, extra, payload, threads):
     # the CLI must reach each campaign through the `verify` attribute the tracer wraps;
     # a reference captured at import would leave the traced run without a campaign span
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
     tracer_mod = importlib.import_module("tracer")
     config = tmp_path / "campaign.json"
-    config.write_text(json.dumps(_TINY_CAMPAIGN))
+    config.write_text(json.dumps(payload))
 
     tracer = tracer_mod.Tracer()
     layers.install(tracer)
@@ -86,4 +92,9 @@ def test_traced_campaign_span_holds_every_trial(tmp_path, monkeypatch, capsys, c
         while spans[span.parent].name in layers.TRIAL_SPANS:
             span = spans[span.parent]
         assert span.parent == campaign, (span.name, spans[span.parent].name)
-    assert layers.per_layer(tracer)["verify.trials"] == _TINY_CAMPAIGN["trials"]
+    if payload is _TINY_SBM_CAMPAIGN:  # each trial's centering is a normalize_s span inside its own
+        nested = [s for s in spans if s.name == "ensembles.normalize_s" and spans[s.parent].name == s.name]
+        assert len(nested) == payload["trials"]
+    metrics = layers.per_layer(tracer)
+    assert metrics["verify.trials"] == payload["trials"]
+    assert metrics["ensembles.sample_s"] > 0  # the raw draw is a span of its own inside each trial
