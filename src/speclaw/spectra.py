@@ -1,7 +1,7 @@
 """Symmetric eigen-computation kernels.
 
 Householder tridiagonalization feeds a Sturm-sequence pivot count that
-returns exact eigenvalue counts on half-open intervals (lo, hi] without a
+returns exact eigenvalue counts on half-open intervals [lo, hi) without a
 full diagonalization; the dense eigensolver stays available as the
 cross-checking slow path.  The reduction runs LAPACK outside the interpreter
 lock, so trial workers overlap: dsytrd from scipy's LAPACK below
@@ -237,13 +237,13 @@ def eigenvalue_counts_below(t: TridiagonalForm, shifts: np.ndarray) -> np.ndarra
 
 
 def count_in_interval(t: TridiagonalForm, lo: float, hi: float) -> int:
-    """Exact eigenvalue count on the half-open interval (lo, hi].
+    """Exact eigenvalue count on the half-open interval [lo, hi).
 
     Computed as two Sturm pivot counts; an eigenvalue landing exactly on a
     shift counts as lying above it.
     """
     if not lo <= hi:
-        raise OutOfRange(f"need lo <= hi, got ({lo}, {hi}]")
+        raise OutOfRange(f"need lo <= hi, got [{lo}, {hi})")
     below = eigenvalue_counts_below(t, np.array([lo, hi]))
     return int(below[1] - below[0])
 

@@ -100,6 +100,8 @@ class LocalLawConfig:
 def factor_for_length(length: float, ensemble: EnsembleSpec) -> float:
     """interval_len_factor that makes the campaign intervals exactly `length` wide."""
     n, k, p_eff = ensemble_parameters(ensemble)
+    if n < 2:
+        raise InvalidSpec(f"campaigns need n >= 2: their lengths carry log n, got n={n}")
     return length * n * p_eff / (k * k * math.log(n))
 
 
@@ -311,6 +313,8 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | Non
     etas = sorted(float(e) for e in np.atleast_1d(eta_grid))
     if not etas:
         raise InvalidSpec("eta grid is empty")
+    if not all(0.0 < eta < math.inf for eta in etas):  # nan sorts anywhere, so check every eta
+        raise InvalidSpec(f"eta must be positive and finite, got {etas}")
     floor = stieltjes_eta_floor(cfg.ensemble)
     if etas[0] < floor:
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
@@ -536,7 +540,7 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
             max_by_rank[rank] = max(max_by_rank.get(rank, 0), shift)
             if shift > rank:
                 raise AssertionFailure(
-                    f"rank-{rank} update moved the count on ({lo:g}, {hi:g}] by {shift}",
+                    f"rank-{rank} update moved the count on [{lo:g}, {hi:g}) by {shift}",
                     counterexample={"trial": t, "seed": seed, "lo": lo, "hi": hi, "rank": rank, "shift": shift},
                 )
     max_rank1 = max_by_rank.pop(1)

@@ -183,7 +183,7 @@ def test_interlacing_violation_exits_three_with_its_counterexample(tmp_path, mon
     record = json.loads(capsys.readouterr().err)
     lo, hi = calls[target]
     assert record["error"] == "assertion_failure"
-    assert record["message"] == f"rank-{rank} update moved the count on ({lo:g}, {hi:g}] by {rank + 1}"
+    assert record["message"] == f"rank-{rank} update moved the count on [{lo:g}, {hi:g}) by {rank + 1}"
     assert record["counterexample"] == {"trial": trial, "seed": 7, "lo": lo, "hi": hi, "rank": rank, "shift": rank + 1}
     assert len(calls) == target + 1 and not out.exists()
 
@@ -536,6 +536,17 @@ def test_invalid_argument_exits_one(tmp_path, profile_path, campaign_path, capsy
     paths = {"profile": profile_path, "campaign": campaign_path, "tmp": tmp_path}
     assert cli.main([arg.format(**paths) for arg in argv]) == 1
     assert message in _config_failure(capsys)
+
+
+@pytest.mark.parametrize("etas", ["nan,0.01", "0.01,inf", "0,0.01", "-0.5,0.01"])
+def test_stieltjes_eta_off_the_positive_reals_exits_one_before_the_prediction(tmp_path, campaign_path, monkeypatch,
+                                                                             capsys, etas):
+    predictions = []
+    monkeypatch.setattr(verify, "extract_density", lambda *args, **kwargs: predictions.append(args))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-stieltjes", "--config", campaign_path, f"--eta={etas}", "--out", str(out)]) == 1
+    assert "eta must be positive and finite" in _config_failure(capsys)
+    assert predictions == [] and not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "nan:1:5", "-1e308:1e308:5"])

@@ -273,6 +273,13 @@ def test_sylvester_additivity(a, data):
     assert 0 <= total <= a.shape[0]
 
 
+@pytest.mark.parametrize("lo, hi, expected", [(0.0, 1.0, 1), (1.0, 2.0, 2), (-1.0, 0.0, 0)])
+def test_exact_ties_count_on_lo_to_hi_half_open(lo, hi, expected):
+    # [lo, hi): an eigenvalue on lo counts, one on hi does not; (lo, hi] would give 2, 1 and 1
+    t = spectra.tridiagonalize(np.diag([0.0, 1.0, 1.0, 2.0]))
+    assert spectra.count_in_interval(t, lo, hi) == expected
+
+
 def test_exact_eigenvalue_hits_are_deterministic():
     t = spectra.tridiagonalize(np.diag([0.0, 1.0, 1.0, 2.0]))
     first = spectra.count_in_interval(t, 0.0, 1.0)

@@ -372,6 +372,16 @@ def test_config_validation():
         verify.LocalLawConfig(ensemble=spec, trials=0)
 
 
+@pytest.mark.parametrize("ensemble", [
+    ens.WignerSpec(n=1, profile=qve.VarianceProfile.constant(1), law=ens.EntryLaw("rademacher"), seed=0),
+    ens.SbmSpec(d=1, sizes=(1,), probs=np.full((1, 1), 0.5), seed=0),
+], ids=["wigner", "sbm"])
+def test_interval_length_of_a_single_node_is_invalid(ensemble):
+    # the length carries log n, which is 0 at n = 1
+    with pytest.raises(InvalidSpec, match="n >= 2"):
+        verify.factor_for_length(0.3, ensemble)
+
+
 def test_interval_placement_insets_and_falls_back():
     bulk = qve.BulkInterval(lo=-1.9, hi=1.9)
     narrow = verify.place_intervals(bulk, 0.2, 3)
