@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, record
+from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, frozen_array, record
 from .qve import BlockProfile, Profile, VarianceProfile, block_labels, reduce_profile
 
 LAW_KINDS = ("rademacher", "uniform_bounded", "scaled_bernoulli_centered")
@@ -115,7 +115,7 @@ class SbmSpec:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
-        probs = np.array(self.probs, dtype=np.float64)
+        probs = frozen_array(self, "probs")
         if self.d < 1 or len(sizes) != self.d:
             raise InvalidSpec(f"need d >= 1 class sizes, got d={self.d}, sizes={sizes}")
         if min(sizes) < 1:
@@ -128,9 +128,7 @@ class SbmSpec:
             raise InvalidSpec("edge probabilities must be exactly symmetric")
         if probs.min() < 0.0 or probs.max() >= 1.0:
             raise InvalidSpec("edge probabilities must lie in [0, 1)")
-        probs.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "probs", probs)
         n = self.n
         if n > 2 and self.d >= n / math.log(n):
             warnings.warn(
@@ -249,8 +247,7 @@ def effective_profile(spec: EnsembleSpec) -> Profile:
     if coeffs.max() > 1.0 + 1e-12:
         raise InvalidProfile("sigma_kl^2 exceeds sigma^2; block coefficients leave (0, 1]")
     coeffs = np.minimum(coeffs, 1.0)
-    sizes = np.asarray(spec.sizes, dtype=np.float64)
-    return BlockProfile(d=spec.d, weights=sizes / spec.n, coeffs=coeffs)
+    return BlockProfile(d=spec.d, weights=np.divide(spec.sizes, spec.n), coeffs=coeffs)
 
 
 def ensemble_parameters(spec: EnsembleSpec) -> tuple[int, float, float]:

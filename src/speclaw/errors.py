@@ -1,5 +1,9 @@
 """Exception types shared across the package, the one JSON codec and the CSV writer.
 
+Every float array a value type stores is a read-only float64 copy made by
+`frozen_array`, which rejects a non-finite value: InvalidProfile for the two
+profile classes, InvalidSpec for the rest (README lists the fields).
+
 Each exception class carries its CLI exit code and the fields of its JSON
 error record: {"error": kind, "message": ...} plus the class's context, where
 a non-finite float is written as null.
@@ -92,6 +96,17 @@ class AssertionFailure(SpecLawError):
     def __init__(self, message, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
+
+
+def frozen_array(obj, name: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
+    """Replace field `name` of the frozen dataclass `obj` by a read-only float64
+    copy and return it; raise `error` naming Class.name unless every value is finite."""
+    array = np.array(getattr(obj, name), dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise error(f"{type(obj).__name__}.{name} must be finite")
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+    return array
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "an integer", float: "a number"}

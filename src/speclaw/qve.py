@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, record, write_csv
+from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, write_csv
 
 DEFAULT_ETA = 1e-6
 ETA_START = 1.0
@@ -95,21 +95,17 @@ class VarianceProfile:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.float64)
         if self.n < 1:
             raise InvalidProfile(f"profile size must be positive, got n={self.n}")
+        entries = frozen_array(self, "entries", InvalidProfile)
         if entries.shape != (self.n, self.n):
             raise InvalidProfile(f"entries must be {self.n}x{self.n}, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise InvalidProfile("profile entries must be finite")
         if not np.array_equal(entries, entries.T):
             raise InvalidProfile("profile must be exactly symmetric")
         if entries.min() <= 0.0:
             raise InvalidProfile("profile entries must be strictly positive (a lower bound c > 0 is assumed)")
         if entries.max() > 1.0:
             raise InvalidProfile("profile entries must be <= 1 (rescale the profile)")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -119,8 +115,8 @@ class VarianceProfile:
     _weight_t = functools.cached_property(lambda self: np.ascontiguousarray(_weight_matrix(self).T))
 
     @classmethod
-    def constant(cls, n: int, value: float = 1.0) -> "VarianceProfile":
-        return cls(n=n, entries=np.full((n, n), float(value)))
+    def constant(cls, n: int) -> "VarianceProfile":
+        return cls(n=n, entries=np.ones((n, n)))
 
 
 @record()
@@ -133,16 +129,13 @@ class BlockProfile:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        coeffs = np.array(self.coeffs, dtype=np.float64)
         if self.d < 1:
             raise InvalidProfile(f"block count must be positive, got d={self.d}")
+        weights, coeffs = frozen_array(self, "weights", InvalidProfile), frozen_array(self, "coeffs", InvalidProfile)
         if weights.shape != (self.d,):
             raise InvalidProfile(f"weights must have length {self.d}")
         if coeffs.shape != (self.d, self.d):
             raise InvalidProfile(f"coeffs must be {self.d}x{self.d}")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(coeffs))):
-            raise InvalidProfile("block profile data must be finite")
         if weights.min() <= 0.0:
             raise InvalidProfile("class weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -151,10 +144,6 @@ class BlockProfile:
             raise InvalidProfile("block coefficients must be exactly symmetric")
         if coeffs.min() <= 0.0 or coeffs.max() > 1.0:
             raise InvalidProfile("block coefficients must lie in (0, 1]")
-        weights.setflags(write=False)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def dim(self) -> int:
@@ -189,8 +178,7 @@ class DensityCurve:
     solution: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=np.float64)
-        values = np.array(self.values, dtype=np.float64)
+        grid, values = frozen_array(self, "grid"), frozen_array(self, "values")
         if grid.ndim != 1 or grid.size < 2:
             raise InvalidSpec("grid must be a 1-d array with at least two points")
         if not np.all(np.diff(grid) > 0):
@@ -203,10 +191,6 @@ class DensityCurve:
             raise InvalidSpec("eta_used must be positive")
         if self.solution is not None and (np.ndim(self.solution) != 2 or np.shape(self.solution)[1] != grid.size):
             raise InvalidSpec("solution must have one column per grid point")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
 
     def mass(self) -> float:
         """Trapezoid mass of the tabulated curve."""

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange, write_csv
+from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange, frozen_array, write_csv
 from .qve import SpectralPoint
 
 _TINY = np.finfo(np.float64).tiny
@@ -39,14 +39,9 @@ class TridiagonalForm:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        diag = np.array(self.diag, dtype=np.float64)
-        offdiag = np.array(self.offdiag, dtype=np.float64)
+        diag, offdiag = frozen_array(self, "diag"), frozen_array(self, "offdiag")
         if diag.ndim != 1 or offdiag.shape != (max(diag.size - 1, 0),):
             raise InvalidSpec("need length-n diag and length-(n-1) offdiag")
-        diag.setflags(write=False)
-        offdiag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
 
     @property
     def n(self) -> int:
@@ -62,19 +57,16 @@ class SpectrumSummary:
     inf_norms: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=np.float64)
+        vals = frozen_array(self, "eigenvalues")
         if vals.ndim != 1 or vals.size < 1:
             raise InvalidSpec("eigenvalues must be a nonempty 1-d array")
         if np.any(np.diff(vals) < 0):
             raise InvalidSpec("eigenvalues must be sorted ascending")
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
         if self.eigenvectors is not None:
             if self.eigenvectors.shape != (vals.size, vals.size):
                 raise InvalidSpec("eigenvectors must be n x n with one column per eigenvalue")
-            norms = np.abs(self.eigenvectors).max(axis=0)
-            norms.setflags(write=False)
-            object.__setattr__(self, "inf_norms", norms)
+            object.__setattr__(self, "inf_norms", np.abs(self.eigenvectors).max(axis=0))
+            frozen_array(self, "inf_norms")
 
     @property
     def n(self) -> int:
@@ -209,7 +201,7 @@ def tridiagonalize(m: np.ndarray) -> TridiagonalForm:
 
 
 def eigenvalue_counts_below(t: TridiagonalForm, shifts: np.ndarray) -> np.ndarray:
-    """Vectorized #{eigenvalues < shift} for an array of shifts.
+    """Vectorized #{eigenvalues < shift} for an array of shifts; +-inf counts, NaN raises InvalidSpec.
 
     An exactly zero pivot is replaced by the smallest positive normal float,
     which counts it for a shift just below: an eigenvalue on the shift is not
@@ -219,6 +211,8 @@ def eigenvalue_counts_below(t: TridiagonalForm, shifts: np.ndarray) -> np.ndarra
     underflow unless the coupling is below rounding of the norm.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.float64))
+    if np.isnan(shifts).any():  # its pivots are never negative, so it would count 0
+        raise InvalidSpec(f"Sturm shift {int(np.flatnonzero(np.isnan(shifts))[0])} is NaN")
     diag, off = t.diag, t.offdiag
     top = max(np.abs(diag).max(), np.abs(off).max(initial=0.0))
     with np.errstate(divide="ignore", over="ignore"):

@@ -36,7 +36,7 @@ from .ensembles import (
     normalized_sample,
     with_seed,
 )
-from .errors import AssertionFailure, EmptyBulk, InvalidSpec, read_json, record, write_csv
+from .errors import AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read_json, record, write_csv
 from .qve import (
     DEFAULT_ETA,
     BulkInterval,
@@ -423,11 +423,7 @@ class ProjectionTestSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec(f"need n >= 1, got n={self.n}")
-        sigma = np.array(self.sigma, dtype=np.float64)
-        weights = np.array(self.weights, dtype=np.float64)
-        t_grid = np.array(self.t_grid, dtype=np.float64)
-        if not all(np.isfinite(a).all() for a in (sigma, weights, t_grid)):
-            raise InvalidSpec("sigma, weights and t_grid must be finite")
+        sigma, weights, t_grid = (frozen_array(self, name) for name in ("sigma", "weights", "t_grid"))
         if sigma.shape != (self.n,) or sigma.min() < 0 or sigma.max() > 1:
             raise InvalidSpec("sigma must hold n variances in [0, 1]")
         if not (1 <= self.subspace_dim <= self.n):
@@ -438,9 +434,8 @@ class ProjectionTestSpec:
             raise InvalidSpec("t_grid must hold positive thresholds")
         if self.trials < 1:
             raise InvalidSpec("need at least one trial")
-        for name, arr in (("sigma", sigma), ("weights", weights), ("t_grid", np.sort(t_grid))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "t_grid", np.sort(t_grid))
+        frozen_array(self, "t_grid")
 
 
 @record()

@@ -538,6 +538,24 @@ def test_invalid_argument_exits_one(tmp_path, profile_path, campaign_path, capsy
     assert message in _config_failure(capsys)
 
 
+# the json module reads the NaN and Infinity literals, so a config can carry them
+@pytest.mark.parametrize("command, flag, payload, message", [
+    ("spectrum", "--ensemble", {"kind": "sbm", "d": 2, "sizes": [3, 3], "probs": [[0.5, float("nan")], [float("nan"), 0.5]],
+                                "seed": 0}, "SbmSpec.probs must be finite"),
+    ("density", "--profile", {"d": 1, "weights": [1.0], "coeffs": [[float("inf")]]}, "BlockProfile.coeffs must be finite"),
+    ("density", "--profile", {"n": 1, "entries": [[float("nan")]]}, "VarianceProfile.entries must be finite"),
+    ("test-projection", "--config", {"n": 1, "sigma": [1.0], "subspace_dim": 1, "weights": [1.0],
+                                     "t_grid": [1.0, float("-inf")], "trials": 1}, "ProjectionTestSpec.t_grid must be finite"),
+])
+def test_non_finite_config_arrays_exit_one(tmp_path, capsys, command, flag, payload, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main([command, flag, str(path), "--out", str(out)]) == 1
+    assert _config_failure(capsys) == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("etas", ["nan,0.01", "0.01,inf", "0,0.01", "-0.5,0.01"])
 def test_stieltjes_eta_off_the_positive_reals_exits_one_before_the_prediction(tmp_path, campaign_path, monkeypatch,
                                                                              capsys, etas):
