@@ -175,7 +175,8 @@ def reduction(work: Path, repeats: int) -> dict:
     and n = 4000, one `verify_local_law` call each, its report hashed; then `spectra._reduce_one_stage`
     (LAPACK dsytrd) and `spectra._reduce_two_stage` (dsytrd_2stage of the bundled OpenBLAS) on one
     seeded symmetric matrix per size, inside a one-worker campaign map (one BLAS thread), alternating,
-    --repeats times each."""
+    --repeats times each.  Each kernel call gets its own copy of the matrix, made before the timer
+    starts: a kernel may overwrite its input, and a kernel that copies its input times that copy."""
     import numpy as np
     from speclaw import ensembles, qve, spectra, verify
     from speclaw.errors import report_json_bytes
@@ -199,8 +200,9 @@ def reduction(work: Path, repeats: int) -> dict:
             a = (a + a.T) / np.sqrt(2.0 * n)
             for r in range(repeats):
                 for name in sorted(kernels, reverse=r % 2 == 1):
+                    b = a.copy()
                     t0 = time.perf_counter()
-                    kernels[name](a)
+                    kernels[name](b)
                     result["seconds"].setdefault(f"{name} n{n}", []).append(time.perf_counter() - t0)
     return result
 

@@ -159,10 +159,7 @@ def run(args: argparse.Namespace) -> int:
         spec = read_json(ensembles.EnsembleSpec, args.ensemble)
         spec = spec if args.seed is None else ensembles.with_seed(spec, args.seed)
         matrix = ensembles.sample(spec)
-        if args.format == "mm":
-            ensembles.save_matrix_market(matrix, args.out)
-        else:
-            ensembles.save_matrix_binary(matrix, args.out)
+        (ensembles.save_matrix_market if args.format == "mm" else ensembles.save_matrix_binary)(matrix, args.out)
         print(f"n={len(matrix)} nnz={np.count_nonzero(matrix)} out={args.out}")
         return EXIT_OK
 

@@ -7,9 +7,9 @@ counter-based streams in `rng`, so a spec plus a seed pins the matrix bit
 for bit.  A dense spec keeps its profile in canonical form, the exact block
 form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
 variance coeffs[labels[i], labels[j]].  `sample` draws the raw matrix once,
-from the entries of its upper triangle.  `normalized_sample`, the matrix the
-predictions address, is that sample scaled by 1/sqrt(n p) in place, or for
-block models centered and scaled by `center_and_scale_sbm`.
+by strips of rows into one n x n buffer.  `normalized_sample`, the matrix
+the predictions address, is that sample scaled by 1/sqrt(n p) in place, or
+for block models centered and scaled by `center_and_scale_sbm`.
 
 Specs are JSON records (`errors.record`) tagged by "kind": "wigner",
 "sparse" or "sbm"; `read_json(EnsembleSpec, path)` reads any of them.
@@ -31,6 +31,8 @@ from .qve import BlockProfile, Profile, VarianceProfile, block_labels, reduce_pr
 
 LAW_KINDS = ("rademacher", "uniform_bounded", "scaled_bernoulli_centered")
 _SQRT3 = math.sqrt(3.0)
+# entries per strip of `fill_symmetric`: any n up to 362 fills in one strip
+_STRIP_ENTRIES = 2**17
 
 
 @record()
@@ -160,10 +162,20 @@ class SbmSpec:
 EnsembleSpec = WignerSpec | SparseSpec | SbmSpec
 
 
-def _symmetric_from_upper(n: int, iu, ju, vals) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[iu, ju] = vals
-    out[ju, iu] = vals
+def fill_symmetric(n: int, entries) -> np.ndarray:
+    """The n x n symmetric matrix drawn by strips of _STRIP_ENTRIES // n rows [i0, i1) over
+    columns [i0, n), each written into the one result with its transpose.  entries(rows, cols,
+    counters) gives a strip's values from its indices and pair counters (min(i, j) << 32) | max(i, j),
+    symmetric in (i, j), so the matrix is bit-identical to one fill of its upper triangle."""
+    out, height = np.empty((n, n)), max(1, _STRIP_ENTRIES // n)
+    for i0 in range(0, n, height):
+        i1 = min(i0 + height, n)
+        rows, cols = np.arange(i0, i1), np.arange(i0, n)
+        counters = rng.pair_counters(rows[:, None], cols)
+        square = counters[:, : i1 - i0]
+        np.minimum(square, square.T, out=square)  # below the diagonal, (j << 32) | i is the smaller
+        strip = entries(rows, cols, counters)
+        out[i0:i1, i0:], out[i1:, i0:i1] = strip, strip[:, i1 - i0:].T
     return out
 
 
@@ -174,26 +186,30 @@ def sample(spec: EnsembleSpec) -> np.ndarray:
     (a full profile is n classes of one row).  Sparse entries multiply those
     values by a Bernoulli(p) mask from an independent stream on the same
     counters, so kept entries equal the dense ones bit for bit.  Block models
-    draw {0,1} edges with probability p_kl and a zero diagonal.
+    draw {0,1} edges with probability p_kl and a zero diagonal.  Profiles and
+    edge probabilities are exactly symmetric, so strips gather them by (row, column).
     """
     base = spec.base if isinstance(spec, SparseSpec) else spec
-    n = base.n
-    iu, ju = np.triu_indices(n)
-    counters = rng.pair_counters(iu, ju)
     if isinstance(spec, SbmSpec):
-        labels = spec.block_labels()
-        p_edge = spec.probs[labels[iu], labels[ju]] * (iu != ju)  # no edge on the diagonal
-        vals = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
-        return _symmetric_from_upper(n, iu, ju, vals)
+        labels, edges = spec.block_labels(), rng.stream_key(spec.seed, rng.TAG_EDGES)
+
+        def entries(rows, cols, counters):
+            p_edge = spec.probs[labels[rows]][:, labels[cols]] * (rows[:, None] != cols)  # no edge on the diagonal
+            return (rng.uniforms(edges, counters) < p_edge).astype(np.float64)
+
+        return fill_symmetric(spec.n, entries)
     if isinstance(base.profile, VarianceProfile):
-        labels, coeffs = np.arange(n), base.profile.entries
+        labels, coeffs = np.arange(base.n), base.profile.entries
     else:
-        labels, coeffs = block_labels(base.profile, n), base.profile.coeffs
-    vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
-    vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
-    if isinstance(spec, SparseSpec):
-        vals = vals * (rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p)
-    return _symmetric_from_upper(n, iu, ju, vals)
+        labels, coeffs = block_labels(base.profile, base.n), base.profile.coeffs
+    values, mask = rng.stream_key(base.seed, rng.TAG_VALUES), rng.stream_key(base.seed, rng.TAG_MASK)
+
+    def entries(rows, cols, counters):
+        # sqrt rounds correctly, so the root of a gathered coefficient is the gathered root
+        vals = base.law.sample(values, counters) * np.sqrt(coeffs[labels[rows]][:, labels[cols]])
+        return vals * (rng.uniforms(mask, counters) < spec.p) if isinstance(spec, SparseSpec) else vals
+
+    return fill_symmetric(base.n, entries)
 
 
 # the per-kind names stay importable: the package exports them and tracers patch them

@@ -1,8 +1,9 @@
 """Exception types shared across the package, the one JSON codec and the CSV writer.
 
 Every float array a value type stores is a read-only float64 copy made by
-`frozen_array`, which rejects a non-finite value: InvalidProfile for the two
-profile classes, InvalidSpec for the rest (README lists the fields).
+`frozen_array`, which rejects anything but an array of finite real numbers:
+InvalidProfile for the two profile classes, InvalidSpec for the rest (README
+lists the fields).
 
 Each exception class carries its CLI exit code and the fields of its JSON
 error record: {"error": kind, "message": ...} plus the class's context, where
@@ -100,10 +101,18 @@ class AssertionFailure(SpecLawError):
 
 def frozen_array(obj, name: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
     """Replace field `name` of the frozen dataclass `obj` by a read-only float64
-    copy and return it; raise `error` naming Class.name unless every value is finite."""
-    array = np.array(getattr(obj, name), dtype=np.float64)
+    copy and return it; raise `error` naming Class.name unless the field is an
+    array of real numbers, every one finite (a complex value is not cast)."""
+    where = f"{type(obj).__name__}.{name}"
+    try:
+        array = np.array(getattr(obj, name))
+    except ValueError:  # ragged nesting
+        array = np.array(None)
+    if array.dtype.kind not in "iuf":
+        raise error(f"{where} must be an array of real numbers")
+    array = array.astype(np.float64, copy=False)
     if not np.isfinite(array).all():
-        raise error(f"{type(obj).__name__}.{name} must be finite")
+        raise error(f"{where} must be finite")
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
     return array

@@ -187,8 +187,8 @@ class DensityCurve:
             raise InvalidSpec("values must match the grid")
         if values.min() < 0:
             raise InvalidSpec("density values must be nonnegative")
-        if not self.eta_used > 0:
-            raise InvalidSpec("eta_used must be positive")
+        if not 0.0 < self.eta_used < math.inf:
+            raise InvalidSpec(f"eta_used must be positive and finite, got {self.eta_used}")
         if self.solution is not None and (np.ndim(self.solution) != 2 or np.shape(self.solution)[1] != grid.size):
             raise InvalidSpec("solution must have one column per grid point")
 

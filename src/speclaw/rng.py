@@ -26,12 +26,12 @@ _INV_2_53 = float(2.0 ** -53)
 
 
 def _fmix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """splitmix64 finalizer; bijective on uint64 (wraparound intended)."""
+    """splitmix64 finalizer, in place after its first step; bijective on uint64 (wraparound intended)."""
     with np.errstate(over="ignore"):
         x = x ^ (x >> np.uint64(30))
-        x = x * _MIX1
-        x = x ^ (x >> np.uint64(27))
-        x = x * _MIX2
+        x *= _MIX1
+        x ^= x >> np.uint64(27)
+        x *= _MIX2
         return x ^ (x >> np.uint64(31))
 
 

@@ -143,8 +143,7 @@ def _check_info(info) -> None:
 
 
 def _reduce_one_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e) of a square float64 array by dsytrd, read from its upper triangle."""
-    a = np.array(a, order="F")  # dsytrd overwrites it
+    """(d, e) of a square Fortran-order float64 array, which dsytrd overwrites, read from its upper triangle."""
     n = a.shape[0]
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)
 
@@ -161,16 +160,14 @@ def _reduce_one_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce_two_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e) of a square float64 array with n >= 2 by dsytrd_2stage (dense to
-    band to tridiagonal), read from its upper triangle; needs _lapack_dsytrd_2stage()."""
+    """(d, e) of a square C-order float64 array with n >= 2, which dsytrd_2stage (dense
+    to band to tridiagonal) overwrites, read from its upper triangle; needs _lapack_dsytrd_2stage()."""
     dsytrd_2stage, integer = _lapack_dsytrd_2stage()
-    # Fortran reads this C-order copy as the transpose, so its lower triangle is the caller's upper
-    a = np.array(a, order="C")
     n = a.shape[0]
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)
 
     def reduce(hous: np.ndarray, lhous: int, work: np.ndarray, lwork: int) -> None:
-        info = integer(0)
+        info = integer(0)  # Fortran reads C order as the transpose: its lower triangle is the caller's upper
         dsytrd_2stage(b"N", b"L", integer(n), a.ctypes.data, integer(n), d.ctypes.data, e.ctypes.data,
                       tau.ctypes.data, hous.ctypes.data, integer(lhous), work.ctypes.data, integer(lwork), info, 1, 1)
         _check_info(info)
@@ -182,7 +179,7 @@ def _reduce_two_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e[: n - 1]
 
 
-def tridiagonalize(m: np.ndarray) -> TridiagonalForm:
+def tridiagonalize(m: np.ndarray, *, overwrite_a: bool = False) -> TridiagonalForm:
     """Orthogonal reduction Q^T A Q = T of a symmetric matrix, read from its upper triangle.
 
     From n = _TWO_STAGE_MIN_N on, and when the bundled OpenBLAS exports it,
@@ -191,12 +188,17 @@ def tridiagonalize(m: np.ndarray) -> TridiagonalForm:
     dsytrd's Householder reduction does.  Both run outside the interpreter
     lock.  The two give T up to rounding, so eigenvalue counts agree except
     where an eigenvalue lies within rounding of a shift.
+
+    Both reduce a copy of `m`.  With overwrite_a=True they reduce a writeable
+    C-order float64 `m` in place instead, destroying it; it must then be
+    exactly symmetric, as a fresh sample is, and T is bit for bit the same.
     """
     a = _as_array(m)
+    in_place = overwrite_a and a.flags.c_contiguous and a.flags.writeable
     if a.shape[0] >= _TWO_STAGE_MIN_N and _lapack_dsytrd_2stage() is not None:
-        d, e = _reduce_two_stage(a)
-    else:
-        d, e = _reduce_one_stage(a)
+        d, e = _reduce_two_stage(a if in_place else np.array(a, order="C"))
+    else:  # a symmetric C-order array is its own transpose in Fortran order
+        d, e = _reduce_one_stage(a.T if in_place else np.array(a, order="F"))
     return TridiagonalForm(diag=d, offdiag=e)
 
 
@@ -251,6 +253,8 @@ def eigen_full(m: np.ndarray, want_vectors: bool = False) -> SpectrumSummary:
         else:
             vals, vecs = np.linalg.eigvalsh(a), None
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(a).all():  # checked only on failure, so a finite matrix pays nothing
+            raise InvalidSpec("matrix entries must be finite") from exc
         raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
     return SpectrumSummary(eigenvalues=vals, eigenvectors=vecs)
 

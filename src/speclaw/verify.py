@@ -29,10 +29,10 @@ from .ensembles import (
     EnsembleSpec,
     SparseSpec,
     WignerSpec,
-    _symmetric_from_upper,
     boundedness_flag,
     effective_profile,
     ensemble_parameters,
+    fill_symmetric,
     normalized_sample,
     with_seed,
 )
@@ -118,10 +118,7 @@ def place_intervals(bulk: BulkInterval, length: float, num: int) -> list[tuple[f
         mlo, mhi = bulk.lo + length / 2.0, bulk.hi - length / 2.0
     if mlo > mhi:
         raise EmptyBulk(f"no interval of length {length:g} fits inside [{bulk.lo:g}, {bulk.hi:g}]")
-    if num == 1:
-        mids = np.array([(mlo + mhi) / 2.0])
-    else:
-        mids = np.linspace(mlo, mhi, num)
+    mids = np.linspace(mlo, mhi, num) if num > 1 else np.array([(mlo + mhi) / 2.0])
     return [(float(m - length / 2.0), float(m + length / 2.0)) for m in mids]
 
 
@@ -253,7 +250,8 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
         return intervals, [n * q for q in mapper(lambda iv: integrate_density(curve, *iv), intervals)]
 
     def trial(matrix, planned):  # one Sturm sweep; integrate_density has checked lo <= hi
-        below = eigenvalue_counts_below(tridiagonalize(matrix), np.ravel(planned[0]))
+        # the trial owns its sample, which is exactly symmetric, so the reduction may overwrite it
+        below = eigenvalue_counts_below(tridiagonalize(matrix, overwrite_a=True), np.ravel(planned[0]))
         return below[1::2] - below[::2]
 
     config, (intervals, predicted), rows = _campaign(cfg, threads, plan, trial)
@@ -267,15 +265,9 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
                        deviations=deviations[:, j].tolist(), pass_fraction=float(interval_pass[j]))
         for j, (lo_j, hi_j) in enumerate(intervals)
     ]
-    return LocalLawReport(
-        config=config,
-        n=n,
-        intervals=records,
-        trial_pass=trial_pass,
-        pass_fraction=float(np.mean(trial_pass)),
-        max_deviation=float(trial_dev_max.max()),
-        k_bound_flag=boundedness_flag(cfg.ensemble),
-    )
+    return LocalLawReport(config=config, n=n, intervals=records, trial_pass=trial_pass,
+                          pass_fraction=float(np.mean(trial_pass)), max_deviation=float(trial_dev_max.max()),
+                          k_bound_flag=boundedness_flag(cfg.ensemble))
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +326,8 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | Non
     records = [StieltjesRecord(x=pt.re, eta=pt.im, predicted=[m.real, m.imag], discrepancies=[row[j] for row in rows])
                for j, (pt, m) in enumerate(planned)]
     trial_sup = [float(max(row)) for row in rows]
-    return StieltjesReport(
-        config=config,
-        eta_floor=floor,
-        records=records,
-        trial_sup=trial_sup,
-        max_discrepancy=float(max(trial_sup)),
-        median_sup=float(np.median(trial_sup)),
-    )
+    return StieltjesReport(config=config, eta_floor=floor, records=records, trial_sup=trial_sup,
+                           max_discrepancy=float(max(trial_sup)), median_sup=float(np.median(trial_sup)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +375,9 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
     pooled = np.concatenate([r[3] for r in results])
     if pooled.size == 0:
         raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
-    return DelocReport(
-        config=config,
-        records=records,
-        ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
-        max_ratio=float(pooled.max()),
-        k_bound_flag=boundedness_flag(cfg.ensemble),
-    )
+    return DelocReport(config=config, records=records,
+                       ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
+                       max_ratio=float(pooled.max()), k_bound_flag=boundedness_flag(cfg.ensemble))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +502,10 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
         raise InvalidSpec(f"need at least 1 trial, got {trials}")
     max_by_rank = {1: 0}
     span = 2.5 * math.sqrt(n)
-    iu, ju = np.triu_indices(n)
     for t in range(trials):
         key_a = rng.stream_key(seed + t, rng.TAG_VALUES)
         key_v = rng.stream_key(seed + t, rng.TAG_AUX)
-        a = _symmetric_from_upper(n, iu, ju, 2.0 * rng.uniforms(key_a, rng.pair_counters(iu, ju)) - 1.0)
+        a = fill_symmetric(n, lambda rows, cols, counters: 2.0 * rng.uniforms(key_a, counters) - 1.0)
         rows, cols = np.repeat(np.arange(_MAX_RANK), n), np.tile(np.arange(n), _MAX_RANK)
         vs = (2.0 * rng.uniforms(key_v, rng.pair_counters(rows, cols)) - 1.0).reshape(_MAX_RANK, n)
         endpoints = span * (2.0 * rng.uniforms(key_v, np.array([2**40 + 2 * t, 2**40 + 2 * t + 1])) - 1.0)
@@ -539,11 +520,5 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
                     counterexample={"trial": t, "seed": seed, "lo": lo, "hi": hi, "rank": rank, "shift": shift},
                 )
     max_rank1 = max_by_rank.pop(1)
-    return InterlacingReport(
-        trials=trials,
-        n=n,
-        seed=seed,
-        max_shift_rank1=max_rank1,
-        max_shift_by_rank=dict(sorted(max_by_rank.items())),
-        passed=True,
-    )
+    return InterlacingReport(trials=trials, n=n, seed=seed, max_shift_rank1=max_rank1,
+                             max_shift_by_rank=dict(sorted(max_by_rank.items())), passed=True)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,20 +253,109 @@ def test_centering_leaves_its_input_unchanged():
     assert not np.shares_memory(centered, adj)
 
 
+def sample_as_parent(spec):
+    """The raw sample as the upper-triangle path drew it: every counter of the
+    triangle at once, the values scattered into the matrix and its transpose."""
+    base = spec.base if isinstance(spec, ens.SparseSpec) else spec
+    n = base.n
+    iu, ju = np.triu_indices(n)
+    counters = rng.pair_counters(iu, ju)
+    if isinstance(spec, ens.SbmSpec):
+        labels = spec.block_labels()
+        p_edge = spec.probs[labels[iu], labels[ju]] * (iu != ju)
+        vals = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
+    else:
+        if isinstance(base.profile, qve.VarianceProfile):
+            labels, coeffs = np.arange(n), base.profile.entries
+        else:
+            labels, coeffs = qve.block_labels(base.profile, n), base.profile.coeffs
+        vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
+        vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
+        if isinstance(spec, ens.SparseSpec):
+            vals = vals * (rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p)
+    out = np.zeros((n, n))
+    out[iu, ju] = vals
+    out[ju, iu] = vals
+    return out
+
+
+@given(spec=ensemble_specs())
+@settings(max_examples=60)
+def test_sample_equals_the_upper_triangle_path(spec):
+    assert ens.sample(spec).tobytes() == sample_as_parent(spec).tobytes()
+
+
+# the largest n that fills in one strip of rows; one more takes two strips
+ONE_STRIP = math.isqrt(ens._STRIP_ENTRIES)
+
+
+def strip_specs(n):
+    two = qve.BlockProfile(d=2, weights=np.array([0.4, 0.6]), coeffs=np.array([[1.0, 0.3], [0.3, 0.6]]))
+    sizes = (n,) if n == 1 else (n // 3, n - n // 3)
+    probs = np.array([[0.2]]) if n == 1 else np.array([[0.2, 0.05], [0.05, 0.1]])
+    return {
+        "irreducible": wigner_spec(n, seed=n, law=ens.EntryLaw("uniform_bounded"), profile=random_profile(n, seed=n)),
+        "sparse-block": ens.SparseSpec(base=wigner_spec(n, seed=n + 1, profile=None if n < 2 else two), p=0.2),
+        "sbm": ens.SbmSpec(d=len(sizes), sizes=sizes, probs=probs, seed=n + 2),
+    }
+
+
+@pytest.mark.parametrize("kind", ["irreducible", "sparse-block", "sbm"])
+@pytest.mark.parametrize("n", [1, ONE_STRIP, ONE_STRIP + 1])
+def test_sample_equals_the_upper_triangle_path_across_strip_boundaries(n, kind):
+    assert ens._STRIP_ENTRIES // ONE_STRIP >= ONE_STRIP > ens._STRIP_ENTRIES // (ONE_STRIP + 1)
+    spec = strip_specs(n)[kind]
+    assert ens.sample(spec).tobytes() == sample_as_parent(spec).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    wigner_spec(2000, seed=3, law=ens.EntryLaw("scaled_bernoulli_centered", 2.0),
+                profile=qve.BlockProfile(d=3, weights=np.full(3, 1.0 / 3.0),
+                                         coeffs=np.array([[1.0, 0.2, 0.5], [0.2, 0.7, 0.1], [0.5, 0.1, 0.9]]))),
+    ens.SbmSpec(d=2, sizes=(700, 1300), probs=np.array([[0.1, 0.02], [0.02, 0.07]]), seed=11),
+], ids=["dense", "sbm"])
+def test_campaign_size_sample_equals_the_upper_triangle_path(spec):
+    assert ens.sample(spec).tobytes() == sample_as_parent(spec).tobytes()
+
+
+def test_dense_normalized_sample_allocates_little_beyond_its_result():
+    # the upper-triangle path peaked at 3.4 times the n x n result: two index
+    # arrays of n^2/2, their counters, the values, then the scatter
+    n = 2000
+    spec = wigner_spec(n, seed=4)  # built first: VarianceProfile.constant(n) allocates n^2 itself
+    tracemalloc.start()
+    try:
+        ens.normalized_sample(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+
+
 @pytest.mark.parametrize("spec", [
     wigner_spec(30, seed=1, profile=random_profile(30, seed=2)),
     ens.SparseSpec(base=wigner_spec(30, seed=1), p=0.3),
     ens.SbmSpec(d=2, sizes=(10, 20), probs=np.array([[0.5, 0.1], [0.1, 0.3]]), seed=1),
-], ids=["wigner", "sparse", "sbm"])
+    ens.SparseSpec(base=wigner_spec(ONE_STRIP + 40, seed=1), p=0.3),
+], ids=["wigner", "sparse", "sbm", "sparse-two-strips"])
 def test_trial_matrix_is_one_draw(monkeypatch, spec):
-    calls = []
-    triu_indices, pair_counters = np.triu_indices, rng.pair_counters
-    monkeypatch.setattr(np, "triu_indices", lambda *a, **k: calls.append("triu") or triu_indices(*a, **k))
-    monkeypatch.setattr(rng, "pair_counters", lambda *a: calls.append("counters") or pair_counters(*a))
-    fill = ens._symmetric_from_upper
-    monkeypatch.setattr(ens, "_symmetric_from_upper", lambda *a: calls.append("fill") or fill(*a))
+    # each stream of the spec hashes every counter of the upper triangle, and
+    # only those, and a normalized sample draws the raw sample once
+    hashed, draws = {}, []
+    hash_u64, sample = rng.hash_u64, ens.sample
+    monkeypatch.setattr(rng, "hash_u64", lambda key, c: hashed.setdefault(int(key), []).append(np.ravel(c)) or
+                        hash_u64(key, c))
+    monkeypatch.setattr(ens, "sample", lambda s: draws.append(s) or sample(s))
     ens.normalized_sample(spec)
-    assert sorted(calls) == ["counters", "fill", "triu"]
+    base = spec.base if isinstance(spec, ens.SparseSpec) else spec
+    tags = {ens.WignerSpec: [rng.TAG_VALUES], ens.SparseSpec: [rng.TAG_VALUES, rng.TAG_MASK],
+            ens.SbmSpec: [rng.TAG_EDGES]}[type(spec)]
+    assert sorted(hashed) == sorted(int(rng.stream_key(base.seed, tag)) for tag in tags)
+    iu, ju = np.triu_indices(base.n)
+    upper = np.sort(rng.pair_counters(iu, ju))
+    for counters in hashed.values():
+        assert np.array_equal(np.unique(np.concatenate(counters)), upper)
+    assert len(draws) == 1 and draws[0] is spec
 
 
 # ---------------------------------------------------------------------------

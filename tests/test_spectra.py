@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,43 @@ def test_two_stage_reduction_reads_only_the_upper_triangle():
     poisoned = spectra.tridiagonalize(a)
     assert np.array_equal(poisoned.diag, t.diag)
     assert np.array_equal(poisoned.offdiag, t.offdiag)
+
+
+def fresh_sample(n):
+    """A normalized dense sample: exactly symmetric, C-order, owned by the caller."""
+    spec = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("uniform_bounded"), seed=n)
+    return ens.normalized_sample(spec)
+
+
+@pytest.mark.parametrize("n", [200, 1300])  # below and above _TWO_STAGE_MIN_N: both kernels
+def test_in_place_reduction_is_bit_identical_and_allocates_no_matrix(n):
+    a = fresh_sample(n)
+    copied = spectra.tridiagonalize(a)
+    tracemalloc.start()
+    try:
+        in_place = spectra.tridiagonalize(a, overwrite_a=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert in_place.diag.tobytes() == copied.diag.tobytes()
+    assert in_place.offdiag.tobytes() == copied.offdiag.tobytes()
+    assert peak < 0.5 * 8 * n * n  # a copy of the input would take 8 n^2 bytes
+    assert not np.array_equal(a, fresh_sample(n))  # the reduction overwrote the caller's buffer
+
+
+@pytest.mark.parametrize("n", [200, 1300])
+def test_reduction_leaves_its_input_untouched_unless_handed_over(n):
+    a = fresh_sample(n)
+    before = a.copy()
+    t = spectra.tridiagonalize(a)
+    assert a.tobytes() == before.tobytes()
+    # a read-only or Fortran-order input cannot be reduced in place, so it is copied
+    read_only, fortran = a.copy(), np.asfortranarray(a)
+    read_only.setflags(write=False)
+    for m in (read_only, fortran):
+        reduced = spectra.tridiagonalize(m, overwrite_a=True)
+        assert m.tobytes() == before.tobytes()
+        assert reduced.diag.tobytes() == t.diag.tobytes() and reduced.offdiag.tobytes() == t.offdiag.tobytes()
 
 
 def test_reduction_dispatches_on_size(monkeypatch):

@@ -66,6 +66,37 @@ def test_a_non_finite_value_is_rejected_naming_the_field(where, bad):
         build(values)
 
 
+def _complex(ints):
+    values = np.array(ints, dtype=np.complex128)
+    values.flat[0] += 1j
+    return values
+
+
+@pytest.mark.parametrize("bad", [lambda ints: [[1.0], [1.0, 2.0]], lambda ints: "ab", _complex],
+                         ids=["ragged", "string", "complex"])
+@pytest.mark.parametrize("where", [where for where in FIELDS if where != "SpectrumSummary.inf_norms"])  # derived
+def test_a_value_that_is_not_an_array_of_real_numbers_is_rejected_naming_the_field(where, bad):
+    # numpy's ValueError escaped for the first two, and a complex array lost its imaginary part
+    build, ints, _ = FIELDS[where]
+    error = InvalidProfile if where.split(".")[0] in PROFILE_CLASSES else InvalidSpec
+    with pytest.raises(error, match=re.escape(f"{where} must be an array of real numbers")):
+        build(bad(ints))
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_dense_eigensolver_names_a_non_finite_matrix_as_bad_input(want_vectors):
+    # LAPACK fails on a matrix that is NaN throughout; that read as NonConvergence (exit 2)
+    with pytest.raises(InvalidSpec, match="matrix entries must be finite") as caught:
+        spectra.eigen_full(np.full((3, 3), np.nan), want_vectors=want_vectors)
+    assert caught.value.exit_code == 1
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
+def test_density_curve_needs_a_positive_finite_eta(eta):
+    with pytest.raises(InvalidSpec, match="eta_used must be positive and finite"):
+        qve.DensityCurve(grid=[0.0, 1.0], values=[0.0, 1.0], eta_used=eta, profile_hash="h")
+
+
 def test_nan_coupling_fails_the_reduction_instead_of_miscounting():
     # a form with this NaN coupling Sturm-counts [0, 0, 2] at shifts -10, 0.5 and 10: two eigenvalues lost
     a = np.eye(4)
