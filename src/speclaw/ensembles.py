@@ -275,12 +275,6 @@ def ensemble_parameters(spec: EnsembleSpec) -> tuple[int, float, float]:
     return spec.n, 1.0, spec.p_max
 
 
-def boundedness_flag(spec: EnsembleSpec) -> bool:
-    """True when K^2 log n/(n p_eff) > 0.1, i.e. the bounded-entry hypothesis is strained."""
-    n, k, p_eff = ensemble_parameters(spec)
-    return k * k * math.log(n) / (n * p_eff) > 0.1
-
-
 def with_seed(spec: EnsembleSpec, seed: int) -> EnsembleSpec:
     """Copy of the spec with its sampling seed replaced.
 

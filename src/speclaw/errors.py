@@ -15,7 +15,9 @@ decorator, driven by its dataclass fields, and is read back by `read_json`.
 All are written in one byte form, `report_json_bytes`: sorted keys, indent
 2, and strict JSON, so a NaN or infinity raises ValueError.  Input that is
 not a JSON object of the declared fields and types raises InvalidSpec naming
-the field.
+the field.  When read, an array field need only be a JSON array: its record's
+constructor then checks the elements with `frozen_array`, so a bad element
+gets that function's error and message.
 """
 
 import csv
@@ -139,17 +141,6 @@ def json_value(value, kind: type, where: str):
     raise InvalidSpec(f"{where} must be {_JSON_TYPES[kind]}, got {got}")
 
 
-def json_array(value, where: str) -> np.ndarray:
-    """The JSON array of numbers `value` (arrays of arrays for a matrix) as a numpy array."""
-    try:
-        array = np.asarray(json_value(value, list, where))
-    except ValueError:  # ragged nesting
-        array = None
-    if array is None or array.dtype.kind not in "iuf":
-        raise InvalidSpec(f"{where} must be an array of numbers")
-    return array
-
-
 def report_json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
@@ -201,8 +192,8 @@ def _decode(kind, value, where: str):
     """
     if hasattr(kind, "from_dict"):
         return kind.from_dict(value)
-    if kind is np.ndarray:
-        return json_array(value, where)
+    if kind is np.ndarray:  # the record's constructor checks the elements, through frozen_array
+        return json_value(value, list, where)
     args, origin = typing.get_args(kind), typing.get_origin(kind)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:

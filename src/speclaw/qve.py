@@ -116,7 +116,7 @@ class VarianceProfile:
 
     @classmethod
     def constant(cls, n: int) -> "VarianceProfile":
-        return cls(n=n, entries=np.ones((n, n)))
+        return cls(n=n, entries=np.broadcast_to(1.0, (n, n)))  # frozen_array's copy is the one n x n array
 
 
 @record()

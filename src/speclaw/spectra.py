@@ -16,7 +16,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ class TridiagonalForm:
 
     def __post_init__(self):
         diag, offdiag = frozen_array(self, "diag"), frozen_array(self, "offdiag")
-        if diag.ndim != 1 or offdiag.shape != (max(diag.size - 1, 0),):
-            raise InvalidSpec("need length-n diag and length-(n-1) offdiag")
+        if diag.ndim != 1 or diag.size < 1 or offdiag.shape != (diag.size - 1,):
+            raise InvalidSpec("need length-n diag and length-(n-1) offdiag, n >= 1")
 
     @property
     def n(self) -> int:
@@ -50,11 +50,10 @@ class TridiagonalForm:
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Sorted eigenvalues with optional orthonormal eigenvectors and their sup-norms."""
+    """Sorted eigenvalues and, optionally, the sup-norm of each unit eigenvector."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    inf_norms: np.ndarray | None = field(init=False, default=None)
+    inf_norms: np.ndarray | None = None
 
     def __post_init__(self):
         vals = frozen_array(self, "eigenvalues")
@@ -62,11 +61,8 @@ class SpectrumSummary:
             raise InvalidSpec("eigenvalues must be a nonempty 1-d array")
         if np.any(np.diff(vals) < 0):
             raise InvalidSpec("eigenvalues must be sorted ascending")
-        if self.eigenvectors is not None:
-            if self.eigenvectors.shape != (vals.size, vals.size):
-                raise InvalidSpec("eigenvectors must be n x n with one column per eigenvalue")
-            object.__setattr__(self, "inf_norms", np.abs(self.eigenvectors).max(axis=0))
-            frozen_array(self, "inf_norms")
+        if self.inf_norms is not None and frozen_array(self, "inf_norms").shape != vals.shape:
+            raise InvalidSpec("inf_norms must hold one sup-norm per eigenvalue")
 
     @property
     def n(self) -> int:
@@ -245,18 +241,20 @@ def count_in_interval(t: TridiagonalForm, lo: float, hi: float) -> int:
 
 
 def eigen_full(m: np.ndarray, want_vectors: bool = False) -> SpectrumSummary:
-    """Full symmetric eigendecomposition, eigenvalues ascending."""
+    """Full symmetric eigendecomposition, eigenvalues ascending; with want_vectors,
+    the sup-norm of each eigenvector is kept and the vectors are dropped."""
     a = _as_array(m)
     try:
         if want_vectors:
             vals, vecs = np.linalg.eigh(a)
+            norms = np.abs(vecs, out=vecs).max(axis=0)
         else:
-            vals, vecs = np.linalg.eigvalsh(a), None
+            vals, norms = np.linalg.eigvalsh(a), None
     except np.linalg.LinAlgError as exc:
         if not np.isfinite(a).all():  # checked only on failure, so a finite matrix pays nothing
             raise InvalidSpec("matrix entries must be finite") from exc
         raise NonConvergence(f"dense eigensolver failed: {exc}") from exc
-    return SpectrumSummary(eigenvalues=vals, eigenvectors=vecs)
+    return SpectrumSummary(eigenvalues=vals, inf_norms=norms)
 
 
 def stieltjes_empirical(s: SpectrumSummary, point: SpectralPoint) -> complex:

@@ -29,7 +29,6 @@ from .ensembles import (
     EnsembleSpec,
     SparseSpec,
     WignerSpec,
-    boundedness_flag,
     effective_profile,
     ensemble_parameters,
     fill_symmetric,
@@ -60,6 +59,8 @@ from .spectra import (
 )
 
 _QUANTILES = (0.5, 0.9, 0.99)
+# a report's k_bound_flag: the eta floor K^2 log n/(n p_eff) above this strains the bounded-entry hypothesis
+_K_BOUND_FLOOR = 0.1
 # interlacing_test cycles its rank-d updates through d = 2.._MAX_RANK
 _MAX_RANK = 5
 
@@ -267,7 +268,7 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
     ]
     return LocalLawReport(config=config, n=n, intervals=records, trial_pass=trial_pass,
                           pass_fraction=float(np.mean(trial_pass)), max_deviation=float(trial_dev_max.max()),
-                          k_bound_flag=boundedness_flag(cfg.ensemble))
+                          k_bound_flag=stieltjes_eta_floor(cfg.ensemble) > _K_BOUND_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,7 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
         raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
     return DelocReport(config=config, records=records,
                        ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
-                       max_ratio=float(pooled.max()), k_bound_flag=boundedness_flag(cfg.ensemble))
+                       max_ratio=float(pooled.max()), k_bound_flag=stieltjes_eta_floor(cfg.ensemble) > _K_BOUND_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,39 @@ def test_non_finite_config_arrays_exit_one(tmp_path, capsys, command, flag, payl
     assert not out.exists()
 
 
+# every array field of a JSON record: (command, its input flag, a valid input)
+_ARRAY_INPUTS = {
+    "VarianceProfile": ("density", "--profile", {"n": 2, "entries": [[1.0, 0.5], [0.5, 1.0]]}),
+    "BlockProfile": ("density", "--profile", {"d": 2, "weights": [0.5, 0.5], "coeffs": [[1.0, 0.5], [0.5, 1.0]]}),
+    "SbmSpec": ("spectrum", "--ensemble", {"kind": "sbm", "d": 2, "sizes": [3, 3], "probs": [[0.5, 0.1], [0.1, 0.5]],
+                                           "seed": 0}),
+    "ProjectionTestSpec": ("test-projection", "--config", {"n": 2, "sigma": [1.0, 0.5], "subspace_dim": 2,
+                                                           "weights": [1.0, 0.5], "t_grid": [1.0, 2.0], "trials": 1}),
+}
+_ARRAY_FIELDS = ["VarianceProfile.entries", "BlockProfile.weights", "BlockProfile.coeffs", "SbmSpec.probs",
+                 "ProjectionTestSpec.sigma", "ProjectionTestSpec.weights", "ProjectionTestSpec.t_grid"]
+
+
+def _with_first_element(value, replace):
+    """The nested list `value` with its first number replaced by replace(number)."""
+    head = _with_first_element(value[0], replace) if isinstance(value[0], list) else replace(value[0])
+    return [head, *value[1:]]
+
+
+@pytest.mark.parametrize("bad", [lambda v: "1", lambda v: [v], lambda v: None], ids=["string", "ragged", "null"])
+@pytest.mark.parametrize("where", _ARRAY_FIELDS)
+def test_json_array_of_non_numbers_exits_one_naming_the_field(tmp_path, capsys, where, bad):
+    # the codec only requires a JSON array; the record's constructor checks its elements
+    cls, name = where.split(".")
+    command, flag, payload = _ARRAY_INPUTS[cls]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**payload, name: _with_first_element(payload[name], bad)}))
+    out = tmp_path / "out"
+    assert cli.main([command, flag, str(path), "--out", str(out)]) == 1
+    assert _config_failure(capsys) == f"{where} must be an array of real numbers"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("etas", ["nan,0.01", "0.01,inf", "0,0.01", "-0.5,0.01"])
 def test_stieltjes_eta_off_the_positive_reals_exits_one_before_the_prediction(tmp_path, campaign_path, monkeypatch,
                                                                              capsys, etas):

@@ -287,9 +287,14 @@ def _density_csv(path):
 
 
 def _spectrum_csv(path, vectors):
-    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
-    summary = spectra.SpectrumSummary(np.sort(_AWKWARD[:4]), q if vectors else None)
+    a = np.random.default_rng(3).standard_normal((4, 4))
+    a = a + a.T
+    norms = spectra.eigen_full(a, want_vectors=True).inf_norms if vectors else None
+    summary = spectra.SpectrumSummary(np.sort(_AWKWARD[:4]), norms)
     spectra.spectrum_to_csv(summary, path)
+    if vectors:  # the sup-norms of eigh's unit eigenvectors, bit for bit
+        assert np.array_equal(summary.inf_norms, np.abs(np.linalg.eigh(a)[1]).max(axis=0))
+        assert np.all((summary.inf_norms >= 0.5) & (summary.inf_norms <= 1.0))
     norms = summary.inf_norms if vectors else [None] * 4
     rows = [[i, lam, nrm] for i, (lam, nrm) in enumerate(zip(summary.eigenvalues, norms))]
     return ["index", "eigenvalue", "inf_norm"], rows

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,19 @@ def test_profile_validation():
         qve.VarianceProfile(n=2, entries=np.array([[1.0, 1.2], [1.2, 1.0]]))  # above 1
     with pytest.raises(InvalidProfile):
         qve.BlockProfile(d=2, weights=np.array([0.7, 0.7]), coeffs=np.ones((2, 2)))
+
+
+def test_constant_profile_holds_one_n_by_n_array():
+    # frozen_array's read-only copy is the one n x n array; a second would double the peak
+    n = 2000
+    tracemalloc.start()
+    try:
+        profile = qve.VarianceProfile.constant(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * n * n
+    assert profile.entries.shape == (n, n) and np.all(profile.entries == 1.0)
 
 
 def test_spectral_point_requires_upper_half_plane():

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -239,6 +240,16 @@ def test_non_square_input_is_invalid():
         spectra.eigen_full(np.zeros(4))
 
 
+def test_empty_matrix_is_invalid():
+    # an empty form would reach numpy's max of a zero-size array when Sturm-counted
+    with pytest.raises(InvalidSpec, match="n >= 1"):
+        spectra.tridiagonalize(np.zeros((0, 0)))
+    with pytest.raises(InvalidSpec, match="n >= 1"):
+        spectra.TridiagonalForm(diag=[], offdiag=[])
+    with pytest.raises(InvalidSpec):
+        spectra.eigen_full(np.zeros((0, 0)))
+
+
 def test_invalid_arguments_raise_typed_errors():
     t = spectra.tridiagonalize(FLIP)
     with pytest.raises(OutOfRange):
@@ -384,12 +395,20 @@ def test_sturm_counts_match_eigvalsh_tridiagonal(tri, extra):
 # full decomposition
 
 
+def _assert_eigh_sup_norms(s, a):
+    """s.inf_norms are the sup-norms of eigh's eigenvectors of `a`, bit for bit, within [1/sqrt(n), 1]."""
+    vals, vecs = np.linalg.eigh(a)
+    assert np.array_equal(s.eigenvalues, vals)
+    assert np.array_equal(s.inf_norms, np.abs(vecs).max(axis=0))
+    n = len(a)
+    assert np.all((s.inf_norms >= 1.0 / np.sqrt(n) - 1e-12) & (s.inf_norms <= 1.0))
+
+
 def test_eigen_full_flip_matrix():
     s = spectra.eigen_full(FLIP, want_vectors=True)
     assert np.allclose(s.eigenvalues, [-1.0, 1.0])
     assert np.allclose(s.inf_norms, [2**-0.5, 2**-0.5])
-    for i, lam in enumerate(s.eigenvalues):
-        assert np.allclose(FLIP @ s.eigenvectors[:, i], lam * s.eigenvectors[:, i], atol=1e-12)
+    _assert_eigh_sup_norms(s, FLIP)
 
 
 def test_eigen_full_sorts():
@@ -403,15 +422,9 @@ def test_trace_identity():
     assert abs(s.eigenvalues.sum() - np.trace(a)) <= 1e-9 * np.abs(a).max() * 100
 
 
-def test_eigenvector_invariants():
+def test_eigenvector_sup_norms_are_those_of_eigh():
     a = random_symmetric(40, seed=6)
-    s = spectra.eigen_full(a, want_vectors=True)
-    u = s.eigenvectors
-    assert np.abs(u.T @ u - np.eye(40)).max() <= 1e-10
-    resid = np.abs(a @ u - u * s.eigenvalues[None, :]).max()
-    assert resid <= 1e-8 * np.abs(a).max()
-    assert np.all(s.inf_norms >= 1.0 / np.sqrt(40) - 1e-12)
-    assert np.all(s.inf_norms <= 1.0)
+    _assert_eigh_sup_norms(spectra.eigen_full(a, want_vectors=True), a)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +514,20 @@ def test_inf_norms_delocalized_extreme():
     assert spectra.eigvec_inf_norms(s)[-1] == pytest.approx(1.0 / np.sqrt(n))
 
 
-def test_inf_norms_are_derived_once_from_the_vectors():
-    u = np.linalg.qr(random_symmetric(12, seed=4))[0]
-    s = spectra.SpectrumSummary(eigenvalues=np.arange(12.0), eigenvectors=u)
-    assert np.array_equal(s.inf_norms, np.abs(u).max(axis=0))
+def test_summary_keeps_the_sup_norms_and_no_vectors():
+    a = random_symmetric(12, seed=4)
+    s = spectra.eigen_full(a, want_vectors=True)
+    _assert_eigh_sup_norms(s, a)
     assert spectra.eigvec_inf_norms(s) is s.inf_norms
     assert not s.inf_norms.flags.writeable
+    assert [np.ndim(getattr(s, f.name)) for f in dataclasses.fields(s)] == [1, 1]  # no n x n array
+
+
+def test_summary_rejects_an_n_by_n_second_argument():
+    # a caller still passing the eigenvector matrix as the second argument
+    u = np.linalg.qr(random_symmetric(3, seed=4))[0]
+    with pytest.raises(InvalidSpec, match="inf_norms must hold one sup-norm per eigenvalue"):
+        spectra.SpectrumSummary(np.arange(3.0), u)
 
 
 def test_inf_norms_require_vectors():

@@ -272,6 +272,17 @@ def test_sbm_campaign_runs_and_passes_loosely():
     assert not report.k_bound_flag
 
 
+def test_k_bound_flag_marks_an_eta_floor_above_a_tenth():
+    # K^2 log n/(n p_eff) is log(200)/200 = 0.026 for the dense campaign, log(200)/40 = 0.13 kept at p = 0.2
+    dense = dense_config(n=200, trials=1, length=0.2)
+    sparse = ens.SparseSpec(base=dense.ensemble, p=0.2)
+    strained = dataclasses.replace(dense, ensemble=sparse, interval_len_factor=verify.factor_for_length(0.2, sparse))
+    for cfg, flag in ((dense, False), (strained, True)):
+        assert (verify.stieltjes_eta_floor(cfg.ensemble) > 0.1) is flag
+        assert verify.verify_local_law(cfg).k_bound_flag is flag
+        assert verify.verify_delocalization(cfg).k_bound_flag is flag
+
+
 def test_empty_bulk_raises():
     cfg = dense_config(n=100, trials=1, eps=10.0)
     with pytest.raises(EmptyBulk):
