@@ -9,7 +9,7 @@ form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
 variance coeffs[labels[i], labels[j]].  `sample` draws the raw matrix once,
 by strips of rows into one n x n buffer.  `normalized_sample`, the matrix
 the predictions address, is that sample scaled by 1/sqrt(n p) in place, or
-for block models centered and scaled by `center_and_scale_sbm`.
+for block models centered and scaled in place by `center_and_scale_sbm`.
 
 Specs are JSON records (`errors.record`) tagged by "kind": "wigner",
 "sparse" or "sbm"; `read_json(EnsembleSpec, path)` reads any of them.
@@ -212,13 +212,13 @@ def sample(spec: EnsembleSpec) -> np.ndarray:
     return fill_symmetric(base.n, entries)
 
 
-# the per-kind names stay importable: the package exports them and tracers patch them
+# per-kind aliases of `sample`, kept only because perfbench's tracer patches these names
 sample_wigner = sample_sparse = sample_sbm = sample
 
 
 def normalized_sample(spec: EnsembleSpec) -> np.ndarray:
     """The matrix the predictions refer to: the raw `sample` scaled in place by
-    1/sqrt(n p_eff), or for block models centered by `center_and_scale_sbm`."""
+    1/sqrt(n p_eff), or for block models centered in place by `center_and_scale_sbm`."""
     if isinstance(spec, SbmSpec):
         return center_and_scale_sbm(sample(spec), spec)
     matrix = sample(spec)
@@ -227,20 +227,21 @@ def normalized_sample(spec: EnsembleSpec) -> np.ndarray:
     return matrix
 
 
-def center_and_scale_sbm(adj: np.ndarray, spec: SbmSpec) -> np.ndarray:
-    """(A - E A~)/(sqrt(n) sigma) of a raw adjacency sample A, in a new array.
+def center_and_scale_sbm(adj, spec: SbmSpec) -> np.ndarray:
+    """(A - E A~)/(sqrt(n) sigma) of a raw adjacency sample A: in place when A is a
+    writeable float64 array, as `normalized_sample` hands it over, else in a copy.
 
-    E A~ carries p_kl on every entry of block (k,l), diagonal included, so the
-    rank-d mean structure is removed before normalizing by the largest noise
-    scale sigma = sqrt(p(1-p)), p = max p_kl.
+    E A~ carries p_kl on every entry of block (k,l), diagonal included; class k's rows
+    subtract the length-n row p_{k, labels}, so the mean is never expanded to n x n.
+    sigma = sqrt(p(1-p)), p = max p_kl, is the largest noise scale.
     """
     if np.shape(adj) != (spec.n, spec.n):
         raise InvalidSpec(f"adjacency has shape {np.shape(adj)} but spec has n={spec.n}")
     scale = math.sqrt(spec.n) * math.sqrt(spec.sigma_squared)
-    labels = spec.block_labels()
-    out = spec.probs[labels[:, None], labels[None, :]]
-    np.subtract(adj, out, out=out)
-    return np.divide(out, scale, out=out)
+    adj, labels = np.require(adj, np.float64, "W"), spec.block_labels()
+    for k, (lo, size) in enumerate(zip(np.cumsum((0, *spec.sizes)), spec.sizes)):
+        adj[lo:lo + size] -= spec.probs[k, labels]
+    return np.divide(adj, scale, out=adj)
 
 
 def effective_profile(spec: EnsembleSpec) -> Profile:

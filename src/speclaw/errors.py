@@ -101,16 +101,23 @@ class AssertionFailure(SpecLawError):
         self.counterexample = counterexample
 
 
+def _holds_bool(items) -> bool:
+    """Whether a nested list or tuple holds a boolean, which numpy would read as 0 or 1."""
+    kinds = set(map(type, items))
+    nested = kinds & {list, tuple}
+    return bool(kinds & {bool, np.bool_}) or bool(nested) and any(_holds_bool(v) for v in items if type(v) in nested)
+
+
 def frozen_array(obj, name: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
     """Replace field `name` of the frozen dataclass `obj` by a read-only float64
     copy and return it; raise `error` naming Class.name unless the field is an
-    array of real numbers, every one finite (a complex value is not cast)."""
-    where = f"{type(obj).__name__}.{name}"
+    array of real numbers, every one finite (a complex value is not cast, nor a boolean read as 0 or 1)."""
+    where, value = f"{type(obj).__name__}.{name}", getattr(obj, name)
     try:
-        array = np.array(getattr(obj, name))
+        array = np.array(value)
     except ValueError:  # ragged nesting
         array = np.array(None)
-    if array.dtype.kind not in "iuf":
+    if array.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and _holds_bool(value):
         raise error(f"{where} must be an array of real numbers")
     array = array.astype(np.float64, copy=False)
     if not np.isfinite(array).all():

@@ -366,14 +366,13 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
     n, k_bound, p_eff = ensemble_parameters(cfg.ensemble)
 
     def trial(matrix, bulks):
-        ratios = normalized_deloc_ratios(eigen_full(matrix, want_vectors=True), bulks, n, k_bound, p_eff)
-        norms = ratios * k_bound * math.sqrt(math.log(n)) / math.sqrt(n * p_eff)
-        return ratios.size, float(norms.max(initial=0.0)), float(ratios.max(initial=0.0)), ratios
+        return normalized_deloc_ratios(eigen_full(matrix, want_vectors=True), bulks, n, k_bound, p_eff)
 
     config, _, results = _campaign(cfg, threads, lambda curve, bulks, widest, mapper: bulks, trial)
-    records = [DelocTrialRecord(trial=i, bulk_count=c, max_inf_norm=mn, max_ratio=mr)
-               for i, (c, mn, mr, _) in enumerate(results)]
-    pooled = np.concatenate([r[3] for r in results])
+    norms = [ratios * k_bound * math.sqrt(math.log(n)) / math.sqrt(n * p_eff) for ratios in results]
+    records = [DelocTrialRecord(trial=i, bulk_count=r.size, max_inf_norm=float(m.max(initial=0.0)),
+                                max_ratio=float(r.max(initial=0.0))) for i, (r, m) in enumerate(zip(results, norms))]
+    pooled = np.concatenate(results)
     if pooled.size == 0:
         raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
     return DelocReport(config=config, records=records,

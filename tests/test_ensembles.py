@@ -244,13 +244,47 @@ def test_normalized_sbm_equals_the_earlier_upper_triangle_path(sizes, probs, see
     assert ens.normalized_sample(spec).tobytes() == normalized_as_before(spec).tobytes()
 
 
-def test_centering_leaves_its_input_unchanged():
+def test_centering_is_in_place_on_a_writeable_float64_sample_and_copies_any_other_input():
     spec = ens.SbmSpec(d=2, sizes=(30, 50), probs=np.array([[0.3, 0.1], [0.1, 0.2]]), seed=4)
     adj = ens.sample(spec)
-    before = adj.copy()
-    centered = ens.center_and_scale_sbm(adj, spec)
-    assert adj.tobytes() == before.tobytes()
-    assert not np.shares_memory(centered, adj)
+    expected = centered_as_gathered(adj, spec)
+    assert ens.center_and_scale_sbm(adj, spec) is adj
+    assert adj.tobytes() == expected.tobytes()
+
+    read_only = ens.sample(spec)
+    read_only.setflags(write=False)
+    for other in (read_only, ens.sample(spec).astype(np.int64), ens.sample(spec).tolist()):
+        before = np.array(other)
+        centered = ens.center_and_scale_sbm(other, spec)
+        assert not np.shares_memory(centered, other)
+        assert np.array_equal(other, before)
+        assert centered.tobytes() == expected.tobytes()
+
+
+def centered_as_gathered(adj, spec):
+    """The centering as it was: E A~ gathered into a second n x n array, subtracted, then scaled."""
+    labels = spec.block_labels()
+    out = spec.probs[labels[:, None], labels[None, :]]
+    np.subtract(adj, out, out=out)
+    return np.divide(out, math.sqrt(spec.n) * math.sqrt(spec.sigma_squared), out=out)
+
+
+@pytest.mark.parametrize("d", [2, 500])
+def test_sbm_normalized_sample_is_centered_in_its_one_buffer(d):
+    # gathering E A~ into a second n x n array peaked at 2.00 x 8n^2; d = 500 is the unbounded-classes regime
+    n, gen = 2000, np.random.default_rng(d)
+    probs = np.triu(gen.uniform(0.01, 0.3, (d, d)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = ens.SbmSpec(d=d, sizes=(n // d,) * d, probs=probs + np.triu(probs, 1).T, seed=5)
+    tracemalloc.start()
+    try:
+        centered = ens.normalized_sample(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+    assert centered.tobytes() == centered_as_gathered(ens.sample(spec), spec).tobytes()
 
 
 def sample_as_parent(spec):

@@ -1,4 +1,5 @@
-"""Cold start: `import speclaw` loads numpy and the standard library only.
+"""Cold start: `import speclaw` loads no submodule and no numpy, and
+`speclaw.cli` loads numpy and the standard library only.
 
 scipy loads when a command needs it: the bundled-OpenBLAS lookup of a
 campaign, scipy.linalg at the first dsytrd reduction, scipy.io for
@@ -29,6 +30,13 @@ def test_import_loads_no_scipy_module():
     run = _python("-c", "import json, sys, speclaw, speclaw.cli; "
                         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     assert json.loads(run.stdout) == []
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # the package re-exported 44 names from six submodules, so it loaded all of them and numpy
+    run = _python("-c", "import json, sys, speclaw; "
+                        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('speclaw', 'numpy'))))")
+    assert json.loads(run.stdout) == ["speclaw"]
 
 
 def test_matrix_market_sample_from_a_fresh_interpreter(tmp_path):

@@ -3,12 +3,13 @@ each is a read-only float64 copy of the caller's array, and a non-finite value
 is rejected with a typed error naming Class.field, before it can turn into a
 wrong count downstream."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
-from speclaw import ensembles as ens, qve, spectra, verify
+from speclaw import cli, ensembles as ens, qve, spectra, verify
 from speclaw.errors import InvalidProfile, InvalidSpec
 
 
@@ -71,8 +72,15 @@ def _complex(ints):
     return values
 
 
-@pytest.mark.parametrize("bad", [lambda ints: [[1.0], [1.0, 2.0]], lambda ints: "ab", _complex],
-                         ids=["ragged", "string", "complex"])
+def _boolean(ints):
+    # JSON's true among numbers, as json.loads gives it: numpy read it as 1.0
+    values = np.array(ints, dtype=object)
+    values.flat[0] = True
+    return values.tolist()
+
+
+@pytest.mark.parametrize("bad", [lambda ints: [[1.0], [1.0, 2.0]], lambda ints: "ab", _complex, _boolean],
+                         ids=["ragged", "string", "complex", "boolean"])
 @pytest.mark.parametrize("where", FIELDS)
 def test_a_value_that_is_not_an_array_of_real_numbers_is_rejected_naming_the_field(where, bad):
     # numpy's ValueError escaped for the first two, and a complex array lost its imaginary part
@@ -80,6 +88,23 @@ def test_a_value_that_is_not_an_array_of_real_numbers_is_rejected_naming_the_fie
     error = InvalidProfile if where.split(".")[0] in PROFILE_CLASSES else InvalidSpec
     with pytest.raises(error, match=re.escape(f"{where} must be an array of real numbers")):
         build(bad(ints))
+
+
+@pytest.mark.parametrize("entries", [[[1.0, 0.5], [0.5, False]], ([1.0, 0.5], (0.5, np.True_))])
+def test_a_boolean_at_any_depth_is_rejected(entries):
+    with pytest.raises(InvalidProfile, match=re.escape("VarianceProfile.entries must be an array of real numbers")):
+        qve.VarianceProfile(n=2, entries=entries)
+
+
+def test_cli_rejects_a_json_boolean_among_numbers(tmp_path, capsys):
+    # test-projection ran with sigma [1.0, 1.0] on this config and exited 0
+    config = tmp_path / "projection.json"
+    config.write_text(json.dumps({"n": 2, "sigma": [1.0, True], "subspace_dim": 1, "weights": [1.0],
+                                  "t_grid": [1.0], "trials": 1}))
+    assert cli.main(["test-projection", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "config", "message": "ProjectionTestSpec.sigma must be an array of real numbers"}
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("want_vectors", [False, True])
