@@ -117,7 +117,7 @@ def prediction(work: Path, repeats: int) -> dict:
     constant block (dense-local-law) and the two-class block of sbm-deloc, 10 * --repeats times each;
     seeded irreducible profiles at n = 200 (profile-local-law) and n = 1000, --repeats times each, at 1
     and 2 workers; and once at n = 2000 with 2 workers.  Map evaluations are summed over the
-    `_solve_batch` calls of the density's eta-descents (coarse), its warm-started columns (fine) and
+    `_solve_batch` calls of the density's cold columns (coarse), its warm-started columns (fine) and
     the quadrature."""
     import numpy as np
     from speclaw import ensembles as ens
@@ -210,7 +210,7 @@ def reduction(work: Path, repeats: int) -> dict:
 def irreducible_campaign(work: Path, repeats: int) -> dict:
     """perfbench's profile-local-law scaled to n = 2000: a Wigner matrix with uniform_bounded entries
     over the seeded irreducible profile, eps 0.1, three intervals of length 0.3, delta 0.1, 20 trials
-    from base seed 1000.  Its config, about 80 MB of JSON listing the profile's entries, is written once
+    from base seed 1000.  Its config, about 120 MB of JSON listing the profile's entries, is written once
     per side through that side's library; each round times one `python -m speclaw.cli verify-local-law
     --threads 2` process on it: interpreter start, config load, prediction, trials and report."""
     config = work / "irreducible.json"

@@ -14,15 +14,15 @@ of the solution is the Stieltjes transform of a probability density rho
 supported in [-2, 2]; rho is recovered as Im m(x + i*eta)/pi for small eta.
 
 One solver does every solve: an undamped Anderson iteration on the map
-g -> -1/(z + S g), batched over the abscissas, which first descends from
-eta = 1 to the target eta by factors of 0.1 (the plain iteration slows down
-as eta -> 0) and stops each abscissa once max_k |1/g_k + z + (S g)_k| <= tol.
-Its mixing weights come from small normal equations over a Gram matrix that
-grows by one row per sweep, a sweep works in place on the columns still
-active, S g is one real matrix product for the real and imaginary parts, a
-defect stalled at the rounding floor ends it early, and quadrature reuses the
-curve's solutions.  `extract_density` descends in eta only at every
-_COARSE_STRIDE-th grid point and starts the others at the target eta from
+g -> -1/(z + S g), batched over the abscissas, which runs at the target z
+from the start (for Im z > 0 the solution is the map's unique fixed point in
+the upper half plane, Ajanki, Erdos & Kruger 2015) and stops each abscissa
+once max_k |1/g_k + z + (S g)_k| <= tol.  Its mixing weights come from small
+normal equations over a Gram matrix that grows by one row per sweep, a sweep
+works in place on the columns still active, S g is one real matrix product
+for the real and imaginary parts, a defect stalled at the rounding floor ends
+it early, and quadrature reuses the curve's solutions.  `extract_density`
+starts only every _COARSE_STRIDE-th grid point cold and the others from
 their neighbours, as quadrature does; abscissas share nothing but the product
 with S, so large profiles go in fixed column blocks through a pool's map.
 
@@ -44,11 +44,11 @@ import numpy as np
 from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, write_csv
 
 DEFAULT_ETA = 1e-6
+# a column without a warm start starts at g_k = -1/(x + i*max(eta, ETA_START))
 ETA_START = 1.0
-ETA_RATIO = 0.1
 DEFAULT_GRID = (-3.0, 3.0, 601)
 # stop at a defect max_k |1/g_k + z + (S g)_k| <= DEFAULT_TOL, after at most
-# _MAX_ITER map evaluations per eta stage
+# _MAX_ITER map evaluations per solve
 DEFAULT_TOL = 1e-10
 _MAX_ITER = 10_000
 
@@ -66,7 +66,7 @@ _QUAD_REL_TOL = 1e-6
 # the smaller working set saves
 _BLOCK_MIN_DIM = 200
 _BLOCK_COLUMNS = 50
-# extract_density descends in eta at every _COARSE_STRIDE-th grid point only
+# extract_density starts every _COARSE_STRIDE-th grid point only cold
 _COARSE_STRIDE = 10
 
 
@@ -111,8 +111,9 @@ class VarianceProfile:
     def dim(self) -> int:
         return self.n
 
-    # W^T, C-contiguous: the right operand of _solve_batch's product, built once per profile
-    _weight_t = functools.cached_property(lambda self: np.ascontiguousarray(_weight_matrix(self).T))
+    # W^T, C-contiguous: the right operand of _solve_batch's product, built once per profile;
+    # W = entries / n with (S g)_k = (W g)_k is exactly symmetric, so it is its own transpose
+    _weight_t = functools.cached_property(lambda self: np.divide(self.entries, self.n, order="C"))
 
     @classmethod
     def constant(cls, n: int) -> "VarianceProfile":
@@ -149,7 +150,8 @@ class BlockProfile:
     def dim(self) -> int:
         return self.d
 
-    _weight_t = VarianceProfile._weight_t  # the same cached W^T, from this class's W
+    # the cached W^T of W_kl = c_kl alpha_l, with (S g)_k = (W g)_k
+    _weight_t = functools.cached_property(lambda self: np.multiply(self.weights[:, None], self.coeffs, order="C"))
 
 
 Profile = VarianceProfile | BlockProfile
@@ -275,24 +277,8 @@ def reduce_profile(profile: Profile) -> Profile:
     return block
 
 
-def _weight_matrix(profile: Profile) -> np.ndarray:
-    """Matrix W with (S g)_k = (W g)_k."""
-    if isinstance(profile, VarianceProfile):
-        return profile.entries / profile.n
-    return profile.coeffs * profile.weights[None, :]
-
-
 # ---------------------------------------------------------------------------
 # solver
-
-
-def _eta_schedule(eta: float) -> np.ndarray:
-    """Geometric descent from ETA_START to eta whose ratio is never below ETA_RATIO."""
-    if eta >= ETA_START:
-        return np.array([eta])
-    # the 1e-9 keeps rounding in the logs from adding a stage when eta = ETA_RATIO**k
-    steps = math.ceil(math.log(eta / ETA_START) / math.log(ETA_RATIO) - 1e-9)
-    return np.geomspace(ETA_START, eta, steps + 1)
 
 
 def _mixing_coeffs(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -324,12 +310,12 @@ def _solve_batch(
     column stops once its defect is <= tol, and the rest keep iterating
     as one matrix product.  A mixed step that leaves the upper half plane is
     replaced by the plain map step, which stays in it.  Without a warm start
-    the columns descend together from eta = ETA_START by factors of at most
-    ETA_RATIO, each stage starting from the previous one's solution.  Raises
-    NonConvergence for the worst column when a stage uses up _MAX_ITER, or
-    once a best defect stays put for _STALL_SWEEPS sweeps at the rounding
-    floor of max_k |z + (W g)_k|, which no lower tol can pass; and for the
-    first column whose defect turns non-finite, at once and without numpy
+    a column starts cold at g_k = -1/(x + i*max(eta, ETA_START)); either way
+    it iterates at its target eta in one pass.  Raises NonConvergence for the
+    worst column when the solve uses up _MAX_ITER, or once a best defect
+    stays put for _STALL_SWEEPS sweeps at the rounding floor of
+    max_k |z + (W g)_k|, which no lower tol can pass; and for the first
+    column whose defect turns non-finite, at once and without numpy
     floating-point warnings.  A defect already non-finite at the first
     iterate (a point whose -1/z over- or underflows) raises InvalidSpec
     instead: no iteration can start there.
@@ -347,83 +333,74 @@ def _solve_batch(
         wt = profile._weight_t
         num, dim = xs.size, profile.dim
         depth = min(_ANDERSON_DEPTH, dim)
-        if initial is None:
-            schedule = _eta_schedule(eta)
-            g = np.repeat((-1.0 / (xs + 1j * schedule[0]))[:, None], dim, axis=1)
-        else:
-            schedule = np.array([eta])
-            g = np.array(initial, dtype=np.complex128).T
-        residual = np.full(num, np.inf)
-        iterations = np.zeros(num, dtype=np.int64)
-
         # per column, one row each: the iterate, its defect's z + W g, the residual
         # f = map(g) - g and plain step map(g) of this sweep (f[k % 2]) and the last,
         # their differences in the history ring, and the ring's Gram matrix
         ga, denom = np.empty((num, dim), dtype=np.complex128), np.empty((num, dim), dtype=np.complex128)
+        ga[:] = (-1.0 / (xs + 1j * max(eta, ETA_START)))[:, None] if initial is None else np.asarray(initial).T
         f, step = np.empty((2, num, dim), dtype=np.complex128), np.empty((2, num, dim), dtype=np.complex128)
         df, dstep = np.empty((num, depth, dim), dtype=np.complex128), np.empty((num, depth, dim), dtype=np.complex128)
         gram = np.empty((num, depth, depth), dtype=np.complex128)
         planes, wg = np.empty((num, 2, dim)), np.empty((num, 2, dim))  # real and imaginary parts of ga and W ga
-        for stage, eta_k in enumerate(schedule):
-            idx, a = np.arange(num), num
-            ga[:] = g
-            best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
-            for k in range(_MAX_ITER + 1):
-                cur = k % 2
-                planes[:a, 0], planes[:a, 1] = ga[:a].real, ga[:a].imag
-                np.matmul(planes[:a].reshape(2 * a, dim), wt, out=wg[:a].reshape(2 * a, dim))
-                np.add(wg[:a, 0], xs[idx[:a], None], out=denom[:a].real)
-                np.add(wg[:a, 1], eta_k, out=denom[:a].imag)
-                res = np.abs(1.0 / ga[:a] + denom[:a]).max(axis=1)
-                if not np.isfinite(res).all():
-                    bad = idx[:a][~np.isfinite(res)].min()
-                    if stage == k == 0:  # no iteration can start here: a bad input, not a failed solve
-                        raise InvalidSpec(f"first defect not finite at x={float(xs[bad])!r}, eta={eta!r}: "
-                                          "-1/z over- or underflows")
-                    raise NonConvergence(f"defect not finite at z={xs[bad]:g}+{eta_k:g}i on the way to eta={eta:g}",
-                                         x=float(xs[bad]), eta=eta, residual=math.inf, iterations=int(iterations[bad]))
-                cols = idx[:a]
-                stale[cols] = np.where(res < best[cols], 0, stale[cols] + 1)
-                best[cols] = np.minimum(best[cols], res)
-                done = res <= tol
-                if done.any():
-                    pos = np.flatnonzero(done)
-                    g[idx[pos]], residual[idx[pos]] = ga[pos], res[pos]
-                    a -= pos.size
-                    holes, movers = pos[pos < a], a + np.flatnonzero(~done[a:])
-                    for rows in (idx, ga, denom, f[1 - cur], step[1 - cur], df, dstep, gram):
-                        rows[holes] = rows[movers]
-                if a == 0:
-                    break
-                cols = idx[:a]
-                stuck = stale[cols] >= _STALL_SWEEPS
-                stuck[stuck] = best[cols[stuck]] <= _STALL_ROUNDING * np.abs(denom[:a][stuck]).max(axis=1)
-                stalled = stuck.any()
-                if stalled or k == _MAX_ITER:
-                    cause = np.sort(cols[stuck] if stalled else cols)  # ties go to the lowest column
-                    worst = cause[np.argmax(best[cause])]
-                    why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
-                    raise NonConvergence(
-                        f"fixed point not below tol={tol:g} {why} at z={xs[worst]:g}+{eta_k:g}i "
-                        f"(best residual {best[worst]:.3g}) on the way to eta={eta:g}",
-                        x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
-                    )
-                iterations[cols] += 1
-                # the plain map step, mixed below once there is history
-                st, fa = np.divide(-1.0, denom[:a], out=step[cur, :a]), f[cur, :a]
-                np.subtract(st, ga[:a], out=fa)
-                if k == 0:
-                    ga[:a] = st
-                    continue
-                slot, used = (k - 1) % depth, min(k, depth)
-                new = np.subtract(fa, f[1 - cur, :a], out=df[:a, slot])
-                np.subtract(st, step[1 - cur, :a], out=dstep[:a, slot])
-                row = np.vecdot(new[:, None, :], df[:a, :used])  # row slot of A^H A
-                gram[:a, slot, :used], gram[:a, :used, slot] = row, row.conj()
-                gamma = _mixing_coeffs(gram[:a, :used, :used], np.vecdot(df[:a, :used], fa[:, None, :])[:, :, None])
-                mixed = np.subtract(st, (gamma.transpose(0, 2, 1) @ dstep[:a, :used])[:, 0], out=ga[:a])
-                left = ~(mixed.imag > 0).all(axis=1)  # mixed steps that left the half plane
-                mixed[left] = st[left]
+        g, residual, iterations = np.empty_like(ga), np.full(num, np.inf), np.zeros(num, dtype=np.int64)
+        idx, a = np.arange(num), num
+        best, stale = np.full(num, np.inf), np.zeros(num, dtype=np.int64)
+        for k in range(_MAX_ITER + 1):
+            cur = k % 2
+            planes[:a, 0], planes[:a, 1] = ga[:a].real, ga[:a].imag
+            np.matmul(planes[:a].reshape(2 * a, dim), wt, out=wg[:a].reshape(2 * a, dim))
+            np.add(wg[:a, 0], xs[idx[:a], None], out=denom[:a].real)
+            np.add(wg[:a, 1], eta, out=denom[:a].imag)
+            res = np.abs(1.0 / ga[:a] + denom[:a]).max(axis=1)
+            if not np.isfinite(res).all():
+                bad = idx[:a][~np.isfinite(res)].min()
+                if k == 0:  # no iteration can start here: a bad input, not a failed solve
+                    raise InvalidSpec(f"first defect not finite at x={float(xs[bad])!r}, eta={eta!r}: "
+                                      "-1/z over- or underflows")
+                raise NonConvergence(f"defect not finite at z={xs[bad]:g}+{eta:g}i",
+                                     x=float(xs[bad]), eta=eta, residual=math.inf, iterations=int(iterations[bad]))
+            cols = idx[:a]
+            stale[cols] = np.where(res < best[cols], 0, stale[cols] + 1)
+            best[cols] = np.minimum(best[cols], res)
+            done = res <= tol
+            if done.any():
+                pos = np.flatnonzero(done)
+                g[idx[pos]], residual[idx[pos]] = ga[pos], res[pos]
+                a -= pos.size
+                holes, movers = pos[pos < a], a + np.flatnonzero(~done[a:])
+                for rows in (idx, ga, denom, f[1 - cur], step[1 - cur], df, dstep, gram):
+                    rows[holes] = rows[movers]
+            if a == 0:
+                break
+            cols = idx[:a]
+            stuck = stale[cols] >= _STALL_SWEEPS
+            stuck[stuck] = best[cols[stuck]] <= _STALL_ROUNDING * np.abs(denom[:a][stuck]).max(axis=1)
+            stalled = stuck.any()
+            if stalled or k == _MAX_ITER:
+                cause = np.sort(cols[stuck] if stalled else cols)  # ties go to the lowest column
+                worst = cause[np.argmax(best[cause])]
+                why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
+                raise NonConvergence(
+                    f"fixed point not below tol={tol:g} {why} at z={xs[worst]:g}+{eta:g}i "
+                    f"(best residual {best[worst]:.3g})",
+                    x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
+                )
+            iterations[cols] += 1
+            # the plain map step, mixed below once there is history
+            st, fa = np.divide(-1.0, denom[:a], out=step[cur, :a]), f[cur, :a]
+            np.subtract(st, ga[:a], out=fa)
+            if k == 0:
+                ga[:a] = st
+                continue
+            slot, used = (k - 1) % depth, min(k, depth)
+            new = np.subtract(fa, f[1 - cur, :a], out=df[:a, slot])
+            np.subtract(st, step[1 - cur, :a], out=dstep[:a, slot])
+            row = np.vecdot(new[:, None, :], df[:a, :used])  # row slot of A^H A
+            gram[:a, slot, :used], gram[:a, :used, slot] = row, row.conj()
+            gamma = _mixing_coeffs(gram[:a, :used, :used], np.vecdot(df[:a, :used], fa[:, None, :])[:, :, None])
+            mixed = np.subtract(st, (gamma.transpose(0, 2, 1) @ dstep[:a, :used])[:, 0], out=ga[:a])
+            left = ~(mixed.imag > 0).all(axis=1)  # mixed steps that left the half plane
+            mixed[left] = st[left]
         return g.T, residual, iterations
 
 
@@ -436,9 +413,9 @@ def _m_of(profile: Profile, g: np.ndarray) -> np.ndarray:
 def solve_qve(profile: Profile, point: SpectralPoint, tol: float = DEFAULT_TOL) -> QveSolution:
     """Solve the quadratic vector equation at one spectral point.
 
-    A batch of one for _solve_batch: Anderson iteration, after an eta-descent
-    from ETA_START, until the defect max_k |1/g_k + z + (S g)_k| is <= tol.
-    Raises NonConvergence when a stage runs out of _MAX_ITER iterations or the
+    A batch of one for _solve_batch: Anderson iteration at z from a cold
+    start until the defect max_k |1/g_k + z + (S g)_k| is <= tol.
+    Raises NonConvergence when the solve runs out of _MAX_ITER iterations or the
     defect stalls above tol at the rounding floor.
     """
     if not tol >= 0.0:
@@ -464,8 +441,8 @@ def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) ->
 
 
 def _solve_blocks(profile: Profile, xs: np.ndarray, eta: float, mapper=map, known=None, g_known=None) -> np.ndarray:
-    """Solutions at xs + i*eta by eta-descent or, given solutions g_known at the nondecreasing
-    `known`, at eta alone from the linear interpolation of each point's two neighbours there;
+    """Solutions at xs + i*eta from cold starts or, given solutions g_known at the nondecreasing
+    `known`, from the linear interpolation of each point's two neighbours there;
     in blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`."""
     start = None
     if known is not None:
@@ -486,9 +463,9 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     prediction, far cheaper); the reduced profile is kept as the curve's source
     and its solution vectors at every grid point as the curve's solution.
 
-    Continuation in x: every _COARSE_STRIDE-th grid point and the last descend in eta,
-    then the others are solved at eta alone from their two coarse neighbours'
-    solutions.  Both phases run in fixed column blocks through `mapper`.
+    Continuation in x: every _COARSE_STRIDE-th grid point and the last start cold,
+    then the others start from the linear interpolation of their two coarse
+    neighbours' solutions.  Both phases run in fixed column blocks through `mapper`.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -513,7 +490,7 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     """Adaptive trapezoid integral of the predicted density over [lo, hi].
 
     The mesh starts as lo, the grid points inside and hi, each solved at
-    eta_used alone from the linear interpolation of its grid neighbours' solutions.
+    eta_used from the linear interpolation of its grid neighbours' solutions.
     Halving a cell solves its midpoint that way from the cell's ends, and each
     half keeps half the cell's trapezoid change.  Every cell is halved until the changes
     sum to at most _QUAD_REL_TOL relative (1e-12 absolute), then only cells whose

@@ -233,29 +233,30 @@ def test_missing_file_exits_one(tmp_path, capsys):
 
 
 def test_non_convergence_exits_two(tmp_path, capsys):
-    # a defect of 1e-17 is below the rounding of 1/g + z + Sg at |z| = 2 (2.2e-16)
+    # a defect of 1e-17 is below the rounding of 1/g + z + Sg at z = 1.5 + 1e-12i
+    # (1.1e-16); at x = 2 the rounding errors happen to cancel below it
     prof_path = tmp_path / "p.json"
     qve.VarianceProfile.constant(4).to_json(prof_path)
-    code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "2.0", "--eta", "1e-12", "--tol", "1e-17"])
+    code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "1.5", "--eta", "1e-12", "--tol", "1e-17"])
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "non_convergence"
-    assert record["x"] == 2.0
+    assert record["x"] == 1.5
     assert record["eta"] == 1e-12
     assert record["residual"] > 1e-17
     assert record["iterations"] > 0
 
 
 def test_stalled_solve_exits_two_without_using_up_its_iterations(tmp_path, capsys):
-    # the defect sits at the rounding floor, far above tol = 1e-17, for good; the solver
-    # must say so within a few dozen sweeps instead of spending max_iter = 10000
+    # the defect sits at the rounding floor (1.1e-16), far above tol = 1e-17, for good;
+    # the solver must say so within a few dozen sweeps instead of spending max_iter = 10000
     prof_path = tmp_path / "p.json"
     qve.VarianceProfile.constant(4).to_json(prof_path)
-    code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "2.0", "--eta", "1e-12", "--tol", "1e-17"])
+    code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "1.5", "--eta", "1e-12", "--tol", "1e-17"])
     assert code == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "non_convergence"
-    assert (record["x"], record["eta"]) == (2.0, 1e-12)
+    assert (record["x"], record["eta"]) == (1.5, 1e-12)
     assert 1e-17 < record["residual"] < 1e-15
     assert 0 < record["iterations"] < 500
 

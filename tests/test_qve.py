@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes
-from speclaw import qve
+from speclaw import ensembles, qve
 from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, read_json
 
 CONST8 = qve.VarianceProfile.constant(8)
@@ -120,7 +120,8 @@ def test_continuation_reaches_the_real_axis_limit():
 
 
 def test_single_step_continuation_equals_direct_solve():
-    # eta = 0.3 is one step below the start; the warm start skips the descent
+    # the cold solve starts from -1/(x + i) and the direct one from -1/z: both reach
+    # the one fixed point in the upper half plane
     point = qve.SpectralPoint(0.7, 0.3)
     xs = np.array([point.re])
     cont = qve.solve_qve(CONST8, point, tol=1e-13)
@@ -130,12 +131,36 @@ def test_single_step_continuation_equals_direct_solve():
     assert iterations[0] == 0
 
 
+# d = 1, the two-class block of a 2-block SBM and an irreducible n = 200 profile
+_ONE_PASS_PROFILES = {
+    "d1": lambda: qve.BlockProfile(d=1, weights=np.ones(1), coeffs=np.ones((1, 1))),
+    "sbm": lambda: ensembles.effective_profile(
+        ensembles.SbmSpec(d=2, sizes=(1000, 1000), probs=np.array([[0.1, 0.02], [0.02, 0.1]]), seed=0)),
+    "irreducible": lambda: _irreducible_profile(),
+}
+
+
+@pytest.mark.parametrize("eta, most", [(qve.DEFAULT_ETA, 25), (1e-12, 30)])
+@pytest.mark.parametrize("kind", _ONE_PASS_PROFILES)
+def test_cold_columns_solve_at_the_target_eta_in_one_pass(kind, eta, most):
+    # for Im z > 0 the map's fixed point in the upper half plane is unique, so a cold
+    # column iterates at its target eta from the start.  On the coarse subgrid and
+    # the edges +-2 that takes at most 17, 11 and 16 map evaluations at DEFAULT_ETA
+    # and 23, 11 and 16 at 1e-12, where a descent from eta = 1 took 49, 37 and 44,
+    # and 71, 45 and 56
+    profile, grid = _ONE_PASS_PROFILES[kind](), qve.default_grid()
+    xs = np.append(grid[_cold_mask(grid.size)], [-2.0, 2.0])
+    _, residual, iterations = qve._solve_batch(profile, xs, eta)
+    assert (residual <= qve.DEFAULT_TOL).all()
+    assert iterations.max() <= most
+
+
 # ---------------------------------------------------------------------------
 # the batch sweep: compaction and the Gram ring, against batches of one
 
 
 def _defect(profile, xs, eta, g):
-    w = qve._weight_matrix(profile)
+    w = profile._weight_t.T
     return np.abs(1.0 / g + (xs + 1j * eta)[None, :] + w @ g).max(axis=0)
 
 
@@ -386,8 +411,8 @@ def test_integral_matches_fine_trapezoid_of_density_batch(make_profile, edge_poi
         assert qve.integrate_density(curve, lo, hi) == pytest.approx(np.trapezoid(rho, xs), rel=1e-6)
 
 
-def _coarse_mask(size: int) -> np.ndarray:
-    """extract_density's eta-descent subgrid: every _COARSE_STRIDE-th point and the last."""
+def _cold_mask(size: int) -> np.ndarray:
+    """extract_density's cold subgrid: every _COARSE_STRIDE-th point and the last."""
     mask = np.arange(size) % qve._COARSE_STRIDE == 0
     mask[-1] = True
     return mask
@@ -398,14 +423,14 @@ def _coarse_mask(size: int) -> np.ndarray:
 def test_blocked_density_matches_one_batch_over_the_grid(n, seed):
     # profiles of dimension >= _BLOCK_MIN_DIM are solved in column blocks; each
     # column iterates on its own, so the blocks give the solution of each phase
-    # done as one batch: the coarse subgrid by descent, then, from the curve's
+    # done as one batch: the coarse subgrid from cold starts, then, from the curve's
     # coarse solutions, the rest from the linear interpolation (1 - t) g_left +
     # t g_right of their coarse neighbours (the curve's own starts, so that a
     # rounding difference of the coarse phase is not amplified near an edge)
     profile = random_profile(n, seed=seed)
     grid = qve.default_grid()
     curve = qve.extract_density(profile, grid)
-    coarse = _coarse_mask(grid.size)
+    coarse = _cold_mask(grid.size)
     g = np.empty((n, grid.size), dtype=np.complex128)
     g[:, coarse] = qve._solve_batch(profile, grid[coarse], qve.DEFAULT_ETA)[0]
     left = np.flatnonzero(~coarse) // qve._COARSE_STRIDE * qve._COARSE_STRIDE
@@ -420,12 +445,12 @@ def test_blocked_density_matches_one_batch_over_the_grid(n, seed):
 # Two solutions whose defects are both <= DEFAULT_TOL = 1e-10 differ by the defect
 # times the inverse of the equation's stability operator.  At a square-root edge
 # that inverse grows like eta**-0.5 = 1e3 at DEFAULT_ETA, so the continuation and
-# the full descent may differ there by about 1e-7 of the density's peak; 1e-6 of
+# a cold batch may differ there by about 1e-7 of the density's peak; 1e-6 of
 # the peak leaves a factor of ten.  Away from the edges they agree near 1e-10.
 _CONTINUATION_RTOL_OF_PEAK = 1e-6
 
 
-def _check_against_full_descent(profile, grid):
+def _check_against_a_cold_batch(profile, grid):
     curve = qve.extract_density(profile, grid)
     assert (_defect(curve.source, grid, qve.DEFAULT_ETA, curve.solution) <= 1.001 * qve.DEFAULT_TOL).all()
     oracle = qve.density_batch(profile, grid)
@@ -455,13 +480,13 @@ def continuation_cases(draw):
 
 @given(case=continuation_cases())
 @settings(max_examples=60)
-def test_continuation_in_x_matches_the_full_descent(case):
-    _check_against_full_descent(*case)
+def test_continuation_in_x_matches_a_cold_batch(case):
+    _check_against_a_cold_batch(*case)
 
 
 def test_fine_columns_start_from_their_neighbours(monkeypatch):
-    # a start from -1/z at eta = 1e-6 would take hundreds of map evaluations per
-    # column; interpolated neighbours take a handful (14 at most on this profile)
+    # a start from -1/z at eta = 1e-6 takes up to 84 map evaluations per column on
+    # this profile and a cold start up to 19; interpolated neighbours take 15 at most
     solve, fine = qve._solve_batch, []
 
     def recording_solve(profile, xs, eta, tol=qve.DEFAULT_TOL, initial=None):
@@ -472,7 +497,7 @@ def test_fine_columns_start_from_their_neighbours(monkeypatch):
 
     monkeypatch.setattr(qve, "_solve_batch", recording_solve)
     qve.extract_density(_irreducible_profile(), qve.default_grid())
-    assert len(fine) == (~_coarse_mask(qve.default_grid().size)).sum()
+    assert len(fine) == (~_cold_mask(qve.default_grid().size)).sum()
     assert max(fine) <= 20
 
 
@@ -481,8 +506,8 @@ def test_fine_column_between_coarse_neighbours_across_an_edge():
     # support and 2.15 outside it: every other point starts from the interpolation
     # of a bulk and a gap solution, 2.0 right on the edge
     grid = np.linspace(1.85, 2.15, 11)
-    assert _coarse_mask(grid.size).tolist() == [True] + [False] * 9 + [True]
-    _check_against_full_descent(CONST8, grid)
+    assert _cold_mask(grid.size).tolist() == [True] + [False] * 9 + [True]
+    _check_against_a_cold_batch(CONST8, grid)
     curve = qve.extract_density(CONST8, grid)
     exact = [semicircle_stieltjes(complex(x, qve.DEFAULT_ETA)).imag / np.pi for x in grid]
     np.testing.assert_allclose(curve.values, exact, rtol=0, atol=_CONTINUATION_RTOL_OF_PEAK / np.pi)

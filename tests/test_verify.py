@@ -70,8 +70,8 @@ def irreducible_config(n=qve._BLOCK_MIN_DIM + 12, trials=2, seed=7):
     return dense_config(n=n, trials=trials, length=0.4, profile=qve.VarianceProfile(n=n, entries=(a + a.T) / 2.0))
 
 
-def _coarse_points(grid):
-    """The subgrid extract_density solves by eta-descent: every _COARSE_STRIDE-th point and the last."""
+def _cold_points(grid):
+    """The subgrid extract_density starts cold: every _COARSE_STRIDE-th point and the last."""
     return np.unique(np.append(grid[::qve._COARSE_STRIDE], grid[-1]))
 
 
@@ -113,7 +113,7 @@ def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
     verify.verify_local_law(irreducible_config(), threads=threads)
     coarse = [pins for cold, pins in seen if cold]
     warm = [pins for cold, pins in seen if not cold]  # the fine phase's blocks and the quadrature
-    assert len(coarse) == math.ceil(_coarse_points(qve.default_grid()).size / qve._BLOCK_COLUMNS)
+    assert len(coarse) == math.ceil(_cold_points(qve.default_grid()).size / qve._BLOCK_COLUMNS)
     assert warm
     assert all(pins == [1] * len(controls) for pins in coarse + warm)
     assert [get() for get, _ in controls] == before
@@ -139,7 +139,7 @@ def test_pin_is_restored_when_a_prediction_block_raises(monkeypatch, threads):
 
 
 def test_blocked_nonconvergence_names_the_lowest_failing_block_at_any_worker_count(monkeypatch):
-    # three map evaluations per eta stage cannot finish the coarse phase's descent
+    # three map evaluations cannot finish a cold column of the coarse phase
     monkeypatch.setattr(qve, "_MAX_ITER", 3)
     profile = verify.effective_profile(irreducible_config().ensemble)
     grid = qve.default_grid()
@@ -148,7 +148,7 @@ def test_blocked_nonconvergence_names_the_lowest_failing_block_at_any_worker_cou
         with pytest.raises(NonConvergence) as err, verify._campaign_map(threads) as mapper:
             qve.extract_density(profile, grid, mapper=mapper)
         failures.append((err.value.x, err.value.eta))
-    coarse = _coarse_points(grid)
+    coarse = _cold_points(grid)
     first_block = np.array_split(coarse, math.ceil(coarse.size / qve._BLOCK_COLUMNS))[0]
     with pytest.raises(NonConvergence) as err:
         qve._solve_batch(profile, first_block, qve.DEFAULT_ETA)
@@ -173,7 +173,7 @@ def test_fine_phase_nonconvergence_names_the_same_point_at_any_worker_count(monk
             qve.extract_density(profile, grid, mapper=mapper)
         failures.append((err.value.x, err.value.eta, err.value.residual, err.value.iterations))
     assert failures == [failures[0]] * 3
-    fine = np.setdiff1d(grid, _coarse_points(grid))
+    fine = np.setdiff1d(grid, _cold_points(grid))
     first_block = np.array_split(fine, math.ceil(fine.size / qve._BLOCK_COLUMNS))[0]
     assert failures[0][0] in first_block
 
