@@ -22,9 +22,11 @@ normal equations over a Gram matrix that grows by one row per sweep, a sweep
 works in place on the columns still active, S g is one real matrix product
 for the real and imaginary parts, a defect stalled at the rounding floor ends
 it early, and quadrature reuses the curve's solutions.  `extract_density`
-starts only every _COARSE_STRIDE-th grid point cold and the others from
-their neighbours, as quadrature does; abscissas share nothing but the product
-with S, so large profiles go in fixed column blocks through a pool's map.
+starts only every _COARSE_STRIDE-th grid point cold and the others from a
+cubic interpolant of their neighbours' solutions, as quadrature does (m is
+analytic in x in the bulk, so most such starts already sit near tol);
+abscissas share nothing but the product with S, so large profiles go in
+fixed column blocks through a pool's map.
 
 Both profile classes are untagged JSON records (`errors.record`), {"n",
 "entries"} and {"d", "weights", "coeffs"}; `read_json(Profile, path)` tells
@@ -442,14 +444,27 @@ def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) ->
 
 def _solve_blocks(profile: Profile, xs: np.ndarray, eta: float, mapper=map, known=None, g_known=None) -> np.ndarray:
     """Solutions at xs + i*eta from cold starts or, given solutions g_known at the nondecreasing
-    `known`, from the linear interpolation of each point's two neighbours there;
-    in blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`."""
+    `known`, from the cubic Lagrange interpolant through each point's two known neighbours on
+    either side (the four nearest at the ends of `known`); a column whose four knots are not
+    distinct, or whose cubic start leaves the upper half plane, starts from the linear
+    interpolation of its two neighbours instead.  A point on a knot starts from its solution.
+    In blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`."""
     start = None
     if known is not None:
         right = np.clip(np.searchsorted(known, xs, side="right"), 1, known.size - 1)
         width = known[right] - known[right - 1]  # 0 in a mesh cell narrower than its midpoint's rounding
         t = np.divide(xs - known[right - 1], width, out=np.zeros_like(xs), where=width > 0)
         start = g_known[:, right - 1] * (1.0 - t) + g_known[:, right] * t
+        if known.size >= 4:  # Lagrange weights prod_{i != j} (x - x_i)/(x_j - x_i) of the knots x_j
+            nodes = np.clip(right - 2, 0, known.size - 4)[:, None] + np.arange(4)
+            knots, other = known[nodes], ~np.eye(4, dtype=bool)
+            num = np.where(other, xs[:, None, None] - knots[:, None, :], 1.0).prod(axis=2)
+            den = np.where(other, knots[:, :, None] - knots[:, None, :], 1.0).prod(axis=2)
+            distinct = (den != 0).all(axis=1)
+            weights = np.divide(num, den, out=np.zeros_like(num), where=distinct[:, None])
+            cubic = sum(g_known[:, nodes[:, j]] * weights[:, j] for j in range(4))
+            use = distinct & (cubic.imag > 0).all(axis=0)
+            start[:, use] = cubic[:, use]
     blocks = np.array_split(np.arange(xs.size), -(-xs.size // _BLOCK_COLUMNS) or 1 if profile.dim >= _BLOCK_MIN_DIM else 1)
     # the first failing block raises; stacked and transposed, g has one batch's layout, in which _m_of rounds
     solved = mapper(lambda c: _solve_batch(profile, xs[c], eta, initial=None if start is None else start[:, c])[0].T, blocks)
@@ -464,8 +479,9 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     and its solution vectors at every grid point as the curve's solution.
 
     Continuation in x: every _COARSE_STRIDE-th grid point and the last start cold,
-    then the others start from the linear interpolation of their two coarse
-    neighbours' solutions.  Both phases run in fixed column blocks through `mapper`.
+    then the others start from the cubic interpolant of their four nearest coarse
+    neighbours' solutions, or the linear one of their two nearest (`_solve_blocks`).
+    Both phases run in fixed column blocks through `mapper`.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -490,9 +506,10 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     """Adaptive trapezoid integral of the predicted density over [lo, hi].
 
     The mesh starts as lo, the grid points inside and hi, each solved at
-    eta_used from the linear interpolation of its grid neighbours' solutions.
-    Halving a cell solves its midpoint that way from the cell's ends, and each
-    half keeps half the cell's trapezoid change.  Every cell is halved until the changes
+    eta_used from the cubic interpolant of its grid neighbours' solutions (or
+    the linear one, `_solve_blocks`).  Halving a cell solves its midpoint that
+    way from the nearest points of the current mesh, and each half keeps half
+    the cell's trapezoid change.  Every cell is halved until the changes
     sum to at most _QUAD_REL_TOL relative (1e-12 absolute), then only cells whose
     change exceeds their width's share of it, so a square-root spectral edge
     whose change cancels the bulk's cannot end the refinement early.

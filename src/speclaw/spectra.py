@@ -198,34 +198,40 @@ def tridiagonalize(m: np.ndarray, *, overwrite_a: bool = False) -> TridiagonalFo
     return TridiagonalForm(diag=d, offdiag=e)
 
 
-def eigenvalue_counts_below(t: TridiagonalForm, shifts: np.ndarray) -> np.ndarray:
+def eigenvalue_counts_below(t, shifts: np.ndarray) -> np.ndarray:
     """Vectorized #{eigenvalues < shift} for an array of shifts; +-inf counts, NaN raises InvalidSpec.
 
+    `t` is one TridiagonalForm, which gives one count per shift, or a sequence
+    of forms of one size, which gives a forms x shifts array from one sweep
+    over the stack, each row equal to that form's own counts.
     An exactly zero pivot is replaced by the smallest positive normal float,
     which counts it for a shift just below: an eigenvalue on the shift is not
     counted.  The pivot after it may overflow to -inf; that one counts as
-    negative and adds -0 to the next.  A matrix of norm below 1 is first scaled
+    negative and adds -0 to the next.  A form of norm below 1 is first scaled
     up by a power of two, which is exact, so that squaring a coupling cannot
     underflow unless the coupling is below rounding of the norm.
     """
+    forms = [t] if isinstance(t, TridiagonalForm) else list(t)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.float64))
     if np.isnan(shifts).any():  # its pivots are never negative, so it would count 0
         raise InvalidSpec(f"Sturm shift {int(np.flatnonzero(np.isnan(shifts))[0])} is NaN")
-    diag, off = t.diag, t.offdiag
-    top = max(np.abs(diag).max(), np.abs(off).max(initial=0.0))
+    if len({form.n for form in forms}) != 1:
+        raise InvalidSpec(f"need one or more forms of one size, got sizes {[form.n for form in forms]}")
+    diag, off = np.array([form.diag for form in forms]), np.array([form.offdiag for form in forms])
+    top = np.maximum(np.abs(diag).max(axis=1), np.abs(off).max(axis=1, initial=0.0))
+    # per form, a far shift may overflow to +-inf, which counts the same
+    k = np.where((0.0 < top) & (top < 1.0), -np.frexp(top)[1], 0)[:, None]
     with np.errstate(divide="ignore", over="ignore"):
-        if 0.0 < top < 1.0:  # a far shift may overflow to +-inf, which counts the same
-            k = -np.frexp(top)[1]
-            diag, off, shifts = np.ldexp(diag, k), np.ldexp(off, k), np.ldexp(shifts, k)
+        diag, off, shifts = np.ldexp(diag, k), np.ldexp(off, k), np.ldexp(shifts, k)
         off2 = off * off
-        piv = diag[0] - shifts
+        piv = diag[:, :1] - shifts
         piv[piv == 0.0] = _TINY
         counts = (piv < 0.0).astype(np.int64)
-        for i in range(1, diag.size):
-            piv = (diag[i] - shifts) - off2[i - 1] / piv
+        for i in range(1, diag.shape[1]):
+            piv = (diag[:, i, None] - shifts) - off2[:, i - 1, None] / piv
             piv[piv == 0.0] = _TINY
             counts += piv < 0.0
-    return counts
+    return counts[0] if isinstance(t, TridiagonalForm) else counts
 
 
 def count_in_interval(t: TridiagonalForm, lo: float, hi: float) -> int:

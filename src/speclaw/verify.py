@@ -3,8 +3,11 @@
 The local-law, Stieltjes and delocalization campaigns run one pipeline,
 `_campaign`: under one campaign map (the worker pool, BLAS pinned to one
 thread) it predicts the density, finds its bulk, lets the campaign plan
-what every trial needs, and maps the trials over seeded normalized samples.
-Each campaign adds only its plan, its trial and its aggregation.
+its predictions, and maps the trials over seeded normalized samples.  A
+trial takes only its sample (a tridiagonal form or a spectrum comes back),
+and the campaign confronts the results with its plan after the map, e.g.
+the local law Sturm-counts every trial's form in one sweep.  Each campaign
+adds only its plan, its trial and its aggregation.
 
 Each campaign is a deterministic function of (config, base_seed): trial i
 samples with seed base_seed + i, and aggregation is order-independent.  Every
@@ -190,7 +193,8 @@ def _campaign(cfg: LocalLawConfig, threads: int | None, plan, trial) -> tuple[di
     """Predict, find the bulk, plan, then map the trials, all under one campaign map.
 
     Raises EmptyBulk when the predicted density has no bulk.  Trial i maps to
-    trial(normalized sample of seed base_seed + i, plan(curve, bulks, widest, mapper)).
+    trial(normalized sample of seed base_seed + i) and sees nothing else; the
+    caller confronts the results with plan(curve, bulks, widest, mapper).
     Returns the report's config citation, the plan and the trial results in trial order.
     """
     with _campaign_map(threads) as mapper:
@@ -199,7 +203,7 @@ def _campaign(cfg: LocalLawConfig, threads: int | None, plan, trial) -> tuple[di
         if not bulks:
             raise EmptyBulk(f"predicted density never reaches eps={cfg.eps:g}")
         planned = plan(curve, bulks, max(bulks, key=lambda b: b.width), mapper)
-        results = list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i)), planned),
+        results = list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i))),
                               range(cfg.trials)))
     return _report_config(cfg, curve), planned, results
 
@@ -240,8 +244,8 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
     """Count eigenvalues on bulk intervals across trials and compare with n * integral(rho).
 
     The intervals sit in the widest bulk and their predictions are integrated
-    once per campaign; each trial tridiagonalizes its sample and Sturm-counts
-    every interval in one sweep.
+    once per campaign; each trial tridiagonalizes its sample, and one Sturm
+    sweep over the stacked forms then counts every interval of every trial.
     """
     n, k, p_eff = ensemble_parameters(cfg.ensemble)
 
@@ -250,13 +254,11 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
         intervals = place_intervals(widest, length, cfg.num_intervals)
         return intervals, [n * q for q in mapper(lambda iv: integrate_density(curve, *iv), intervals)]
 
-    def trial(matrix, planned):  # one Sturm sweep; integrate_density has checked lo <= hi
-        # the trial owns its sample, which is exactly symmetric, so the reduction may overwrite it
-        below = eigenvalue_counts_below(tridiagonalize(matrix, overwrite_a=True), np.ravel(planned[0]))
-        return below[1::2] - below[::2]
-
-    config, (intervals, predicted), rows = _campaign(cfg, threads, plan, trial)
-    observed = np.array(rows)  # trials x intervals
+    # the trial owns its sample, which is exactly symmetric, so the reduction may overwrite it
+    config, (intervals, predicted), forms = _campaign(cfg, threads, plan,
+                                                      lambda matrix: tridiagonalize(matrix, overwrite_a=True))
+    below = eigenvalue_counts_below(forms, np.ravel(intervals))  # integrate_density has checked lo <= hi
+    observed = below[:, 1::2] - below[:, ::2]  # trials x intervals
     lo, hi = np.array(intervals).T
     deviations = np.abs(observed - predicted) / (n * (hi - lo))
     interval_pass, trial_dev_max = (deviations <= cfg.delta).mean(axis=0), deviations.max(axis=1)
@@ -319,11 +321,8 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | Non
         return [(SpectralPoint(float(x), eta), complex(m[j])) for j, x in enumerate(xs)
                 for eta, m in zip(etas, per_eta)]
 
-    def trial(matrix, planned):
-        summary = eigen_full(matrix)
-        return [abs(stieltjes_empirical(summary, pt) - m) for pt, m in planned]
-
-    config, planned, rows = _campaign(cfg, threads, plan, trial)
+    config, planned, summaries = _campaign(cfg, threads, plan, eigen_full)
+    rows = [[abs(stieltjes_empirical(summary, pt) - m) for pt, m in planned] for summary in summaries]
     records = [StieltjesRecord(x=pt.re, eta=pt.im, predicted=[m.real, m.imag], discrepancies=[row[j] for row in rows])
                for j, (pt, m) in enumerate(planned)]
     trial_sup = [float(max(row)) for row in rows]
@@ -365,10 +364,9 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
     """
     n, k_bound, p_eff = ensemble_parameters(cfg.ensemble)
 
-    def trial(matrix, bulks):
-        return normalized_deloc_ratios(eigen_full(matrix, want_vectors=True), bulks, n, k_bound, p_eff)
-
-    config, _, results = _campaign(cfg, threads, lambda curve, bulks, widest, mapper: bulks, trial)
+    config, bulks, summaries = _campaign(cfg, threads, lambda curve, bulks, widest, mapper: bulks,
+                                         lambda matrix: eigen_full(matrix, want_vectors=True))
+    results = [normalized_deloc_ratios(summary, bulks, n, k_bound, p_eff) for summary in summaries]
     norms = [ratios * k_bound * math.sqrt(math.log(n)) / math.sqrt(n * p_eff) for ratios in results]
     records = [DelocTrialRecord(trial=i, bulk_count=r.size, max_inf_norm=float(m.max(initial=0.0)),
                                 max_ratio=float(r.max(initial=0.0))) for i, (r, m) in enumerate(zip(results, norms))]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes
-from speclaw import ensembles, qve
+from speclaw import ensembles, qve, verify
 from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, read_json
 
 CONST8 = qve.VarianceProfile.constant(8)
@@ -418,25 +418,41 @@ def _cold_mask(size: int) -> np.ndarray:
     return mask
 
 
+def _fine_starts(grid, coarse, g_coarse):
+    """extract_density's start of each fine column, written out: the cubic Lagrange
+    interpolant prod_{i != j} (x - x_i)/(x_j - x_i) through the two coarse neighbours
+    on either side (the four nearest at the ends of the grid), or, where it leaves
+    the upper half plane, the linear interpolation (1 - t) g_left + t g_right."""
+    cold, x = np.flatnonzero(coarse), grid[~coarse]
+    right = np.minimum(np.flatnonzero(~coarse) // qve._COARSE_STRIDE + 1, cold.size - 1)
+    t = (x - grid[cold[right - 1]]) / (grid[cold[right]] - grid[cold[right - 1]])
+    linear = g_coarse[:, right - 1] * (1.0 - t) + g_coarse[:, right] * t
+    nodes = np.clip(right - 2, 0, cold.size - 4)[:, None] + np.arange(4)
+    knots, cubic = grid[cold[nodes]], 0.0
+    for j in range(4):
+        num = den = 1.0
+        for i in range(4):
+            if i != j:
+                num, den = num * (x - knots[:, i]), den * (knots[:, j] - knots[:, i])
+        cubic = cubic + g_coarse[:, nodes[:, j]] * (num / den)
+    return np.where((cubic.imag > 0).all(axis=0), cubic, linear)
+
+
 @pytest.mark.parametrize("n, seed", [(12, 3), (47, 4), (48, 5), (90, 6), (qve._BLOCK_MIN_DIM - 1, 4),
                                      (qve._BLOCK_MIN_DIM, 5)])
 def test_blocked_density_matches_one_batch_over_the_grid(n, seed):
     # profiles of dimension >= _BLOCK_MIN_DIM are solved in column blocks; each
     # column iterates on its own, so the blocks give the solution of each phase
     # done as one batch: the coarse subgrid from cold starts, then, from the curve's
-    # coarse solutions, the rest from the linear interpolation (1 - t) g_left +
-    # t g_right of their coarse neighbours (the curve's own starts, so that a
-    # rounding difference of the coarse phase is not amplified near an edge)
+    # coarse solutions, the rest from _fine_starts (the curve's own starts, so that
+    # a rounding difference of the coarse phase is not amplified near an edge)
     profile = random_profile(n, seed=seed)
     grid = qve.default_grid()
     curve = qve.extract_density(profile, grid)
     coarse = _cold_mask(grid.size)
     g = np.empty((n, grid.size), dtype=np.complex128)
     g[:, coarse] = qve._solve_batch(profile, grid[coarse], qve.DEFAULT_ETA)[0]
-    left = np.flatnonzero(~coarse) // qve._COARSE_STRIDE * qve._COARSE_STRIDE
-    right = np.minimum(left + qve._COARSE_STRIDE, grid.size - 1)
-    t = (grid[~coarse] - grid[left]) / (grid[right] - grid[left])
-    start = curve.solution[:, left] * (1.0 - t) + curve.solution[:, right] * t
+    start = _fine_starts(grid, coarse, curve.solution[:, coarse])
     g[:, ~coarse] = qve._solve_batch(profile, grid[~coarse], qve.DEFAULT_ETA, initial=start)[0]
     np.testing.assert_allclose(curve.solution, g, rtol=1e-12, atol=0)
     np.testing.assert_allclose(curve.values, g.mean(axis=0).imag / np.pi, rtol=1e-12, atol=1e-300)
@@ -484,21 +500,69 @@ def test_continuation_in_x_matches_a_cold_batch(case):
     _check_against_a_cold_batch(*case)
 
 
-def test_fine_columns_start_from_their_neighbours(monkeypatch):
-    # a start from -1/z at eta = 1e-6 takes up to 84 map evaluations per column on
-    # this profile and a cold start up to 19; interpolated neighbours take 15 at most
-    solve, fine = qve._solve_batch, []
+def _recording_solves(monkeypatch):
+    """Patch qve._solve_batch to record each call's (initial, iterations); returns the list."""
+    solve, calls = qve._solve_batch, []
 
     def recording_solve(profile, xs, eta, tol=qve.DEFAULT_TOL, initial=None):
         g, residual, iterations = solve(profile, xs, eta, tol, initial=initial)
-        if initial is not None:
-            fine.extend(iterations)
+        calls.append((initial, iterations))
         return g, residual, iterations
 
     monkeypatch.setattr(qve, "_solve_batch", recording_solve)
+    return calls
+
+
+def test_fine_columns_start_from_their_neighbours(monkeypatch):
+    # the 540 fine columns of this profile take 2044 map evaluations in all from
+    # cubic starts, 2480 from linear ones and 4830 from cold starts
+    calls = _recording_solves(monkeypatch)
     qve.extract_density(_irreducible_profile(), qve.default_grid())
-    assert len(fine) == (~_cold_mask(qve.default_grid().size)).sum()
-    assert max(fine) <= 20
+    fine = np.concatenate([iterations for initial, iterations in calls if initial is not None])
+    assert fine.size == (~_cold_mask(qve.default_grid().size)).sum()
+    assert fine.sum() <= 2300
+
+
+def test_quadrature_of_the_campaign_intervals_takes_few_map_evaluations(monkeypatch):
+    # profile-local-law's three intervals of length 0.3 at seed 0: 537 map
+    # evaluations from cubic starts, 3180 from linear ones
+    curve = qve.extract_density(_irreducible_profile(), qve.default_grid())
+    widest = max(qve.detect_bulk(curve, 0.1), key=lambda b: b.width)
+    calls = _recording_solves(monkeypatch)
+    for lo, hi in verify.place_intervals(widest, 0.3, 3):
+        qve.integrate_density(curve, lo, hi)
+    assert sum(int(iterations.sum()) for _, iterations in calls) <= 700
+
+
+@pytest.mark.parametrize("known, xs, cubic_used", [
+    # a zero-width cell at 0: every point's four nearest knots hold it twice
+    ([-0.5, 0.0, 0.0, 0.5, 1.0], [-0.25, 0.25, 0.75], [False, False, False]),
+    # between two gap knots the cubic through a bulk knot leaves the half plane at
+    # 2.075, not at 2.3; 2.1 sits on a knot
+    ([1.0, 2.05, 2.1, 2.6], [2.075, 2.3, 2.1], [False, True, True]),
+])
+def test_continuation_start_falls_back_to_linear(monkeypatch, known, xs, cubic_used):
+    known, xs = np.array(known), np.array(xs)
+    g_known = qve._solve_batch(CONST8, known, qve.DEFAULT_ETA)[0]
+    right = np.clip(np.searchsorted(known, xs, side="right"), 1, known.size - 1)
+    width = known[right] - known[right - 1]
+    t = np.divide(xs - known[right - 1], width, out=np.zeros_like(xs), where=width > 0)
+    linear = g_known[:, right - 1] * (1.0 - t) + g_known[:, right] * t
+    nodes = np.clip(right - 2, 0, known.size - 4)[:, None] + np.arange(4)
+    with np.errstate(all="ignore"):  # coincident knots divide by zero
+        weights = [[np.prod([(x - known[i]) / (known[j] - known[i]) for i in row if i != j]) for j in row]
+                   for x, row in zip(xs, nodes)]
+        cubic = np.einsum("dkj,kj->dk", g_known[:, nodes], np.array(weights))
+    assert (np.isfinite(cubic).all(axis=0) & (cubic.imag > 0).all(axis=0)).tolist() == cubic_used
+    calls = _recording_solves(monkeypatch)
+    g = qve._solve_blocks(CONST8, xs, qve.DEFAULT_ETA, known=known, g_known=g_known)
+    ((start, _),) = calls
+    cubic_used = np.array(cubic_used)
+    assert np.array_equal(start[:, ~cubic_used], linear[:, ~cubic_used])
+    np.testing.assert_allclose(start[:, cubic_used], cubic[:, cubic_used], rtol=1e-12)
+    assert np.array_equal(start[:, xs == 2.1], g_known[:, known == 2.1])  # a knot starts from its solution
+    exact = [semicircle_stieltjes(complex(x, qve.DEFAULT_ETA)).imag / np.pi for x in xs]
+    np.testing.assert_allclose(g.mean(axis=0).imag / np.pi, exact, rtol=0, atol=_CONTINUATION_RTOL_OF_PEAK / np.pi)
 
 
 def test_fine_column_between_coarse_neighbours_across_an_edge():

@@ -352,6 +352,54 @@ def test_counts_below_vectorized_matches_scalar():
     assert np.array_equal(counts, expected)
 
 
+def _stack_of_forms(n, seed):
+    """Random forms of one size whose norms, about 1e-200, 1e-3, 0.3, 1 and 1e3, take
+    different power-of-two scalings (unscaled, the first one's squared couplings
+    underflow), one with an exactly zero first pivot at the shift 0.25 and a
+    zero coupling, and a Householder form."""
+    gen = np.random.default_rng(seed)
+    forms = [spectra.TridiagonalForm(diag=scale * gen.uniform(-1, 1, n), offdiag=scale * gen.uniform(-1, 1, n - 1))
+             for scale in (1e-200, 1e-3, 0.3, 1.0, 1e3)]
+    couplings = gen.uniform(-0.5, 0.5, n - 1)
+    couplings[(n - 1) // 2:][:1] = 0.0
+    forms.append(spectra.TridiagonalForm(diag=np.append(0.25, gen.uniform(-0.5, 0.5, n - 1)), offdiag=couplings))
+    return forms + [spectra.tridiagonalize(random_symmetric(n, seed=seed))]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (40, 3)])
+def test_stacked_sturm_sweep_equals_per_form_counts(n, seed):
+    forms = _stack_of_forms(n, seed)
+    assert forms[5].diag[0] - 0.25 == 0.0  # the first pivot at the shift 0.25 is exactly zero
+    tops = [max(np.abs(t.diag).max(), np.abs(t.offdiag).max(initial=0.0)) for t in forms]
+    assert len({int(np.frexp(top)[1]) for top in tops if top < 1.0}) >= 2  # different scalings in one stack
+    spread = np.random.default_rng(seed).uniform(-3, 3, 24)
+    shifts = np.concatenate(([-np.inf, np.inf, 0.0, 0.25, 1e-3, -1e-4], spread, 1e-200 * spread))
+    stacked = spectra.eigenvalue_counts_below(forms, shifts)
+    assert stacked.shape == (len(forms), shifts.size) and stacked.dtype == np.int64
+    assert np.array_equal(stacked, spectra.eigenvalue_counts_below(tuple(forms), shifts))
+    for t, row in zip(forms, stacked):
+        alone = spectra.eigenvalue_counts_below(t, shifts)
+        assert alone.shape == shifts.shape  # a single form still gives one count per shift
+        assert np.array_equal(row, alone)
+        assert row[0] == 0 and row[1] == n
+        ev = scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag) if n > 1 else t.diag
+        far = np.abs(shifts[:, None] - ev[None, :]).min(axis=1) > 1e-9 * np.abs(ev).max()
+        assert np.array_equal(row[far], np.searchsorted(ev, shifts[far], side="left"))
+        order = np.argsort(shifts)
+        for lo, hi in zip(order[:-1], order[1:]):
+            assert spectra.count_in_interval(t, shifts[lo], shifts[hi]) == row[hi] - row[lo]
+
+
+def test_stacked_sturm_sweep_rejects_nan_shifts_and_mixed_sizes():
+    forms = _stack_of_forms(6, seed=4)
+    with pytest.raises(InvalidSpec, match="Sturm shift 2 is NaN"):
+        spectra.eigenvalue_counts_below(forms, np.array([0.0, 1.0, np.nan]))
+    with pytest.raises(InvalidSpec, match="one size"):
+        spectra.eigenvalue_counts_below(forms + _stack_of_forms(5, seed=4)[:1], np.zeros(2))
+    with pytest.raises(InvalidSpec, match="one size"):
+        spectra.eigenvalue_counts_below([], np.zeros(2))
+
+
 # adversarial entries: zeros, tiny and huge magnitudes, neighbours one ulp apart
 _entries = st.sampled_from([0.0, 1.0, np.nextafter(1.0, 0.0), -1.0, 2.5, 1e-8, -1e-8, 1e8, -1e8]) | st.floats(-1e8, 1e8)
 _couplings = st.sampled_from([0.0, 1e-300]) | _entries
