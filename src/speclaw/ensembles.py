@@ -31,8 +31,10 @@ from .qve import BlockProfile, Profile, VarianceProfile, block_labels, reduce_pr
 
 LAW_KINDS = ("rademacher", "uniform_bounded", "scaled_bernoulli_centered")
 _SQRT3 = math.sqrt(3.0)
-# entries per strip of `fill_symmetric`: any n up to 362 fills in one strip
-_STRIP_ENTRIES = 2**17
+# `fill_symmetric` draws strips of at most _STRIP_ROWS rows and about _STRIP_ENTRIES entries; a
+# strip hashes both triangles of its diagonal square, so the row cap keeps small n from hashing
+# each counter twice in one strip, and n >= 2048 is held to the entry cap (32 rows at n = 4000)
+_STRIP_ENTRIES, _STRIP_ROWS = 2**17, 64
 
 
 @record()
@@ -163,11 +165,11 @@ EnsembleSpec = WignerSpec | SparseSpec | SbmSpec
 
 
 def fill_symmetric(n: int, entries) -> np.ndarray:
-    """The n x n symmetric matrix drawn by strips of _STRIP_ENTRIES // n rows [i0, i1) over
-    columns [i0, n), each written into the one result with its transpose.  entries(rows, cols,
-    counters) gives a strip's values from its indices and pair counters (min(i, j) << 32) | max(i, j),
-    symmetric in (i, j), so the matrix is bit-identical to one fill of its upper triangle."""
-    out, height = np.empty((n, n)), max(1, _STRIP_ENTRIES // n)
+    """The n x n symmetric matrix drawn by strips of min(_STRIP_ROWS, _STRIP_ENTRIES // n) rows
+    [i0, i1) over columns [i0, n), each written into the one result with its transpose.  entries(rows,
+    cols, counters) gives a strip's values from its indices and pair counters (min(i, j) << 32) |
+    max(i, j), symmetric in (i, j), so the matrix is bit-identical to one fill of its upper triangle."""
+    out, height = np.empty((n, n)), max(1, min(_STRIP_ROWS, _STRIP_ENTRIES // n))
     for i0 in range(0, n, height):
         i1 = min(i0 + height, n)
         rows, cols = np.arange(i0, i1), np.arange(i0, n)

@@ -14,9 +14,9 @@ of the solution is the Stieltjes transform of a probability density rho
 supported in [-2, 2]; rho is recovered as Im m(x + i*eta)/pi for small eta.
 
 One solver does every solve: an undamped Anderson iteration on the map
-g -> -1/(z + S g), batched over the abscissas, which runs at the target z
-from the start (for Im z > 0 the solution is the map's unique fixed point in
-the upper half plane, Ajanki, Erdos & Kruger 2015) and stops each abscissa
+g -> -1/(z + S g), batched over complex points z, which runs at each target
+z from the start (for Im z > 0 the solution is the map's unique fixed point
+in the upper half plane, Ajanki, Erdos & Kruger 2015) and stops each point
 once max_k |1/g_k + z + (S g)_k| <= tol.  Its mixing weights come from small
 normal equations over a Gram matrix that grows by one row per sweep, a sweep
 works in place on the columns still active, S g is one real matrix product
@@ -24,9 +24,9 @@ for the real and imaginary parts, a defect stalled at the rounding floor ends
 it early, and quadrature reuses the curve's solutions.  `extract_density`
 starts only every _COARSE_STRIDE-th grid point cold and the others from a
 cubic interpolant of their neighbours' solutions, as quadrature does (m is
-analytic in x in the bulk, so most such starts already sit near tol);
-abscissas share nothing but the product with S, so large profiles go in
-fixed column blocks through a pool's map.
+analytic in x in the bulk, so most such starts already sit near tol).  Points
+share nothing but the product with S, so every batch goes through
+`_solve_blocks`, in fixed column blocks for large profiles, on a pool's map.
 
 Both profile classes are untagged JSON records (`errors.record`), {"n",
 "entries"} and {"d", "weights", "coeffs"}; `read_json(Profile, path)` tells
@@ -46,7 +46,7 @@ import numpy as np
 from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, write_csv
 
 DEFAULT_ETA = 1e-6
-# a column without a warm start starts at g_k = -1/(x + i*max(eta, ETA_START))
+# a column without a warm start starts at g_k = -1/(Re z + i*max(Im z, ETA_START))
 ETA_START = 1.0
 DEFAULT_GRID = (-3.0, 3.0, 601)
 # stop at a defect max_k |1/g_k + z + (S g)_k| <= DEFAULT_TOL, after at most
@@ -300,46 +300,48 @@ def _mixing_coeffs(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_batch(
-    profile: Profile, xs: np.ndarray, eta: float, tol: float = DEFAULT_TOL, initial: np.ndarray | None = None
+    profile: Profile, zs: np.ndarray, tol: float = DEFAULT_TOL, initial: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the equation at the points xs + i*eta, all columns at once.
+    """Solve the equation at the complex points zs, one column per point, all at once.
 
-    Returns (g, residual, iterations): the dim x len(xs) solution vectors, the
+    Returns (g, residual, iterations): the dim x len(zs) solution vectors, the
     final defect max_k |1/g_k + z + (W g)_k| of each column and the number of
     map evaluations it took.  Each column runs an undamped Anderson iteration
     (Walker & Ni 2011) on the map g -> -1/(z + W g), mixing the last
     _ANDERSON_DEPTH iterates by a least-squares fit of their residuals; a
     column stops once its defect is <= tol, and the rest keep iterating
     as one matrix product.  A mixed step that leaves the upper half plane is
-    replaced by the plain map step, which stays in it.  Without a warm start
-    a column starts cold at g_k = -1/(x + i*max(eta, ETA_START)); either way
-    it iterates at its target eta in one pass.  Raises NonConvergence for the
-    worst column when the solve uses up _MAX_ITER, or once a best defect
-    stays put for _STALL_SWEEPS sweeps at the rounding floor of
-    max_k |z + (W g)_k|, which no lower tol can pass; and for the first
-    column whose defect turns non-finite, at once and without numpy
-    floating-point warnings.  A defect already non-finite at the first
-    iterate (a point whose -1/z over- or underflows) raises InvalidSpec
-    instead: no iteration can start there.
+    replaced by the plain map step, which stays in it.  Im z enters only
+    Im(z + W g) and, without a warm start, the cold start g_k = -1/(Re z +
+    i*max(Im z, ETA_START)); either way a column iterates at its own z in
+    one pass.  Raises NonConvergence for the worst column when the solve
+    uses up _MAX_ITER, or once a best defect stays put for _STALL_SWEEPS
+    sweeps at the rounding floor of max_k |z + (W g)_k|, which no lower tol
+    can pass; and for the first column whose defect turns non-finite, at
+    once and without numpy floating-point warnings.  A defect already
+    non-finite at the first iterate (a point whose -1/z over- or underflows)
+    raises InvalidSpec instead: no iteration can start there.
 
     The sweep touches only the columns still active, which it keeps as the
     leading rows of buffers allocated once per call: when columns converge,
-    the last active rows move into their places and `idx` follows each
-    column's x.  The Anderson history is a ring of _ANDERSON_DEPTH slots
-    whose Gram matrix gains one row and column per sweep, and W g is one real
-    matrix product over the stacked real and imaginary parts of g.  A
-    column's arithmetic does not depend on the rest of the batch, up to how
-    the BLAS rounds one row of a product.
+    the last active rows move into their places, with each column's index
+    in `idx` and its z in `zc`.  The Anderson history is a ring of
+    _ANDERSON_DEPTH slots whose Gram matrix gains one row and column per
+    sweep, and W g is one real matrix product over the stacked real and
+    imaginary parts of g.  A column's arithmetic does not depend on the rest
+    of the batch, up to how the BLAS rounds one row of a product.
     """
     with np.errstate(all="ignore"):  # a non-finite defect raises instead
         wt = profile._weight_t
-        num, dim = xs.size, profile.dim
+        num, dim = zs.size, profile.dim
+        zc = np.empty((num, 2, 1))  # Re z and Im z of each row, moved with it
+        zc[:, 0, 0], zc[:, 1, 0] = zs.real, zs.imag
         depth = min(_ANDERSON_DEPTH, dim)
         # per column, one row each: the iterate, its defect's z + W g, the residual
         # f = map(g) - g and plain step map(g) of this sweep (f[k % 2]) and the last,
         # their differences in the history ring, and the ring's Gram matrix
         ga, denom = np.empty((num, dim), dtype=np.complex128), np.empty((num, dim), dtype=np.complex128)
-        ga[:] = (-1.0 / (xs + 1j * max(eta, ETA_START)))[:, None] if initial is None else np.asarray(initial).T
+        ga[:] = -1.0 / (zc[:, 0] + 1j * np.maximum(zc[:, 1], ETA_START)) if initial is None else np.asarray(initial).T
         f, step = np.empty((2, num, dim), dtype=np.complex128), np.empty((2, num, dim), dtype=np.complex128)
         df, dstep = np.empty((num, depth, dim), dtype=np.complex128), np.empty((num, depth, dim), dtype=np.complex128)
         gram = np.empty((num, depth, depth), dtype=np.complex128)
@@ -351,16 +353,16 @@ def _solve_batch(
             cur = k % 2
             planes[:a, 0], planes[:a, 1] = ga[:a].real, ga[:a].imag
             np.matmul(planes[:a].reshape(2 * a, dim), wt, out=wg[:a].reshape(2 * a, dim))
-            np.add(wg[:a, 0], xs[idx[:a], None], out=denom[:a].real)
-            np.add(wg[:a, 1], eta, out=denom[:a].imag)
+            np.add(wg[:a, 0], zc[:a, 0], out=denom[:a].real)
+            np.add(wg[:a, 1], zc[:a, 1], out=denom[:a].imag)
             res = np.abs(1.0 / ga[:a] + denom[:a]).max(axis=1)
             if not np.isfinite(res).all():
                 bad = idx[:a][~np.isfinite(res)].min()
+                x, eta = zs[bad].real.item(), zs[bad].imag.item()
                 if k == 0:  # no iteration can start here: a bad input, not a failed solve
-                    raise InvalidSpec(f"first defect not finite at x={float(xs[bad])!r}, eta={eta!r}: "
-                                      "-1/z over- or underflows")
-                raise NonConvergence(f"defect not finite at z={xs[bad]:g}+{eta:g}i",
-                                     x=float(xs[bad]), eta=eta, residual=math.inf, iterations=int(iterations[bad]))
+                    raise InvalidSpec(f"first defect not finite at x={x!r}, eta={eta!r}: -1/z over- or underflows")
+                raise NonConvergence(f"defect not finite at z={x:g}+{eta:g}i",
+                                     x=x, eta=eta, residual=math.inf, iterations=int(iterations[bad]))
             cols = idx[:a]
             stale[cols] = np.where(res < best[cols], 0, stale[cols] + 1)
             best[cols] = np.minimum(best[cols], res)
@@ -370,7 +372,7 @@ def _solve_batch(
                 g[idx[pos]], residual[idx[pos]] = ga[pos], res[pos]
                 a -= pos.size
                 holes, movers = pos[pos < a], a + np.flatnonzero(~done[a:])
-                for rows in (idx, ga, denom, f[1 - cur], step[1 - cur], df, dstep, gram):
+                for rows in (idx, zc, ga, denom, f[1 - cur], step[1 - cur], df, dstep, gram):
                     rows[holes] = rows[movers]
             if a == 0:
                 break
@@ -381,11 +383,11 @@ def _solve_batch(
             if stalled or k == _MAX_ITER:
                 cause = np.sort(cols[stuck] if stalled else cols)  # ties go to the lowest column
                 worst = cause[np.argmax(best[cause])]
+                x, eta = zs[worst].real.item(), zs[worst].imag.item()
                 why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
                 raise NonConvergence(
-                    f"fixed point not below tol={tol:g} {why} at z={xs[worst]:g}+{eta:g}i "
-                    f"(best residual {best[worst]:.3g})",
-                    x=float(xs[worst]), eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
+                    f"fixed point not below tol={tol:g} {why} at z={x:g}+{eta:g}i (best residual {best[worst]:.3g})",
+                    x=x, eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
                 )
             iterations[cols] += 1
             # the plain map step, mixed below once there is history
@@ -422,34 +424,34 @@ def solve_qve(profile: Profile, point: SpectralPoint, tol: float = DEFAULT_TOL) 
     """
     if not tol >= 0.0:
         raise InvalidSpec(f"tol must be a nonnegative number, got {tol}")
-    g, residual, iterations = _solve_batch(profile, np.array([point.re]), point.im, tol)
+    g, residual, iterations = _solve_batch(profile, np.array([point.z]), tol)
     g = g[:, 0]
     g.setflags(write=False)
     return QveSolution(g=g, m=complex(_m_of(profile, g)), residual=float(residual[0]), iterations=int(iterations[0]))
 
 
-def stieltjes_batch(profile: Profile, xs: np.ndarray, eta: float) -> np.ndarray:
-    """m(x + i*eta) for an array of abscissas, solved as one batch."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if not 0 < eta < math.inf:
-        raise InvalidSpec(f"eta must be positive and finite, got {eta}")
-    g, _, _ = _solve_batch(profile, xs, eta)
-    return _m_of(profile, g)
+def stieltjes_batch(profile: Profile, zs: np.ndarray, mapper=map) -> np.ndarray:
+    """m(z) at an array of points z in the upper half plane, from cold starts in `_solve_blocks`."""
+    return _m_of(profile, _solve_blocks(profile, zs, mapper))
 
 
 def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) -> np.ndarray:
     """Im m(x + i*eta)/pi for an array of abscissas, solved simultaneously."""
-    return stieltjes_batch(profile, xs, eta).imag / math.pi
+    return stieltjes_batch(profile, np.asarray(xs, dtype=np.float64) + 1j * eta).imag / math.pi
 
 
-def _solve_blocks(profile: Profile, xs: np.ndarray, eta: float, mapper=map, known=None, g_known=None) -> np.ndarray:
-    """Solutions at xs + i*eta from cold starts or, given solutions g_known at the nondecreasing
-    `known`, from the cubic Lagrange interpolant through each point's two known neighbours on
-    either side (the four nearest at the ends of `known`); a column whose four knots are not
-    distinct, or whose cubic start leaves the upper half plane, starts from the linear
-    interpolation of its two neighbours instead.  A point on a knot starts from its solution.
-    In blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`."""
-    start = None
+def _solve_blocks(profile: Profile, zs: np.ndarray, mapper=map, known=None, g_known=None) -> np.ndarray:
+    """The solver's one batched path: solutions at the points zs (InvalidSpec unless 0 < Im z < inf)
+    in blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`, from
+    cold starts or, given solutions g_known at the nondecreasing abscissas `known`, from the cubic
+    Lagrange interpolant in Re z through each point's two known neighbours on either side (the four
+    nearest at the ends of `known`), or the linear one of its two neighbours where the four knots
+    are not distinct or the cubic start leaves the upper half plane; a knot starts from its solution."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    bad = ~((zs.imag > 0.0) & (zs.imag < math.inf))  # nan fails both
+    if bad.any():
+        raise InvalidSpec(f"eta must be positive and finite, got {zs.imag[bad][0]}")
+    start, xs = None, zs.real
     if known is not None:
         right = np.clip(np.searchsorted(known, xs, side="right"), 1, known.size - 1)
         width = known[right] - known[right - 1]  # 0 in a mesh cell narrower than its midpoint's rounding
@@ -467,7 +469,7 @@ def _solve_blocks(profile: Profile, xs: np.ndarray, eta: float, mapper=map, know
             start[:, use] = cubic[:, use]
     blocks = np.array_split(np.arange(xs.size), -(-xs.size // _BLOCK_COLUMNS) or 1 if profile.dim >= _BLOCK_MIN_DIM else 1)
     # the first failing block raises; stacked and transposed, g has one batch's layout, in which _m_of rounds
-    solved = mapper(lambda c: _solve_batch(profile, xs[c], eta, initial=None if start is None else start[:, c])[0].T, blocks)
+    solved = mapper(lambda c: _solve_batch(profile, zs[c], initial=None if start is None else start[:, c])[0].T, blocks)
     return np.concatenate(list(solved)).T
 
 
@@ -486,13 +488,11 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise InvalidSpec("grid must be strictly increasing with at least two points")
-    if not 0 < eta < math.inf:
-        raise InvalidSpec(f"eta must be positive and finite, got {eta}")
-    solver_profile = reduce_profile(profile)
+    solver_profile, zs = reduce_profile(profile), grid + 1j * eta
     coarse = (np.arange(grid.size) % _COARSE_STRIDE == 0) | (np.arange(grid.size) == grid.size - 1)
     g = np.empty((grid.size, solver_profile.dim), dtype=np.complex128).T  # one batch's memory layout
-    g[:, coarse] = _solve_blocks(solver_profile, grid[coarse], eta, mapper)
-    g[:, ~coarse] = _solve_blocks(solver_profile, grid[~coarse], eta, mapper, known=grid[coarse], g_known=g[:, coarse])
+    g[:, coarse] = _solve_blocks(solver_profile, zs[coarse], mapper)
+    g[:, ~coarse] = _solve_blocks(solver_profile, zs[~coarse], mapper, known=grid[coarse], g_known=g[:, coarse])
     values = _m_of(solver_profile, g).imag / math.pi
     return DensityCurve(grid, values, eta, profile_fingerprint(profile), source=solver_profile, solution=g)
 
@@ -523,13 +523,13 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     profile, grid, table, eta = curve.source, curve.grid, curve.solution, curve.eta_used
 
     xs = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-    g = _solve_blocks(profile, xs, eta, known=grid, g_known=table)  # a grid point starts from, and keeps, its solution
+    g = _solve_blocks(profile, xs + 1j * eta, known=grid, g_known=table)  # a grid point starts from, and keeps, its solution
     vals = _m_of(profile, g).imag / math.pi
     change = np.zeros(xs.size - 1)  # per cell: its share of the trapezoid change of the last halving
     cells, uniform = np.arange(xs.size - 1), True
     for _ in range(24):
         mids = (xs[cells] + xs[cells + 1]) / 2.0
-        g_mid = _solve_blocks(profile, mids, eta, known=xs, g_known=g)
+        g_mid = _solve_blocks(profile, mids + 1j * eta, known=xs, g_known=g)
         mid_vals = _m_of(profile, g_mid).imag / math.pi
         half = (xs[cells + 1] - xs[cells]) / 8.0 * (2.0 * mid_vals - vals[cells] - vals[cells + 1])
         change[cells] = half

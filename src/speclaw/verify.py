@@ -316,10 +316,8 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | Non
 
     def plan(curve, bulks, widest, mapper):
         xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
-        per_eta = list(mapper(lambda eta: stieltjes_batch(curve.source, xs, eta), etas))  # one batch per eta
-        # (point, predicted m) pairs, x-major
-        return [(SpectralPoint(float(x), eta), complex(m[j])) for j, x in enumerate(xs)
-                for eta, m in zip(etas, per_eta)]
+        points = [SpectralPoint(float(x), eta) for x in xs for eta in etas]  # x-major, solved as one batch
+        return list(zip(points, stieltjes_batch(curve.source, [pt.z for pt in points], mapper).tolist()))
 
     config, planned, summaries = _campaign(cfg, threads, plan, eigen_full)
     rows = [[abs(stieltjes_empirical(summary, pt) - m) for pt, m in planned] for summary in summaries]

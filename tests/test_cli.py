@@ -459,7 +459,7 @@ def test_non_finite_error_context_is_written_as_null(profile_path, monkeypatch, 
     # solve starts from a warm start whose second defect overflows (see test_qve)
     def diverging_solve(profile, point, tol):
         start = np.full((profile.dim, 1), 1e308 * (1 + 1j))
-        qve._solve_batch(profile, np.array([point.re]), point.im, tol, initial=start)
+        qve._solve_batch(profile, np.array([point.z]), tol, initial=start)
 
     monkeypatch.setattr(qve, "solve_qve", diverging_solve)
     code = cli.main(["qve-solve", "--profile", profile_path, "--x", "1.1", "--eta", "0.5"])

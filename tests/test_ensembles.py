@@ -319,8 +319,10 @@ def test_sample_equals_the_upper_triangle_path(spec):
     assert ens.sample(spec).tobytes() == sample_as_parent(spec).tobytes()
 
 
-# the largest n that fills in one strip of rows; one more takes two strips
-ONE_STRIP = math.isqrt(ens._STRIP_ENTRIES)
+# the largest n that fills in one strip of rows; one more takes two strips, the last of one row
+ONE_STRIP = ens._STRIP_ROWS
+# the largest n the entry cap alone would fill in one strip: six strips of rows, the last ragged
+ENTRY_CAPPED = math.isqrt(ens._STRIP_ENTRIES)
 
 
 def strip_specs(n):
@@ -335,9 +337,9 @@ def strip_specs(n):
 
 
 @pytest.mark.parametrize("kind", ["irreducible", "sparse-block", "sbm"])
-@pytest.mark.parametrize("n", [1, ONE_STRIP, ONE_STRIP + 1])
+@pytest.mark.parametrize("n", [1, ONE_STRIP, ONE_STRIP + 1, ENTRY_CAPPED, ENTRY_CAPPED + 1])
 def test_sample_equals_the_upper_triangle_path_across_strip_boundaries(n, kind):
-    assert ens._STRIP_ENTRIES // ONE_STRIP >= ONE_STRIP > ens._STRIP_ENTRIES // (ONE_STRIP + 1)
+    assert ens._STRIP_ENTRIES // (ONE_STRIP + 1) >= ONE_STRIP  # the row cap, not the entry cap, sets the strips
     spec = strip_specs(n)[kind]
     assert ens.sample(spec).tobytes() == sample_as_parent(spec).tobytes()
 
@@ -390,6 +392,26 @@ def test_trial_matrix_is_one_draw(monkeypatch, spec):
     for counters in hashed.values():
         assert np.array_equal(np.unique(np.concatenate(counters)), upper)
     assert len(draws) == 1 and draws[0] is spec
+
+
+@pytest.mark.parametrize("spec", [
+    ens.SparseSpec(base=wigner_spec(200, seed=2), p=0.3),
+    ens.SbmSpec(d=2, sizes=(80, 120), probs=np.array([[0.5, 0.1], [0.1, 0.3]]), seed=2),
+], ids=["sparse", "sbm"])
+def test_strips_hash_little_more_than_the_upper_triangle(monkeypatch, spec):
+    # a strip hashes both triangles of its diagonal square; 64-row strips hash
+    # 26176 counters per stream at n = 200, 1.30 times the upper triangle's 20100,
+    # where one 200-row strip hashed 40000
+    hashed, hash_u64 = {}, rng.hash_u64
+
+    def counting_hash(key, counters):
+        hashed[int(key)] = hashed.get(int(key), 0) + np.size(counters)
+        return hash_u64(key, counters)
+
+    monkeypatch.setattr(rng, "hash_u64", counting_hash)
+    ens.sample(spec)
+    assert len(hashed) == (2 if isinstance(spec, ens.SparseSpec) else 1)
+    assert max(hashed.values()) <= 1.31 * 200 * 201 / 2
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,11 @@ def test_single_step_continuation_equals_direct_solve():
     # the cold solve starts from -1/(x + i) and the direct one from -1/z: both reach
     # the one fixed point in the upper half plane
     point = qve.SpectralPoint(0.7, 0.3)
-    xs = np.array([point.re])
+    zs = np.array([point.z])
     cont = qve.solve_qve(CONST8, point, tol=1e-13)
-    direct, _, _ = qve._solve_batch(CONST8, xs, point.im, tol=1e-13, initial=np.full((8, 1), -1.0 / point.z))
+    direct, _, _ = qve._solve_batch(CONST8, zs, tol=1e-13, initial=np.full((8, 1), -1.0 / point.z))
     assert np.allclose(direct[:, 0], cont.g, atol=1e-12)
-    _, _, iterations = qve._solve_batch(CONST8, xs, point.im, tol=1e-13, initial=cont.g[:, None])
+    _, _, iterations = qve._solve_batch(CONST8, zs, tol=1e-13, initial=cont.g[:, None])
     assert iterations[0] == 0
 
 
@@ -150,7 +150,7 @@ def test_cold_columns_solve_at_the_target_eta_in_one_pass(kind, eta, most):
     # and 71, 45 and 56
     profile, grid = _ONE_PASS_PROFILES[kind](), qve.default_grid()
     xs = np.append(grid[_cold_mask(grid.size)], [-2.0, 2.0])
-    _, residual, iterations = qve._solve_batch(profile, xs, eta)
+    _, residual, iterations = qve._solve_batch(profile, xs + 1j * eta)
     assert (residual <= qve.DEFAULT_TOL).all()
     assert iterations.max() <= most
 
@@ -182,22 +182,22 @@ def irreducible_batches(draw):
 @settings(max_examples=60)
 def test_batch_columns_match_batches_of_one(batch):
     profile, xs, eta = batch
-    cold, residual, _ = qve._solve_batch(profile, xs, eta)
-    warm_start = qve._solve_batch(profile, xs, 2.0 * eta)[0]  # the solution at twice eta
-    warm, warm_residual, _ = qve._solve_batch(profile, xs, eta, initial=warm_start)
+    cold, residual, _ = qve._solve_batch(profile, xs + 1j * eta)
+    warm_start = qve._solve_batch(profile, xs + 2j * eta)[0]  # the solution at twice eta
+    warm, warm_residual, _ = qve._solve_batch(profile, xs + 1j * eta, initial=warm_start)
     for g, res, initial in ((cold, residual, None), (warm, warm_residual, warm_start)):
         assert np.all(res <= qve.DEFAULT_TOL)
         scale = np.abs(g).max(axis=0)
         assert np.all(_defect(profile, xs, eta, g) <= qve.DEFAULT_TOL + 1e-13 * (1.0 + scale))
         for j in range(xs.size):
-            alone, _, _ = qve._solve_batch(profile, xs[j:j + 1], eta,
+            alone, _, _ = qve._solve_batch(profile, xs[j:j + 1] + 1j * eta,
                                            initial=None if initial is None else initial[:, j:j + 1])
             assert np.abs(g[:, j] - alone[:, 0]).max() <= 1e-12 * np.abs(alone).max()
 
 
 def _failure(profile, xs, eta, **kwargs):
     with pytest.raises(NonConvergence) as err:
-        qve._solve_batch(profile, xs, eta, **kwargs)
+        qve._solve_batch(profile, xs + 1j * eta, **kwargs)
     e = err.value
     return e.x, e.eta, e.residual, e.iterations
 
@@ -207,8 +207,8 @@ def test_max_iter_failure_matches_the_column_alone(monkeypatch):
     # after the others have converged and been compacted away
     profile = random_profile(20, seed=11)
     xs, eta = np.array([2.0, 3.5, -0.4, 1.2, -2.7]), 1e-3
-    start = qve._solve_batch(profile, xs, 1.0)[0]
-    _, _, iterations = qve._solve_batch(profile, xs, eta, initial=start)
+    start = qve._solve_batch(profile, xs + 1j)[0]
+    _, _, iterations = qve._solve_batch(profile, xs + 1j * eta, initial=start)
     second, slowest = np.sort(iterations)[-2:]
     assert second < slowest
     monkeypatch.setattr(qve, "_MAX_ITER", int(second))
@@ -234,7 +234,7 @@ def test_non_finite_defect_matches_the_column_alone():
     # not; the first two columns start at their solutions and converge at once
     profile, eta = qve.VarianceProfile.constant(3), 0.5
     xs = np.array([0.3, -0.7, 1.1])
-    good, _, _ = qve._solve_batch(profile, xs[:2], eta)
+    good, _, _ = qve._solve_batch(profile, xs[:2] + 1j * eta)
     start = np.concatenate([good, np.full((3, 1), 1e308 * (1 + 1j))], axis=1)
     alone = _failure(profile, xs[2:], eta, initial=start[:, 2:])
     assert _failure(profile, xs, eta, initial=start) == alone == (1.1, eta, np.inf, 1)
@@ -245,8 +245,8 @@ def test_tied_failures_name_the_lowest_column(monkeypatch):
     # defects tie; once x = 0.3 converges, -2 moves into its row, ahead of 2
     profile, eta = qve.VarianceProfile.constant(3), 1e-3
     xs = np.array([0.3, 2.0, -2.0])
-    start = qve._solve_batch(profile, xs, 1.0)[0]
-    _, _, iterations = qve._solve_batch(profile, xs, eta, initial=start)
+    start = qve._solve_batch(profile, xs + 1j)[0]
+    _, _, iterations = qve._solve_batch(profile, xs + 1j * eta, initial=start)
     assert iterations[0] < iterations[1] == iterations[2]
     monkeypatch.setattr(qve, "_MAX_ITER", int(iterations[0]))
     assert _failure(profile, xs, eta, initial=start)[0] == 2.0
@@ -256,8 +256,33 @@ def test_tied_failures_name_the_lowest_column(monkeypatch):
                                      qve.BlockProfile(d=2, weights=np.array([0.4, 0.6]),
                                                       coeffs=np.array([[1.0, 0.5], [0.5, 1.0]]))])
 def test_stieltjes_batch_of_no_abscissas_is_empty(profile):
-    m = qve.stieltjes_batch(profile, np.array([]), 0.1)
+    m = qve.stieltjes_batch(profile, np.array([]))
     assert m.dtype == np.complex128 and m.shape == (0,)
+
+
+@pytest.mark.parametrize("kind", _ONE_PASS_PROFILES)
+def test_one_batch_over_mixed_eta_equals_the_per_eta_batches(kind):
+    # a column's Im z enters only its own arithmetic, so the x-major batch of 20
+    # abscissas at three etas, 60 points in two column blocks at dimension
+    # >= _BLOCK_MIN_DIM, gives every point bit for bit what the batch of its eta gives
+    profile = _ONE_PASS_PROFILES[kind]()
+    xs, etas = np.linspace(-2.5, 2.5, 20), np.array([1e-3, 0.1, 1.0])
+    assert kind != "irreducible" or (profile.dim >= qve._BLOCK_MIN_DIM and xs.size * etas.size > qve._BLOCK_COLUMNS)
+    mixed = qve.stieltjes_batch(profile, (xs[:, None] + 1j * etas).ravel())
+    per_eta = np.stack([qve.stieltjes_batch(profile, xs + 1j * eta) for eta in etas], axis=1)
+    assert mixed.tobytes() == per_eta.ravel().tobytes()
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_points_off_the_upper_half_plane_are_rejected(eta):
+    # one check covers every batched point, not only the first
+    message = f"eta must be positive and finite, got {eta}"
+    for solve in (lambda: qve.stieltjes_batch(CONST8, [0.5 + 0.1j, complex(0.5, eta)]),
+                  lambda: qve.density_batch(CONST8, np.array([0.0, 0.5]), eta),
+                  lambda: qve.extract_density(CONST8, np.array([0.0, 0.5]), eta)):
+        with pytest.raises(InvalidSpec) as err:
+            solve()
+        assert str(err.value) == message
 
 
 def test_outside_support_imaginary_part_vanishes():
@@ -451,9 +476,9 @@ def test_blocked_density_matches_one_batch_over_the_grid(n, seed):
     curve = qve.extract_density(profile, grid)
     coarse = _cold_mask(grid.size)
     g = np.empty((n, grid.size), dtype=np.complex128)
-    g[:, coarse] = qve._solve_batch(profile, grid[coarse], qve.DEFAULT_ETA)[0]
+    g[:, coarse] = qve._solve_batch(profile, grid[coarse] + 1j * qve.DEFAULT_ETA)[0]
     start = _fine_starts(grid, coarse, curve.solution[:, coarse])
-    g[:, ~coarse] = qve._solve_batch(profile, grid[~coarse], qve.DEFAULT_ETA, initial=start)[0]
+    g[:, ~coarse] = qve._solve_batch(profile, grid[~coarse] + 1j * qve.DEFAULT_ETA, initial=start)[0]
     np.testing.assert_allclose(curve.solution, g, rtol=1e-12, atol=0)
     np.testing.assert_allclose(curve.values, g.mean(axis=0).imag / np.pi, rtol=1e-12, atol=1e-300)
 
@@ -504,8 +529,8 @@ def _recording_solves(monkeypatch):
     """Patch qve._solve_batch to record each call's (initial, iterations); returns the list."""
     solve, calls = qve._solve_batch, []
 
-    def recording_solve(profile, xs, eta, tol=qve.DEFAULT_TOL, initial=None):
-        g, residual, iterations = solve(profile, xs, eta, tol, initial=initial)
+    def recording_solve(profile, zs, tol=qve.DEFAULT_TOL, initial=None):
+        g, residual, iterations = solve(profile, zs, tol, initial=initial)
         calls.append((initial, iterations))
         return g, residual, iterations
 
@@ -543,7 +568,7 @@ def test_quadrature_of_the_campaign_intervals_takes_few_map_evaluations(monkeypa
 ])
 def test_continuation_start_falls_back_to_linear(monkeypatch, known, xs, cubic_used):
     known, xs = np.array(known), np.array(xs)
-    g_known = qve._solve_batch(CONST8, known, qve.DEFAULT_ETA)[0]
+    g_known = qve._solve_batch(CONST8, known + 1j * qve.DEFAULT_ETA)[0]
     right = np.clip(np.searchsorted(known, xs, side="right"), 1, known.size - 1)
     width = known[right] - known[right - 1]
     t = np.divide(xs - known[right - 1], width, out=np.zeros_like(xs), where=width > 0)
@@ -555,7 +580,7 @@ def test_continuation_start_falls_back_to_linear(monkeypatch, known, xs, cubic_u
         cubic = np.einsum("dkj,kj->dk", g_known[:, nodes], np.array(weights))
     assert (np.isfinite(cubic).all(axis=0) & (cubic.imag > 0).all(axis=0)).tolist() == cubic_used
     calls = _recording_solves(monkeypatch)
-    g = qve._solve_blocks(CONST8, xs, qve.DEFAULT_ETA, known=known, g_known=g_known)
+    g = qve._solve_blocks(CONST8, xs + 1j * qve.DEFAULT_ETA, known=known, g_known=g_known)
     ((start, _),) = calls
     cubic_used = np.array(cubic_used)
     assert np.array_equal(start[:, ~cubic_used], linear[:, ~cubic_used])

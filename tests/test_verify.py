@@ -105,9 +105,9 @@ def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
     before = [get() for get, _ in controls]
     solve, seen = qve._solve_batch, []
 
-    def recording_solve(profile, xs, *args, **kwargs):
+    def recording_solve(profile, zs, *args, **kwargs):
         seen.append((kwargs.get("initial") is None, [get() for get, _ in controls]))  # cold: a prediction block
-        return solve(profile, xs, *args, **kwargs)
+        return solve(profile, zs, *args, **kwargs)
 
     monkeypatch.setattr(qve, "_solve_batch", recording_solve)
     verify.verify_local_law(irreducible_config(), threads=threads)
@@ -127,10 +127,10 @@ def test_pin_is_restored_when_a_prediction_block_raises(monkeypatch, threads):
     before = [get() for get, _ in controls]
     solve = qve._solve_batch
 
-    def failing_solve(profile, xs, *args, **kwargs):
-        if xs[0] > 0.0:
-            raise NonConvergence("block failed", x=float(xs[0]), eta=qve.DEFAULT_ETA)
-        return solve(profile, xs, *args, **kwargs)
+    def failing_solve(profile, zs, *args, **kwargs):
+        if zs[0].real > 0.0:
+            raise NonConvergence("block failed", x=float(zs[0].real), eta=qve.DEFAULT_ETA)
+        return solve(profile, zs, *args, **kwargs)
 
     monkeypatch.setattr(qve, "_solve_batch", failing_solve)
     with pytest.raises(NonConvergence):
@@ -151,7 +151,7 @@ def test_blocked_nonconvergence_names_the_lowest_failing_block_at_any_worker_cou
     coarse = _cold_points(grid)
     first_block = np.array_split(coarse, math.ceil(coarse.size / qve._BLOCK_COLUMNS))[0]
     with pytest.raises(NonConvergence) as err:
-        qve._solve_batch(profile, first_block, qve.DEFAULT_ETA)
+        qve._solve_batch(profile, first_block + 1j * qve.DEFAULT_ETA)
     assert failures == [(err.value.x, err.value.eta)] * 2
 
 
@@ -161,8 +161,8 @@ def test_fine_phase_nonconvergence_names_the_same_point_at_any_worker_count(monk
     # failure of the first fine block whatever the worker count
     solve = qve._solve_batch
 
-    def fine_tol_zero(profile, xs, eta, tol=qve.DEFAULT_TOL, initial=None):
-        return solve(profile, xs, eta, 0.0 if initial is not None else tol, initial=initial)
+    def fine_tol_zero(profile, zs, tol=qve.DEFAULT_TOL, initial=None):
+        return solve(profile, zs, 0.0 if initial is not None else tol, initial=initial)
 
     monkeypatch.setattr(qve, "_solve_batch", fine_tol_zero)
     profile = verify.effective_profile(irreducible_config().ensemble)
@@ -430,14 +430,18 @@ def test_stieltjes_floor_enforced():
 
 
 def test_stieltjes_batches_match_per_point_solves_at_any_worker_count():
-    cfg = irreducible_config()
-    reports = [verify.verify_stieltjes_closeness(cfg, [0.3, 0.5, 1.0], threads=threads) for threads in (1, 2, 3)]
-    assert len({report_json_bytes(r.to_dict()) for r in reports}) == 1
-    profile = verify.effective_profile(cfg.ensemble)
-    assert len(reports[0].records) == 3 * cfg.num_intervals
-    for rec in reports[0].records:
-        want = qve.solve_qve(profile, qve.SpectralPoint(rec.x, rec.eta)).m
-        assert abs(complex(*rec.predicted) - want) <= 1e-12 * abs(want)
+    # the campaign solves its (x, eta) pairs as one batch: 3 x 3 points in one
+    # column block, then 13 x 4 = 52 points in two
+    for num_intervals, etas in ((3, [0.3, 0.5, 1.0]), (13, [0.3, 0.5, 0.7, 1.0])):
+        cfg = dataclasses.replace(irreducible_config(), num_intervals=num_intervals)
+        reports = [verify.verify_stieltjes_closeness(cfg, etas, threads=threads) for threads in (1, 2, 3)]
+        assert len({report_json_bytes(r.to_dict()) for r in reports}) == 1
+        profile = verify.effective_profile(cfg.ensemble)
+        assert len(reports[0].records) == len(etas) * num_intervals
+        for rec in reports[0].records:
+            want = qve.solve_qve(profile, qve.SpectralPoint(rec.x, rec.eta)).m
+            assert abs(complex(*rec.predicted) - want) <= 1e-12 * abs(want)
+    assert len(etas) * num_intervals > qve._BLOCK_COLUMNS and profile.dim >= qve._BLOCK_MIN_DIM
 
 
 def test_stieltjes_report_round_trip(tmp_path):
