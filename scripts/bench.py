@@ -172,11 +172,11 @@ def prediction(work: Path, repeats: int) -> dict:
 def reduction(work: Path, repeats: int) -> dict:
     """The acceptance suite's dense local-law campaign (constant profile, Rademacher entries, eps 0.1,
     delta 0.05, three intervals of length 0.2, 20 trials from base seed 1000, two workers) at n = 2000
-    and n = 4000, one `verify_local_law` call each, its report hashed; then `spectra._reduce_one_stage`
-    (LAPACK dsytrd) and `spectra._reduce_two_stage` (dsytrd_2stage of the bundled OpenBLAS) on one
-    seeded symmetric matrix per size, inside a one-worker campaign map (one BLAS thread), alternating,
-    --repeats times each.  Each kernel call gets its own copy of the matrix, made before the timer
-    starts: a kernel may overwrite its input, and a kernel that copies its input times that copy."""
+    and n = 4000, one `verify_local_law` call each, its report hashed; then LAPACK dsytrd and
+    dsytrd_2stage of the bundled OpenBLAS on one seeded symmetric matrix per size, inside a one-worker
+    campaign map (one BLAS thread), alternating, --repeats times each.  Each kernel runs as
+    `spectra.tridiagonalize(b, overwrite_a=True)` with `spectra._TWO_STAGE_MIN_N` set to force it, on
+    its own copy b of the matrix, made before the timer starts."""
     import numpy as np
     from speclaw import ensembles, qve, spectra, verify
     from speclaw.errors import report_json_bytes
@@ -193,7 +193,7 @@ def reduction(work: Path, repeats: int) -> dict:
         result["seconds"][f"campaign n{n}"] = [time.perf_counter() - t0]
         result["equal"][f"report n{n}"] = hashlib.sha256(report_json_bytes(report.to_dict())).hexdigest()
         result["info"][f"pass_fraction n{n}"] = report.pass_fraction
-    kernels = {"dsytrd": spectra._reduce_one_stage, "dsytrd_2stage": spectra._reduce_two_stage}
+    kernels = {"dsytrd": float("inf"), "dsytrd_2stage": 0}  # the _TWO_STAGE_MIN_N that forces each
     with verify._campaign_map(1):
         for n in (200, 500, 800, 1000, 1200, 1500, 2000, 4000):
             a = np.random.default_rng(n).standard_normal((n, n))
@@ -201,8 +201,9 @@ def reduction(work: Path, repeats: int) -> dict:
             for r in range(repeats):
                 for name in sorted(kernels, reverse=r % 2 == 1):
                     b = a.copy()
+                    spectra._TWO_STAGE_MIN_N = kernels[name]
                     t0 = time.perf_counter()
-                    kernels[name](b)
+                    spectra.tridiagonalize(b, overwrite_a=True)
                     result["seconds"].setdefault(f"{name} n{n}", []).append(time.perf_counter() - t0)
     return result
 

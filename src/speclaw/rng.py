@@ -21,7 +21,6 @@ TAG_AUX = 5     # scratch streams for verification harnesses
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _INV_2_53 = float(2.0 ** -53)
 
 

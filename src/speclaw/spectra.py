@@ -133,50 +133,33 @@ def _lapack_dsytrd_2stage():
     return None
 
 
-def _check_info(info) -> None:
-    if info.value != 0:
-        raise NonConvergence(f"tridiagonal reduction failed (info={info.value})")
-
-
-def _reduce_one_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e) of a square Fortran-order float64 array, which dsytrd overwrites, read from its upper triangle."""
+def _reduce(a: np.ndarray, two_stage: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of a square C-order float64 array, which the kernel overwrites, read from its upper
+    triangle: Fortran reads C order as the transpose, whose lower triangle (uplo "L") is the caller's
+    upper.  two_stage calls dsytrd_2stage (dense to band to tridiagonal), which needs
+    _lapack_dsytrd_2stage(); otherwise scipy's dsytrd runs."""
     n = a.shape[0]
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    function, integer = _lapack_dsytrd_2stage() if two_stage else (_lapack_dsytrd(), ctypes.c_int)
 
-    def dsytrd(work: np.ndarray, lwork: int) -> None:
-        info = ctypes.c_int(0)
-        _lapack_dsytrd()(b"U", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(n, 1)), d.ctypes.data,
-                         e.ctypes.data, tau.ctypes.data, work.ctypes.data, ctypes.c_int(lwork), info)
-        _check_info(info)
+    def call(spaces: list, lengths: list) -> None:  # a length of -1 queries that workspace's size
+        info = integer(0)
+        args = [b"L", integer(n), a.ctypes.data, integer(max(n, 1)), d.ctypes.data, e.ctypes.data, tau.ctypes.data]
+        args += [x for space, length in zip(spaces, lengths) for x in (space.ctypes.data, integer(length))]
+        function(*([b"N", *args, info, 1, 1] if two_stage else [*args, info]))
+        if info.value != 0:
+            raise NonConvergence(f"tridiagonal reduction failed (info={info.value})")
 
-    query = np.empty(1)
-    dsytrd(query, -1)  # the queried workspace runs the blocked reduction, about 1.7x faster at n = 2000
-    dsytrd(np.empty(int(query[0])), int(query[0]))
+    # (hous, work) or (work,); the queried workspace runs the blocked reduction, about 1.7x faster at n = 2000
+    queries = [np.empty(1) for _ in range(1 + two_stage)]
+    call(queries, [-1] * len(queries))
+    lengths = [int(query[0]) for query in queries]
+    call([np.empty(length) for length in lengths], lengths)
     return d, e[: max(n - 1, 0)]
 
 
-def _reduce_two_stage(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, e) of a square C-order float64 array with n >= 2, which dsytrd_2stage (dense
-    to band to tridiagonal) overwrites, read from its upper triangle; needs _lapack_dsytrd_2stage()."""
-    dsytrd_2stage, integer = _lapack_dsytrd_2stage()
-    n = a.shape[0]
-    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
-
-    def reduce(hous: np.ndarray, lhous: int, work: np.ndarray, lwork: int) -> None:
-        info = integer(0)  # Fortran reads C order as the transpose: its lower triangle is the caller's upper
-        dsytrd_2stage(b"N", b"L", integer(n), a.ctypes.data, integer(n), d.ctypes.data, e.ctypes.data,
-                      tau.ctypes.data, hous.ctypes.data, integer(lhous), work.ctypes.data, integer(lwork), info, 1, 1)
-        _check_info(info)
-
-    hous_query, work_query = np.empty(1), np.empty(1)
-    reduce(hous_query, -1, work_query, -1)
-    lhous, lwork = int(hous_query[0]), int(work_query[0])
-    reduce(np.empty(lhous), lhous, np.empty(lwork), lwork)
-    return d, e[: n - 1]
-
-
 def tridiagonalize(m: np.ndarray, *, overwrite_a: bool = False) -> TridiagonalForm:
-    """Orthogonal reduction Q^T A Q = T of a symmetric matrix, read from its upper triangle.
+    """Orthogonal reduction Q^T A Q = T of the symmetric matrix that the upper triangle of `m` defines.
 
     From n = _TWO_STAGE_MIN_N on, and when the bundled OpenBLAS exports it,
     LAPACK's two-stage dsytrd_2stage reduces A to a band and the band to T,
@@ -185,16 +168,14 @@ def tridiagonalize(m: np.ndarray, *, overwrite_a: bool = False) -> TridiagonalFo
     lock.  The two give T up to rounding, so eigenvalue counts agree except
     where an eigenvalue lies within rounding of a shift.
 
-    Both reduce a copy of `m`.  With overwrite_a=True they reduce a writeable
-    C-order float64 `m` in place instead, destroying it; it must then be
-    exactly symmetric, as a fresh sample is, and T is bit for bit the same.
+    Both reduce a C-order copy of `m`.  With overwrite_a=True they reduce a
+    writeable C-order float64 `m` in place instead, destroying it; T is bit
+    for bit the same, and the lower triangle is never read.
     """
     a = _as_array(m)
-    in_place = overwrite_a and a.flags.c_contiguous and a.flags.writeable
-    if a.shape[0] >= _TWO_STAGE_MIN_N and _lapack_dsytrd_2stage() is not None:
-        d, e = _reduce_two_stage(a if in_place else np.array(a, order="C"))
-    else:  # a symmetric C-order array is its own transpose in Fortran order
-        d, e = _reduce_one_stage(a.T if in_place else np.array(a, order="F"))
+    if not (overwrite_a and a.flags.c_contiguous and a.flags.writeable):
+        a = np.array(a, order="C")
+    d, e = _reduce(a, a.shape[0] >= _TWO_STAGE_MIN_N and _lapack_dsytrd_2stage() is not None)
     return TridiagonalForm(diag=d, offdiag=e)
 
 

@@ -53,7 +53,6 @@ from .qve import (
 )
 from .spectra import (
     bundled_openblas,
-    count_in_interval,
     eigen_full,
     eigenvalue_counts_below,
     normalized_deloc_ratios,
@@ -254,7 +253,7 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
         intervals = place_intervals(widest, length, cfg.num_intervals)
         return intervals, [n * q for q in mapper(lambda iv: integrate_density(curve, *iv), intervals)]
 
-    # the trial owns its sample, which is exactly symmetric, so the reduction may overwrite it
+    # the trial owns its sample, so the reduction may overwrite it
     config, (intervals, predicted), forms = _campaign(cfg, threads, plan,
                                                       lambda matrix: tridiagonalize(matrix, overwrite_a=True))
     below = eigenvalue_counts_below(forms, np.ravel(intervals))  # integrate_density has checked lo <= hi
@@ -488,9 +487,10 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
 
     Each trial draws a random symmetric matrix A, a random interval and two
     updates: a rank-1 update vv^T and a rank-d one, d cycling 2.._MAX_RANK.
-    The interval count of A is taken once; each update of rank r must move it
-    by at most r.  Raises AssertionFailure with the counterexample (trial,
-    seed, lo, hi, rank, shift) on the first violation.
+    One Sturm sweep counts A and both updates on [lo, hi); each update of
+    rank r must move the count of A by at most r.  Raises AssertionFailure
+    with the counterexample (trial, seed, lo, hi, rank, shift) on the first
+    violation.
     """
     if not 2 <= n < 2**32:  # pair counters hold 32-bit indices
         raise InvalidSpec(f"need 2 <= n < 2**32, got n={n}")
@@ -498,17 +498,20 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
         raise InvalidSpec(f"need at least 1 trial, got {trials}")
     max_by_rank = {1: 0}
     span = 2.5 * math.sqrt(n)
+    vector_counters = rng.pair_counters(np.repeat(np.arange(_MAX_RANK), n), np.tile(np.arange(n), _MAX_RANK))
     for t in range(trials):
         key_a = rng.stream_key(seed + t, rng.TAG_VALUES)
         key_v = rng.stream_key(seed + t, rng.TAG_AUX)
         a = fill_symmetric(n, lambda rows, cols, counters: 2.0 * rng.uniforms(key_a, counters) - 1.0)
-        rows, cols = np.repeat(np.arange(_MAX_RANK), n), np.tile(np.arange(n), _MAX_RANK)
-        vs = (2.0 * rng.uniforms(key_v, rng.pair_counters(rows, cols)) - 1.0).reshape(_MAX_RANK, n)
+        vs = (2.0 * rng.uniforms(key_v, vector_counters) - 1.0).reshape(_MAX_RANK, n)
         endpoints = span * (2.0 * rng.uniforms(key_v, np.array([2**40 + 2 * t, 2**40 + 2 * t + 1])) - 1.0)
         lo, hi = float(endpoints.min()), float(endpoints.max())
-        base = count_in_interval(tridiagonalize(a), lo, hi)
-        for rank in (1, 2 + t % (_MAX_RANK - 1)):
-            shift = abs(count_in_interval(tridiagonalize(a + vs[:rank].T @ vs[:rank]), lo, hi) - base)
+        ranks = (1, 2 + t % (_MAX_RANK - 1))
+        forms = [tridiagonalize(a)] + [tridiagonalize(a + vs[:r].T @ vs[:r]) for r in ranks]
+        below = eigenvalue_counts_below(forms, np.array([lo, hi]))  # one sweep: base, rank-1, rank-d
+        base, *counts = (below[:, 1] - below[:, 0]).tolist()
+        for rank, count in zip(ranks, counts):
+            shift = abs(count - base)
             max_by_rank[rank] = max(max_by_rank.get(rank, 0), shift)
             if shift > rank:
                 raise AssertionFailure(

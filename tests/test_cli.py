@@ -168,24 +168,27 @@ def test_interlacing_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("trial, rank", [(0, 1), (1, 1), (0, 2), (2, 4)])
 def test_interlacing_violation_exits_three_with_its_counterexample(tmp_path, monkeypatch, capsys, trial, rank):
-    # each trial counts its base matrix, then its rank-1 and its rank-d update (d = 2 + trial % 4);
-    # every count reads 0 except the one of trial `trial`'s rank-`rank` update
-    target = 3 * trial + (1 if rank == 1 else 2)
+    # each trial counts its base matrix, its rank-1 and its rank-d update (d = 2 + trial % 4) in one
+    # sweep over [lo, hi); every count reads 0 except the one of trial `trial`'s rank-`rank` update
+    target = 1 if rank == 1 else 2
     calls = []
 
-    def count(form, lo, hi):
-        calls.append((lo, hi))
-        return rank + 1 if len(calls) - 1 == target else 0
+    def counts_below(forms, shifts):
+        assert len(forms) == 3
+        calls.append(tuple(shifts))
+        below = np.zeros((3, 2), dtype=np.int64)
+        below[target, 1] = rank + 1 if len(calls) - 1 == trial else 0
+        return below
 
-    monkeypatch.setattr(verify, "count_in_interval", count)
+    monkeypatch.setattr(verify, "eigenvalue_counts_below", counts_below)
     out = tmp_path / "i.json"
     assert cli.main(["test-interlacing", "--trials", "5", "--n", "10", "--seed", "7", "--out", str(out)]) == 3
     record = json.loads(capsys.readouterr().err)
-    lo, hi = calls[target]
+    lo, hi = calls[trial]
     assert record["error"] == "assertion_failure"
     assert record["message"] == f"rank-{rank} update moved the count on [{lo:g}, {hi:g}) by {rank + 1}"
     assert record["counterexample"] == {"trial": trial, "seed": 7, "lo": lo, "hi": hi, "rank": rank, "shift": rank + 1}
-    assert len(calls) == target + 1 and not out.exists()
+    assert len(calls) == trial + 1 and not out.exists()
 
 
 @pytest.mark.parametrize("command, name", [("test-projection", "projection_concentration_test"),

@@ -88,7 +88,8 @@ def reduction_inputs(draw):
 @given(a=reduction_inputs())
 def test_reduction_matches_scipy_dsytrd_bit_for_bit(a):
     n = a.shape[0]
-    _, d, e, _, info = lapack.dsytrd(a, lwork=int(lapack.dsytrd_lwork(n)[0]))
+    # a.T in Fortran order is the C-order array that tridiagonalize hands LAPACK, so its lower triangle is a's upper
+    _, d, e, _, info = lapack.dsytrd(a.T, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
     assert info == 0
     t = spectra.tridiagonalize(a)
     assert np.array_equal(t.diag, d)
@@ -161,6 +162,21 @@ def test_two_stage_reduction_reads_only_the_upper_triangle():
     assert np.array_equal(poisoned.offdiag, t.offdiag)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1199,
+                               pytest.param(spectra._TWO_STAGE_MIN_N + 1, marks=requires_two_stage)])
+def test_in_place_and_copy_reduce_the_upper_triangle_of_a_non_symmetric_matrix(n):
+    m = np.random.default_rng(n).standard_normal((n, n))
+    copied = spectra.tridiagonalize(m)
+    poisoned = m.copy()
+    poisoned[np.tril_indices(n, -1)] = np.nan  # a read of the lower triangle would make T non-finite
+    for t in (spectra.tridiagonalize(m.copy(), overwrite_a=True), spectra.tridiagonalize(poisoned, overwrite_a=True)):
+        assert t.diag.tobytes() == copied.diag.tobytes()
+        assert t.offdiag.tobytes() == copied.offdiag.tobytes()
+    ev = np.linalg.eigvalsh(np.triu(m) + np.triu(m, 1).T)
+    ev_t = scipy.linalg.eigvalsh_tridiagonal(copied.diag, copied.offdiag) if n > 1 else copied.diag
+    assert np.abs(np.sort(ev_t) - ev).max() <= 1e-12 * np.abs(ev).max()
+
+
 def fresh_sample(n):
     """A normalized dense sample: exactly symmetric, C-order, owned by the caller."""
     spec = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("uniform_bounded"), seed=n)
@@ -201,22 +217,25 @@ def test_reduction_leaves_its_input_untouched_unless_handed_over(n):
 def test_reduction_dispatches_on_size(monkeypatch):
     calls = []
 
-    def recording_two_stage(a):
-        calls.append(a.shape[0])
-        return np.zeros(2), np.zeros(1)
+    def recording_reduce(a, two_stage):
+        assert a.flags.c_contiguous and a.dtype == np.float64
+        calls.append((a.shape[0], two_stage))
+        return np.zeros(a.shape[0]), np.zeros(a.shape[0] - 1)
 
     monkeypatch.setattr(spectra, "_lapack_dsytrd_2stage", lambda: object())
-    monkeypatch.setattr(spectra, "_reduce_two_stage", recording_two_stage)
+    monkeypatch.setattr(spectra, "_reduce", recording_reduce)
     n = spectra._TWO_STAGE_MIN_N
     spectra.tridiagonalize(np.eye(n - 1))
     spectra.tridiagonalize(np.eye(n))
-    assert calls == [n]
+    monkeypatch.setattr(spectra, "_lapack_dsytrd_2stage", lambda: None)
+    spectra.tridiagonalize(np.eye(n))
+    assert calls == [(n - 1, False), (n, True), (n, False)]
 
 
 def test_reduction_without_the_two_stage_symbol_is_dsytrd(monkeypatch):
     monkeypatch.setattr(spectra, "_lapack_dsytrd_2stage", lambda: None)
     a = random_symmetric(spectra._TWO_STAGE_MIN_N, seed=5)
-    _, d, e, _, info = lapack.dsytrd(a, lwork=int(lapack.dsytrd_lwork(a.shape[0])[0]))
+    _, d, e, _, info = lapack.dsytrd(a.T, lower=1, lwork=int(lapack.dsytrd_lwork(a.shape[0], lower=1)[0]))
     assert info == 0
     t = spectra.tridiagonalize(a)
     assert np.array_equal(t.diag, d)
