@@ -134,15 +134,9 @@ def run(args: argparse.Namespace) -> int:
 
     if command == "qve-solve":
         profile = read_json(qve.Profile, args.profile)
-        sol = qve.solve_qve(profile, qve.SpectralPoint(args.x, args.eta), args.tol)
-        payload = {
-            "x": args.x,
-            "eta": args.eta,
-            "m": [sol.m.real, sol.m.imag],
-            "g": [[v.real, v.imag] for v in sol.g],
-            "residual": sol.residual,
-            "iterations": sol.iterations,
-        }
+        sol = qve.solve_qve(profile, complex(args.x, args.eta), args.tol)
+        payload = {"x": args.x, "eta": args.eta, "m": [sol.m.real, sol.m.imag], "g": [[v.real, v.imag] for v in sol.g],
+                   "residual": sol.residual, "iterations": sol.iterations}
         if args.out:
             write_json(payload, args.out)
         print(f"m={sol.m.real:.12g}{sol.m.imag:+.12g}i residual={sol.residual:.3g}")

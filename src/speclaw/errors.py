@@ -3,7 +3,7 @@
 Every float array a value type stores is a read-only float64 copy made by
 `frozen_array`, which rejects anything but an array of finite real numbers:
 InvalidProfile for the two profile classes, InvalidSpec for the rest (README
-lists the fields).
+lists the fields).  Every point z = x + i*eta passes `spectral_points`.
 
 Each exception class carries its CLI exit code and the fields of its JSON
 error record: {"error": kind, "message": ...} plus the class's context, where
@@ -108,23 +108,40 @@ def _holds_bool(items) -> bool:
     return bool(kinds & {bool, np.bool_}) or bool(nested) and any(_holds_bool(v) for v in items if type(v) in nested)
 
 
-def frozen_array(obj, name: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
-    """Replace field `name` of the frozen dataclass `obj` by a read-only float64
-    copy and return it; raise `error` naming Class.name unless the field is an
-    array of real numbers, every one finite (a complex value is not cast, nor a boolean read as 0 or 1)."""
-    where, value = f"{type(obj).__name__}.{name}", getattr(obj, name)
+def real_array(value, where: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
+    """A float64 copy of `value`; raise `error` naming `where` unless it is an array of real
+    numbers (a complex value is not cast, nor a boolean read as 0 or 1)."""
     try:
         array = np.array(value)
     except ValueError:  # ragged nesting
         array = np.array(None)
     if array.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and _holds_bool(value):
         raise error(f"{where} must be an array of real numbers")
-    array = array.astype(np.float64, copy=False)
+    return array.astype(np.float64, copy=False)
+
+
+def frozen_array(obj, name: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
+    """Replace field `name` of the frozen dataclass `obj` by a read-only `real_array`
+    and return it; raise `error` naming Class.name unless every value is finite."""
+    where = f"{type(obj).__name__}.{name}"
+    array = real_array(getattr(obj, name), where, error)
     if not np.isfinite(array).all():
         raise error(f"{where} must be finite")
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
     return array
+
+
+def spectral_points(zs) -> np.ndarray:
+    """`zs` as a complex128 array of points x + i*eta, or InvalidSpec for the first with eta
+    outside (0, inf), else the first with x not finite: the one check of a spectral point."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    off = ~((zs.imag > 0.0) & (zs.imag < math.inf))  # nan fails both
+    if off.any():
+        raise InvalidSpec(f"eta must be positive and finite, got {zs.imag[off][0]}")
+    if not np.isfinite(zs.real).all():
+        raise InvalidSpec(f"x must be finite, got {zs.real[~np.isfinite(zs.real)][0]}")
+    return zs
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "an integer", float: "a number"}

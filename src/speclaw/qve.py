@@ -27,6 +27,8 @@ cubic interpolant of their neighbours' solutions, as quadrature does (m is
 analytic in x in the bulk, so most such starts already sit near tol).  Points
 share nothing but the product with S, so every batch goes through
 `_solve_blocks`, in fixed column blocks for large profiles, on a pool's map.
+A point is a complex number z = x + i*eta, `solve_qve`'s one or a batch's
+array, and every solve checks its points with `errors.spectral_points`.
 
 Both profile classes are untagged JSON records (`errors.record`), {"n",
 "entries"} and {"d", "weights", "coeffs"}; `read_json(Profile, path)` tells
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, write_csv
+from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, spectral_points, write_csv
 
 DEFAULT_ETA = 1e-6
 # a column without a warm start starts at g_k = -1/(Re z + i*max(Im z, ETA_START))
@@ -70,22 +72,6 @@ _BLOCK_MIN_DIM = 200
 _BLOCK_COLUMNS = 50
 # extract_density starts every _COARSE_STRIDE-th grid point only cold
 _COARSE_STRIDE = 10
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A point z = re + i*im in the open upper half plane."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (self.im > 0.0 and math.isfinite(self.im) and math.isfinite(self.re)):
-            raise InvalidSpec(f"spectral point must have finite re and im > 0, got {self.re}+{self.im}i")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @record()
@@ -320,7 +306,8 @@ def _solve_batch(
     can pass; and for the first column whose defect turns non-finite, at
     once and without numpy floating-point warnings.  A defect already
     non-finite at the first iterate (a point whose -1/z over- or underflows)
-    raises InvalidSpec instead: no iteration can start there.
+    raises InvalidSpec instead: no iteration can start there, nor at a point
+    off the upper half plane (`errors.spectral_points`).
 
     The sweep touches only the columns still active, which it keeps as the
     leading rows of buffers allocated once per call: when columns converge,
@@ -331,6 +318,7 @@ def _solve_batch(
     imaginary parts of g.  A column's arithmetic does not depend on the rest
     of the batch, up to how the BLAS rounds one row of a product.
     """
+    zs = spectral_points(zs)  # every solve passes here
     with np.errstate(all="ignore"):  # a non-finite defect raises instead
         wt = profile._weight_t
         num, dim = zs.size, profile.dim
@@ -414,8 +402,16 @@ def _m_of(profile: Profile, g: np.ndarray) -> np.ndarray:
     return profile.weights @ g
 
 
-def solve_qve(profile: Profile, point: SpectralPoint, tol: float = DEFAULT_TOL) -> QveSolution:
-    """Solve the quadratic vector equation at one spectral point.
+def complex_points(xs, etas) -> np.ndarray:
+    """The points x + i*eta of the broadcast xs and etas, set part by part: x + 1j*eta would
+    drop the sign of a zero eta and make an infinite one nan + inf*i."""
+    zs = np.empty(np.broadcast_shapes(np.shape(xs), np.shape(etas)), dtype=np.complex128)
+    zs.real, zs.imag = xs, etas
+    return zs
+
+
+def solve_qve(profile: Profile, z: complex, tol: float = DEFAULT_TOL) -> QveSolution:
+    """Solve the quadratic vector equation at one point z of the upper half plane.
 
     A batch of one for _solve_batch: Anderson iteration at z from a cold
     start until the defect max_k |1/g_k + z + (S g)_k| is <= tol.
@@ -424,7 +420,7 @@ def solve_qve(profile: Profile, point: SpectralPoint, tol: float = DEFAULT_TOL) 
     """
     if not tol >= 0.0:
         raise InvalidSpec(f"tol must be a nonnegative number, got {tol}")
-    g, residual, iterations = _solve_batch(profile, np.array([point.z]), tol)
+    g, residual, iterations = _solve_batch(profile, np.array([z]), tol)
     g = g[:, 0]
     g.setflags(write=False)
     return QveSolution(g=g, m=complex(_m_of(profile, g)), residual=float(residual[0]), iterations=int(iterations[0]))
@@ -437,20 +433,17 @@ def stieltjes_batch(profile: Profile, zs: np.ndarray, mapper=map) -> np.ndarray:
 
 def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) -> np.ndarray:
     """Im m(x + i*eta)/pi for an array of abscissas, solved simultaneously."""
-    return stieltjes_batch(profile, np.asarray(xs, dtype=np.float64) + 1j * eta).imag / math.pi
+    return stieltjes_batch(profile, complex_points(xs, eta)).imag / math.pi
 
 
 def _solve_blocks(profile: Profile, zs: np.ndarray, mapper=map, known=None, g_known=None) -> np.ndarray:
-    """The solver's one batched path: solutions at the points zs (InvalidSpec unless 0 < Im z < inf)
+    """The solver's one batched path: solutions at the points zs
     in blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`, from
     cold starts or, given solutions g_known at the nondecreasing abscissas `known`, from the cubic
     Lagrange interpolant in Re z through each point's two known neighbours on either side (the four
     nearest at the ends of `known`), or the linear one of its two neighbours where the four knots
     are not distinct or the cubic start leaves the upper half plane; a knot starts from its solution."""
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    bad = ~((zs.imag > 0.0) & (zs.imag < math.inf))  # nan fails both
-    if bad.any():
-        raise InvalidSpec(f"eta must be positive and finite, got {zs.imag[bad][0]}")
     start, xs = None, zs.real
     if known is not None:
         right = np.clip(np.searchsorted(known, xs, side="right"), 1, known.size - 1)
@@ -486,9 +479,10 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     Both phases run in fixed column blocks through `mapper`.
     """
     grid = np.asarray(grid, dtype=np.float64)
+    zs = spectral_points(complex_points(grid, eta))  # first, so that a NaN abscissa is named as such
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise InvalidSpec("grid must be strictly increasing with at least two points")
-    solver_profile, zs = reduce_profile(profile), grid + 1j * eta
+    solver_profile = reduce_profile(profile)
     coarse = (np.arange(grid.size) % _COARSE_STRIDE == 0) | (np.arange(grid.size) == grid.size - 1)
     g = np.empty((grid.size, solver_profile.dim), dtype=np.complex128).T  # one batch's memory layout
     g[:, coarse] = _solve_blocks(solver_profile, zs[coarse], mapper)
@@ -523,13 +517,13 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     profile, grid, table, eta = curve.source, curve.grid, curve.solution, curve.eta_used
 
     xs = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-    g = _solve_blocks(profile, xs + 1j * eta, known=grid, g_known=table)  # a grid point starts from, and keeps, its solution
+    g = _solve_blocks(profile, complex_points(xs, eta), known=grid, g_known=table)  # a grid point starts from, and keeps, its solution
     vals = _m_of(profile, g).imag / math.pi
     change = np.zeros(xs.size - 1)  # per cell: its share of the trapezoid change of the last halving
     cells, uniform = np.arange(xs.size - 1), True
     for _ in range(24):
         mids = (xs[cells] + xs[cells + 1]) / 2.0
-        g_mid = _solve_blocks(profile, mids + 1j * eta, known=xs, g_known=g)
+        g_mid = _solve_blocks(profile, complex_points(mids, eta), known=xs, g_known=g)
         mid_vals = _m_of(profile, g_mid).imag / math.pi
         half = (xs[cells + 1] - xs[cells]) / 8.0 * (2.0 * mid_vals - vals[cells] - vals[cells + 1])
         change[cells] = half

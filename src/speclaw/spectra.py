@@ -7,8 +7,8 @@ cross-checking slow path.  The reduction runs LAPACK outside the interpreter
 lock, so trial workers overlap: dsytrd from scipy's LAPACK below
 _TWO_STAGE_MIN_N, and from that size on the two-stage dsytrd_2stage that the
 bundled OpenBLAS exports, which does most of its work in matrix-matrix
-products.  Also: empirical Stieltjes transforms, eigenvector sup-norms, and
-the Schur-complement identity for resolvent diagonal entries.
+products.  Also: empirical Stieltjes transforms and the Schur-complement identity
+for resolvent diagonal entries at complex z, and eigenvector sup-norms.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange, frozen_array, write_csv
-from .qve import SpectralPoint
+from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange, frozen_array, spectral_points, write_csv
 
 _TINY = np.finfo(np.float64).tiny
 # tridiagonalize reduces in two stages from this size on: at one BLAS thread
@@ -244,9 +243,9 @@ def eigen_full(m: np.ndarray, want_vectors: bool = False) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues=vals, inf_norms=norms)
 
 
-def stieltjes_empirical(s: SpectrumSummary, point: SpectralPoint) -> complex:
-    """s_n(z) = (1/n) sum_i 1/(lambda_i - z)."""
-    return complex(np.mean(1.0 / (s.eigenvalues - point.z)))
+def stieltjes_empirical(s: SpectrumSummary, zs) -> np.ndarray:
+    """s_n(z) = (1/n) sum_i 1/(lambda_i - z) at each point of the array zs."""
+    return np.mean(1.0 / (s.eigenvalues - spectral_points(zs)[..., None]), axis=-1)
 
 
 def eigvec_inf_norms(s: SpectrumSummary) -> np.ndarray:
@@ -256,7 +255,7 @@ def eigvec_inf_norms(s: SpectrumSummary) -> np.ndarray:
     return s.inf_norms
 
 
-def schur_resolvent_check(m: np.ndarray, k: int, point: SpectralPoint) -> tuple[complex, complex]:
+def schur_resolvent_check(m: np.ndarray, k: int, z: complex) -> tuple[complex, complex]:
     """k-th resolvent diagonal entry, by direct solve and by Schur complement.
 
     direct = [(W - z)^{-1}]_{kk};  schur = 1/(W_kk - z - a_k^T (W_k - z)^{-1} a_k)
@@ -267,11 +266,10 @@ def schur_resolvent_check(m: np.ndarray, k: int, point: SpectralPoint) -> tuple[
     n = a.shape[0]
     if not 0 <= k < n:
         raise InvalidSpec(f"index k={k} out of range for n={n}")
-    z = point.z
-    eye = np.eye(n)
-    rhs = np.zeros(n, dtype=np.complex128)
-    rhs[k] = 1.0
-    direct = complex(np.linalg.solve(a - z * eye, rhs)[k])
+    if not np.isfinite(a).all():
+        raise InvalidSpec("matrix entries must be finite")
+    z = complex(spectral_points(z))
+    direct = complex(np.linalg.solve(a - z * np.eye(n), np.eye(n)[k])[k])
     keep = np.arange(n) != k
     minor = a[np.ix_(keep, keep)]
     col = a[keep, k].astype(np.complex128)

@@ -38,19 +38,9 @@ from .ensembles import (
     normalized_sample,
     with_seed,
 )
-from .errors import AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read_json, record, write_csv
-from .qve import (
-    DEFAULT_ETA,
-    BulkInterval,
-    DensityCurve,
-    SpectralPoint,
-    VarianceProfile,
-    default_grid,
-    detect_bulk,
-    extract_density,
-    integrate_density,
-    stieltjes_batch,
-)
+from .errors import AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read_json, real_array, record, spectral_points, write_csv
+from .qve import (DEFAULT_ETA, BulkInterval, DensityCurve, VarianceProfile, complex_points, default_grid, detect_bulk,
+                  extract_density, integrate_density, stieltjes_batch)
 from .spectra import (
     bundled_openblas,
     eigen_full,
@@ -303,26 +293,29 @@ def stieltjes_eta_floor(ensemble: EnsembleSpec) -> float:
 
 
 def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | None = None) -> StieltjesReport:
-    """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial."""
-    etas = sorted(float(e) for e in np.atleast_1d(eta_grid))
-    if not etas:
+    """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial; eta_grid is a 1-d array of reals."""
+    etas = real_array(eta_grid, "eta grid")
+    if etas.ndim != 1:
+        raise InvalidSpec(f"eta grid must be a 1-d array, got shape {etas.shape}")
+    if etas.size == 0:
         raise InvalidSpec("eta grid is empty")
-    if not all(0.0 < eta < math.inf for eta in etas):  # nan sorts anywhere, so check every eta
-        raise InvalidSpec(f"eta must be positive and finite, got {etas}")
+    spectral_points(complex_points(0.0, etas))  # every eta, before the prediction
+    etas = np.sort(etas)
     floor = stieltjes_eta_floor(cfg.ensemble)
     if etas[0] < floor:
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
 
     def plan(curve, bulks, widest, mapper):
         xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
-        points = [SpectralPoint(float(x), eta) for x in xs for eta in etas]  # x-major, solved as one batch
-        return list(zip(points, stieltjes_batch(curve.source, [pt.z for pt in points], mapper).tolist()))
+        zs = complex_points(xs[:, None], etas).ravel()  # x-major, solved as one batch
+        return zs, stieltjes_batch(curve.source, zs, mapper)
 
-    config, planned, summaries = _campaign(cfg, threads, plan, eigen_full)
-    rows = [[abs(stieltjes_empirical(summary, pt) - m) for pt, m in planned] for summary in summaries]
-    records = [StieltjesRecord(x=pt.re, eta=pt.im, predicted=[m.real, m.imag], discrepancies=[row[j] for row in rows])
-               for j, (pt, m) in enumerate(planned)]
-    trial_sup = [float(max(row)) for row in rows]
+    config, (zs, m), summaries = _campaign(cfg, threads, plan, eigen_full)
+    gap = np.array([stieltjes_empirical(summary, zs) for summary in summaries]) - m  # trials x points
+    discrepancies = np.hypot(gap.real, gap.imag)  # abs() of each complex, bit for bit, which np.abs is not
+    records = [StieltjesRecord(x=z.real, eta=z.imag, predicted=[mz.real, mz.imag], discrepancies=column)
+               for z, mz, column in zip(zs.tolist(), m.tolist(), discrepancies.T.tolist())]
+    trial_sup = discrepancies.max(axis=1).tolist()
     return StieltjesReport(config=config, eta_floor=floor, records=records, trial_sup=trial_sup,
                            max_discrepancy=float(max(trial_sup)), median_sup=float(np.median(trial_sup)))
 

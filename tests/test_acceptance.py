@@ -96,7 +96,7 @@ def test_criterion_1_solver_matches_closed_form():
     worst = 0.0
     for x in xs:
         for eta in etas:
-            sol = qve.solve_qve(profile, qve.SpectralPoint(float(x), float(eta)))
+            sol = qve.solve_qve(profile, complex(float(x), float(eta)))
             worst = max(worst, abs(sol.m - semicircle_stieltjes(complex(x, eta))))
     elapsed = time.time() - t0
     report_line(
@@ -132,7 +132,7 @@ def test_criterion_3_block_full_consistency():
         block = qve.BlockProfile(d=d, weights=sizes / 400.0, coeffs=coeffs)
         full = qve.expand_block_profile(block, 400)
         for k in range(4):
-            point = qve.SpectralPoint(float(gen.uniform(-3, 3)), float(gen.uniform(0.2, 2.0)))
+            point = complex(float(gen.uniform(-3, 3)), float(gen.uniform(0.2, 2.0)))
             diff = abs(qve.solve_qve(block, point, tol=1e-12).m - qve.solve_qve(full, point, tol=1e-12).m)
             worst = max(worst, diff)
     report_line(3, worst <= 1e-9, f"max |m_block - m_full| = {worst:.2e} over 20 points (tol 1e-9)")
@@ -170,7 +170,7 @@ def test_criterion_5_schur_identity():
         a = gen.standard_normal((n, n))
         a = (a + a.T) / (2.0 * math.sqrt(n))
         k = int(gen.integers(0, n))
-        point = qve.SpectralPoint(float(gen.uniform(-2.5, 2.5)), float(gen.uniform(0.05, 2.0)))
+        point = complex(float(gen.uniform(-2.5, 2.5)), float(gen.uniform(0.05, 2.0)))
         direct, schur = spectra.schur_resolvent_check(a, k, point)
         worst = max(worst, abs(direct - schur))
     report_line(5, worst <= 1e-8, f"max |direct - schur| = {worst:.2e} over 500 triples (tol 1e-8)")

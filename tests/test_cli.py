@@ -462,7 +462,7 @@ def test_non_finite_error_context_is_written_as_null(profile_path, monkeypatch, 
     # solve starts from a warm start whose second defect overflows (see test_qve)
     def diverging_solve(profile, point, tol):
         start = np.full((profile.dim, 1), 1e308 * (1 + 1j))
-        qve._solve_batch(profile, np.array([point.z]), tol, initial=start)
+        qve._solve_batch(profile, np.array([point]), tol, initial=start)
 
     monkeypatch.setattr(qve, "solve_qve", diverging_solve)
     code = cli.main(["qve-solve", "--profile", profile_path, "--x", "1.1", "--eta", "0.5"])
@@ -531,7 +531,7 @@ def test_single_node_campaign_exits_one_without_a_report(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["qve-solve", "--profile", "{profile}", "--eta", "-1"], "im > 0"),
+    (["qve-solve", "--profile", "{profile}", "--eta", "-1"], "eta must be positive and finite, got -1.0"),
     (["density", "--profile", "{profile}", "--eta", "0", "--out", "{tmp}/rho.csv"], "eta must be positive"),
     (["verify-stieltjes", "--config", "{campaign}", "--eta", ","], "eta grid is empty"),
     (["density", "--profile", "{profile}", "--eta", "inf", "--out", "{tmp}/rho.csv"], "eta must be positive and finite"),
@@ -602,6 +602,22 @@ def test_stieltjes_eta_off_the_positive_reals_exits_one_before_the_prediction(tm
     assert cli.main(["verify-stieltjes", "--config", campaign_path, f"--eta={etas}", "--out", str(out)]) == 1
     assert "eta must be positive and finite" in _config_failure(capsys)
     assert predictions == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qve-solve", "--profile", "{profile}", "--eta", "inf"], "eta must be positive and finite, got inf"),
+    (["qve-solve", "--profile", "{profile}", "--eta", "nan"], "eta must be positive and finite, got nan"),
+    (["qve-solve", "--profile", "{profile}", "--eta", "0"], "eta must be positive and finite, got 0.0"),
+    (["qve-solve", "--profile", "{profile}", "--x", "nan"], "x must be finite, got nan"),
+    (["verify-stieltjes", "--config", "{campaign}", "--eta", "0.01,inf"], "eta must be positive and finite, got inf"),
+])
+def test_point_off_the_upper_half_plane_exits_one_with_one_record(profile_path, campaign_path, capsys, argv, message):
+    paths = {"profile": profile_path, "campaign": campaign_path}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    assert caught == []
+    assert _config_failure(capsys) == message  # stderr parses as this one record and nothing else
 
 
 @pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "nan:1:5", "-1e308:1e308:5"])

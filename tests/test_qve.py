@@ -1,5 +1,8 @@
+import functools
 import json
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes
-from speclaw import ensembles, qve, verify
+from speclaw import ensembles, qve, spectra, verify
 from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, read_json
 
 CONST8 = qve.VarianceProfile.constant(8)
@@ -18,7 +21,7 @@ CONST8 = qve.VarianceProfile.constant(8)
 
 
 def test_constant_profile_matches_semicircle_at_2i():
-    sol = qve.solve_qve(CONST8, qve.SpectralPoint(0.0, 2.0))
+    sol = qve.solve_qve(CONST8, complex(0.0, 2.0))
     expected = 1j * (np.sqrt(2.0) - 1.0)
     assert np.allclose(sol.g, expected, atol=1e-9)
     assert abs(sol.m - expected) < 1e-9
@@ -26,14 +29,14 @@ def test_constant_profile_matches_semicircle_at_2i():
 
 def test_dominant_z_asymptotics():
     z = 1e6j
-    sol = qve.solve_qve(CONST8, qve.SpectralPoint(0.0, 1e6))
+    sol = qve.solve_qve(CONST8, complex(0.0, 1e6))
     assert abs(sol.m - (-1.0 / z)) < 1e-16
     assert np.all(np.abs(sol.g - (-1.0 / z)) < 1e-16)
 
 
 def test_symmetric_block_profile_collapses_to_constant():
     block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.ones((2, 2)))
-    sol = qve.solve_qve(block, qve.SpectralPoint(0.0, 2.0))
+    sol = qve.solve_qve(block, complex(0.0, 2.0))
     expected = 1j * (np.sqrt(2.0) - 1.0)
     assert abs(sol.g[0] - expected) < 1e-9
     assert abs(sol.g[1] - sol.g[0]) < 1e-12
@@ -41,10 +44,10 @@ def test_symmetric_block_profile_collapses_to_constant():
 
 def test_residual_is_true_defect_by_substitution():
     profile = random_profile(8, seed=1, low=0.5, high=1.0)
-    point = qve.SpectralPoint(0.3, 0.05)
+    point = complex(0.3, 0.05)
     sol = qve.solve_qve(profile, point)
     sg = profile.entries @ sol.g / profile.n
-    defect = np.abs(1.0 / sol.g + point.z + sg).max()
+    defect = np.abs(1.0 / sol.g + point + sg).max()
     assert defect <= 1e-10
     assert defect == pytest.approx(sol.residual, abs=1e-14)
 
@@ -52,7 +55,7 @@ def test_residual_is_true_defect_by_substitution():
 def test_solution_invariants_on_closed_form_grid():
     for x in np.linspace(-3, 3, 10):
         for eta in np.geomspace(1e-4, 1.0, 5):
-            sol = qve.solve_qve(CONST8, qve.SpectralPoint(float(x), float(eta)))
+            sol = qve.solve_qve(CONST8, complex(float(x), float(eta)))
             assert abs(sol.m - semicircle_stieltjes(complex(x, eta))) < 1e-8
             assert np.all(sol.g.imag > 0)
             assert np.all(np.abs(sol.g) <= 1.0 / eta)
@@ -61,7 +64,7 @@ def test_solution_invariants_on_closed_form_grid():
 def test_nonconvergence_reports_offending_point(monkeypatch):
     monkeypatch.setattr(qve, "_MAX_ITER", 5)
     with pytest.raises(NonConvergence) as err:
-        qve.solve_qve(CONST8, qve.SpectralPoint(2.0, 1e-9))
+        qve.solve_qve(CONST8, complex(2.0, 1e-9))
     assert err.value.eta == 1e-9
 
 
@@ -77,14 +80,14 @@ def profiles(draw):
 def points(draw):
     x = draw(st.floats(min_value=-4.0, max_value=4.0))
     eta = draw(st.floats(min_value=1e-3, max_value=10.0))
-    return qve.SpectralPoint(x, eta)
+    return complex(x, eta)
 
 
 @given(profile=profiles(), point=points())
 def test_qve_invariants_hold_for_random_profiles(profile, point):
     sol = qve.solve_qve(profile, point)
     assert np.all(sol.g.imag > 0)
-    assert np.all(np.abs(sol.g) <= 1.0 / point.im + 1e-12)
+    assert np.all(np.abs(sol.g) <= 1.0 / point.imag + 1e-12)
     assert sol.residual <= 1e-10
     assert sol.m == pytest.approx(complex(sol.g.mean()))
 
@@ -104,7 +107,7 @@ def test_block_and_full_solutions_agree(d, seed, x, eta):
     coeffs = (coeffs + coeffs.T) / 2.0
     block = qve.BlockProfile(d=d, weights=8 * sizes / n, coeffs=coeffs)
     full = qve.expand_block_profile(block, n)
-    point = qve.SpectralPoint(x, eta)
+    point = complex(x, eta)
     m_block = qve.solve_qve(block, point, tol=1e-12).m
     m_full = qve.solve_qve(full, point, tol=1e-12).m
     assert abs(m_block - m_full) < 1e-9
@@ -115,17 +118,17 @@ def test_block_and_full_solutions_agree(d, seed, x, eta):
 
 
 def test_continuation_reaches_the_real_axis_limit():
-    sol = qve.solve_qve(CONST8, qve.SpectralPoint(0.0, 1e-6))
+    sol = qve.solve_qve(CONST8, complex(0.0, 1e-6))
     assert abs(sol.m - 1j) < 1e-5
 
 
 def test_single_step_continuation_equals_direct_solve():
     # the cold solve starts from -1/(x + i) and the direct one from -1/z: both reach
     # the one fixed point in the upper half plane
-    point = qve.SpectralPoint(0.7, 0.3)
-    zs = np.array([point.z])
+    point = complex(0.7, 0.3)
+    zs = np.array([point])
     cont = qve.solve_qve(CONST8, point, tol=1e-13)
-    direct, _, _ = qve._solve_batch(CONST8, zs, tol=1e-13, initial=np.full((8, 1), -1.0 / point.z))
+    direct, _, _ = qve._solve_batch(CONST8, zs, tol=1e-13, initial=np.full((8, 1), -1.0 / point))
     assert np.allclose(direct[:, 0], cont.g, atol=1e-12)
     _, _, iterations = qve._solve_batch(CONST8, zs, tol=1e-13, initial=cont.g[:, None])
     assert iterations[0] == 0
@@ -273,20 +276,36 @@ def test_one_batch_over_mixed_eta_equals_the_per_eta_batches(kind):
     assert mixed.tobytes() == per_eta.ravel().tobytes()
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf, -np.inf])
-def test_points_off_the_upper_half_plane_are_rejected(eta):
-    # one check covers every batched point, not only the first
-    message = f"eta must be positive and finite, got {eta}"
-    for solve in (lambda: qve.stieltjes_batch(CONST8, [0.5 + 0.1j, complex(0.5, eta)]),
-                  lambda: qve.density_batch(CONST8, np.array([0.0, 0.5]), eta),
-                  lambda: qve.extract_density(CONST8, np.array([0.0, 0.5]), eta)):
-        with pytest.raises(InvalidSpec) as err:
-            solve()
-        assert str(err.value) == message
+_OFF_THE_HALF_PLANE = ([(0.5, eta, f"eta must be positive and finite, got {eta}")
+                        for eta in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf)]
+                       + [(x, 0.1, f"x must be finite, got {x}") for x in (np.nan, np.inf, -np.inf)])
+
+
+@pytest.mark.parametrize("x, eta, message", _OFF_THE_HALF_PLANE)
+def test_points_off_the_upper_half_plane_are_rejected(x, eta, message):
+    # one rule, errors.spectral_points, at every entry and for every point of a
+    # batch, not only the first, without numpy floating-point warnings
+    z, summary = complex(x, eta), spectra.SpectrumSummary(eigenvalues=np.array([-1.0, 1.0]))
+    entries = [lambda: qve.solve_qve(CONST8, z),
+               lambda: qve.stieltjes_batch(CONST8, [0.5 + 0.1j, z]),
+               lambda: qve.density_batch(CONST8, np.array([0.0, x]), eta),
+               lambda: qve.extract_density(CONST8, np.array([0.0, x]), eta),
+               lambda: spectra.stieltjes_empirical(summary, np.array([0.5 + 0.1j, z])),
+               lambda: spectra.schur_resolvent_check(np.eye(2), 0, z)]
+    # a bad point in the second column block of a profile solved in blocks, at one and two workers
+    zs = np.full(qve._BLOCK_COLUMNS + 10, 0.5 + 0.1j)
+    zs[qve._BLOCK_COLUMNS + 5] = z
+    wide = qve.VarianceProfile.constant(qve._BLOCK_MIN_DIM)
+    with ThreadPoolExecutor(max_workers=2) as pool, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in entries + [functools.partial(qve.stieltjes_batch, wide, zs, mapper) for mapper in (map, pool.map)]:
+            with pytest.raises(InvalidSpec) as err:
+                solve()
+            assert str(err.value) == message
 
 
 def test_outside_support_imaginary_part_vanishes():
-    sol = qve.solve_qve(CONST8, qve.SpectralPoint(3.0, 1e-6))
+    sol = qve.solve_qve(CONST8, complex(3.0, 1e-6))
     assert sol.m.imag <= 1e-4
     assert abs(sol.m - semicircle_stieltjes(complex(3.0, 1e-6))) < 1e-8
 
@@ -295,7 +314,7 @@ def test_outside_support_imaginary_part_vanishes():
 @pytest.mark.parametrize("eta", [1e-6, 1e-8])
 def test_support_edge_matches_semicircle(x, eta):
     # at the edge the stability operator degenerates: |m - m_sc| ~ residual / sqrt(eta)
-    sol = qve.solve_qve(CONST8, qve.SpectralPoint(x, eta))
+    sol = qve.solve_qve(CONST8, complex(x, eta))
     assert sol.residual <= 1e-10
     assert np.all(sol.g.imag > 0)
     assert abs(sol.m - semicircle_stieltjes(complex(x, eta))) <= 1e-10 / np.sqrt(eta)
@@ -669,17 +688,16 @@ def test_constant_profile_holds_one_n_by_n_array():
     assert profile.entries.shape == (n, n) and np.all(profile.entries == 1.0)
 
 
-def test_spectral_point_requires_upper_half_plane():
-    with pytest.raises(InvalidSpec):
-        qve.SpectralPoint(0.0, 0.0)
-    with pytest.raises(InvalidSpec):
-        qve.SpectralPoint(0.0, -1.0)
+def test_solve_qve_requires_the_upper_half_plane():
+    for z in (0j, -1j):
+        with pytest.raises(InvalidSpec, match="eta must be positive and finite"):
+            qve.solve_qve(CONST8, z)
 
 
 @pytest.mark.parametrize("options", [{"tol": float("nan")}, {"tol": -1e-12}])
 def test_solver_options_reject_invalid_values(options):
     with pytest.raises(InvalidSpec):
-        qve.solve_qve(CONST8, qve.SpectralPoint(0.0, 1.0), **options)
+        qve.solve_qve(CONST8, complex(0.0, 1.0), **options)
 
 
 def test_profile_json_round_trip(tmp_path):
@@ -718,7 +736,7 @@ def test_reduce_profile_recovers_blocks():
     red = qve.reduce_profile(full)
     assert isinstance(red, qve.BlockProfile)
     assert red.d == 3
-    point = qve.SpectralPoint(0.4, 0.2)
+    point = complex(0.4, 0.2)
     assert abs(qve.solve_qve(red, point).m - qve.solve_qve(block, point).m) < 1e-10
 
 
@@ -786,7 +804,7 @@ def test_reduce_profile_leaves_non_contiguous_blocks_alone():
     perm = np.array([0, 4, 1, 5, 2, 6, 3, 7])
     permuted = qve.VarianceProfile(n=8, entries=full.entries[np.ix_(perm, perm)])
     assert qve.reduce_profile(permuted) is permuted
-    point = qve.SpectralPoint(0.4, 0.2)
+    point = complex(0.4, 0.2)
     assert abs(qve.solve_qve(permuted, point).m - qve.solve_qve(block, point).m) < 1e-10
 
 

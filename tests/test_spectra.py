@@ -2,6 +2,7 @@ import dataclasses
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,7 +275,7 @@ def test_invalid_arguments_raise_typed_errors():
     with pytest.raises(OutOfRange):
         spectra.count_in_interval(t, 1.0, 0.0)
     with pytest.raises(InvalidSpec):
-        spectra.schur_resolvent_check(FLIP, 2, qve.SpectralPoint(0.0, 1.0))
+        spectra.schur_resolvent_check(FLIP, 2, complex(0.0, 1.0))
     with pytest.raises(InvalidSpec):
         spectra.TridiagonalForm(diag=np.zeros(3), offdiag=np.zeros(3))
     with pytest.raises(InvalidSpec):
@@ -500,19 +501,19 @@ def test_eigenvector_sup_norms_are_those_of_eigh():
 
 def test_stieltjes_two_eigenvalues():
     s = spectra.SpectrumSummary(eigenvalues=np.array([-1.0, 1.0]))
-    assert spectra.stieltjes_empirical(s, qve.SpectralPoint(0.0, 1.0)) == pytest.approx(0.5j)
+    assert spectra.stieltjes_empirical(s, complex(0.0, 1.0)) == pytest.approx(0.5j)
 
 
 def test_stieltjes_large_z_expansion():
     s = spectra.SpectrumSummary(eigenvalues=np.linspace(-2, 2, 11))
-    got = spectra.stieltjes_empirical(s, qve.SpectralPoint(0.0, 1e6))
+    got = spectra.stieltjes_empirical(s, complex(0.0, 1e6))
     assert abs(got - 1e-6j) < 1e-17
 
 
 def test_stieltjes_has_positive_imaginary_part():
     s = spectra.SpectrumSummary(eigenvalues=np.array([-0.5, 0.1, 2.0]))
     for x in (-1.0, 0.0, 3.0):
-        assert spectra.stieltjes_empirical(s, qve.SpectralPoint(x, 0.01)).imag > 0
+        assert spectra.stieltjes_empirical(s, complex(x, 0.01)).imag > 0
 
 
 def test_empirical_transform_approaches_prediction():
@@ -520,7 +521,7 @@ def test_empirical_transform_approaches_prediction():
         n=2000, profile=qve.VarianceProfile.constant(2000), law=ens.EntryLaw("rademacher"), seed=17
     )
     s = spectra.eigen_full(ens.normalized_sample(spec))
-    got = spectra.stieltjes_empirical(s, qve.SpectralPoint(0.0, 0.05))
+    got = spectra.stieltjes_empirical(s, complex(0.0, 0.05))
     assert abs(got - semicircle_stieltjes(0.05j)) < 0.05
 
 
@@ -530,27 +531,36 @@ def test_empirical_transform_approaches_prediction():
 
 def test_schur_on_diagonal_matrix():
     w = np.diag([0.3, -0.7, 1.1])
-    point = qve.SpectralPoint(0.2, 0.4)
+    point = complex(0.2, 0.4)
     for k in range(3):
         direct, schur = spectra.schur_resolvent_check(w, k, point)
-        assert direct == pytest.approx(1.0 / (w[k, k] - point.z))
+        assert direct == pytest.approx(1.0 / (w[k, k] - point))
         assert schur == pytest.approx(direct)
 
 
 def test_schur_one_by_one_has_no_minor():
-    point = qve.SpectralPoint(0.2, 0.4)
+    point = complex(0.2, 0.4)
     direct, schur = spectra.schur_resolvent_check(np.array([[0.3]]), 0, point)
-    assert direct == pytest.approx(1.0 / (0.3 - point.z), rel=1e-15)
-    assert schur == 1.0 / (0.3 - point.z)
+    assert direct == pytest.approx(1.0 / (0.3 - point), rel=1e-15)
+    assert schur == 1.0 / (0.3 - point)
 
 
 def test_schur_two_by_two_hand_value():
     w = FLIP / np.sqrt(2.0)
-    direct, schur = spectra.schur_resolvent_check(w, 0, qve.SpectralPoint(0.0, 1.0))
+    direct, schur = spectra.schur_resolvent_check(w, 0, complex(0.0, 1.0))
     # (W - iI)^{-1} diagonal entry: i/(0.5/(0-i) ... ) computed by 2x2 inverse
     inv = np.linalg.inv(w - 1j * np.eye(2))
     assert direct == pytest.approx(complex(inv[0, 0]))
     assert abs(direct - schur) < 1e-12
+
+
+@pytest.mark.parametrize("m", [np.array([[0.1, np.nan, 0.0], [np.nan, 0.2, 0.3], [0.0, 0.3, 0.4]]), np.full((3, 3), np.inf)],
+                         ids=["nan-coupling", "all-inf"])
+def test_schur_on_a_non_finite_matrix_raises(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="^matrix entries must be finite$"):
+            spectra.schur_resolvent_check(m, 0, 0.5j)
 
 
 def test_schur_random_matrices():
@@ -559,7 +569,7 @@ def test_schur_random_matrices():
     a = random_symmetric(50, seed=12) / np.sqrt(50)
     for _ in range(10):
         k = int(gen.integers(0, 50))
-        point = qve.SpectralPoint(float(gen.uniform(-2, 2)), float(gen.uniform(0.05, 1.0)))
+        point = complex(float(gen.uniform(-2, 2)), float(gen.uniform(0.05, 1.0)))
         direct, schur = spectra.schur_resolvent_check(a, k, point)
         worst = max(worst, abs(direct - schur))
     assert worst <= 1e-10

@@ -3,6 +3,7 @@ import builtins
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +254,7 @@ def test_equal_probability_sbm_reduces_to_constant_profile():
     sbm = ens.SbmSpec(d=2, sizes=(100, 100), probs=np.full((2, 2), 0.1), seed=0)
     block = ens.effective_profile(sbm)
     const = qve.reduce_profile(qve.VarianceProfile.constant(8))
-    pt = qve.SpectralPoint(0.3, 0.1)
+    pt = complex(0.3, 0.1)
     assert abs(qve.solve_qve(block, pt).m - qve.solve_qve(const, pt).m) < 1e-10
 
 
@@ -439,9 +440,39 @@ def test_stieltjes_batches_match_per_point_solves_at_any_worker_count():
         profile = verify.effective_profile(cfg.ensemble)
         assert len(reports[0].records) == len(etas) * num_intervals
         for rec in reports[0].records:
-            want = qve.solve_qve(profile, qve.SpectralPoint(rec.x, rec.eta)).m
+            want = qve.solve_qve(profile, complex(rec.x, rec.eta)).m
             assert abs(complex(*rec.predicted) - want) <= 1e-12 * abs(want)
     assert len(etas) * num_intervals > qve._BLOCK_COLUMNS and profile.dim >= qve._BLOCK_MIN_DIM
+
+
+def test_stieltjes_discrepancies_are_the_per_point_abs_bit_for_bit():
+    # the campaign compares all its trials and points as one array, with np.hypot;
+    # each entry must be abs() of that point's own gap, which np.abs is not always
+    cfg = dense_config(n=100, trials=3, num_intervals=3)
+    report = verify.verify_stieltjes_closeness(cfg, [0.4, 0.1, 0.2])
+    eigs = [np.linalg.eigvalsh(ens.normalized_sample(ens.with_seed(cfg.ensemble, cfg.base_seed + t)))
+            for t in range(cfg.trials)]
+    np_abs_differs = False
+    for rec in report.records:
+        z, m = complex(rec.x, rec.eta), complex(*rec.predicted)
+        gaps = [complex(np.mean(1.0 / (e - z))) - m for e in eigs]
+        assert rec.discrepancies == [abs(gap) for gap in gaps]
+        np_abs_differs |= np.abs(np.array(gaps)).tolist() != rec.discrepancies
+    assert np_abs_differs
+    assert [rec.eta for rec in report.records[:3]] == [0.1, 0.2, 0.4]
+    assert report.trial_sup == [max(rec.discrepancies[t] for rec in report.records) for t in range(cfg.trials)]
+
+
+@pytest.mark.parametrize("eta_grid", [None, [[0.1, 0.2]], ["0.1"], [0.1 + 0j], [True], 0.1, [[0.1], [0.2, 0.3]]],
+                         ids=["none", "2-d", "string", "complex", "boolean", "scalar", "ragged"])
+def test_stieltjes_eta_grid_must_be_a_vector_of_reals(monkeypatch, eta_grid):
+    predictions = []
+    monkeypatch.setattr(verify, "extract_density", lambda *args, **kwargs: predictions.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="eta grid must be"):
+            verify.verify_stieltjes_closeness(dense_config(n=100, trials=1), eta_grid)
+    assert predictions == []
 
 
 def test_stieltjes_report_round_trip(tmp_path):
