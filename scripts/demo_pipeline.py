@@ -6,6 +6,7 @@ so the file formats are easy to inspect.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -35,6 +36,10 @@ def main() -> int:
     wigner_path = work / "wigner.json"
     wigner.to_json(wigner_path)
 
+    sparse = dataclasses.replace(wigner, p=0.3)  # each entry kept with probability 0.3
+    sparse_path = work / "sparse.json"
+    sparse.to_json(sparse_path)
+
     sbm = ens.SbmSpec(
         d=2, sizes=(n // 2, n // 2), probs=np.array([[0.2, 0.05], [0.05, 0.2]]), seed=0
     )
@@ -60,7 +65,9 @@ def main() -> int:
         ["density", "--profile", str(profile_path), "--grid", "-3:3:301", "--out", str(work / "rho.csv")],
         ["qve-solve", "--profile", str(profile_path), "--x", "0.5", "--eta", "1e-6", "--out", str(work / "solution.json")],
         ["sample", "--ensemble", str(sbm_path), "--format", "mm", "--out", str(work / "adjacency.mtx")],
+        ["sample", "--ensemble", str(sparse_path), "--format", "bin", "--out", str(work / "sparse.bin")],
         ["spectrum", "--ensemble", str(wigner_path), "--vectors", "--out", str(work / "spectrum.csv")],
+        ["spectrum", "--ensemble", str(sparse_path), "--out", str(work / "sparse_spectrum.csv")],
         ["verify-local-law", "--config", str(campaign_path), "--out", str(work / "local_law_report.json")],
         ["verify-stieltjes", "--config", str(campaign_path), "--eta", "0.1,0.5", "--out", str(work / "stieltjes_report.json")],
         ["verify-deloc", "--config", str(campaign_path), "--out", str(work / "deloc_report.json")],
@@ -74,7 +81,8 @@ def main() -> int:
             print(f"stage failed with exit {code}", file=sys.stderr)
             return code
     # every JSON input and report re-reads into the record that wrote it, byte for byte
-    for kind, name in ((qve.Profile, "profile"), (ens.EnsembleSpec, "wigner"), (ens.EnsembleSpec, "sbm"),
+    for kind, name in ((qve.Profile, "profile"), (ens.EnsembleSpec, "wigner"), (ens.EnsembleSpec, "sparse"),
+                       (ens.EnsembleSpec, "sbm"),
                        (verify.LocalLawConfig, "local_law"), (verify.ProjectionTestSpec, "projection"),
                        (verify.LocalLawReport, "local_law_report"), (verify.StieltjesReport, "stieltjes_report"),
                        (verify.DelocReport, "deloc_report"), (verify.ProjectionReport, "projection_report"),

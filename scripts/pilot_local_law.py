@@ -24,9 +24,10 @@ from speclaw import ensembles as ens
 from speclaw import qve, verify
 
 
-def dense_spec(n: int) -> ens.WignerSpec:
+def dense_spec(n: int, p: float = 1.0) -> ens.WignerSpec:
+    """The constant-profile Rademacher ensemble, each entry kept with probability p."""
     return ens.WignerSpec(
-        n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0
+        n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0, p=p
     )
 
 
@@ -73,7 +74,7 @@ def main() -> int:
     length = 0.2 / 0.1
     results["sparse"] = {}
     for p in (0.1, 0.05, 0.02):
-        sparse = ens.SparseSpec(base=dense_spec(n), p=p)
+        sparse = dense_spec(n, p)
         cfg = verify.LocalLawConfig(
             ensemble=sparse,
             eps=0.1,
@@ -115,7 +116,7 @@ def main() -> int:
     sizes = (250, 500) if args.quick else (1000, 2000)
     for label, make in (
         ("dense", lambda m: dense_spec(m)),
-        ("sparse", lambda m: ens.SparseSpec(base=dense_spec(m), p=0.1)),
+        ("sparse", lambda m: dense_spec(m, 0.1)),
     ):
         for m in sizes:
             cfg = verify.LocalLawConfig(

@@ -1,18 +1,19 @@
 """Seedable samplers for random symmetric matrices with variance profiles.
 
-Three ensembles: dense Wigner-type matrices (independent bounded entries,
-entry (i,j) scaled to variance s_ij), their Bernoulli sparsifications, and
-stochastic-block-model adjacency matrices.  All entries derive from the
-counter-based streams in `rng`, so a spec plus a seed pins the matrix bit
-for bit.  A dense spec keeps its profile in canonical form, the exact block
-form when there is one (`qve.reduce_profile`), and samples entry (i,j) with
-variance coeffs[labels[i], labels[j]].  `sample` draws the raw matrix once,
-by strips of rows into one n x n buffer.  `normalized_sample`, the matrix
-the predictions address, is that sample scaled by 1/sqrt(n p) in place, or
-for block models centered and scaled in place by `center_and_scale_sbm`.
+Two ensembles, as in the paper: sparse Wigner-type matrices (independent
+bounded entries, entry (i,j) scaled to variance s_ij and kept with
+probability p, the dense case being p = 1), and stochastic-block-model
+adjacency matrices.  All entries derive from the counter-based streams in
+`rng`, so a spec plus a seed pins the matrix bit for bit.  A Wigner-type spec
+keeps its profile in canonical form, the exact block form when there is one
+(`qve.reduce_profile`), and samples entry (i,j) with variance
+coeffs[labels[i], labels[j]].  `sample` draws the raw matrix once, by strips
+of rows into one n x n buffer.  `normalized_sample`, the matrix the
+predictions address, is that sample scaled by 1/sqrt(n p) in place, or for
+block models centered and scaled in place by `center_and_scale_sbm`.
 
-Specs are JSON records (`errors.record`) tagged by "kind": "wigner",
-"sparse" or "sbm"; `read_json(EnsembleSpec, path)` reads any of them.
+Specs are JSON records (`errors.record`) tagged by "kind": "wigner" or
+"sbm"; `read_json(EnsembleSpec, path)` reads either.
 """
 
 from __future__ import annotations
@@ -78,35 +79,28 @@ class EntryLaw:
 @record("wigner")
 @dataclass(frozen=True)
 class WignerSpec:
-    """Dense ensemble; `profile` is stored as reduce_profile of the one given."""
+    """Wigner-type ensemble, each entry kept with probability p (1 is dense);
+    `profile` is stored as reduce_profile of the one given."""
 
     n: int
     profile: Profile
     law: EntryLaw
     seed: int
+    p: float = 1.0
 
     def __post_init__(self):
+        if not (0.0 < self.p <= 1.0):
+            raise InvalidSpec(f"keep probability must lie in (0, 1], got p={self.p}")
         if self.n >= 2**32:
             raise InvalidSpec(f"n={self.n} must be below 2**32: pair counters hold 32-bit indices")
         if not isinstance(self.profile, (VarianceProfile, BlockProfile)):
-            raise InvalidSpec("dense ensembles need a variance profile")
+            raise InvalidSpec("Wigner-type ensembles need a variance profile")
         if isinstance(self.profile, VarianceProfile) and self.profile.n != self.n:
             raise InvalidSpec(f"profile is {self.profile.n}x{self.profile.n} but n={self.n}")
         profile = reduce_profile(self.profile)
         if isinstance(profile, BlockProfile):
             block_labels(profile, self.n)  # every class gets at least one row
         object.__setattr__(self, "profile", profile)
-
-
-@record("sparse")
-@dataclass(frozen=True)
-class SparseSpec:
-    base: WignerSpec
-    p: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise InvalidSpec(f"keep probability must lie in (0, 1], got p={self.p}")
 
 
 @record("sbm")
@@ -151,17 +145,18 @@ class SbmSpec:
 
     @property
     def sigma_squared(self) -> float:
-        """p(1-p) at p = max p_kl, the largest noise scale of the block model."""
-        p = self.p_max
-        if p == 0.0:  # probabilities lie in [0, 1), so sigma vanishes only here
+        """max_kl p_kl(1 - p_kl), the largest block variance: p_max(1 - p_max) while
+        p_max <= 1/2, but a block nearer 1/2 has the larger one above that."""
+        sigma2 = float((self.probs * (1.0 - self.probs)).max())
+        if sigma2 == 0.0:  # probabilities lie in [0, 1), so sigma vanishes only when all are 0
             raise DegenerateVariance("all block probabilities are 0 or 1; sigma vanishes")
-        return p * (1.0 - p)
+        return sigma2
 
     def block_labels(self) -> np.ndarray:
         return np.repeat(np.arange(self.d), self.sizes)
 
 
-EnsembleSpec = WignerSpec | SparseSpec | SbmSpec
+EnsembleSpec = WignerSpec | SbmSpec
 
 
 def fill_symmetric(n: int, entries) -> np.ndarray:
@@ -184,14 +179,13 @@ def fill_symmetric(n: int, entries) -> np.ndarray:
 def sample(spec: EnsembleSpec) -> np.ndarray:
     """The raw symmetric sample of any ensemble, one draw of its upper triangle.
 
-    Dense entry (i,j) has mean 0 and variance s_ij = coeffs[labels[i], labels[j]]
-    (a full profile is n classes of one row).  Sparse entries multiply those
-    values by a Bernoulli(p) mask from an independent stream on the same
-    counters, so kept entries equal the dense ones bit for bit.  Block models
-    draw {0,1} edges with probability p_kl and a zero diagonal.  Profiles and
-    edge probabilities are exactly symmetric, so strips gather them by (row, column).
+    Wigner-type entry (i,j) has mean 0 and variance s_ij = coeffs[labels[i], labels[j]]
+    (a full profile is n classes of one row).  At p < 1 those values are multiplied
+    by a Bernoulli(p) mask from an independent stream on the same counters, so kept
+    entries equal the dense ones bit for bit; at p = 1 the mask stream is not drawn.
+    Block models draw {0,1} edges with probability p_kl and a zero diagonal.  Profiles
+    and edge probabilities are exactly symmetric, so strips gather them by (row, column).
     """
-    base = spec.base if isinstance(spec, SparseSpec) else spec
     if isinstance(spec, SbmSpec):
         labels, edges = spec.block_labels(), rng.stream_key(spec.seed, rng.TAG_EDGES)
 
@@ -200,18 +194,18 @@ def sample(spec: EnsembleSpec) -> np.ndarray:
             return (rng.uniforms(edges, counters) < p_edge).astype(np.float64)
 
         return fill_symmetric(spec.n, entries)
-    if isinstance(base.profile, VarianceProfile):
-        labels, coeffs = np.arange(base.n), base.profile.entries
+    if isinstance(spec.profile, VarianceProfile):
+        labels, coeffs = np.arange(spec.n), spec.profile.entries
     else:
-        labels, coeffs = block_labels(base.profile, base.n), base.profile.coeffs
-    values, mask = rng.stream_key(base.seed, rng.TAG_VALUES), rng.stream_key(base.seed, rng.TAG_MASK)
+        labels, coeffs = block_labels(spec.profile, spec.n), spec.profile.coeffs
+    values, mask = rng.stream_key(spec.seed, rng.TAG_VALUES), rng.stream_key(spec.seed, rng.TAG_MASK)
 
     def entries(rows, cols, counters):
         # sqrt rounds correctly, so the root of a gathered coefficient is the gathered root
-        vals = base.law.sample(values, counters) * np.sqrt(coeffs[labels[rows]][:, labels[cols]])
-        return vals * (rng.uniforms(mask, counters) < spec.p) if isinstance(spec, SparseSpec) else vals
+        vals = spec.law.sample(values, counters) * np.sqrt(coeffs[labels[rows]][:, labels[cols]])
+        return vals * (rng.uniforms(mask, counters) < spec.p) if spec.p < 1.0 else vals
 
-    return fill_symmetric(base.n, entries)
+    return fill_symmetric(spec.n, entries)
 
 
 # per-kind aliases of `sample`, kept only because perfbench's tracer patches these names
@@ -235,7 +229,7 @@ def center_and_scale_sbm(adj, spec: SbmSpec) -> np.ndarray:
 
     E A~ carries p_kl on every entry of block (k,l), diagonal included; class k's rows
     subtract the length-n row p_{k, labels}, so the mean is never expanded to n x n.
-    sigma = sqrt(p(1-p)), p = max p_kl, is the largest noise scale.
+    sigma^2 = `SbmSpec.sigma_squared`, the largest block variance.
     """
     if np.shape(adj) != (spec.n, spec.n):
         raise InvalidSpec(f"adjacency has shape {np.shape(adj)} but spec has n={spec.n}")
@@ -249,32 +243,23 @@ def center_and_scale_sbm(adj, spec: SbmSpec) -> np.ndarray:
 def effective_profile(spec: EnsembleSpec) -> Profile:
     """The profile whose predicted density matches the normalized ensemble.
 
-    Dense and sparse ensembles keep their stored, already reduced profile
-    (the 1/sqrt(np) rescaling undoes the mask's variance thinning); block
-    models reduce to class weights alpha_i = N_i/n and coefficients
-    c_kl = sigma_kl^2/sigma^2.
+    Wigner-type ensembles keep their stored, already reduced profile (the
+    1/sqrt(np) rescaling undoes the mask's variance thinning); block models
+    reduce to class weights alpha_i = N_i/n and coefficients
+    c_kl = sigma_kl^2/sigma^2, at most 1 since sigma^2 is the largest sigma_kl^2.
     """
     if isinstance(spec, WignerSpec):
         return spec.profile
-    if isinstance(spec, SparseSpec):
-        return spec.base.profile
-    sigma2 = spec.sigma_squared
-    sigma2_blocks = spec.probs * (1.0 - spec.probs)
-    coeffs = sigma2_blocks / sigma2
+    coeffs = spec.probs * (1.0 - spec.probs) / spec.sigma_squared
     if coeffs.min() <= 0.0:
         raise InvalidProfile("some block has zero variance (p_kl in {0,1}); no valid block profile")
-    if coeffs.max() > 1.0 + 1e-12:
-        raise InvalidProfile("sigma_kl^2 exceeds sigma^2; block coefficients leave (0, 1]")
-    coeffs = np.minimum(coeffs, 1.0)
     return BlockProfile(d=spec.d, weights=np.divide(spec.sizes, spec.n), coeffs=coeffs)
 
 
 def ensemble_parameters(spec: EnsembleSpec) -> tuple[int, float, float]:
     """(n, K, p_eff) for interval-length and delocalization normalizations."""
     if isinstance(spec, WignerSpec):
-        return spec.n, spec.law.bound, 1.0
-    if isinstance(spec, SparseSpec):
-        return spec.base.n, spec.base.law.bound, spec.p
+        return spec.n, spec.law.bound, spec.p
     return spec.n, 1.0, spec.p_max
 
 
@@ -285,10 +270,7 @@ def with_seed(spec: EnsembleSpec, seed: int) -> EnsembleSpec:
     (its profile reduced), so the copy does not re-run __post_init__.
     """
     out = copy.copy(spec)
-    if isinstance(spec, SparseSpec):
-        object.__setattr__(out, "base", with_seed(spec.base, seed))
-    else:
-        object.__setattr__(out, "seed", seed)
+    object.__setattr__(out, "seed", seed)
     return out
 
 

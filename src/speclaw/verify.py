@@ -30,7 +30,6 @@ import numpy as np
 from . import rng
 from .ensembles import (
     EnsembleSpec,
-    SparseSpec,
     WignerSpec,
     effective_profile,
     ensemble_parameters,
@@ -42,9 +41,11 @@ from .errors import AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read
 from .qve import (DEFAULT_ETA, BulkInterval, DensityCurve, VarianceProfile, complex_points, default_grid, detect_bulk,
                   extract_density, integrate_density, stieltjes_batch)
 from .spectra import (
+    bulk_indices,
     bundled_openblas,
     eigen_full,
     eigenvalue_counts_below,
+    eigvec_inf_norms,
     normalized_deloc_ratios,
     stieltjes_empirical,
     tridiagonalize,
@@ -63,9 +64,9 @@ class LocalLawConfig:
     """One eigenvalue-counting campaign over a seeded ensemble.
 
     Intervals have length interval_len_factor * K^2 log(n)/(n p_eff) with
-    p_eff = 1 dense, the keep probability for sparse ensembles, and max p_kl
-    for block models.  delta is the deviation tolerance a trial must meet on
-    every interval to pass.
+    p_eff the keep probability p of a Wigner-type ensemble (1 when dense) and
+    max p_kl for block models.  delta is the deviation tolerance a trial must
+    meet on every interval to pass.
     """
 
     ensemble: EnsembleSpec
@@ -126,7 +127,7 @@ def _report_config(cfg: LocalLawConfig, curve: DensityCurve) -> dict:
     def encode(value):
         if isinstance(value, VarianceProfile):
             return {"n": value.n, "fingerprint": curve.profile_hash}
-        if isinstance(value, (LocalLawConfig, WignerSpec, SparseSpec)):
+        if isinstance(value, (LocalLawConfig, WignerSpec)):
             head = {} if value.tag is None else {"kind": value.tag}
             return head | {f.name: encode(getattr(value, f.name)) for f in fields(value)}
         return value.to_dict() if hasattr(value, "to_dict") else value
@@ -356,8 +357,8 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
 
     config, bulks, summaries = _campaign(cfg, threads, lambda curve, bulks, widest, mapper: bulks,
                                          lambda matrix: eigen_full(matrix, want_vectors=True))
-    results = [normalized_deloc_ratios(summary, bulks, n, k_bound, p_eff) for summary in summaries]
-    norms = [ratios * k_bound * math.sqrt(math.log(n)) / math.sqrt(n * p_eff) for ratios in results]
+    norms = [eigvec_inf_norms(summary)[bulk_indices(summary, bulks)] for summary in summaries]
+    results = [normalized_deloc_ratios(m, n, k_bound, p_eff) for m in norms]
     records = [DelocTrialRecord(trial=i, bulk_count=r.size, max_inf_norm=float(m.max(initial=0.0)),
                                 max_ratio=float(r.max(initial=0.0))) for i, (r, m) in enumerate(zip(results, norms))]
     pooled = np.concatenate(results)

@@ -337,7 +337,7 @@ _PROJECTION = {"n": 4, "sigma": [1.0] * 4, "subspace_dim": 2, "weights": [1.0, 1
     ("test-projection", {**_PROJECTION, "sigma": ["1", "1", "1", "1"]}),
     ("sample", []),
     ("sample", {**_WIGNER, "law": "rademacher"}),
-    ("sample", {"kind": "sparse", "base": _WIGNER, "p": None}),
+    ("sample", {**_WIGNER, "p": None}),
     ("sample", {**_WIGNER, "n": 20.0}),
     ("sample", {**_WIGNER, "profile": {"d": 1, "weights": [1.0], "coeffs": [["1.0"]]}}),
     ("sample", {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5], 0.5], "seed": 0}),
@@ -349,7 +349,7 @@ _PROJECTION = {"n": 4, "sigma": [1.0] * 4, "subspace_dim": 2, "weights": [1.0, 1
     ("test-projection", {**_PROJECTION, "t_grid": [1.0, float("inf")]}),
     ("sample", {**_WIGNER, "profile": {"n": 20, "entries": [[1.0] * 20] * 20, **_WIGNER["profile"]}}),
     ("sample", {k: v for k, v in _WIGNER.items() if k != "kind"}),
-    ("sample", {"kind": "sparse", "base": _SBM, "p": 0.5}),
+    ("sample", {**_SBM, "p": 0.5}),  # a block model has no keep probability
     ("sample", {**_SBM, "sizes": [True]}),
 ])
 def test_malformed_json_exits_one_with_an_error_record(tmp_path, capsys, command, payload):
@@ -397,7 +397,7 @@ def _main_in_process(argv: list[str], out: Path) -> None:
 
 @st.composite
 def tiny_campaigns(draw):
-    """A campaign config of a wigner, sparse or SBM ensemble with n in 2..12, as JSON."""
+    """A campaign config of a dense or sparse wigner, or an SBM, ensemble with n in 2..12, as JSON."""
     n = draw(st.integers(2, 12))
     seed = draw(st.integers(0, 2**16))
     unit = st.floats(0.01, 1.0)
@@ -408,7 +408,7 @@ def tiny_campaigns(draw):
     if kind == "wigner":
         ensemble = wigner
     elif kind == "sparse":
-        ensemble = {"kind": "sparse", "base": wigner, "p": draw(unit)}
+        ensemble = {**wigner, "p": draw(unit)}
     else:
         first = draw(st.integers(1, n - 1))
         cross = draw(unit)
@@ -442,6 +442,32 @@ def test_fuzzed_qve_solve_at_extreme_points_exits_cleanly(x, eta, block):
         path, out = Path(tmp) / "profile.json", Path(tmp) / "solution.json"
         profile.to_json(path)
         _main_in_process(["qve-solve", "--profile", str(path), f"--x={x!r}", f"--eta={eta!r}", "--out", str(out)], out)
+
+
+@pytest.mark.parametrize("command", ["sample", "verify-local-law"])
+def test_old_sparse_record_exits_one_with_one_error_record(tmp_path, capsys, command):
+    # sparsity is the wigner spec's keep probability; the former "sparse" kind that nested one is not read
+    sparse = {"kind": "sparse", "base": _WIGNER, "p": 0.5}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(sparse if command == "sample" else {**_CAMPAIGN, "ensemble": sparse}))
+    flag = "--ensemble" if command == "sample" else "--config"
+    assert cli.main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    where = str(path) if command == "sample" else "LocalLawConfig.ensemble"
+    assert _strict_json(lines[0]) == {"error": "config", "message": f"{where} is none of WignerSpec, SbmSpec"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("p", [0, -0.1, 1.5, float("nan")])
+def test_keep_probability_outside_the_unit_interval_exits_one(tmp_path, capsys, p):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**_WIGNER, "p": p}))  # nan is written as NaN, which the reader takes
+    assert cli.main(["sample", "--ensemble", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert _strict_json(lines[0])["message"] == f"keep probability must lie in (0, 1], got p={float(p)}"
 
 
 def test_deloc_campaign_with_an_empty_bulk_exits_one(tmp_path, capsys):

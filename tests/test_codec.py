@@ -51,12 +51,8 @@ def wigner_specs(draw):
     profile = draw(variance_profiles() | block_profiles())
     # block weights are at least 1/20, so 20 rows give every class one
     n = profile.n if isinstance(profile, qve.VarianceProfile) else 20
-    return ens.WignerSpec(n=n, profile=profile, law=draw(entry_laws()), seed=draw(seeds))
-
-
-@st.composite
-def sparse_specs(draw):
-    return ens.SparseSpec(base=draw(wigner_specs()), p=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+    p = draw(st.just(1.0) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return ens.WignerSpec(n=n, profile=profile, law=draw(entry_laws()), seed=draw(seeds), p=p)
 
 
 @st.composite
@@ -67,7 +63,7 @@ def sbm_specs(draw):
         return ens.SbmSpec(d=len(sizes), sizes=sizes, probs=_symmetric(draw(seeds), len(sizes), 0.0, 0.95), seed=draw(seeds))
 
 
-ensemble_specs = wigner_specs() | sparse_specs() | sbm_specs()
+ensemble_specs = wigner_specs() | sbm_specs()
 
 
 @st.composite
@@ -164,7 +160,6 @@ RECORDS = {
     "BlockProfile": (qve.Profile, block_profiles()),
     "EntryLaw": (ens.EntryLaw, entry_laws()),
     "WignerSpec": (ens.EnsembleSpec, wigner_specs()),
-    "SparseSpec": (ens.EnsembleSpec, sparse_specs()),
     "SbmSpec": (ens.EnsembleSpec, sbm_specs()),
     "LocalLawConfig": (verify.LocalLawConfig, local_law_configs()),
     "IntervalRecord": (verify.IntervalRecord, interval_records()),
@@ -236,7 +231,7 @@ _BLOCK_WIGNER = {"kind": "wigner", "profile": {"d": 1, "weights": [1.0], "coeffs
 @pytest.mark.parametrize("kind, data", [
     (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32 + 1}),
     (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32}),
-    (ens.SparseSpec, {"kind": "sparse", "base": {**_BLOCK_WIGNER, "n": 2**32}, "p": 0.5}),
+    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32, "p": 0.5}),
     (ens.SbmSpec, {"kind": "sbm", "d": 2, "sizes": [2**31, 2**31], "probs": [[0.5, 0.1], [0.1, 0.5]], "seed": 0}),
 ], ids=["wigner-2**32+1", "wigner-2**32", "sparse-2**32", "sbm-sum-2**32"])
 def test_n_past_the_pair_counter_range_is_invalid(kind, data):

@@ -15,12 +15,13 @@ from speclaw import qve, rng
 from speclaw.errors import DegenerateVariance, InvalidProfile, InvalidSpec, read_json
 
 
-def wigner_spec(n, seed=0, law=None, profile=None):
+def wigner_spec(n, seed=0, law=None, profile=None, p=1.0):
     return ens.WignerSpec(
         n=n,
         profile=profile or qve.VarianceProfile.constant(n),
         law=law or ens.EntryLaw("rademacher"),
         seed=seed,
+        p=p,
     )
 
 
@@ -150,13 +151,13 @@ def test_block_and_expanded_profiles_sample_identically(kind, seed, d):
     for profile, entries in ((block, full), (full, full), (permuted, permuted), (irreducible, irreducible)):
         spec = wigner_spec(n, seed, law, profile)
         assert np.array_equal(ens.sample(spec), sample_as_before(entries.entries, law, seed))
-    sparse = [ens.sample(ens.SparseSpec(base=wigner_spec(n, seed, law, prof), p=0.3)) for prof in (block, full)]
+    sparse = [ens.sample(wigner_spec(n, seed, law, prof, p=0.3)) for prof in (block, full)]
     assert np.array_equal(sparse[0], sparse[1])
 
 
 @st.composite
 def ensemble_specs(draw):
-    """Dense (block, full or irreducible profile), sparse and block-model specs."""
+    """Wigner-type (block, full or irreducible profile; dense or sparse) and block-model specs."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     gen = np.random.default_rng(seed)
     kind = draw(st.sampled_from(["block", "full", "irreducible", "sbm"]))
@@ -174,9 +175,8 @@ def ensemble_specs(draw):
                "irreducible": random_profile(n, seed=seed % 1000)}[kind]
     law = draw(st.sampled_from(ens.LAW_KINDS))
     bound = draw(st.floats(min_value=1.0, max_value=4.0)) if law == "scaled_bernoulli_centered" else None
-    spec = wigner_spec(n, seed, ens.EntryLaw(law, bound), profile)
-    p = draw(st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
-    return spec if p is None else ens.SparseSpec(base=spec, p=p)
+    p = draw(st.just(1.0) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return wigner_spec(n, seed, ens.EntryLaw(law, bound), profile, p)
 
 
 @given(spec=ensemble_specs())
@@ -198,9 +198,8 @@ def test_normalized_sample_equals_the_composed_raw_path(spec):
 
 def normalized_as_before(spec):
     """The normalized matrix built the earlier way: the upper triangle's raw
-    entries scaled (dense, sparse) or centered (block models), then filled."""
-    base = spec.base if isinstance(spec, ens.SparseSpec) else spec
-    n = base.n
+    entries scaled (Wigner-type, masked at every p) or centered (block models), then filled."""
+    n = spec.n
     iu, ju = np.triu_indices(n)
     counters = rng.pair_counters(iu, ju)
     if isinstance(spec, ens.SbmSpec):
@@ -210,15 +209,14 @@ def normalized_as_before(spec):
         vals[iu == ju] = 0.0
         vals = (vals - p_edge) / (math.sqrt(n) * math.sqrt(spec.sigma_squared))
     else:
-        if isinstance(base.profile, qve.VarianceProfile):
-            labels, coeffs = np.arange(n), base.profile.entries
+        if isinstance(spec.profile, qve.VarianceProfile):
+            labels, coeffs = np.arange(n), spec.profile.entries
         else:
-            labels, coeffs = qve.block_labels(base.profile, n), base.profile.coeffs
-        vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
+            labels, coeffs = qve.block_labels(spec.profile, n), spec.profile.coeffs
+        vals = spec.law.sample(rng.stream_key(spec.seed, rng.TAG_VALUES), counters)
         vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
-        if isinstance(spec, ens.SparseSpec):
-            vals = vals * (rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p)
-        vals = vals * (1.0 / math.sqrt(n * ens.ensemble_parameters(spec)[2]))
+        vals = vals * (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_MASK), counters) < spec.p)
+        vals = vals * (1.0 / math.sqrt(n * spec.p))
     out = np.zeros((n, n))
     out[iu, ju] = vals
     out[ju, iu] = vals
@@ -289,9 +287,9 @@ def test_sbm_normalized_sample_is_centered_in_its_one_buffer(d):
 
 def sample_as_parent(spec):
     """The raw sample as the upper-triangle path drew it: every counter of the
-    triangle at once, the values scattered into the matrix and its transpose."""
-    base = spec.base if isinstance(spec, ens.SparseSpec) else spec
-    n = base.n
+    triangle at once, the values scattered into the matrix and its transpose;
+    Wigner-type values pass the mask at every p."""
+    n = spec.n
     iu, ju = np.triu_indices(n)
     counters = rng.pair_counters(iu, ju)
     if isinstance(spec, ens.SbmSpec):
@@ -299,14 +297,13 @@ def sample_as_parent(spec):
         p_edge = spec.probs[labels[iu], labels[ju]] * (iu != ju)
         vals = (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_EDGES), counters) < p_edge).astype(np.float64)
     else:
-        if isinstance(base.profile, qve.VarianceProfile):
-            labels, coeffs = np.arange(n), base.profile.entries
+        if isinstance(spec.profile, qve.VarianceProfile):
+            labels, coeffs = np.arange(n), spec.profile.entries
         else:
-            labels, coeffs = qve.block_labels(base.profile, n), base.profile.coeffs
-        vals = base.law.sample(rng.stream_key(base.seed, rng.TAG_VALUES), counters)
+            labels, coeffs = qve.block_labels(spec.profile, n), spec.profile.coeffs
+        vals = spec.law.sample(rng.stream_key(spec.seed, rng.TAG_VALUES), counters)
         vals = vals * np.sqrt(coeffs)[labels[iu], labels[ju]]
-        if isinstance(spec, ens.SparseSpec):
-            vals = vals * (rng.uniforms(rng.stream_key(base.seed, rng.TAG_MASK), counters) < spec.p)
+        vals = vals * (rng.uniforms(rng.stream_key(spec.seed, rng.TAG_MASK), counters) < spec.p)
     out = np.zeros((n, n))
     out[iu, ju] = vals
     out[ju, iu] = vals
@@ -331,7 +328,7 @@ def strip_specs(n):
     probs = np.array([[0.2]]) if n == 1 else np.array([[0.2, 0.05], [0.05, 0.1]])
     return {
         "irreducible": wigner_spec(n, seed=n, law=ens.EntryLaw("uniform_bounded"), profile=random_profile(n, seed=n)),
-        "sparse-block": ens.SparseSpec(base=wigner_spec(n, seed=n + 1, profile=None if n < 2 else two), p=0.2),
+        "sparse-block": wigner_spec(n, seed=n + 1, profile=None if n < 2 else two, p=0.2),
         "sbm": ens.SbmSpec(d=len(sizes), sizes=sizes, probs=probs, seed=n + 2),
     }
 
@@ -370,24 +367,26 @@ def test_dense_normalized_sample_allocates_little_beyond_its_result():
 
 @pytest.mark.parametrize("spec", [
     wigner_spec(30, seed=1, profile=random_profile(30, seed=2)),
-    ens.SparseSpec(base=wigner_spec(30, seed=1), p=0.3),
+    wigner_spec(30, seed=1, p=0.3),
     ens.SbmSpec(d=2, sizes=(10, 20), probs=np.array([[0.5, 0.1], [0.1, 0.3]]), seed=1),
-    ens.SparseSpec(base=wigner_spec(ONE_STRIP + 40, seed=1), p=0.3),
+    wigner_spec(ONE_STRIP + 40, seed=1, p=0.3),
 ], ids=["wigner", "sparse", "sbm", "sparse-two-strips"])
 def test_trial_matrix_is_one_draw(monkeypatch, spec):
     # each stream of the spec hashes every counter of the upper triangle, and
-    # only those, and a normalized sample draws the raw sample once
+    # only those, and a normalized sample draws the raw sample once; a dense
+    # spec (p = 1) never hashes the mask stream
     hashed, draws = {}, []
     hash_u64, sample = rng.hash_u64, ens.sample
     monkeypatch.setattr(rng, "hash_u64", lambda key, c: hashed.setdefault(int(key), []).append(np.ravel(c)) or
                         hash_u64(key, c))
     monkeypatch.setattr(ens, "sample", lambda s: draws.append(s) or sample(s))
     ens.normalized_sample(spec)
-    base = spec.base if isinstance(spec, ens.SparseSpec) else spec
-    tags = {ens.WignerSpec: [rng.TAG_VALUES], ens.SparseSpec: [rng.TAG_VALUES, rng.TAG_MASK],
-            ens.SbmSpec: [rng.TAG_EDGES]}[type(spec)]
-    assert sorted(hashed) == sorted(int(rng.stream_key(base.seed, tag)) for tag in tags)
-    iu, ju = np.triu_indices(base.n)
+    if isinstance(spec, ens.SbmSpec):
+        tags = [rng.TAG_EDGES]
+    else:
+        tags = [rng.TAG_VALUES] if spec.p == 1.0 else [rng.TAG_VALUES, rng.TAG_MASK]
+    assert sorted(hashed) == sorted(int(rng.stream_key(spec.seed, tag)) for tag in tags)
+    iu, ju = np.triu_indices(spec.n)
     upper = np.sort(rng.pair_counters(iu, ju))
     for counters in hashed.values():
         assert np.array_equal(np.unique(np.concatenate(counters)), upper)
@@ -395,7 +394,7 @@ def test_trial_matrix_is_one_draw(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("spec", [
-    ens.SparseSpec(base=wigner_spec(200, seed=2), p=0.3),
+    wigner_spec(200, seed=2, p=0.3),
     ens.SbmSpec(d=2, sizes=(80, 120), probs=np.array([[0.5, 0.1], [0.1, 0.3]]), seed=2),
 ], ids=["sparse", "sbm"])
 def test_strips_hash_little_more_than_the_upper_triangle(monkeypatch, spec):
@@ -410,7 +409,7 @@ def test_strips_hash_little_more_than_the_upper_triangle(monkeypatch, spec):
 
     monkeypatch.setattr(rng, "hash_u64", counting_hash)
     ens.sample(spec)
-    assert len(hashed) == (2 if isinstance(spec, ens.SparseSpec) else 1)
+    assert len(hashed) == (1 if isinstance(spec, ens.SbmSpec) else 2)
     assert max(hashed.values()) <= 1.31 * 200 * 201 / 2
 
 
@@ -418,35 +417,38 @@ def test_strips_hash_little_more_than_the_upper_triangle(monkeypatch, spec):
 # sparse sampling
 
 
-def test_p_one_mask_is_identity():
-    base = wigner_spec(50, seed=3)
-    dense = ens.sample_wigner(base)
-    sparse = ens.sample_sparse(ens.SparseSpec(base=base, p=1.0))
-    assert np.array_equal(dense, sparse)
+def test_p_one_mask_is_identity(monkeypatch):
+    # a p = 1 sample never hashes the mask stream, and has the bytes of the oracle, which masks at every p
+    spec = wigner_spec(50, seed=3, law=ens.EntryLaw("uniform_bounded"), profile=random_profile(50, seed=4), p=1.0)
+    keys, hash_u64 = set(), rng.hash_u64
+    monkeypatch.setattr(rng, "hash_u64", lambda key, c: keys.add(int(key)) or hash_u64(key, c))
+    m = ens.sample(spec)
+    assert keys == {int(rng.stream_key(spec.seed, rng.TAG_VALUES))}
+    assert m.tobytes() == sample_as_parent(spec).tobytes()
 
 
 def test_sparse_keep_fraction():
-    base = wigner_spec(1000, seed=5)
-    m = ens.sample_sparse(ens.SparseSpec(base=base, p=0.05))
+    spec = wigner_spec(1000, seed=5, p=0.05)
+    m = ens.sample_sparse(spec)
     iu, ju = np.triu_indices(1000, k=1)
     frac = np.count_nonzero(m[iu, ju]) / iu.size
     assert frac == pytest.approx(0.05, abs=0.01)
-    n, _, p_eff = ens.ensemble_parameters(ens.SparseSpec(base=base, p=0.05))
+    n, _, p_eff = ens.ensemble_parameters(spec)
     assert 1.0 / math.sqrt(n * p_eff) == pytest.approx(1.0 / math.sqrt(1000 * 0.05))
 
 
 def test_sparse_mask_independent_of_values():
-    base = wigner_spec(300, seed=9)
-    m = ens.sample_sparse(ens.SparseSpec(base=base, p=0.5))
+    m = ens.sample_sparse(wigner_spec(300, seed=9, p=0.5))
     kept = m[np.triu_indices(300, k=1)]
     kept = kept[kept != 0.0]
     # kept entries are +-1 in balanced proportion; dependence would skew them
     assert abs(kept.mean()) < 5.0 / math.sqrt(kept.size)
 
 
-def test_p_zero_rejected():
-    with pytest.raises(InvalidSpec):
-        ens.SparseSpec(base=wigner_spec(10), p=0.0)
+@pytest.mark.parametrize("p", [0.0, -0.1, 1.5, math.nan])
+def test_p_outside_the_unit_interval_rejected(p):
+    with pytest.raises(InvalidSpec, match=r"keep probability must lie in \(0, 1\]"):
+        wigner_spec(10, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +530,30 @@ def test_effective_profile_coefficients():
     assert block.coeffs[0, 1] == pytest.approx(0.02 * 0.98 / 0.09)
 
 
+@pytest.mark.parametrize("probs", [[[0.6, 0.5], [0.5, 0.6]], [[0.9, 0.5], [0.5, 0.7]], [[0.95, 0.3], [0.3, 0.2]]])
+def test_sbm_noise_scale_is_the_largest_block_variance(probs):
+    # above p_max = 1/2 a block nearer 1/2 has the larger variance; p_max(1 - p_max)
+    # as sigma^2 put a coefficient above 1 and the profile was refused
+    probs = np.array(probs)
+    spec = ens.SbmSpec(d=2, sizes=(30, 50), probs=probs, seed=3)
+    variances = probs * (1.0 - probs)
+    assert spec.sigma_squared == variances.max() > spec.p_max * (1.0 - spec.p_max)
+    block = ens.effective_profile(spec)
+    assert block.coeffs.max() == 1.0 and np.array_equal(block.coeffs, variances / variances.max())
+    assert ens.normalized_sample(spec).tobytes() == normalized_as_before(spec).tobytes()
+
+
+def test_sbm_noise_scale_at_most_one_half_is_p_max_times_its_complement():
+    spec = ens.SbmSpec(d=2, sizes=(500, 500), probs=np.array([[0.5, 0.02], [0.02, 0.35]]), seed=0)
+    assert spec.sigma_squared == 0.5 * (1.0 - 0.5)
+    spec = ens.SbmSpec(d=2, sizes=(500, 500), probs=np.array([[0.1, 0.02], [0.02, 0.05]]), seed=0)
+    assert spec.sigma_squared == 0.1 * (1.0 - 0.1)
+
+
 def test_effective_profile_passthrough_for_dense_and_sparse():
     profile = random_profile(16, seed=5)
-    spec = wigner_spec(16, profile=profile)
-    assert ens.effective_profile(spec) is profile
-    assert ens.effective_profile(ens.SparseSpec(base=spec, p=0.3)) is profile
+    assert ens.effective_profile(wigner_spec(16, profile=profile)) is profile
+    assert ens.effective_profile(wigner_spec(16, profile=profile, p=0.3)) is profile
 
 
 def test_effective_profile_rejects_zero_variance_block():
@@ -545,7 +566,7 @@ def test_effective_profile_rejects_zero_variance_block():
 def test_ensemble_parameters():
     spec = wigner_spec(100)
     assert ens.ensemble_parameters(spec) == (100, 1.0, 1.0)
-    assert ens.ensemble_parameters(ens.SparseSpec(base=spec, p=0.2)) == (100, 1.0, 0.2)
+    assert ens.ensemble_parameters(wigner_spec(100, p=0.2)) == (100, 1.0, 0.2)
     sbm = ens.SbmSpec(d=2, sizes=(50, 50), probs=np.array([[0.3, 0.1], [0.1, 0.2]]), seed=0)
     assert ens.ensemble_parameters(sbm) == (100, 1.0, 0.3)
 
@@ -558,12 +579,12 @@ def test_ensemble_parameters():
 @settings(max_examples=10)
 def test_ensemble_json_round_trip(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("specs") / "e.json"
-    spec = ens.SparseSpec(base=wigner_spec(12, seed=seed), p=0.25)
+    spec = wigner_spec(12, seed=seed, p=0.25)
     spec.to_json(path)
     back = read_json(ens.EnsembleSpec, path)
-    assert back.p == spec.p and back.base.seed == spec.base.seed
-    assert back.base.law == spec.base.law
-    assert back.base.profile.to_dict() == spec.base.profile.to_dict()
+    assert back.p == spec.p and back.seed == spec.seed
+    assert back.law == spec.law
+    assert back.profile.to_dict() == spec.profile.to_dict()
     assert np.array_equal(ens.sample(back), ens.sample(spec))
 
 
@@ -610,9 +631,9 @@ def test_matrix_market_round_trip(tmp_path):
 
 
 def test_with_seed_rewrites_the_right_field():
-    spec = ens.SparseSpec(base=wigner_spec(10, seed=1), p=0.5)
+    spec = wigner_spec(10, seed=1, p=0.5)
     reseeded = ens.with_seed(spec, 99)
-    assert reseeded.base.seed == 99 and reseeded.p == 0.5
+    assert reseeded.seed == 99 and reseeded.p == 0.5
     sbm = ens.SbmSpec(d=1, sizes=(4,), probs=np.array([[0.2]]), seed=1)
     assert ens.with_seed(sbm, 7).seed == 7
 
@@ -620,8 +641,8 @@ def test_with_seed_rewrites_the_right_field():
 @pytest.mark.parametrize("sparse", [False, True])
 def test_with_seed_skips_the_profile_scan(monkeypatch, sparse):
     def build(seed):
-        base = wigner_spec(60, seed=seed, law=ens.EntryLaw("uniform_bounded"), profile=random_profile(60, seed=3))
-        return ens.SparseSpec(base=base, p=0.4) if sparse else base
+        return wigner_spec(60, seed=seed, law=ens.EntryLaw("uniform_bounded"), profile=random_profile(60, seed=3),
+                           p=0.4 if sparse else 1.0)
 
     spec = build(1)
     calls = []
@@ -630,4 +651,4 @@ def test_with_seed_skips_the_profile_scan(monkeypatch, sparse):
     reseeded = ens.with_seed(spec, 17)
     assert calls == []
     assert np.array_equal(ens.sample(reseeded), ens.sample(build(17)))
-    assert (spec.base.seed if sparse else spec.seed) == 1  # the original is untouched
+    assert spec.seed == 1  # the original is untouched

@@ -74,8 +74,8 @@ def reduction_inputs(draw):
         probs = np.array([[0.3, 0.05], [0.05, 0.3]])
         return ens.normalized_sample(ens.SbmSpec(d=2, sizes=(n // 2, n - n // 2), probs=probs, seed=seed))
     if kind == "sparse":
-        base = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=seed)
-        return ens.normalized_sample(ens.SparseSpec(base=base, p=0.1))
+        return ens.normalized_sample(ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n),
+                                                    law=ens.EntryLaw("rademacher"), seed=seed, p=0.1))
     a = random_symmetric(n, seed)
     if kind == "update":
         gen = np.random.default_rng(seed)
@@ -131,9 +131,8 @@ def test_reduction_releases_the_interpreter_lock():
 def two_stage_inputs(n):
     """A random symmetric matrix and normalized SBM and sparse samples of size n."""
     sbm = ens.SbmSpec(d=2, sizes=(n // 2, n - n // 2), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=n)
-    base = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=n)
-    return [random_symmetric(n, seed=n) / np.sqrt(n), ens.normalized_sample(sbm),
-            ens.normalized_sample(ens.SparseSpec(base=base, p=0.1))]
+    sparse = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=n, p=0.1)
+    return [random_symmetric(n, seed=n) / np.sqrt(n), ens.normalized_sample(sbm), ens.normalized_sample(sparse)]
 
 
 requires_two_stage = pytest.mark.skipif(spectra._lapack_dsytrd_2stage() is None,
@@ -618,7 +617,7 @@ def test_bulk_indices_and_ratios():
     intervals = [qve.BulkInterval(lo=-0.5, hi=0.5)]
     idx = spectra.bulk_indices(s, intervals)
     assert np.all(np.abs(s.eigenvalues[idx]) <= 0.5)
-    ratios = spectra.normalized_deloc_ratios(s, intervals, n=9, bound=1.0, p_eff=1.0)
+    ratios = spectra.normalized_deloc_ratios(spectra.eigvec_inf_norms(s)[idx], n=9, bound=1.0, p_eff=1.0)
     control = np.sqrt(9.0 / np.log(9.0))
     assert np.allclose(ratios, control)  # identity eigenvectors: inf norm 1
 

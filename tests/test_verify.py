@@ -16,9 +16,9 @@ from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec, NonConverge
 from speclaw.spectra import count_in_interval, tridiagonalize
 
 
-def dense_config(n=300, trials=4, length=0.4, seed=100, profile=None, **kw):
+def dense_config(n=300, trials=4, length=0.4, seed=100, profile=None, law=None, **kw):
     spec = ens.WignerSpec(
-        n=n, profile=profile or qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0
+        n=n, profile=profile or qve.VarianceProfile.constant(n), law=law or ens.EntryLaw("rademacher"), seed=0
     )
     return verify.LocalLawConfig(
         ensemble=spec,
@@ -241,7 +241,7 @@ def test_sparse_p_one_matches_dense_pipeline():
     factor = verify.factor_for_length(0.5, base)
     dense_cfg = verify.LocalLawConfig(ensemble=base, interval_len_factor=factor, trials=3, base_seed=5)
     sparse_cfg = verify.LocalLawConfig(
-        ensemble=ens.SparseSpec(base=base, p=1.0), interval_len_factor=factor, trials=3, base_seed=5
+        ensemble=dataclasses.replace(base, p=1.0), interval_len_factor=factor, trials=3, base_seed=5
     )
     dense_rep = verify.verify_local_law(dense_cfg).to_dict()
     sparse_rep = verify.verify_local_law(sparse_cfg).to_dict()
@@ -276,7 +276,7 @@ def test_sbm_campaign_runs_and_passes_loosely():
 def test_k_bound_flag_marks_an_eta_floor_above_a_tenth():
     # K^2 log n/(n p_eff) is log(200)/200 = 0.026 for the dense campaign, log(200)/40 = 0.13 kept at p = 0.2
     dense = dense_config(n=200, trials=1, length=0.2)
-    sparse = ens.SparseSpec(base=dense.ensemble, p=0.2)
+    sparse = dataclasses.replace(dense.ensemble, p=0.2)
     strained = dataclasses.replace(dense, ensemble=sparse, interval_len_factor=verify.factor_for_length(0.2, sparse))
     for cfg, flag in ((dense, False), (strained, True)):
         assert (verify.stieltjes_eta_floor(cfg.ensemble) > 0.1) is flag
@@ -324,7 +324,7 @@ def _campaigns():
 
 
 def _sparse(cfg, p=0.6):
-    spec = ens.SparseSpec(base=cfg.ensemble, p=p)
+    spec = dataclasses.replace(cfg.ensemble, p=p)
     return dataclasses.replace(cfg, ensemble=spec, interval_len_factor=verify.factor_for_length(0.4, spec))
 
 
@@ -336,10 +336,10 @@ def test_full_profile_reports_cite_the_profile_by_fingerprint(tmp_path, campaign
     path.write_text(json.dumps(cfg.to_dict()))
     loaded = verify.load_local_law_config(path)
     report = campaign(loaded).to_dict()
-    wigner = loaded.ensemble.base if sparse else loaded.ensemble
+    wigner = loaded.ensemble
     cited = {"n": wigner.n, "fingerprint": qve.profile_fingerprint(wigner.profile)}
     expected = loaded.to_dict()
-    (expected["ensemble"]["base"] if sparse else expected["ensemble"])["profile"] = cited
+    expected["ensemble"]["profile"] = cited
     assert report["config"] == expected
     assert len(report_json_bytes(report)) < 8192
 
@@ -503,17 +503,34 @@ def test_deloc_ratios_obey_unit_vector_floor():
 
 def test_deloc_trial_without_bulk_eigenvalues_records_zeros(monkeypatch):
     # trial 1 finds no eigenvalue in the bulk; the pooled quantiles come from the others
-    original, calls = verify.normalized_deloc_ratios, []
+    original, calls = verify.bulk_indices, []
 
-    def ratios(*args):
+    def bulk(*args):
         calls.append(None)
         return original(*args)[:0] if len(calls) == 2 else original(*args)
 
-    monkeypatch.setattr(verify, "normalized_deloc_ratios", ratios)
+    monkeypatch.setattr(verify, "bulk_indices", bulk)
     report = verify.verify_delocalization(dense_config(n=100, trials=3), threads=1)
     assert report.records[1] == verify.DelocTrialRecord(trial=1, bulk_count=0, max_inf_norm=0.0, max_ratio=0.0)
     assert report.records[0].bulk_count > 0 and report.records[2].bulk_count > 0
     assert report.max_ratio == max(r.max_ratio for r in report.records)
+
+
+def test_deloc_max_inf_norm_is_the_bulk_sup_norm_bit_for_bit(monkeypatch):
+    # rebuilding the sup-norm from its ratio, ratio * K sqrt(log n)/sqrt(n p), misses it in the last bits
+    # (trials 3, 4, 6 and 7 here)
+    cfg = dense_config(n=250, trials=8, law=ens.EntryLaw("uniform_bounded"))
+    summaries, eigen_full = [], verify.eigen_full
+    monkeypatch.setattr(verify, "eigen_full", lambda *a, **kw: summaries.append(eigen_full(*a, **kw)) or summaries[-1])
+    report = verify.verify_delocalization(cfg, threads=1)
+    curve = qve.extract_density(ens.effective_profile(cfg.ensemble), qve.default_grid(), eta=cfg.eta)
+    bulks = qve.detect_bulk(curve, cfg.eps)
+    for rec, s in zip(report.records, summaries, strict=True):
+        inside = np.zeros(s.n, dtype=bool)
+        for b in bulks:
+            inside |= (s.eigenvalues >= b.lo) & (s.eigenvalues <= b.hi)
+        assert rec.bulk_count == inside.sum() > 0
+        assert rec.max_inf_norm == s.inf_norms[inside].max()
 
 
 def test_deloc_negative_control_is_localized():
@@ -523,7 +540,8 @@ def test_deloc_negative_control_is_localized():
     control = np.diag(np.linspace(0.1, 1.0, n))
     s = spectra.eigen_full(control, want_vectors=True)
     intervals = [qve.BulkInterval(lo=0.0, hi=1.0)]
-    ratios = spectra.normalized_deloc_ratios(s, intervals, n=n, bound=1.0, p_eff=1.0)
+    norms = spectra.eigvec_inf_norms(s)[spectra.bulk_indices(s, intervals)]
+    ratios = spectra.normalized_deloc_ratios(norms, n=n, bound=1.0, p_eff=1.0)
     expected = math.sqrt(n / math.log(n))
     assert np.allclose(ratios, expected)
 
