@@ -40,7 +40,7 @@ def _grid_spec(text: str) -> np.ndarray:
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 2 or not (lo < hi and hi - lo < np.inf):  # a finite span has finite ends
         raise argparse.ArgumentTypeError(f"grid needs finite lo < hi, a finite hi - lo and count >= 2, got {text!r}")
-    return np.linspace(lo, hi, count)
+    return qve.linear_grid(lo, hi, count)  # -3:3:601 is the default grid
 
 
 def _eta_list(text: str) -> list[float]:

@@ -27,6 +27,8 @@ cubic interpolant of their neighbours' solutions, as quadrature does (m is
 analytic in x in the bulk, so most such starts already sit near tol).  Points
 share nothing but the product with S, so every batch goes through
 `_solve_blocks`, in fixed column blocks for large profiles, on a pool's map.
+It solves z and its mirror -conj z once (m(-conj z) = -conj m(z), rho is
+even), and `default_grid` is antisymmetric, so the density solves half its points.
 A point is a complex number z = x + i*eta, `solve_qve`'s one or a batch's
 array, and every solve checks its points with `errors.spectral_points`.
 
@@ -437,14 +439,19 @@ def density_batch(profile: Profile, xs: np.ndarray, eta: float = DEFAULT_ETA) ->
 
 
 def _solve_blocks(profile: Profile, zs: np.ndarray, mapper=map, known=None, g_known=None) -> np.ndarray:
-    """The solver's one batched path: solutions at the points zs
+    """The solver's one batched path: solutions at the points zs, each mirror pair solved once,
     in blocks of at most _BLOCK_COLUMNS columns (one below _BLOCK_MIN_DIM) through `mapper`, from
     cold starts or, given solutions g_known at the nondecreasing abscissas `known`, from the cubic
     Lagrange interpolant in Re z through each point's two known neighbours on either side (the four
     nearest at the ends of `known`), or the linear one of its two neighbours where the four knots
-    are not distinct or the cubic start leaves the upper half plane; a knot starts from its solution."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    start, xs = None, zs.real
+    are not distinct or the cubic start leaves the upper half plane; a knot starts from its solution.
+    The solution and the solver's arithmetic are mirror-exact, g(-conj z) = -conj g(z), so each folded
+    point |Re z| + i*Im z solves once, at its first point in input order (the point a failure names),
+    and its mirror reads -conj of that solution."""
+    zs = spectral_points(np.atleast_1d(zs))
+    _, first, inverse = np.unique(complex_points(np.abs(zs.real), zs.imag), return_index=True, return_inverse=True)
+    reps, rep_of = np.sort(first), first[inverse.ravel()]  # the solved points; each point's one of them
+    start, xs = None, zs.real[reps]
     if known is not None:
         right = np.clip(np.searchsorted(known, xs, side="right"), 1, known.size - 1)
         width = known[right] - known[right - 1]  # 0 in a mesh cell narrower than its midpoint's rounding
@@ -461,9 +468,14 @@ def _solve_blocks(profile: Profile, zs: np.ndarray, mapper=map, known=None, g_kn
             use = distinct & (cubic.imag > 0).all(axis=0)
             start[:, use] = cubic[:, use]
     blocks = np.array_split(np.arange(xs.size), -(-xs.size // _BLOCK_COLUMNS) or 1 if profile.dim >= _BLOCK_MIN_DIM else 1)
-    # the first failing block raises; stacked and transposed, g has one batch's layout, in which _m_of rounds
-    solved = mapper(lambda c: _solve_batch(profile, zs[c], initial=None if start is None else start[:, c])[0].T, blocks)
-    return np.concatenate(list(solved)).T
+    # the first failing block raises; stacked, rows selected, then transposed, g has one batch's layout,
+    # in which _m_of rounds
+    solved = mapper(lambda c: _solve_batch(profile, zs[reps[c]], initial=None if start is None else start[:, c])[0].T,
+                    blocks)
+    g = np.concatenate(list(solved))[np.searchsorted(reps, rep_of)]
+    mirrored = np.signbit(zs.real) != np.signbit(zs.real[rep_of])
+    g[mirrored] = -g[mirrored].conj()
+    return g.T
 
 
 def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA, mapper=map) -> DensityCurve:
@@ -476,7 +488,7 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     Continuation in x: every _COARSE_STRIDE-th grid point and the last start cold,
     then the others start from the cubic interpolant of their four nearest coarse
     neighbours' solutions, or the linear one of their two nearest (`_solve_blocks`).
-    Both phases run in fixed column blocks through `mapper`.
+    Both phases run in fixed column blocks through `mapper`, a mirror pair once.
     """
     grid = np.asarray(grid, dtype=np.float64)
     zs = spectral_points(complex_points(grid, eta))  # first, so that a NaN abscissa is named as such
@@ -491,9 +503,19 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     return DensityCurve(grid, values, eta, profile_fingerprint(profile), source=solver_profile, solution=g)
 
 
+def linear_grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """np.linspace(lo, hi, count), or if lo == -hi the exactly antisymmetric hi * j/(count - 1), j = 1 - count,
+    3 - count, ..., count - 1, whose mirror pairs `_solve_blocks` solves once (the default grid: k/100 rounded)."""
+    if lo != -hi or not math.isfinite(hi * (count - 1)):  # hi * j would overflow
+        return np.linspace(lo, hi, count)
+    grid = hi * np.arange(1 - count, count, 2) / (count - 1)
+    grid[[0, -1]] = lo, hi
+    return grid
+
+
 def default_grid() -> np.ndarray:
-    lo, hi, count = DEFAULT_GRID
-    return np.linspace(lo, hi, count)
+    """linear_grid(*DEFAULT_GRID), the campaigns' grid: 601 points on [-3, 3], antisymmetric."""
+    return linear_grid(*DEFAULT_GRID)
 
 
 def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:

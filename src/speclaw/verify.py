@@ -39,7 +39,7 @@ from .ensembles import (
 )
 from .errors import AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read_json, real_array, record, spectral_points, write_csv
 from .qve import (DEFAULT_ETA, BulkInterval, DensityCurve, VarianceProfile, complex_points, default_grid, detect_bulk,
-                  extract_density, integrate_density, stieltjes_batch)
+                  extract_density, integrate_density, linear_grid, stieltjes_batch)
 from .spectra import (
     bulk_indices,
     bundled_openblas,
@@ -106,14 +106,24 @@ def load_local_law_config(path) -> LocalLawConfig:
 def place_intervals(bulk: BulkInterval, length: float, num: int) -> list[tuple[float, float]]:
     """Evenly spaced midpoints inside the bulk, inset one interval length from
     its edges; when the inset range is empty the intervals sit flush inside
-    the bulk instead."""
+    the bulk instead.  A bulk [-b, b] gives exact mirror pairs of intervals."""
     mlo, mhi = bulk.lo + length, bulk.hi - length
     if mlo > mhi:
         mlo, mhi = bulk.lo + length / 2.0, bulk.hi - length / 2.0
     if mlo > mhi:
         raise EmptyBulk(f"no interval of length {length:g} fits inside [{bulk.lo:g}, {bulk.hi:g}]")
-    mids = np.linspace(mlo, mhi, num) if num > 1 else np.array([(mlo + mhi) / 2.0])
+    mids = linear_grid(mlo, mhi, num) if num > 1 else np.array([(mlo + mhi) / 2.0])
     return [(float(m - length / 2.0), float(m + length / 2.0)) for m in mids]
+
+
+def interval_masses(curve: DensityCurve, intervals, mapper=map) -> list[float]:
+    """integrate_density over each interval through `mapper`.  The density is even, so (lo, hi) with
+    lo + hi < 0 reads the mass of (-hi, -lo) where the curve spans it: three intervals in a bulk
+    [-b, b] of the antisymmetric default grid make two quadrature tasks."""
+    folded = [(-hi, -lo) if lo + hi < 0 and -lo <= curve.grid[-1] else (lo, hi) for lo, hi in intervals]
+    distinct = list(dict.fromkeys(folded))
+    masses = dict(zip(distinct, mapper(lambda iv: integrate_density(curve, *iv), distinct)))
+    return [masses[iv] for iv in folded]
 
 
 def _report_config(cfg: LocalLawConfig, curve: DensityCurve) -> dict:
@@ -234,15 +244,16 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
     """Count eigenvalues on bulk intervals across trials and compare with n * integral(rho).
 
     The intervals sit in the widest bulk and their predictions are integrated
-    once per campaign; each trial tridiagonalizes its sample, and one Sturm
-    sweep over the stacked forms then counts every interval of every trial.
+    once per campaign, a mirror pair once (`interval_masses`); each trial
+    tridiagonalizes its sample, and one Sturm sweep over the stacked forms then
+    counts every interval of every trial.
     """
     n, k, p_eff = ensemble_parameters(cfg.ensemble)
 
     def plan(curve, bulks, widest, mapper):
         length = cfg.interval_len_factor * k * k * math.log(n) / (n * p_eff)
         intervals = place_intervals(widest, length, cfg.num_intervals)
-        return intervals, [n * q for q in mapper(lambda iv: integrate_density(curve, *iv), intervals)]
+        return intervals, [n * q for q in interval_masses(curve, intervals, mapper)]
 
     # the trial owns its sample, so the reduction may overwrite it
     config, (intervals, predicted), forms = _campaign(cfg, threads, plan,
@@ -307,8 +318,8 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | Non
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
 
     def plan(curve, bulks, widest, mapper):
-        xs = np.linspace(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]
-        zs = complex_points(xs[:, None], etas).ravel()  # x-major, solved as one batch
+        xs = linear_grid(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]  # a bulk [-b, b] gives mirror pairs
+        zs = complex_points(xs[:, None], etas).ravel()  # x-major, solved as one batch, a mirror pair once
         return zs, stieltjes_batch(curve.source, zs, mapper)
 
     config, (zs, m), summaries = _campaign(cfg, threads, plan, eigen_full)

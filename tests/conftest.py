@@ -43,6 +43,45 @@ def random_profile(n: int, seed: int, low: float = 0.3, high: float = 1.0) -> qv
     return qve.VarianceProfile(n=n, entries=a)
 
 
+def cold_mask(size: int) -> np.ndarray:
+    """extract_density's cold subgrid: every _COARSE_STRIDE-th point and the last."""
+    mask = np.arange(size) % qve._COARSE_STRIDE == 0
+    mask[-1] = True
+    return mask
+
+
+def fine_starts(grid, coarse, g_coarse):
+    """extract_density's start of each fine column, written out: the cubic Lagrange
+    interpolant prod_{i != j} (x - x_i)/(x_j - x_i) through the two coarse neighbours
+    on either side (the four nearest at the ends of the grid), or, where it leaves
+    the upper half plane, the linear interpolation (1 - t) g_left + t g_right."""
+    cold, x = np.flatnonzero(coarse), grid[~coarse]
+    right = np.minimum(np.flatnonzero(~coarse) // qve._COARSE_STRIDE + 1, cold.size - 1)
+    t = (x - grid[cold[right - 1]]) / (grid[cold[right]] - grid[cold[right - 1]])
+    linear = g_coarse[:, right - 1] * (1.0 - t) + g_coarse[:, right] * t
+    nodes = np.clip(right - 2, 0, cold.size - 4)[:, None] + np.arange(4)
+    knots, cubic = grid[cold[nodes]], 0.0
+    for j in range(4):
+        num = den = 1.0
+        for i in range(4):
+            if i != j:
+                num, den = num * (x - knots[:, i]), den * (knots[:, j] - knots[:, i])
+        cubic = cubic + g_coarse[:, nodes[:, j]] * (num / den)
+    return np.where((cubic.imag > 0).all(axis=0), cubic, linear)
+
+
+def unfolded_solution(profile, grid, eta=qve.DEFAULT_ETA):
+    """extract_density's continuation on a grid without the mirror fold, each phase one
+    _solve_batch: the coarse subgrid from cold starts, then the rest from fine_starts of
+    those solutions.  `profile` is the one extract_density solves, reduce_profile's."""
+    coarse = cold_mask(grid.size)
+    g = np.empty((profile.dim, grid.size), dtype=np.complex128)
+    g[:, coarse] = qve._solve_batch(profile, grid[coarse] + 1j * eta)[0]
+    g[:, ~coarse] = qve._solve_batch(profile, grid[~coarse] + 1j * eta,
+                                     initial=fine_starts(grid, coarse, g[:, coarse]))[0]
+    return g
+
+
 @pytest.fixture(scope="session")
 def constant_curve():
     """Density curve of the constant profile on the default grid (session cache)."""

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speclaw
+from conftest import random_profile, unfolded_solution
 from speclaw import cli, ensembles as ens, qve, spectra, verify
 
 
@@ -58,6 +59,31 @@ def test_density_command_writes_csv(tmp_path, profile_path, capsys):
     mass = np.trapezoid(rows[:, 1], rows[:, 0])
     assert mass == pytest.approx(1.0, abs=1e-3)
     assert "mass=" in capsys.readouterr().out
+
+
+def _density_rows(path) -> np.ndarray:
+    return np.array([[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]])
+
+
+def test_grid_flag_builds_the_default_grid(tmp_path, profile_path):
+    # one builder, qve.linear_grid, makes both grids exactly antisymmetric, so both fold
+    default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
+    assert cli.main(["density", "--profile", profile_path, "--out", str(default)]) == 0
+    assert cli.main(["density", "--profile", profile_path, "--grid", "-3:3:601", "--out", str(flagged)]) == 0
+    assert flagged.read_bytes() == default.read_bytes()
+    x = _density_rows(default)[:, 0]
+    assert np.array_equal(x, -x[::-1]) and x.tolist() == [k / 100 for k in range(-300, 301)]  # k/100 rounds once
+
+
+def test_asymmetric_grid_is_np_linspace_and_matches_an_unfolded_solve(tmp_path):
+    # 57 of its points have an exact mirror on the grid and fold; the rest solve as before
+    profile, path, out = random_profile(30, seed=2), tmp_path / "profile.json", tmp_path / "rho.csv"
+    profile.to_json(path)
+    assert cli.main(["density", "--profile", str(path), "--grid", "-1:3:401", "--out", str(out)]) == 0
+    rows, grid = _density_rows(out), np.linspace(-1.0, 3.0, 401)
+    assert np.array_equal(rows[:, 0], grid)
+    unfolded = unfolded_solution(profile, grid).mean(axis=0).imag / np.pi
+    np.testing.assert_allclose(rows[:, 1], unfolded, rtol=0, atol=1e-10)
 
 
 def test_qve_solve_round_trip(tmp_path, profile_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes
+from conftest import (cold_mask, fine_starts, random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes,
+                      unfolded_solution)
 from speclaw import ensembles, qve, spectra, verify
 from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, read_json
 
@@ -152,7 +153,7 @@ def test_cold_columns_solve_at_the_target_eta_in_one_pass(kind, eta, most):
     # and 23, 11 and 16 at 1e-12, where a descent from eta = 1 took 49, 37 and 44,
     # and 71, 45 and 56
     profile, grid = _ONE_PASS_PROFILES[kind](), qve.default_grid()
-    xs = np.append(grid[_cold_mask(grid.size)], [-2.0, 2.0])
+    xs = np.append(grid[cold_mask(grid.size)], [-2.0, 2.0])
     _, residual, iterations = qve._solve_batch(profile, xs + 1j * eta)
     assert (residual <= qve.DEFAULT_TOL).all()
     assert iterations.max() <= most
@@ -455,49 +456,26 @@ def test_integral_matches_fine_trapezoid_of_density_batch(make_profile, edge_poi
         assert qve.integrate_density(curve, lo, hi) == pytest.approx(np.trapezoid(rho, xs), rel=1e-6)
 
 
-def _cold_mask(size: int) -> np.ndarray:
-    """extract_density's cold subgrid: every _COARSE_STRIDE-th point and the last."""
-    mask = np.arange(size) % qve._COARSE_STRIDE == 0
-    mask[-1] = True
-    return mask
-
-
-def _fine_starts(grid, coarse, g_coarse):
-    """extract_density's start of each fine column, written out: the cubic Lagrange
-    interpolant prod_{i != j} (x - x_i)/(x_j - x_i) through the two coarse neighbours
-    on either side (the four nearest at the ends of the grid), or, where it leaves
-    the upper half plane, the linear interpolation (1 - t) g_left + t g_right."""
-    cold, x = np.flatnonzero(coarse), grid[~coarse]
-    right = np.minimum(np.flatnonzero(~coarse) // qve._COARSE_STRIDE + 1, cold.size - 1)
-    t = (x - grid[cold[right - 1]]) / (grid[cold[right]] - grid[cold[right - 1]])
-    linear = g_coarse[:, right - 1] * (1.0 - t) + g_coarse[:, right] * t
-    nodes = np.clip(right - 2, 0, cold.size - 4)[:, None] + np.arange(4)
-    knots, cubic = grid[cold[nodes]], 0.0
-    for j in range(4):
-        num = den = 1.0
-        for i in range(4):
-            if i != j:
-                num, den = num * (x - knots[:, i]), den * (knots[:, j] - knots[:, i])
-        cubic = cubic + g_coarse[:, nodes[:, j]] * (num / den)
-    return np.where((cubic.imag > 0).all(axis=0), cubic, linear)
-
-
 @pytest.mark.parametrize("n, seed", [(12, 3), (47, 4), (48, 5), (90, 6), (qve._BLOCK_MIN_DIM - 1, 4),
                                      (qve._BLOCK_MIN_DIM, 5)])
 def test_blocked_density_matches_one_batch_over_the_grid(n, seed):
     # profiles of dimension >= _BLOCK_MIN_DIM are solved in column blocks; each
     # column iterates on its own, so the blocks give the solution of each phase
-    # done as one batch: the coarse subgrid from cold starts, then, from the curve's
-    # coarse solutions, the rest from _fine_starts (the curve's own starts, so that
-    # a rounding difference of the coarse phase is not amplified near an edge)
+    # done as one batch over the grid's first half (x <= 0, the first point of
+    # each mirror pair of the antisymmetric grid): the coarse subgrid from cold
+    # starts, then, from the curve's coarse solutions, the rest from fine_starts
+    # (the curve's own starts, so that a rounding difference of the coarse phase is
+    # not amplified near an edge); x > 0 mirrors x < 0, g(-x) = -conj g(x)
     profile = random_profile(n, seed=seed)
     grid = qve.default_grid()
+    assert np.array_equal(grid, -grid[::-1])
     curve = qve.extract_density(profile, grid)
-    coarse = _cold_mask(grid.size)
+    coarse, half = cold_mask(grid.size), grid <= 0
     g = np.empty((n, grid.size), dtype=np.complex128)
-    g[:, coarse] = qve._solve_batch(profile, grid[coarse] + 1j * qve.DEFAULT_ETA)[0]
-    start = _fine_starts(grid, coarse, curve.solution[:, coarse])
-    g[:, ~coarse] = qve._solve_batch(profile, grid[~coarse] + 1j * qve.DEFAULT_ETA, initial=start)[0]
+    g[:, coarse & half] = qve._solve_batch(profile, grid[coarse & half] + 1j * qve.DEFAULT_ETA)[0]
+    start = fine_starts(grid, coarse, curve.solution[:, coarse])[:, half[~coarse]]
+    g[:, ~coarse & half] = qve._solve_batch(profile, grid[~coarse & half] + 1j * qve.DEFAULT_ETA, initial=start)[0]
+    g[:, ~half] = -g[:, half][:, -2::-1].conj()
     np.testing.assert_allclose(curve.solution, g, rtol=1e-12, atol=0)
     np.testing.assert_allclose(curve.values, g.mean(axis=0).imag / np.pi, rtol=1e-12, atol=1e-300)
 
@@ -558,24 +536,26 @@ def _recording_solves(monkeypatch):
 
 
 def test_fine_columns_start_from_their_neighbours(monkeypatch):
-    # the 540 fine columns of this profile take 2044 map evaluations in all from
-    # cubic starts, 2480 from linear ones and 4830 from cold starts
+    # the 540 fine points of this profile fold onto 270 mirror pairs, solved at
+    # x < 0: 1022 map evaluations in all from cubic starts (2044 for all 540)
     calls = _recording_solves(monkeypatch)
-    qve.extract_density(_irreducible_profile(), qve.default_grid())
+    grid = qve.default_grid()
+    qve.extract_density(_irreducible_profile(), grid)
     fine = np.concatenate([iterations for initial, iterations in calls if initial is not None])
-    assert fine.size == (~_cold_mask(qve.default_grid().size)).sum()
-    assert fine.sum() <= 2300
+    assert fine.size == (~cold_mask(grid.size) & (grid < 0)).sum() == 270
+    assert fine.sum() <= 1150
 
 
 def test_quadrature_of_the_campaign_intervals_takes_few_map_evaluations(monkeypatch):
-    # profile-local-law's three intervals of length 0.3 at seed 0: 537 map
-    # evaluations from cubic starts, 3180 from linear ones
+    # profile-local-law's three intervals of length 0.3 at seed 0, through the
+    # campaign plan's fold: the outer two mirror each other and the middle one
+    # mirrors itself, 260 map evaluations from cubic starts (537 unfolded, 3180
+    # from linear starts)
     curve = qve.extract_density(_irreducible_profile(), qve.default_grid())
     widest = max(qve.detect_bulk(curve, 0.1), key=lambda b: b.width)
     calls = _recording_solves(monkeypatch)
-    for lo, hi in verify.place_intervals(widest, 0.3, 3):
-        qve.integrate_density(curve, lo, hi)
-    assert sum(int(iterations.sum()) for _, iterations in calls) <= 700
+    verify.interval_masses(curve, verify.place_intervals(widest, 0.3, 3))
+    assert sum(int(iterations.sum()) for _, iterations in calls) <= 350
 
 
 @pytest.mark.parametrize("known, xs, cubic_used", [
@@ -601,10 +581,11 @@ def test_continuation_start_falls_back_to_linear(monkeypatch, known, xs, cubic_u
     calls = _recording_solves(monkeypatch)
     g = qve._solve_blocks(CONST8, xs + 1j * qve.DEFAULT_ETA, known=known, g_known=g_known)
     ((start, _),) = calls
-    cubic_used = np.array(cubic_used)
+    first = np.sort(np.unique(np.abs(xs), return_index=True)[1])  # a mirror pair solves at its first point
+    cubic_used, linear, cubic = np.array(cubic_used)[first], linear[:, first], cubic[:, first]
     assert np.array_equal(start[:, ~cubic_used], linear[:, ~cubic_used])
     np.testing.assert_allclose(start[:, cubic_used], cubic[:, cubic_used], rtol=1e-12)
-    assert np.array_equal(start[:, xs == 2.1], g_known[:, known == 2.1])  # a knot starts from its solution
+    assert np.array_equal(start[:, xs[first] == 2.1], g_known[:, known == 2.1])  # a knot starts from its solution
     exact = [semicircle_stieltjes(complex(x, qve.DEFAULT_ETA)).imag / np.pi for x in xs]
     np.testing.assert_allclose(g.mean(axis=0).imag / np.pi, exact, rtol=0, atol=_CONTINUATION_RTOL_OF_PEAK / np.pi)
 
@@ -614,7 +595,7 @@ def test_fine_column_between_coarse_neighbours_across_an_edge():
     # support and 2.15 outside it: every other point starts from the interpolation
     # of a bulk and a gap solution, 2.0 right on the edge
     grid = np.linspace(1.85, 2.15, 11)
-    assert _cold_mask(grid.size).tolist() == [True] + [False] * 9 + [True]
+    assert cold_mask(grid.size).tolist() == [True] + [False] * 9 + [True]
     _check_against_a_cold_batch(CONST8, grid)
     curve = qve.extract_density(CONST8, grid)
     exact = [semicircle_stieltjes(complex(x, qve.DEFAULT_ETA)).imag / np.pi for x in grid]
@@ -627,6 +608,106 @@ def test_curve_without_source_or_solution_cannot_refine(constant_curve):
     for extra in ({"source": constant_curve.source}, {"solution": constant_curve.solution}):
         with pytest.raises(InvalidSpec, match="cannot refine"):
             qve.integrate_density(qve.DensityCurve(**fields, **extra), -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# mirror fold
+
+
+def _sparse_profile():
+    spec = ensembles.WignerSpec(n=60, profile=random_profile(60, seed=8), law=ensembles.EntryLaw("rademacher"),
+                                seed=0, p=0.3)
+    return ensembles.effective_profile(spec)
+
+
+_MIRROR_PROFILES = {
+    "full": _irreducible_profile,  # solved in column blocks
+    "block": lambda: THREE_BLOCK,
+    "sbm": _ONE_PASS_PROFILES["sbm"],
+    "sparse": _sparse_profile,
+}
+
+
+@pytest.mark.parametrize("kind", _MIRROR_PROFILES)
+def test_mirrored_points_give_the_mirrored_solution_bit_for_bit(kind):
+    # g solves -1/g = z + S g exactly when -conj g solves it at -conj z, and the
+    # solver's arithmetic commutes with negation and conjugation, which round
+    # nothing: the fold of _solve_blocks rests on this
+    profile = _MIRROR_PROFILES[kind]()
+    zs = qve.complex_points(np.linspace(0.05, 2.6, 70), np.geomspace(1e-6, 1.0, 70))  # no point mirrors another
+    g = qve._solve_blocks(profile, zs)
+    assert qve._solve_blocks(profile, -zs.conj()).tobytes() == (-g.conj()).tobytes()
+    unfolded = qve._solve_batch(profile, zs)[0]
+    assert qve._solve_batch(profile, -zs.conj())[0].tobytes() == (-unfolded.conj()).tobytes()
+
+
+def test_a_batch_solves_each_mirror_pair_once_at_its_first_point(monkeypatch):
+    # -0.4 + 0.1i and its mirror fold together, and so do 1.5 + 0.1i, its repeat and
+    # its mirror; each pair solves at its first point in input order, a point the
+    # caller passed, and -0.4 + 0.2i at another eta on its own
+    solve, seen = qve._solve_batch, []
+    monkeypatch.setattr(qve, "_solve_batch", lambda profile, zs, **kw: seen.append(zs) or solve(profile, zs, **kw))
+    zs = np.array([-0.4 + 0.1j, 1.5 + 0.1j, 0.4 + 0.1j, -0.4 + 0.2j, 1.5 + 0.1j, -1.5 + 0.1j])
+    g = qve._solve_blocks(THREE_BLOCK, zs)
+    (solved,) = seen
+    assert solved.tolist() == [-0.4 + 0.1j, 1.5 + 0.1j, -0.4 + 0.2j]
+    assert g[:, 2].tobytes() == (-g[:, 0].conj()).tobytes() and g[:, 5].tobytes() == (-g[:, 1].conj()).tobytes()
+    assert g[:, 4].tobytes() == g[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", _MIRROR_PROFILES)
+def test_folded_density_matches_an_unfolded_continuation(kind):
+    # the fold changes which points solve and from which starts, not the density
+    profile = _MIRROR_PROFILES[kind]()
+    grid = qve.default_grid()
+    curve = qve.extract_density(profile, grid)
+    unfolded = qve._m_of(curve.source, unfolded_solution(curve.source, grid)).imag / np.pi
+    np.testing.assert_allclose(curve.values, unfolded, rtol=0, atol=1e-10)
+
+
+def _workload_profiles():
+    """The predicted profiles of the benchmark's workloads: dense-local-law's constant
+    profile, profile-local-law's seeded irreducible one at seeds 0-3, and sbm-deloc's."""
+    profiles = {"dense": qve.VarianceProfile.constant(2000), "sbm": _ONE_PASS_PROFILES["sbm"]()}
+    for seed in range(4):
+        a = np.random.default_rng(seed).uniform(0.3, 1.0, size=(200, 200))
+        profiles[f"profile{seed}"] = qve.VarianceProfile(n=200, entries=(a + a.T) / 2.0)
+    return profiles
+
+
+def test_bulks_of_the_workload_profiles_are_unchanged():
+    # against the unfolded continuation on np.linspace's grid, whose values sit
+    # within one ulp of 3 (4.4e-16) of the antisymmetric default grid's
+    old_grid = np.linspace(*qve.DEFAULT_GRID)
+    assert np.abs(qve.default_grid() - old_grid).max() <= np.spacing(3.0)
+    for name, profile in _workload_profiles().items():
+        curve = qve.extract_density(profile, qve.default_grid())
+        values = qve._m_of(curve.source, unfolded_solution(curve.source, old_grid)).imag / np.pi
+        old = qve.DensityCurve(grid=old_grid, values=values, eta_used=qve.DEFAULT_ETA, profile_hash="")
+        for eps in (0.1, 0.05):
+            new_bulks, old_bulks = qve.detect_bulk(curve, eps), qve.detect_bulk(old, eps)
+            assert len(new_bulks) == len(old_bulks) >= 1, name
+            for new, before in zip(new_bulks, old_bulks):
+                assert np.searchsorted(curve.grid, [new.lo, new.hi]).tolist() == \
+                    np.searchsorted(old_grid, [before.lo, before.hi]).tolist(), name
+                assert new.lo == -new.hi or len(new_bulks) > 1, name
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("first", [1e308, -1e308])
+def test_a_failing_mirror_pair_names_the_callers_first_point(threads, first):
+    # at x = +-1e308 the imaginary part of -1/z underflows and both columns stall
+    # with tied defects; the pair solves once, at the point passed first, and in a
+    # later column block than most of the batch; the unfolded batch names it too
+    profile = _irreducible_profile()
+    zs = qve.complex_points(np.linspace(-2.5, 2.5, 2 * qve._BLOCK_COLUMNS), 1.0)
+    zs[qve._BLOCK_COLUMNS + 10], zs[qve._BLOCK_COLUMNS + 30] = complex(first, 1.0), complex(-first, 1.0)
+    with pytest.raises(NonConvergence) as unfolded:
+        qve._solve_batch(profile, zs)
+    with ThreadPoolExecutor(max_workers=threads) as pool, pytest.raises(NonConvergence) as err:
+        qve._solve_blocks(profile, zs, pool.map if threads > 1 else map)
+    assert err.value.x == unfolded.value.x == first
+    assert (err.value.residual, err.value.iterations) == (unfolded.value.residual, unfolded.value.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,8 @@ def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
     verify.verify_local_law(irreducible_config(), threads=threads)
     coarse = [pins for cold, pins in seen if cold]
     warm = [pins for cold, pins in seen if not cold]  # the fine phase's blocks and the quadrature
-    assert len(coarse) == math.ceil(_cold_points(qve.default_grid()).size / qve._BLOCK_COLUMNS)
+    # the 61 cold points fold onto 31 mirror pairs, one block
+    assert len(coarse) == math.ceil(np.unique(np.abs(_cold_points(qve.default_grid()))).size / qve._BLOCK_COLUMNS) == 1
     assert warm
     assert all(pins == [1] * len(controls) for pins in coarse + warm)
     assert [get() for get, _ in controls] == before
@@ -177,6 +178,31 @@ def test_fine_phase_nonconvergence_names_the_same_point_at_any_worker_count(monk
     fine = np.setdiff1d(grid, _cold_points(grid))
     first_block = np.array_split(fine, math.ceil(fine.size / qve._BLOCK_COLUMNS))[0]
     assert failures[0][0] in first_block
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_mirrored_campaign_intervals_share_one_quadrature(monkeypatch, threads):
+    # the bulk of the antisymmetric default grid is [-b, b], so the outer two of
+    # three intervals mirror each other exactly and the middle one mirrors itself:
+    # two integrate_density calls, and the outer two read one mass
+    integrate, calls = verify.integrate_density, []
+    monkeypatch.setattr(verify, "integrate_density", lambda curve, lo, hi: calls.append((lo, hi)) or
+                        integrate(curve, lo, hi))
+    report = verify.verify_local_law(irreducible_config(), threads=threads)
+    left, middle, right = report.intervals
+    assert (left.lo, left.hi) == (-right.hi, -right.lo) and middle.lo == -middle.hi
+    assert left.predicted == right.predicted
+    assert sorted(calls) == [(middle.lo, middle.hi), (right.lo, right.hi)]
+
+
+def test_interval_masses_fold_only_mirrors_inside_the_curve():
+    # an interval reads its mirror's mass only where the curve spans the mirror
+    spec = dense_config(n=300).ensemble
+    curve = qve.extract_density(ens.effective_profile(spec), np.linspace(-2.5, 2.0, 451))
+    masses = verify.interval_masses(curve, [(-0.5, -0.2), (0.2, 0.5), (-2.4, -2.1), (-1.0, 1.0)])
+    assert masses[0] == masses[1]
+    assert masses == [qve.integrate_density(curve, lo, hi)
+                      for lo, hi in [(0.2, 0.5), (0.2, 0.5), (-2.4, -2.1), (-1.0, 1.0)]]
 
 
 @pytest.mark.parametrize("campaign", [verify.verify_local_law, verify.verify_delocalization])
