@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import ensembles, qve, spectra, verify
-from .errors import SpecLawError, read_json, write_json
+from .errors import InvalidSpec, SpecLawError, read_json, write_json
 
 EXIT_OK = 0
 
@@ -40,7 +40,10 @@ def _grid_spec(text: str) -> np.ndarray:
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 2 or not (lo < hi and hi - lo < np.inf):  # a finite span has finite ends
         raise argparse.ArgumentTypeError(f"grid needs finite lo < hi, a finite hi - lo and count >= 2, got {text!r}")
-    return qve.linear_grid(lo, hi, count)  # -3:3:601 is the default grid
+    try:
+        return qve.linear_grid(lo, hi, count)  # -3:3:601 is the default grid
+    except InvalidSpec as exc:  # a count numpy cannot allocate; parse_args runs outside main's try
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _eta_list(text: str) -> list[float]:
@@ -65,9 +68,9 @@ _REPORTS = {
     "verify-deloc": ("verify_delocalization", lambda a: (_campaign_config(a), a.threads),
                      lambda r: f"max_ratio={r.max_ratio:.6g} q99={r.ratio_quantiles['q99']:.6g}"),
     "test-projection": ("projection_concentration_test", lambda a: (read_json(verify.ProjectionTestSpec, a.config),),
-                        lambda r: f"failure_rate_first={r.rates()[0]:.4f} failure_rate_last={r.rates()[-1]:.4f}"),
+                        lambda r: f"failure_rate_first={r.failure_rates[0]:.4f} failure_rate_last={r.failure_rates[-1]:.4f}"),
     "test-interlacing": ("interlacing_test", lambda a: (a.trials, a.n, a.seed),
-                         lambda r: f"violations=0 trials={r.trials} max_rank1_shift={r.max_shift_rank1}"),
+                         lambda r: f"violations=0 trials={r.trials} max_rank1_shift={r.max_shift_by_rank[1]}"),
 }
 
 

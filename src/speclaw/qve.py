@@ -505,7 +505,12 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
 
 def linear_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """np.linspace(lo, hi, count), or if lo == -hi the exactly antisymmetric hi * j/(count - 1), j = 1 - count,
-    3 - count, ..., count - 1, whose mirror pairs `_solve_blocks` solves once (the default grid: k/100 rounded)."""
+    3 - count, ..., count - 1, whose mirror pairs `_solve_blocks` solves once (the default grid: k/100 rounded).
+    Raises InvalidSpec for a count numpy cannot allocate."""
+    try:
+        np.empty(count)  # untouched, so it commits no memory; past 2**63 points arange would wrap around
+    except (MemoryError, ValueError) as exc:  # no room for count doubles; their bytes overflow an intp, or count < 0
+        raise InvalidSpec(f"cannot allocate a grid of {count} points") from exc
     if lo != -hi or not math.isfinite(hi * (count - 1)):  # hi * j would overflow
         return np.linspace(lo, hi, count)
     grid = hi * np.arange(1 - count, count, 2) / (count - 1)

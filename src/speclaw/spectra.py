@@ -292,6 +292,6 @@ def bulk_indices(s: SpectrumSummary, intervals) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def normalized_deloc_ratios(norms: np.ndarray, n: int, bound: float, p_eff: float) -> np.ndarray:
-    """Delocalization ratios ||u_i||_inf * sqrt(n p_eff)/(K sqrt(log n)) of eigenvector sup-norms."""
-    return norms * math.sqrt(n * p_eff) / (bound * math.sqrt(math.log(n)))
+def normalized_deloc_ratios(norms: np.ndarray, scale: float) -> np.ndarray:
+    """Delocalization ratios ||u_i||_inf/sqrt(scale) of eigenvector sup-norms; scale: verify.local_law_scale."""
+    return norms / math.sqrt(scale)

@@ -52,7 +52,7 @@ from .spectra import (
 )
 
 _QUANTILES = (0.5, 0.9, 0.99)
-# a report's k_bound_flag: the eta floor K^2 log n/(n p_eff) above this strains the bounded-entry hypothesis
+# a report's k_bound_flag: a local_law_scale above this strains the bounded-entry hypothesis
 _K_BOUND_FLOOR = 0.1
 # interlacing_test cycles its rank-d updates through d = 2.._MAX_RANK
 _MAX_RANK = 5
@@ -61,13 +61,8 @@ _MAX_RANK = 5
 @record()
 @dataclass(frozen=True)
 class LocalLawConfig:
-    """One eigenvalue-counting campaign over a seeded ensemble.
-
-    Intervals have length interval_len_factor * K^2 log(n)/(n p_eff) with
-    p_eff the keep probability p of a Wigner-type ensemble (1 when dense) and
-    max p_kl for block models.  delta is the deviation tolerance a trial must
-    meet on every interval to pass.
-    """
+    """One eigenvalue-counting campaign over a seeded ensemble: intervals of length interval_len_factor *
+    local_law_scale(ensemble), and a trial passes when it deviates by at most delta on every interval."""
 
     ensemble: EnsembleSpec
     eps: float = 0.1
@@ -87,16 +82,21 @@ class LocalLawConfig:
             raise InvalidSpec("need at least one trial and one interval")
         if not self.interval_len_factor > 0:
             raise InvalidSpec("interval_len_factor must be positive")
-        if ensemble_parameters(self.ensemble)[0] < 2:
-            raise InvalidSpec("campaigns need n >= 2: their lengths and scales carry log n")
+        local_law_scale(self.ensemble)  # n >= 2
+
+
+def local_law_scale(ensemble: EnsembleSpec) -> float:
+    """eta_0 = K^2 log n/(n p_eff), p_eff the p of a Wigner-type ensemble or a block model's max p_kl: the interval
+    unit, the Stieltjes eta floor and the k_bound_flag's argument; sqrt(eta_0) normalizes the sup-norms."""
+    n, k, p_eff = ensemble_parameters(ensemble)
+    if n < 2:
+        raise InvalidSpec(f"campaigns need n >= 2: their lengths and scales carry log n, got n={n}")
+    return k * k * math.log(n) / (n * p_eff)
 
 
 def factor_for_length(length: float, ensemble: EnsembleSpec) -> float:
-    """interval_len_factor that makes the campaign intervals exactly `length` wide."""
-    n, k, p_eff = ensemble_parameters(ensemble)
-    if n < 2:
-        raise InvalidSpec(f"campaigns need n >= 2: their lengths carry log n, got n={n}")
-    return length * n * p_eff / (k * k * math.log(n))
+    """interval_len_factor that makes the campaign intervals `length` wide, up to rounding."""
+    return length / local_law_scale(ensemble)
 
 
 def load_local_law_config(path) -> LocalLawConfig:
@@ -104,16 +104,19 @@ def load_local_law_config(path) -> LocalLawConfig:
 
 
 def place_intervals(bulk: BulkInterval, length: float, num: int) -> list[tuple[float, float]]:
-    """Evenly spaced midpoints inside the bulk, inset one interval length from
-    its edges; when the inset range is empty the intervals sit flush inside
-    the bulk instead.  A bulk [-b, b] gives exact mirror pairs of intervals."""
+    """Evenly spaced midpoints inside the bulk, inset one interval length from its edges; when the inset range
+    is empty the intervals sit flush inside the bulk instead.  A bulk [-b, b] gives exact mirror pairs of
+    intervals.  Raises InvalidSpec when an interval rounds to no width."""
     mlo, mhi = bulk.lo + length, bulk.hi - length
     if mlo > mhi:
         mlo, mhi = bulk.lo + length / 2.0, bulk.hi - length / 2.0
     if mlo > mhi:
         raise EmptyBulk(f"no interval of length {length:g} fits inside [{bulk.lo:g}, {bulk.hi:g}]")
     mids = linear_grid(mlo, mhi, num) if num > 1 else np.array([(mlo + mhi) / 2.0])
-    return [(float(m - length / 2.0), float(m + length / 2.0)) for m in mids]
+    intervals = [(float(m - length / 2.0), float(m + length / 2.0)) for m in mids]
+    if any(lo == hi for lo, hi in intervals):  # its deviations would divide 0 by 0
+        raise InvalidSpec(f"intervals of length {length:g} have no width in [{bulk.lo:g}, {bulk.hi:g}]")
+    return intervals
 
 
 def interval_masses(curve: DensityCurve, intervals, mapper=map) -> list[float]:
@@ -248,11 +251,10 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
     tridiagonalizes its sample, and one Sturm sweep over the stacked forms then
     counts every interval of every trial.
     """
-    n, k, p_eff = ensemble_parameters(cfg.ensemble)
+    n, scale = cfg.ensemble.n, local_law_scale(cfg.ensemble)
 
     def plan(curve, bulks, widest, mapper):
-        length = cfg.interval_len_factor * k * k * math.log(n) / (n * p_eff)
-        intervals = place_intervals(widest, length, cfg.num_intervals)
+        intervals = place_intervals(widest, cfg.interval_len_factor * scale, cfg.num_intervals)
         return intervals, [n * q for q in interval_masses(curve, intervals, mapper)]
 
     # the trial owns its sample, so the reduction may overwrite it
@@ -271,7 +273,7 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
     ]
     return LocalLawReport(config=config, n=n, intervals=records, trial_pass=trial_pass,
                           pass_fraction=float(np.mean(trial_pass)), max_deviation=float(trial_dev_max.max()),
-                          k_bound_flag=stieltjes_eta_floor(cfg.ensemble) > _K_BOUND_FLOOR)
+                          k_bound_flag=scale > _K_BOUND_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +300,8 @@ class StieltjesReport:
     median_sup: float
 
 
-def stieltjes_eta_floor(ensemble: EnsembleSpec) -> float:
-    """Smallest meaningful regularization, K^2 log n/(n p_eff)."""
-    n, k, p_eff = ensemble_parameters(ensemble)
-    return k * k * math.log(n) / (n * p_eff)
-
-
 def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | None = None) -> StieltjesReport:
-    """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial; eta_grid is a 1-d array of reals."""
+    """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial; eta_grid: reals >= local_law_scale."""
     etas = real_array(eta_grid, "eta grid")
     if etas.ndim != 1:
         raise InvalidSpec(f"eta grid must be a 1-d array, got shape {etas.shape}")
@@ -313,7 +309,7 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | Non
         raise InvalidSpec("eta grid is empty")
     spectral_points(complex_points(0.0, etas))  # every eta, before the prediction
     etas = np.sort(etas)
-    floor = stieltjes_eta_floor(cfg.ensemble)
+    floor = local_law_scale(cfg.ensemble)
     if etas[0] < floor:
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
 
@@ -360,16 +356,15 @@ class DelocReport:
 
 
 def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> DelocReport:
-    """Sup-norms of bulk eigenvectors, normalized by K sqrt(log n)/sqrt(n p_eff).
+    """Sup-norms of bulk eigenvectors, normalized by sqrt(local_law_scale) = K sqrt(log n)/sqrt(n p_eff).
 
     Raises EmptyBulk when no trial has an eigenvalue in the predicted bulk.
     """
-    n, k_bound, p_eff = ensemble_parameters(cfg.ensemble)
-
+    scale = local_law_scale(cfg.ensemble)
     config, bulks, summaries = _campaign(cfg, threads, lambda curve, bulks, widest, mapper: bulks,
                                          lambda matrix: eigen_full(matrix, want_vectors=True))
     norms = [eigvec_inf_norms(summary)[bulk_indices(summary, bulks)] for summary in summaries]
-    results = [normalized_deloc_ratios(m, n, k_bound, p_eff) for m in norms]
+    results = [normalized_deloc_ratios(m, scale) for m in norms]
     records = [DelocTrialRecord(trial=i, bulk_count=r.size, max_inf_norm=float(m.max(initial=0.0)),
                                 max_ratio=float(r.max(initial=0.0))) for i, (r, m) in enumerate(zip(results, norms))]
     pooled = np.concatenate(results)
@@ -377,7 +372,7 @@ def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> De
         raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
     return DelocReport(config=config, records=records,
                        ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
-                       max_ratio=float(pooled.max()), k_bound_flag=stieltjes_eta_floor(cfg.ensemble) > _K_BOUND_FLOOR)
+                       max_ratio=float(pooled.max()), k_bound_flag=scale > _K_BOUND_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +420,7 @@ class ProjectionTestSpec:
 class ProjectionReport:
     spec: dict
     center: float
-    rows: list[dict]  # {"t": float, "failure_rate": float}
-
-    def rates(self) -> list[float]:
-        return [row["failure_rate"] for row in self.rows]
+    failure_rates: list[float]  # one per threshold of the spec's sorted t_grid
 
 
 def haar_basis(n: int, d: int, seed: int) -> np.ndarray:
@@ -445,7 +437,7 @@ def projection_concentration_test(spec: ProjectionTestSpec) -> ProjectionReport:
 
     The statistic is |sum_j r_j |u_j^T X|^2 - sum_j r_j tr(u_j u_j^T Sigma)|;
     a trial fails at threshold t when it reaches 2 t sqrt(center) + t^2.  The
-    emitted table is non-increasing in t by construction (events are nested).
+    rates are non-increasing along the sorted t_grid by construction (events are nested).
     """
     u = haar_basis(spec.n, spec.subspace_dim, spec.seed)
     tr_terms = (u * u).T @ spec.sigma
@@ -459,17 +451,13 @@ def projection_concentration_test(spec: ProjectionTestSpec) -> ProjectionReport:
     stat = spec.weights @ (proj * proj)
     dev = np.abs(stat - center)
 
-    rows = []
-    for t in spec.t_grid:
-        threshold = 2.0 * t * math.sqrt(center) + t * t
-        rows.append({"t": float(t), "failure_rate": float(np.mean(dev >= threshold))})
-    rates = [row["failure_rate"] for row in rows]
+    t = spec.t_grid
+    thresholds = 2.0 * t * math.sqrt(center) + t * t
+    rates = (dev >= thresholds[:, None]).mean(axis=1).tolist()  # the failing fraction of trials per threshold
     if any(a < b for a, b in zip(rates, rates[1:])):
-        raise AssertionFailure(
-            "failure rates must be non-increasing in t",
-            counterexample={"t_grid": [row["t"] for row in rows], "failure_rates": rates},
-        )
-    return ProjectionReport(spec=spec.to_dict(), center=center, rows=rows)
+        raise AssertionFailure("failure rates must be non-increasing in t",
+                               counterexample={"t_grid": t.tolist(), "failure_rates": rates})
+    return ProjectionReport(spec=spec.to_dict(), center=center, failure_rates=rates)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +470,7 @@ class InterlacingReport:
     trials: int
     n: int
     seed: int
-    max_shift_rank1: int
-    max_shift_by_rank: dict[int, int]
-    passed: bool
+    max_shift_by_rank: dict[int, int]  # rank 1 and each rank d drawn
 
 
 def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
@@ -523,6 +509,4 @@ def interlacing_test(trials: int, n: int, seed: int) -> InterlacingReport:
                     f"rank-{rank} update moved the count on [{lo:g}, {hi:g}) by {shift}",
                     counterexample={"trial": t, "seed": seed, "lo": lo, "hi": hi, "rank": rank, "shift": shift},
                 )
-    max_rank1 = max_by_rank.pop(1)
-    return InterlacingReport(trials=trials, n=n, seed=seed, max_shift_rank1=max_rank1,
-                             max_shift_by_rank=dict(sorted(max_by_rank.items())), passed=True)
+    return InterlacingReport(trials=trials, n=n, seed=seed, max_shift_by_rank=max_by_rank)  # ranks 1, 2, 3, ... in order

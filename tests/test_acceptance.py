@@ -178,16 +178,12 @@ def test_criterion_5_schur_identity():
 
 def test_criterion_6_interlacing():
     report = verify.interlacing_test(trials=500, n=50, seed=6)
-    ok = (
-        report.passed
-        and report.max_shift_rank1 <= 1
-        and all(shift <= rank for rank, shift in report.max_shift_by_rank.items())
-    )
+    shifts = report.max_shift_by_rank
+    ok = shifts[1] <= 1 and all(shift <= rank for rank, shift in shifts.items())
     report_line(
         6,
         ok,
-        f"0 violations in 500 rank-1 trials (max shift {report.max_shift_rank1}), "
-        f"rank-d shifts {report.max_shift_by_rank}",
+        f"0 violations in 500 rank-1 trials (max shift {shifts[1]}), max shifts by rank {shifts}",
     )
 
 
@@ -257,7 +253,7 @@ def test_criterion_10_delocalization_scaling():
     def control_ratio(n):
         summary = spectra.eigen_full(np.diag(np.arange(1.0, n + 1) / n), want_vectors=True)
         norms = spectra.eigvec_inf_norms(summary)[spectra.bulk_indices(summary, [qve.BulkInterval(lo=0.0, hi=1.0)])]
-        return float(spectra.normalized_deloc_ratios(norms, n=n, bound=1.0, p_eff=1.0).max())
+        return float(spectra.normalized_deloc_ratios(norms, verify.local_law_scale(dense_spec(n))).max())
 
     controls = {n: control_ratio(n) for n in (1000, 2000)}
     separated = all(controls[n] >= 5.0 * ratios[f"dense_{n}"] for n in (1000, 2000))
@@ -281,7 +277,7 @@ def test_criterion_11_projection_concentration():
         seed=11,
     )
     report = verify.projection_concentration_test(spec)
-    rates = report.rates()
+    rates = report.failure_rates
     monotone = all(a >= b for a, b in zip(rates, rates[1:]))
     at_5k = rates[4]
     report_line(

@@ -683,6 +683,68 @@ def test_non_finite_grid_end_exits_one_without_warnings(tmp_path, profile_path, 
     assert "RuntimeWarning" not in err and "finite lo < hi" in err
 
 
+def _strict_cli(*argv: str) -> subprocess.CompletedProcess:
+    """`python -W error -m speclaw.cli argv`: any warning, numpy's included, would end in a traceback."""
+    src = str(Path(speclaw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "speclaw.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+_BLOCK_50 = {**_WIGNER, "n": 50}
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_zero_width_intervals_exit_one_with_one_record(tmp_path, out):
+    # 1e-320 * K^2 log n/(n p) is a subnormal length that m -/+ length/2 rounds away off 0
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"ensemble": _BLOCK_50, "trials": 1, "interval_len_factor": 1e-320}))
+    report = tmp_path / "r.json"
+    run = _strict_cli("verify-local-law", "--config", str(path), *(["--out", str(report)] if out else []))
+    assert (run.returncode, run.stdout) == (1, "")
+    [line] = run.stderr.splitlines()
+    record = _strict_json(line)
+    assert record["error"] == "config" and "have no width" in record["message"]
+    assert not report.exists()
+
+
+# 10**15 doubles outgrow any address space and 2**62 doubles an intp; a smaller count such as 10**12
+# fails only where the kernel refuses to overcommit, so the tests do not use one
+@pytest.mark.parametrize("count", [10**15, 2**62])
+@pytest.mark.parametrize("command", ["verify-local-law", "verify-stieltjes"])
+def test_unallocatable_interval_count_exits_one_with_one_record(tmp_path, command, count):
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"ensemble": _BLOCK_50, "trials": 1, "interval_len_factor": 5.0, "num_intervals": count}))
+    eta = ["--eta", "0.5"] if command == "verify-stieltjes" else []
+    run = _strict_cli(command, "--config", str(path), "--out", str(tmp_path / "r.json"), *eta)
+    assert (run.returncode, run.stdout) == (1, "")
+    [line] = run.stderr.splitlines()
+    assert _strict_json(line)["message"].startswith("cannot allocate a grid of ")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("count", [10**15, 2**62])
+def test_unallocatable_grid_count_is_a_usage_error(tmp_path, profile_path, count):
+    # the grid is built while argparse converts the flag, before main's try, so it fails as a usage error
+    run = _strict_cli("density", "--profile", profile_path, "--grid", f"0:1:{count}", "--out", str(tmp_path / "rho.csv"))
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("usage: speclaw density") and "Traceback" not in run.stderr
+    assert run.stderr.splitlines()[-1] == f"error: argument --grid: cannot allocate a grid of {count} points"
+    assert not (tmp_path / "rho.csv").exists()
+
+
+def test_lemma_summary_lines_are_unchanged(tmp_path, capsys):
+    # the lines the commands printed when the reports held rows and max_shift_rank1 (acceptance seeds)
+    spec = {"n": 400, "sigma": [0.25, 1.0] * 200, "subspace_dim": 100, "weights": [1.0] * 100,
+            "t_grid": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1], "trials": 10_000, "seed": 11}
+    path = tmp_path / "proj.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["test-projection", "--config", str(path)]) == 0
+    assert cli.main(["test-interlacing", "--trials", "500", "--n", "50", "--seed", "6"]) == 0
+    assert capsys.readouterr().out == ("failure_rate_first=0.8388 failure_rate_last=0.0290\n"
+                                       "violations=0 trials=500 max_rank1_shift=1\n")
+
+
 @pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads", "-3"]], ids=["threads-0", "threads-negative"])
 def test_fewer_than_one_worker_exits_one(tmp_path, campaign_path, capsys, flag):
     out = tmp_path / "r.json"

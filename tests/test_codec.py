@@ -142,15 +142,16 @@ def projection_specs(draw):
 
 @st.composite
 def projection_reports(draw):
-    rows = [{"t": t, "failure_rate": r} for t, r in draw(st.lists(st.tuples(positives, units), max_size=4))]
-    return verify.ProjectionReport(spec=draw(projection_specs()).to_dict(), center=draw(positives), rows=rows)
+    spec = draw(projection_specs())
+    rates = draw(st.lists(units, min_size=spec.t_grid.size, max_size=spec.t_grid.size))
+    return verify.ProjectionReport(spec=spec.to_dict(), center=draw(positives), failure_rates=rates)
 
 
 @st.composite
 def interlacing_reports(draw):
     return verify.InterlacingReport(
-        trials=draw(counts), n=draw(counts), seed=draw(seeds), max_shift_rank1=draw(st.integers(0, 1)),
-        max_shift_by_rank=draw(st.dictionaries(st.integers(2, 5), st.integers(0, 5))), passed=draw(st.booleans()),
+        trials=draw(counts), n=draw(counts), seed=draw(seeds),
+        max_shift_by_rank={1: draw(st.integers(0, 1))} | draw(st.dictionaries(st.integers(2, 5), st.integers(0, 5))),
     )
 
 

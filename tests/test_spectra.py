@@ -617,7 +617,7 @@ def test_bulk_indices_and_ratios():
     intervals = [qve.BulkInterval(lo=-0.5, hi=0.5)]
     idx = spectra.bulk_indices(s, intervals)
     assert np.all(np.abs(s.eigenvalues[idx]) <= 0.5)
-    ratios = spectra.normalized_deloc_ratios(spectra.eigvec_inf_norms(s)[idx], n=9, bound=1.0, p_eff=1.0)
+    ratios = spectra.normalized_deloc_ratios(spectra.eigvec_inf_norms(s)[idx], np.log(9.0) / 9.0)  # K = p = 1
     control = np.sqrt(9.0 / np.log(9.0))
     assert np.allclose(ratios, control)  # identity eigenvectors: inf norm 1
 

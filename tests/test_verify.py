@@ -11,7 +11,7 @@ import pytest
 
 from speclaw import ensembles as ens
 import speclaw
-from speclaw import qve, verify
+from speclaw import qve, spectra, verify
 from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec, NonConvergence, report_json_bytes
 from speclaw.spectra import count_in_interval, tridiagonalize
 
@@ -305,9 +305,36 @@ def test_k_bound_flag_marks_an_eta_floor_above_a_tenth():
     sparse = dataclasses.replace(dense.ensemble, p=0.2)
     strained = dataclasses.replace(dense, ensemble=sparse, interval_len_factor=verify.factor_for_length(0.2, sparse))
     for cfg, flag in ((dense, False), (strained, True)):
-        assert (verify.stieltjes_eta_floor(cfg.ensemble) > 0.1) is flag
+        assert (verify.local_law_scale(cfg.ensemble) > 0.1) is flag
         assert verify.verify_local_law(cfg).k_bound_flag is flag
         assert verify.verify_delocalization(cfg).k_bound_flag is flag
+
+
+def test_quartering_p_quadruples_the_local_law_scale_and_halves_the_deloc_ratios(monkeypatch):
+    # eta_0 = K^2 log n/(n p) is exactly 4x at p/4 (a power of two), and so are the interval length
+    # factor * eta_0 and the Stieltjes floor eta_0; the same sup-norms over sqrt(eta_0) read exactly half
+    full = dense_config(n=100, trials=1, length=0.1)
+    quarter = dataclasses.replace(full, ensemble=dataclasses.replace(full.ensemble, p=0.25))
+    scales = [verify.local_law_scale(cfg.ensemble) for cfg in (full, quarter)]
+    assert scales == [math.log(100) / 100, 4 * scales[0]]
+
+    lengths, place = [], verify.place_intervals
+    monkeypatch.setattr(verify, "place_intervals", lambda bulk, length, num: lengths.append(length) or place(bulk, length, num))
+    for cfg in (full, quarter):
+        verify.verify_local_law(cfg, threads=1)
+    assert lengths == [full.interval_len_factor * scales[0], 4 * lengths[0]]
+    floors = [verify.verify_stieltjes_closeness(cfg, [1.0], threads=1).eta_floor for cfg in (full, quarter)]
+    assert floors == [scales[0], 4 * scales[0]]
+
+    summary = spectra.eigen_full(ens.normalized_sample(full.ensemble), want_vectors=True)
+    monkeypatch.setattr(verify, "eigen_full", lambda matrix, want_vectors: summary)  # the same sup-norms
+    dense, sparse = (verify.verify_delocalization(cfg, threads=1) for cfg in (full, quarter))
+    assert sparse.records == [dataclasses.replace(r, max_ratio=r.max_ratio / 2) for r in dense.records]
+    assert sparse.ratio_quantiles == {q: v / 2 for q, v in dense.ratio_quantiles.items()}
+    assert (dense.max_ratio / 2, dense.k_bound_flag, sparse.k_bound_flag) == (sparse.max_ratio, False, True)
+    norms = summary.inf_norms
+    assert np.array_equal(spectra.normalized_deloc_ratios(norms, scales[1]),
+                          spectra.normalized_deloc_ratios(norms, scales[0]) / 2)
 
 
 def test_empty_bulk_raises():
@@ -415,9 +442,13 @@ def test_config_validation():
     ens.SbmSpec(d=1, sizes=(1,), probs=np.full((1, 1), 0.5), seed=0),
 ], ids=["wigner", "sbm"])
 def test_interval_length_of_a_single_node_is_invalid(ensemble):
-    # the length carries log n, which is 0 at n = 1
-    with pytest.raises(InvalidSpec, match="n >= 2"):
-        verify.factor_for_length(0.3, ensemble)
+    # the length carries log n, which is 0 at n = 1; one check, one message
+    message = "campaigns need n >= 2: their lengths and scales carry log n, got n=1"
+    for call in (verify.local_law_scale, lambda e: verify.factor_for_length(0.3, e),
+                 lambda e: verify.LocalLawConfig(ensemble=e)):
+        with pytest.raises(InvalidSpec) as exc:
+            call(ensemble)
+        assert str(exc.value) == message
 
 
 def test_interval_placement_insets_and_falls_back():
@@ -430,6 +461,15 @@ def test_interval_placement_insets_and_falls_back():
         assert lo >= bulk.lo - 1e-12 and hi <= bulk.hi + 1e-12
     with pytest.raises(EmptyBulk):
         verify.place_intervals(bulk, 4.0, 1)
+
+
+@pytest.mark.parametrize("length", [0.0, 1e-320, 1e-17])
+def test_intervals_without_width_are_refused(length):
+    # m -/+ length/2 rounds to m away from 0, where a deviation would divide 0 by 0
+    bulk = qve.BulkInterval(lo=-1.9, hi=1.9)
+    with pytest.raises(InvalidSpec, match="have no width"):
+        verify.place_intervals(bulk, length, 3)
+    assert all(lo < hi for lo, hi in verify.place_intervals(bulk, 1e-15, 3))  # one ulp of 1.9 is 2.2e-16
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +491,8 @@ def test_stieltjes_bulk_discrepancy_small():
 
 def test_stieltjes_floor_enforced():
     cfg = dense_config(n=200, trials=1)
-    floor = verify.stieltjes_eta_floor(cfg.ensemble)
-    with pytest.raises(InvalidSpec):
+    floor = verify.local_law_scale(cfg.ensemble)
+    with pytest.raises(InvalidSpec, match="below the configured floor"):
         verify.verify_stieltjes_closeness(cfg, [floor / 2.0])
 
 
@@ -567,12 +607,12 @@ def test_deloc_negative_control_is_localized():
     s = spectra.eigen_full(control, want_vectors=True)
     intervals = [qve.BulkInterval(lo=0.0, hi=1.0)]
     norms = spectra.eigvec_inf_norms(s)[spectra.bulk_indices(s, intervals)]
-    ratios = spectra.normalized_deloc_ratios(norms, n=n, bound=1.0, p_eff=1.0)
+    cfg = dense_config(n=n, trials=2)
+    ratios = spectra.normalized_deloc_ratios(norms, verify.local_law_scale(cfg.ensemble))
     expected = math.sqrt(n / math.log(n))
     assert np.allclose(ratios, expected)
 
     # the separation grows with n (the acceptance suite checks 5x at n=1000)
-    cfg = dense_config(n=n, trials=2)
     deloc = verify.verify_delocalization(cfg)
     assert expected >= 3.0 * deloc.max_ratio
 
@@ -612,7 +652,7 @@ def test_full_basis_statistic_is_norm_of_x():
     report = verify.projection_concentration_test(spec)
     # with r = 1 and d = n the statistic is ||X||^2 - sum(sigma), identically 0
     # for rademacher entries, so no trial can fail at any threshold
-    assert all(row["failure_rate"] == 0.0 for row in report.rows)
+    assert report.failure_rates == [0.0] * spec.t_grid.size
     assert report.center == pytest.approx(200.0)
 
 
@@ -659,7 +699,8 @@ def test_failure_rates_non_increasing_and_decay():
         t_grid=np.arange(1.0, 9.0), trials=4000, seed=9,
     )
     report = verify.projection_concentration_test(spec)
-    rates = report.rates()
+    rates = report.failure_rates
+    assert len(rates) == spec.t_grid.size
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert rates[4] <= 0.05  # t = 5K
     assert rates[-1] == 0.0
@@ -681,6 +722,26 @@ def test_projection_report_round_trip(tmp_path):
 
     back = verify.ProjectionReport.from_dict(json.loads((tmp_path / "p.json").read_text()))
     assert back.to_dict() == report.to_dict()
+
+
+# what a per-threshold loop of np.mean(dev >= threshold) gave, recorded to hold the one broadcast comparison
+# to it: (seed, trials, t_grid as given) -> center, failure rates on the sorted t_grid
+_RECORDED_RATES = {
+    (11, 10_000, tuple(np.arange(1.0, 9.0))): (62.651012237513804, [0.029] + [0.0] * 7),
+    (11, 10_000, tuple(np.arange(10.0, 0.0, -1.0) / 10.0)): (
+        62.651012237513804, [0.8388, 0.6779, 0.5247, 0.3955, 0.2881, 0.1977, 0.1348, 0.086, 0.0525, 0.029]),
+    (9, 4000, tuple(np.arange(1.0, 9.0))): (62.833659562337424, [0.03075] + [0.0] * 7),
+}
+
+
+@pytest.mark.parametrize("key", list(_RECORDED_RATES), ids=["criterion-11", "criterion-11-fine", "decay-test"])
+def test_projection_rates_equal_the_recorded_ones(key):
+    seed, trials, t_grid = key
+    spec = verify.ProjectionTestSpec(n=400, sigma=np.where(np.arange(400) % 2 == 0, 0.25, 1.0), subspace_dim=100,
+                                     weights=np.ones(100), t_grid=np.array(t_grid), trials=trials, seed=seed)
+    report = verify.projection_concentration_test(spec)
+    assert (report.center, report.failure_rates) == _RECORDED_RATES[key]
+    assert report.spec["t_grid"] == sorted(t_grid)
 
 
 def test_haar_basis_is_orthonormal():
@@ -717,10 +778,21 @@ def test_interlacing_counts_each_trial_base_once(monkeypatch):
 
 def test_interlacing_campaign_has_no_violations():
     report = verify.interlacing_test(trials=60, n=30, seed=2)
-    assert report.passed
-    assert report.max_shift_rank1 <= 1
+    assert report.max_shift_by_rank[1] <= 1
     assert all(shift <= rank for rank, shift in report.max_shift_by_rank.items())
-    assert set(report.max_shift_by_rank) == {2, 3, 4, 5}
+    assert set(report.max_shift_by_rank) == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("trials, n, seed, maxima", [
+    (500, 50, 6, {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}),  # criterion 6
+    (60, 30, 2, {1: 1, 2: 2, 3: 2, 4: 3, 5: 5}),
+    (1, 10, 4, {1: 1, 2: 1}),
+])
+def test_interlacing_maxima_equal_the_recorded_ones(trials, n, seed, maxima):
+    # recorded when rank 1 sat in its own field; it now leads the by-rank dict, in rank order
+    report = verify.interlacing_test(trials=trials, n=n, seed=seed)
+    assert report.max_shift_by_rank == maxima
+    assert list(report.max_shift_by_rank) == sorted(maxima)
 
 
 def test_interlacing_report_round_trip(tmp_path):
