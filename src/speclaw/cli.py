@@ -147,7 +147,8 @@ def run(args: argparse.Namespace) -> int:
 
     if command == "density":
         profile = read_json(qve.Profile, args.profile)
-        curve = qve.extract_density(profile, args.grid, eta=args.eta)
+        with verify._campaign_map(None) as mapper:  # a campaign's map: the CSV does not depend on the BLAS thread count
+            curve = qve.extract_density(profile, args.grid, eta=args.eta, mapper=mapper)
         qve.density_to_csv(curve, args.out)
         print(f"rows={curve.grid.size} mass={curve.mass():.6f} out={args.out}")
         return EXIT_OK

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, frozen_array, record
+from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, frozen_array, record, within
 from .qve import BlockProfile, Profile, VarianceProfile, block_labels, reduce_profile
 
 LAW_KINDS = ("rademacher", "uniform_bounded", "scaled_bernoulli_centered")
@@ -82,17 +82,13 @@ class WignerSpec:
     """Wigner-type ensemble, each entry kept with probability p (1 is dense);
     `profile` is stored as reduce_profile of the one given."""
 
-    n: int
+    n: int = within(1, 2**32)  # pair counters hold 32-bit indices
     profile: Profile
     law: EntryLaw
     seed: int
-    p: float = 1.0
+    p: float = within(0, 1, "(]", default=1.0)
 
     def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise InvalidSpec(f"keep probability must lie in (0, 1], got p={self.p}")
-        if self.n >= 2**32:
-            raise InvalidSpec(f"n={self.n} must be below 2**32: pair counters hold 32-bit indices")
         if not isinstance(self.profile, (VarianceProfile, BlockProfile)):
             raise InvalidSpec("Wigner-type ensembles need a variance profile")
         if isinstance(self.profile, VarianceProfile) and self.profile.n != self.n:
@@ -107,8 +103,8 @@ class WignerSpec:
 @dataclass(frozen=True)
 class SbmSpec:
     d: int
-    sizes: tuple[int, ...]
-    probs: np.ndarray
+    sizes: tuple[int, ...] = within(1, math.inf)
+    probs: np.ndarray = within(0, 1)
     seed: int
 
     def __post_init__(self):
@@ -116,16 +112,12 @@ class SbmSpec:
         probs = frozen_array(self, "probs")
         if self.d < 1 or len(sizes) != self.d:
             raise InvalidSpec(f"need d >= 1 class sizes, got d={self.d}, sizes={sizes}")
-        if min(sizes) < 1:
-            raise InvalidSpec("every class must be nonempty")
         if sum(sizes) >= 2**32:
             raise InvalidSpec(f"n={sum(sizes)} must be below 2**32: pair counters hold 32-bit indices")
         if probs.shape != (self.d, self.d):
             raise InvalidSpec(f"probs must be {self.d}x{self.d}")
         if not np.array_equal(probs, probs.T):
             raise InvalidSpec("edge probabilities must be exactly symmetric")
-        if probs.min() < 0.0 or probs.max() >= 1.0:
-            raise InvalidSpec("edge probabilities must lie in [0, 1)")
         object.__setattr__(self, "sizes", sizes)
         n = self.n
         if n > 2 and self.d >= n / math.log(n):

@@ -26,7 +26,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, field, fields
 
 import numpy as np
 
@@ -242,7 +242,23 @@ def _decode(kind, value, where: str):
     return json_value(value, kind, where)
 
 
-def record(tag: str | None = None):
+def within(lo, hi, ends: str = "[)", **kwargs):
+    """A record field whose values lie in [lo, hi), or in the range `ends` draws ("(]" is (lo, hi]); kwargs go to field."""
+    return field(metadata={"range": (lo, hi, ends)}, **kwargs)
+
+
+def _check_ranges(obj, declared, error: type[SpecLawError]) -> None:
+    """Raise `error` for the first value outside its range in the `within` fields `declared`."""
+    for f in declared:
+        lo, hi, ends = f.metadata["range"]
+        inside = lambda v: (lo < v if ends[0] == "(" else lo <= v) & (v < hi if ends[1] == ")" else v <= hi)
+        values = np.asarray(getattr(obj, f.name))
+        if values.size and not inside(np.array([values.min(), values.max()])).all():  # no copy of values; nan fails
+            bad = values.flat[np.argmin(inside(values))]  # the first value outside
+            raise error(f"{type(obj).__name__}.{f.name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {bad}")
+
+
+def record(tag: str | None = None, error: type[SpecLawError] = InvalidSpec):
     """Class decorator giving a dataclass to_dict, from_dict and to_json driven by its fields.
 
     to_dict encodes nested records, arrays, lists and tuples (as lists);
@@ -250,12 +266,23 @@ def record(tag: str | None = None):
     decodes each field by its annotation, leaves absent defaulted fields to
     their defaults, and raises InvalidSpec naming the field otherwise.  A
     tagged class writes "kind": tag first and requires it on read.  The
-    methods are set on the class itself, one function object per class.
+    methods are set on the class itself, one function object per class, and
+    its `within` ranges are checked whenever it is built, raising `error`.
     """
 
     def decorate(cls):
         hints = typing.get_type_hints(cls)
         kinds = {f.name: hints[f.name] for f in fields(cls)}
+        declared = [f for f in fields(cls) if "range" in f.metadata]
+        if declared:  # scalars as given, arrays once __post_init__ has made them frozen_array's
+            post = cls.__post_init__
+
+            def __post_init__(self):
+                _check_ranges(self, [f for f in declared if kinds[f.name] is not np.ndarray], error)
+                post(self)
+                _check_ranges(self, [f for f in declared if kinds[f.name] is np.ndarray], error)
+
+            cls.__post_init__ = __post_init__
         optional = {f.name for f in fields(cls) if f.default is not MISSING}
         head = {} if tag is None else {"kind": tag}
         names = [*head, *kinds]

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, spectral_points, write_csv
+from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, spectral_points, within, write_csv
 
 DEFAULT_ETA = 1e-6
 # a column without a warm start starts at g_k = -1/(Re z + i*max(Im z, ETA_START))
@@ -76,26 +76,20 @@ _BLOCK_COLUMNS = 50
 _COARSE_STRIDE = 10
 
 
-@record()
+@record(error=InvalidProfile)
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Symmetric n x n matrix of entry variances, bounded in (0, 1]."""
+    """Symmetric n x n matrix of entry variances, bounded in (0, 1] (a lower bound c > 0 is assumed)."""
 
-    n: int
-    entries: np.ndarray
+    n: int = within(1, math.inf)
+    entries: np.ndarray = within(0, 1, "(]")
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidProfile(f"profile size must be positive, got n={self.n}")
         entries = frozen_array(self, "entries", InvalidProfile)
         if entries.shape != (self.n, self.n):
             raise InvalidProfile(f"entries must be {self.n}x{self.n}, got {entries.shape}")
         if not np.array_equal(entries, entries.T):
             raise InvalidProfile("profile must be exactly symmetric")
-        if entries.min() <= 0.0:
-            raise InvalidProfile("profile entries must be strictly positive (a lower bound c > 0 is assumed)")
-        if entries.max() > 1.0:
-            raise InvalidProfile("profile entries must be <= 1 (rescale the profile)")
 
     @property
     def dim(self) -> int:
@@ -110,31 +104,25 @@ class VarianceProfile:
         return cls(n=n, entries=np.broadcast_to(1.0, (n, n)))  # frozen_array's copy is the one n x n array
 
 
-@record()
+@record(error=InvalidProfile)
 @dataclass(frozen=True)
 class BlockProfile:
     """d-class reduction of a block-constant profile: weights alpha, coefficients c_kl."""
 
-    d: int
-    weights: np.ndarray
-    coeffs: np.ndarray
+    d: int = within(1, math.inf)
+    weights: np.ndarray = within(0, 1, "(]")
+    coeffs: np.ndarray = within(0, 1, "(]")
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InvalidProfile(f"block count must be positive, got d={self.d}")
         weights, coeffs = frozen_array(self, "weights", InvalidProfile), frozen_array(self, "coeffs", InvalidProfile)
         if weights.shape != (self.d,):
             raise InvalidProfile(f"weights must have length {self.d}")
         if coeffs.shape != (self.d, self.d):
             raise InvalidProfile(f"coeffs must be {self.d}x{self.d}")
-        if weights.min() <= 0.0:
-            raise InvalidProfile("class weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidProfile(f"class weights must sum to 1, got {weights.sum()!r}")
+            raise InvalidProfile(f"class weights must sum to 1, got {float(weights.sum())!r}")
         if not np.array_equal(coeffs, coeffs.T):
             raise InvalidProfile("block coefficients must be exactly symmetric")
-        if coeffs.min() <= 0.0 or coeffs.max() > 1.0:
-            raise InvalidProfile("block coefficients must lie in (0, 1]")
 
     @property
     def dim(self) -> int:
@@ -526,9 +514,9 @@ def default_grid() -> np.ndarray:
 def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     """Adaptive trapezoid integral of the predicted density over [lo, hi].
 
-    The mesh starts as lo, the grid points inside and hi, each solved at
-    eta_used from the cubic interpolant of its grid neighbours' solutions (or
-    the linear one, `_solve_blocks`).  Halving a cell solves its midpoint that
+    The mesh starts as lo, the grid points inside (their solutions read from the
+    curve) and hi; lo and hi are solved at eta_used from the cubic interpolant of
+    their grid neighbours' solutions (or the linear one, `_solve_blocks`).  Halving a cell solves its midpoint that
     way from the nearest points of the current mesh, and each half keeps half
     the cell's trapezoid change.  Every cell is halved until the changes
     sum to at most _QUAD_REL_TOL relative (1e-12 absolute), then only cells whose
@@ -543,8 +531,11 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
         raise InvalidSpec("curve lacks its source profile or solution; cannot refine")
     profile, grid, table, eta = curve.source, curve.grid, curve.solution, curve.eta_used
 
-    xs = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-    g = _solve_blocks(profile, complex_points(xs, eta), known=grid, g_known=table)  # a grid point starts from, and keeps, its solution
+    inside = (grid > lo) & (grid < hi)
+    xs = np.concatenate(([lo], grid[inside], [hi]))
+    g = np.empty((xs.size, profile.dim), dtype=np.complex128).T  # one batch's memory layout, in which _m_of rounds
+    g[:, [0, -1]] = _solve_blocks(profile, complex_points([lo, hi], eta), known=grid, g_known=table)
+    g[:, 1:-1] = table[:, inside]
     vals = _m_of(profile, g).imag / math.pi
     change = np.zeros(xs.size - 1)  # per cell: its share of the trapezoid change of the last halving
     cells, uniform = np.arange(xs.size - 1), True

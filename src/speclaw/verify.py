@@ -37,7 +37,8 @@ from .ensembles import (
     normalized_sample,
     with_seed,
 )
-from .errors import AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read_json, real_array, record, spectral_points, write_csv
+from .errors import (AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read_json, real_array, record, spectral_points, within,
+                     write_csv)
 from .qve import (DEFAULT_ETA, BulkInterval, DensityCurve, VarianceProfile, complex_points, default_grid, detect_bulk,
                   extract_density, integrate_density, linear_grid, stieltjes_batch)
 from .spectra import (
@@ -65,33 +66,29 @@ class LocalLawConfig:
     local_law_scale(ensemble), and a trial passes when it deviates by at most delta on every interval."""
 
     ensemble: EnsembleSpec
-    eps: float = 0.1
-    delta: float = 0.05
-    interval_len_factor: float = 50.0
-    num_intervals: int = 3
-    trials: int = 20
+    eps: float = within(0, math.inf, "()", default=0.1)
+    delta: float = within(0, 1, "()", default=0.05)
+    interval_len_factor: float = within(0, math.inf, "()", default=50.0)
+    num_intervals: int = within(1, math.inf, default=3)
+    trials: int = within(1, math.inf, default=20)
     base_seed: int = 0
-    eta: float = DEFAULT_ETA
+    eta: float = within(0, math.inf, "()", default=DEFAULT_ETA)
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidSpec(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.eps > 0:
-            raise InvalidSpec("eps must be positive")
-        if self.trials < 1 or self.num_intervals < 1:
-            raise InvalidSpec("need at least one trial and one interval")
-        if not self.interval_len_factor > 0:
-            raise InvalidSpec("interval_len_factor must be positive")
-        local_law_scale(self.ensemble)  # n >= 2
+        local_law_scale(self.ensemble)
+        if math.pi * self.eta * self.eps > 1.0:  # Im m(x + i eta) <= 1/eta for a probability measure
+            raise InvalidSpec(f"eta={self.eta:g} exceeds 1/(pi eps) at eps={self.eps:g}: a density at eta is at most 1/(pi eta)")
 
 
 def local_law_scale(ensemble: EnsembleSpec) -> float:
     """eta_0 = K^2 log n/(n p_eff), p_eff the p of a Wigner-type ensemble or a block model's max p_kl: the interval
-    unit, the Stieltjes eta floor and the k_bound_flag's argument; sqrt(eta_0) normalizes the sup-norms."""
+    unit, the Stieltjes eta floor and the k_bound_flag's argument; sqrt(eta_0) normalizes the sup-norms.
+    Raises InvalidSpec unless it is positive and finite (log n is 0 at n = 1)."""
     n, k, p_eff = ensemble_parameters(ensemble)
-    if n < 2:
-        raise InvalidSpec(f"campaigns need n >= 2: their lengths and scales carry log n, got n={n}")
-    return k * k * math.log(n) / (n * p_eff)
+    scale = k * k * math.log(n) / (n * p_eff) if p_eff > 0 else math.inf
+    if not 0 < scale < math.inf:
+        raise InvalidSpec(f"campaigns need n >= 2 and a finite K^2 log n/(n p_eff), got {scale} at n={n}, K={k}, p_eff={p_eff}")
+    return scale
 
 
 def factor_for_length(length: float, ensemble: EnsembleSpec) -> float:
@@ -103,10 +100,10 @@ def load_local_law_config(path) -> LocalLawConfig:
     return read_json(LocalLawConfig, path)
 
 
-def place_intervals(bulk: BulkInterval, length: float, num: int) -> list[tuple[float, float]]:
+def place_intervals(bulk: BulkInterval, length: float, num: int, n: int = 1) -> list[tuple[float, float]]:
     """Evenly spaced midpoints inside the bulk, inset one interval length from its edges; when the inset range
     is empty the intervals sit flush inside the bulk instead.  A bulk [-b, b] gives exact mirror pairs of
-    intervals.  Raises InvalidSpec when an interval rounds to no width."""
+    intervals.  Raises InvalidSpec unless n times each width, which deviations divide by, is a normal float."""
     mlo, mhi = bulk.lo + length, bulk.hi - length
     if mlo > mhi:
         mlo, mhi = bulk.lo + length / 2.0, bulk.hi - length / 2.0
@@ -114,8 +111,8 @@ def place_intervals(bulk: BulkInterval, length: float, num: int) -> list[tuple[f
         raise EmptyBulk(f"no interval of length {length:g} fits inside [{bulk.lo:g}, {bulk.hi:g}]")
     mids = linear_grid(mlo, mhi, num) if num > 1 else np.array([(mlo + mhi) / 2.0])
     intervals = [(float(m - length / 2.0), float(m + length / 2.0)) for m in mids]
-    if any(lo == hi for lo, hi in intervals):  # its deviations would divide 0 by 0
-        raise InvalidSpec(f"intervals of length {length:g} have no width in [{bulk.lo:g}, {bulk.hi:g}]")
+    if any(not n * (hi - lo) >= np.finfo(np.float64).tiny for lo, hi in intervals):  # deviations divide by it
+        raise InvalidSpec(f"intervals of length {length:g} have no width in [{bulk.lo:g}, {bulk.hi:g}] that n={n} times is normal")
     return intervals
 
 
@@ -254,7 +251,7 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
     n, scale = cfg.ensemble.n, local_law_scale(cfg.ensemble)
 
     def plan(curve, bulks, widest, mapper):
-        intervals = place_intervals(widest, cfg.interval_len_factor * scale, cfg.num_intervals)
+        intervals = place_intervals(widest, cfg.interval_len_factor * scale, cfg.num_intervals, n)
         return intervals, [n * q for q in interval_masses(curve, intervals, mapper)]
 
     # the trial owns its sample, so the reduction may overwrite it
@@ -389,28 +386,24 @@ class ProjectionTestSpec:
     (each in [0, 1]) and absolute bound 1.
     """
 
-    n: int
-    sigma: np.ndarray
+    n: int = within(1, math.inf)
+    sigma: np.ndarray = within(0, 1, "[]")
     subspace_dim: int
-    weights: np.ndarray
-    t_grid: np.ndarray
-    trials: int
+    weights: np.ndarray = within(0, 1, "[]")
+    t_grid: np.ndarray = within(0, math.inf, "()")
+    trials: int = within(1, math.inf)
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidSpec(f"need n >= 1, got n={self.n}")
         sigma, weights, t_grid = (frozen_array(self, name) for name in ("sigma", "weights", "t_grid"))
-        if sigma.shape != (self.n,) or sigma.min() < 0 or sigma.max() > 1:
-            raise InvalidSpec("sigma must hold n variances in [0, 1]")
+        if sigma.shape != (self.n,):
+            raise InvalidSpec("sigma must hold n variances")
         if not (1 <= self.subspace_dim <= self.n):
             raise InvalidSpec("subspace_dim must lie in [1, n]")
-        if weights.shape != (self.subspace_dim,) or weights.min() < 0 or weights.max() > 1:
-            raise InvalidSpec("weights must hold subspace_dim values in [0, 1]")
-        if t_grid.ndim != 1 or t_grid.size < 1 or t_grid.min() <= 0:
-            raise InvalidSpec("t_grid must hold positive thresholds")
-        if self.trials < 1:
-            raise InvalidSpec("need at least one trial")
+        if weights.shape != (self.subspace_dim,):
+            raise InvalidSpec("weights must hold subspace_dim values")
+        if t_grid.ndim != 1 or t_grid.size < 1:
+            raise InvalidSpec("t_grid must hold at least one threshold")
         object.__setattr__(self, "t_grid", np.sort(t_grid))
         frozen_array(self, "t_grid")
 
@@ -452,7 +445,8 @@ def projection_concentration_test(spec: ProjectionTestSpec) -> ProjectionReport:
     dev = np.abs(stat - center)
 
     t = spec.t_grid
-    thresholds = 2.0 * t * math.sqrt(center) + t * t
+    with np.errstate(over="ignore"):  # a threshold past the float range is never reached
+        thresholds = 2.0 * t * math.sqrt(center) + t * t
     rates = (dev >= thresholds[:, None]).mean(axis=1).tolist()  # the failing fraction of trials per threshold
     if any(a < b for a, b in zip(rates, rates[1:])):
         raise AssertionFailure("failure rates must be non-increasing in t",

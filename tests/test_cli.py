@@ -322,6 +322,25 @@ def _reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra):
     return reports
 
 
+def test_density_csv_identical_across_blas_threads(tmp_path):
+    # density solves on a campaign's map, one BLAS thread per solve; unpinned, this n = 1500 profile gave
+    # 247 of 601 rho values that differed, by up to 1.2e-12, between 1 and 2 BLAS threads
+    n = 1500
+    a = np.random.default_rng(1).uniform(0.3, 1.0, size=(n, n))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"n": n, "entries": np.round((a + a.T) / 2.0, 2).tolist()}))
+    src = str(Path(speclaw.__file__).resolve().parents[1])
+    tables = set()
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"rho-{blas}.csv"
+        subprocess.run([sys.executable, "-m", "speclaw.cli", "density", "--profile", str(profile), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        tables.add(out.read_bytes())
+    assert len(tables) == 1
+
+
 def test_reports_identical_across_blas_threads_and_workers(tmp_path):
     block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.5], [0.5, 0.8]]))
     spec = ens.WignerSpec(n=200, profile=block, law=ens.EntryLaw("uniform_bounded"), seed=0)
@@ -493,7 +512,7 @@ def test_keep_probability_outside_the_unit_interval_exits_one(tmp_path, capsys, 
     assert cli.main(["sample", "--ensemble", str(path), "--out", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert _strict_json(lines[0])["message"] == f"keep probability must lie in (0, 1], got p={float(p)}"
+    assert _strict_json(lines[0])["message"] == f"WignerSpec.p must lie in (0, 1], got {float(p)}"
 
 
 def test_deloc_campaign_with_an_empty_bulk_exits_one(tmp_path, capsys):
@@ -766,21 +785,23 @@ def test_projection_without_coordinates_exits_one(tmp_path, capsys):
     path.write_text(json.dumps({**_PROJECTION, "n": 0, "sigma": []}))
     out = tmp_path / "r.json"
     assert cli.main(["test-projection", "--config", str(path), "--out", str(out)]) == 1
-    assert "n >= 1" in _config_failure(capsys)
+    assert _config_failure(capsys) == "ProjectionTestSpec.n must lie in [1, inf), got 0"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flag, payload", [
-    ("sample", "--ensemble", {**_WIGNER, "n": 2**32 + 1}),
-    ("sample", "--ensemble", {**_SBM, "d": 2, "sizes": [2**31, 2**31 + 1], "probs": [[0.5, 0.1], [0.1, 0.5]]}),
-    ("verify-deloc", "--config", {**_CAMPAIGN, "ensemble": {**_SBM, "sizes": [2**32]}}),
+@pytest.mark.parametrize("command, flag, payload, message", [
+    ("sample", "--ensemble", {**_WIGNER, "n": 2**32 + 1}, "WignerSpec.n must lie in [1, 4294967296), got 4294967297"),
+    ("sample", "--ensemble", {**_SBM, "d": 2, "sizes": [2**31, 2**31 + 1], "probs": [[0.5, 0.1], [0.1, 0.5]]},
+     "n=4294967297 must be below 2**32: pair counters hold 32-bit indices"),
+    ("verify-deloc", "--config", {**_CAMPAIGN, "ensemble": {**_SBM, "sizes": [2**32]}},
+     "n=4294967296 must be below 2**32: pair counters hold 32-bit indices"),
 ], ids=["wigner", "sbm", "sbm-campaign"])
-def test_n_past_the_pair_counter_range_exits_one(tmp_path, capsys, command, flag, payload):
+def test_n_past_the_pair_counter_range_exits_one(tmp_path, capsys, command, flag, payload, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     out = tmp_path / "out"
     assert cli.main([command, flag, str(path), "--out", str(out)]) == 1
-    assert "must be below 2**32" in _config_failure(capsys)
+    assert _config_failure(capsys) == message
     assert not out.exists()
 
 

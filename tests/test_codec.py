@@ -66,13 +66,23 @@ def sbm_specs(draw):
 ensemble_specs = wigner_specs() | sbm_specs()
 
 
+def _has_local_law_scale(spec) -> bool:
+    """Whether a campaign can run on `spec`: n >= 2 and a finite scale K^2 log n/(n p_eff)."""
+    try:
+        return verify.local_law_scale(spec) > 0
+    except InvalidSpec:
+        return False
+
+
 @st.composite
 def local_law_configs(draw):
-    ensemble = draw(ensemble_specs.filter(lambda spec: ens.ensemble_parameters(spec)[0] >= 2))
+    ensemble = draw(ensemble_specs.filter(_has_local_law_scale))
+    eps = draw(positives)
     return verify.LocalLawConfig(
-        ensemble=ensemble, eps=draw(positives), delta=draw(st.floats(min_value=1e-6, max_value=0.999)),
+        ensemble=ensemble, eps=eps, delta=draw(st.floats(min_value=1e-6, max_value=0.999)),
         interval_len_factor=draw(positives), num_intervals=draw(st.integers(min_value=1, max_value=9)),
-        trials=draw(st.integers(min_value=1, max_value=99)), base_seed=draw(seeds), eta=draw(positives),
+        trials=draw(st.integers(min_value=1, max_value=99)), base_seed=draw(seeds),
+        eta=draw(st.floats(min_value=0.0, max_value=0.3 / eps, exclude_min=True)),  # eta <= 1/(pi eps) keeps a bulk possible
     )
 
 
@@ -203,8 +213,9 @@ def test_scaled_bernoulli_needs_a_finite_bound_of_at_least_one(value):
 
 @pytest.mark.parametrize("kind, data, where", [
     (ens.EntryLaw, {"kind": "scaled_bernoulli_centered", "bound": 10**400}, "EntryLaw.bound"),
+    # eta at most 1/(pi eps) keeps the config valid at the largest eps
     (verify.LocalLawConfig, {"ensemble": {"kind": "sbm", "d": 1, "sizes": [20], "probs": [[0.5]], "seed": 0},
-                             "eps": -(10**400)}, "LocalLawConfig.eps"),
+                             "eps": -(10**400), "eta": 1e-309}, "LocalLawConfig.eps"),
 ])
 def test_integer_beyond_the_float_range_names_its_field(kind, data, where):
     with pytest.raises(InvalidSpec, match=rf"^{where} is an integer too large for a float$"):
@@ -229,16 +240,18 @@ _BLOCK_WIGNER = {"kind": "wigner", "profile": {"d": 1, "weights": [1.0], "coeffs
                  "law": {"kind": "rademacher"}, "seed": 0}
 
 
-@pytest.mark.parametrize("kind, data", [
-    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32 + 1}),
-    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32}),
-    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32, "p": 0.5}),
-    (ens.SbmSpec, {"kind": "sbm", "d": 2, "sizes": [2**31, 2**31], "probs": [[0.5, 0.1], [0.1, 0.5]], "seed": 0}),
+@pytest.mark.parametrize("kind, data, message", [
+    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32 + 1}, "WignerSpec.n must lie in [1, 4294967296), got 4294967297"),
+    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32}, "WignerSpec.n must lie in [1, 4294967296), got 4294967296"),
+    (ens.WignerSpec, {**_BLOCK_WIGNER, "n": 2**32, "p": 0.5}, "WignerSpec.n must lie in [1, 4294967296), got 4294967296"),
+    (ens.SbmSpec, {"kind": "sbm", "d": 2, "sizes": [2**31, 2**31], "probs": [[0.5, 0.1], [0.1, 0.5]], "seed": 0},
+     "n=4294967296 must be below 2**32: pair counters hold 32-bit indices"),
 ], ids=["wigner-2**32+1", "wigner-2**32", "sparse-2**32", "sbm-sum-2**32"])
-def test_n_past_the_pair_counter_range_is_invalid(kind, data):
+def test_n_past_the_pair_counter_range_is_invalid(kind, data, message):
     # pair counters pack each row and column index into 32 bits
-    with pytest.raises(InvalidSpec, match=r"^n=\d+ must be below 2\*\*32"):
+    with pytest.raises(InvalidSpec) as caught:
         kind.from_dict(data)
+    assert str(caught.value) == message
 
 
 def test_sbm_of_the_largest_counted_size_still_loads():

@@ -319,7 +319,8 @@ def test_quartering_p_quadruples_the_local_law_scale_and_halves_the_deloc_ratios
     assert scales == [math.log(100) / 100, 4 * scales[0]]
 
     lengths, place = [], verify.place_intervals
-    monkeypatch.setattr(verify, "place_intervals", lambda bulk, length, num: lengths.append(length) or place(bulk, length, num))
+    monkeypatch.setattr(verify, "place_intervals",
+                        lambda bulk, length, num, n: lengths.append(length) or place(bulk, length, num, n))
     for cfg in (full, quarter):
         verify.verify_local_law(cfg, threads=1)
     assert lengths == [full.interval_len_factor * scales[0], 4 * lengths[0]]
@@ -443,7 +444,8 @@ def test_config_validation():
 ], ids=["wigner", "sbm"])
 def test_interval_length_of_a_single_node_is_invalid(ensemble):
     # the length carries log n, which is 0 at n = 1; one check, one message
-    message = "campaigns need n >= 2: their lengths and scales carry log n, got n=1"
+    p_eff = ens.ensemble_parameters(ensemble)[2]
+    message = f"campaigns need n >= 2 and a finite K^2 log n/(n p_eff), got 0.0 at n=1, K=1.0, p_eff={p_eff}"
     for call in (verify.local_law_scale, lambda e: verify.factor_for_length(0.3, e),
                  lambda e: verify.LocalLawConfig(ensemble=e)):
         with pytest.raises(InvalidSpec) as exc:
