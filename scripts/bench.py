@@ -26,7 +26,7 @@ The cases, their default rounds and repeats in parentheses:
   of each workload at seed 1, each the median of --repeats processes, then one
   `verify-deloc --threads 2` process on the sbm-deloc config;
 - prediction (2, 3): the QVE prediction of a local-law campaign, inside the
-  campaign map, for block and irreducible profiles at 1 and 2 workers;
+  CLI's worker context, for block and irreducible profiles at 1 and 2 workers;
 - reduction (2, 5): the dense local-law campaign at n = 2000 and 4000, then
   the one-stage and two-stage tridiagonal reductions at one BLAS thread;
 - irreducible-campaign (3, -): an irreducible n = 2000, 20-trial
@@ -68,6 +68,24 @@ def launch(case: str, src: str, work: Path, repeats: int) -> dict:
     code = CHILD.format(scripts=str(Path(__file__).resolve().parent))
     _, out = timed([sys.executable, "-c", code, case, str(work), str(repeats)], dict(os.environ, PYTHONPATH=src))
     return json.loads(out.splitlines()[-1])
+
+
+def workers(threads: int):
+    """speclaw's worker context (BLAS pinned, `threads` workers); a checkout from before `cli.workers`
+    opens the same pin and pool as `verify._campaign_map`."""
+    from speclaw import cli, verify
+
+    return cli.workers(threads) if hasattr(cli, "workers") else verify._campaign_map(threads)
+
+
+def campaign(run, cfg, threads: int):
+    """run(cfg, mapper) inside workers(threads); a checkout from before `cli.workers` takes threads= instead."""
+    from speclaw import cli
+
+    if not hasattr(cli, "workers"):
+        return run(cfg, threads=threads)
+    with cli.workers(threads) as mapper:
+        return run(cfg, mapper)
 
 
 def sha256(path: Path) -> str:
@@ -113,7 +131,7 @@ def cold_start(work: Path, repeats: int) -> dict:
 def prediction(work: Path, repeats: int) -> dict:
     """The campaign prediction, `extract_density` on the default 601-point grid at eta 1e-6, then the
     masses of three intervals of length 0.3 in the widest bulk at eps 0.1 as the local-law plan takes
-    them (`verify.interval_masses`, one `integrate_density` per mirror pair), inside the campaign map
+    them (`verify.interval_masses`, one `integrate_density` per mirror pair), inside the worker context
     (one BLAS thread; at 2 workers a thread pool), after one warm-up at n = 200.  Profiles: the d = 1
     constant block (dense-local-law) and the two-class block of sbm-deloc, 10 * --repeats times each;
     seeded irreducible profiles at n = 200 (profile-local-law) and n = 1000, --repeats times each, at 1
@@ -136,10 +154,10 @@ def prediction(work: Path, repeats: int) -> dict:
     masses = getattr(verify, "interval_masses", lambda curve, intervals, mapper: list(
         mapper(lambda iv: qve.integrate_density(curve, *iv), intervals)))
 
-    def predict(prof, n: int, workers: int) -> tuple[float, float, list[float], dict]:
+    def predict(prof, n: int, count: int) -> tuple[float, float, list[float], dict]:
         evaluations.clear()
         t0 = time.perf_counter()
-        with verify._campaign_map(workers) as mapper:
+        with workers(count) as mapper:
             curve = qve.extract_density(prof, qve.default_grid(), eta=qve.DEFAULT_ETA, mapper=mapper)
             t1 = time.perf_counter()
             density = len(evaluations)
@@ -161,10 +179,10 @@ def prediction(work: Path, repeats: int) -> dict:
     }
     predict(profiles["n200"][0], 200, 1)  # warm-up
     result = {"seconds": {}, "equal": {}, "close": {}}
-    for name, (prof, n, workers_list, reps) in profiles.items():
-        for workers in workers_list:
-            runs = [predict(prof, n, workers) for _ in range(reps)]
-            key = f"{name} workers{workers}"
+    for name, (prof, n, counts, reps) in profiles.items():
+        for count in counts:
+            runs = [predict(prof, n, count) for _ in range(reps)]
+            key = f"{name} workers{count}"
             result["seconds"] |= {f"{key} prediction": [a + b for a, b, _, _ in runs],
                                   f"{key} extract_density": [r[0] for r in runs],
                                   f"{key} three intervals": [r[1] for r in runs]}
@@ -178,7 +196,7 @@ def reduction(work: Path, repeats: int) -> dict:
     delta 0.05, three intervals of length 0.2, 20 trials from base seed 1000, two workers) at n = 2000
     and n = 4000, one `verify_local_law` call each, its report hashed; then LAPACK dsytrd and
     dsytrd_2stage of the bundled OpenBLAS on one seeded symmetric matrix per size, inside a one-worker
-    campaign map (one BLAS thread), alternating, --repeats times each.  Each kernel runs as
+    worker context (one BLAS thread), alternating, --repeats times each.  Each kernel runs as
     `spectra.tridiagonalize(b, overwrite_a=True)` with `spectra._TWO_STAGE_MIN_N` set to force it, on
     its own copy b of the matrix, made before the timer starts."""
     import numpy as np
@@ -193,12 +211,12 @@ def reduction(work: Path, repeats: int) -> dict:
                                     interval_len_factor=verify.factor_for_length(0.2, spec),
                                     num_intervals=3, trials=TRIALS, base_seed=1000)
         t0 = time.perf_counter()
-        report = verify.verify_local_law(cfg, threads=2)
+        report = campaign(verify.verify_local_law, cfg, 2)
         result["seconds"][f"campaign n{n}"] = [time.perf_counter() - t0]
         result["equal"][f"report n{n}"] = hashlib.sha256(report_json_bytes(report.to_dict())).hexdigest()
         result["info"][f"pass_fraction n{n}"] = report.pass_fraction
     kernels = {"dsytrd": float("inf"), "dsytrd_2stage": 0}  # the _TWO_STAGE_MIN_N that forces each
-    with verify._campaign_map(1):
+    with workers(1):
         for n in (200, 500, 800, 1000, 1200, 1500, 2000, 4000):
             a = np.random.default_rng(n).standard_normal((n, n))
             a = (a + a.T) / np.sqrt(2.0 * n)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from speclaw import ensembles as ens
-from speclaw import qve, verify
+from speclaw import cli, qve, verify
 
 
 def dense_spec(n: int, p: float = 1.0) -> ens.WignerSpec:
@@ -49,91 +49,93 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
-    n = 500 if args.quick else 2000
-    trials = 5 if args.quick else 20
-    results: dict = {"n": n, "trials": trials}
-    t_start = time.time()
+    # one worker context for every campaign, as the CLI opens one per command
+    with cli.workers(args.threads) as mapper:
+        n = 500 if args.quick else 2000
+        trials = 5 if args.quick else 20
+        results: dict = {"n": n, "trials": trials}
+        t_start = time.time()
 
-    # dense campaign, intervals of length 0.2
-    spec = dense_spec(n)
-    cfg = verify.LocalLawConfig(
-        ensemble=spec,
-        eps=0.1,
-        delta=0.05,
-        interval_len_factor=verify.factor_for_length(0.2, spec),
-        num_intervals=3,
-        trials=trials,
-        base_seed=1000,
-    )
-    t0 = time.time()
-    report = verify.verify_local_law(cfg, threads=args.threads)
-    results["dense"] = summarize(report) | {"delta": 0.05, "length": 0.2, "seconds": time.time() - t0}
-    print(f"dense n={n}: pass={report.pass_fraction:.2f} max_dev={report.max_deviation:.4f}")
-
-    # sparse campaigns: length fixed at the 1/p-scaled value for p=0.1
-    length = 0.2 / 0.1
-    results["sparse"] = {}
-    for p in (0.1, 0.05, 0.02):
-        sparse = dense_spec(n, p)
+        # dense campaign, intervals of length 0.2
+        spec = dense_spec(n)
         cfg = verify.LocalLawConfig(
-            ensemble=sparse,
+            ensemble=spec,
             eps=0.1,
-            delta=0.1,
-            interval_len_factor=verify.factor_for_length(length, sparse),
+            delta=0.05,
+            interval_len_factor=verify.factor_for_length(0.2, spec),
             num_intervals=3,
             trials=trials,
-            base_seed=2000,
+            base_seed=1000,
         )
         t0 = time.time()
-        report = verify.verify_local_law(cfg, threads=args.threads)
-        results["sparse"][str(p)] = summarize(report) | {
-            "delta": 0.1, "length": length, "seconds": time.time() - t0
-        }
-        print(f"sparse p={p}: pass={report.pass_fraction:.2f} max_dev={report.max_deviation:.4f} "
-              f"median_trial_max={results['sparse'][str(p)]['median_trial_max_deviation']:.4f}")
+        report = verify.verify_local_law(cfg, mapper=mapper)
+        results["dense"] = summarize(report) | {"delta": 0.05, "length": 0.2, "seconds": time.time() - t0}
+        print(f"dense n={n}: pass={report.pass_fraction:.2f} max_dev={report.max_deviation:.4f}")
 
-    # block model, two equal communities
-    half = n // 2
-    sbm = ens.SbmSpec(
-        d=2, sizes=(half, half), probs=np.array([[0.1, 0.02], [0.02, 0.1]]), seed=0
-    )
-    cfg = verify.LocalLawConfig(
-        ensemble=sbm,
-        eps=0.1,
-        delta=0.1,
-        interval_len_factor=verify.factor_for_length(0.4, sbm),
-        num_intervals=3,
-        trials=trials,
-        base_seed=3000,
-    )
-    t0 = time.time()
-    report = verify.verify_local_law(cfg, threads=args.threads)
-    results["sbm"] = summarize(report) | {"delta": 0.1, "length": 0.4, "seconds": time.time() - t0}
-    print(f"sbm: pass={report.pass_fraction:.2f} max_dev={report.max_deviation:.4f}")
-
-    # delocalization stability: dense and sparse at two sizes
-    results["deloc"] = {}
-    sizes = (250, 500) if args.quick else (1000, 2000)
-    for label, make in (
-        ("dense", lambda m: dense_spec(m)),
-        ("sparse", lambda m: dense_spec(m, 0.1)),
-    ):
-        for m in sizes:
+        # sparse campaigns: length fixed at the 1/p-scaled value for p=0.1
+        length = 0.2 / 0.1
+        results["sparse"] = {}
+        for p in (0.1, 0.05, 0.02):
+            sparse = dense_spec(n, p)
             cfg = verify.LocalLawConfig(
-                ensemble=make(m), eps=0.1, trials=trials, base_seed=4000,
-                interval_len_factor=verify.factor_for_length(0.2, make(m)),
+                ensemble=sparse,
+                eps=0.1,
+                delta=0.1,
+                interval_len_factor=verify.factor_for_length(length, sparse),
+                num_intervals=3,
+                trials=trials,
+                base_seed=2000,
             )
             t0 = time.time()
-            deloc = verify.verify_delocalization(cfg, threads=args.threads)
-            key = f"{label}_{m}"
-            results["deloc"][key] = {
-                "max_ratio": deloc.max_ratio,
-                "quantiles": deloc.ratio_quantiles,
-                "seconds": time.time() - t0,
+            report = verify.verify_local_law(cfg, mapper=mapper)
+            results["sparse"][str(p)] = summarize(report) | {
+                "delta": 0.1, "length": length, "seconds": time.time() - t0
             }
-            control = math.sqrt(m / math.log(m))
-            print(f"deloc {key}: max_ratio={deloc.max_ratio:.3f} control={control:.2f} "
-                  f"separation={control / deloc.max_ratio:.2f}x")
+            print(f"sparse p={p}: pass={report.pass_fraction:.2f} max_dev={report.max_deviation:.4f} "
+                  f"median_trial_max={results['sparse'][str(p)]['median_trial_max_deviation']:.4f}")
+
+        # block model, two equal communities
+        half = n // 2
+        sbm = ens.SbmSpec(
+            d=2, sizes=(half, half), probs=np.array([[0.1, 0.02], [0.02, 0.1]]), seed=0
+        )
+        cfg = verify.LocalLawConfig(
+            ensemble=sbm,
+            eps=0.1,
+            delta=0.1,
+            interval_len_factor=verify.factor_for_length(0.4, sbm),
+            num_intervals=3,
+            trials=trials,
+            base_seed=3000,
+        )
+        t0 = time.time()
+        report = verify.verify_local_law(cfg, mapper=mapper)
+        results["sbm"] = summarize(report) | {"delta": 0.1, "length": 0.4, "seconds": time.time() - t0}
+        print(f"sbm: pass={report.pass_fraction:.2f} max_dev={report.max_deviation:.4f}")
+
+        # delocalization stability: dense and sparse at two sizes
+        results["deloc"] = {}
+        sizes = (250, 500) if args.quick else (1000, 2000)
+        for label, make in (
+            ("dense", lambda m: dense_spec(m)),
+            ("sparse", lambda m: dense_spec(m, 0.1)),
+        ):
+            for m in sizes:
+                cfg = verify.LocalLawConfig(
+                    ensemble=make(m), eps=0.1, trials=trials, base_seed=4000,
+                    interval_len_factor=verify.factor_for_length(0.2, make(m)),
+                )
+                t0 = time.time()
+                deloc = verify.verify_delocalization(cfg, mapper=mapper)
+                key = f"{label}_{m}"
+                results["deloc"][key] = {
+                    "max_ratio": deloc.max_ratio,
+                    "quantiles": deloc.ratio_quantiles,
+                    "seconds": time.time() - t0,
+                }
+                control = math.sqrt(m / math.log(m))
+                print(f"deloc {key}: max_ratio={deloc.max_ratio:.3f} control={control:.2f} "
+                      f"separation={control / deloc.max_ratio:.2f}x")
 
     results["total_seconds"] = time.time() - t_start
     with open(args.out, "w", encoding="utf-8") as fh:

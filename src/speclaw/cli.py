@@ -1,7 +1,10 @@
 """Experiment runner: one binary, one subcommand per pipeline stage.
 
-The five report commands (three campaigns, test-projection, test-interlacing)
-share one branch: the verify function, --out, --csv if any, the summary line.
+Every command runs inside one worker context, `workers`: BLAS pinned to one
+thread and one pool of worker threads, so no output depends on the worker or
+BLAS thread count.  The five report commands (three campaigns, test-projection,
+test-interlacing) share one branch: the verify function, --out, --csv if any,
+the summary line.
 
 Exit codes: 0 success, 1 config/IO/validation problems, 2 numerical
 non-convergence, 3 a verification assertion failed.  A failure prints the
@@ -13,9 +16,12 @@ is a bug and ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,20 +64,66 @@ def _campaign_config(args) -> verify.LocalLawConfig:
 
 
 # report command -> (name of its verify function, its arguments from the parsed
-# command line, its summary line); the function is looked up on `verify` at
-# call time, where a tracer may wrap it
+# command line and the worker map, its summary line); the function is looked up
+# on `verify` at call time, where a tracer may wrap it
 _REPORTS = {
-    "verify-local-law": ("verify_local_law", lambda a: (_campaign_config(a), a.threads),
+    "verify-local-law": ("verify_local_law", lambda a, m: (_campaign_config(a), m),
                          lambda r: f"pass_fraction={r.pass_fraction:.4f} max_deviation={r.max_deviation:.6g}"),
-    "verify-stieltjes": ("verify_stieltjes_closeness", lambda a: (_campaign_config(a), a.eta, a.threads),
+    "verify-stieltjes": ("verify_stieltjes_closeness", lambda a, m: (_campaign_config(a), a.eta, m),
                          lambda r: f"max_discrepancy={r.max_discrepancy:.6g} median_sup={r.median_sup:.6g}"),
-    "verify-deloc": ("verify_delocalization", lambda a: (_campaign_config(a), a.threads),
+    "verify-deloc": ("verify_delocalization", lambda a, m: (_campaign_config(a), m),
                      lambda r: f"max_ratio={r.max_ratio:.6g} q99={r.ratio_quantiles['q99']:.6g}"),
-    "test-projection": ("projection_concentration_test", lambda a: (read_json(verify.ProjectionTestSpec, a.config),),
+    "test-projection": ("projection_concentration_test", lambda a, m: (read_json(verify.ProjectionTestSpec, a.config),),
                         lambda r: f"failure_rate_first={r.failure_rates[0]:.4f} failure_rate_last={r.failure_rates[-1]:.4f}"),
-    "test-interlacing": ("interlacing_test", lambda a: (a.trials, a.n, a.seed),
+    "test-interlacing": ("interlacing_test", lambda a, m: (a.trials, a.n, a.seed),  # serial: small n holds the GIL
                          lambda r: f"violations=0 trials={r.trials} max_rank1_shift={r.max_shift_by_rank[1]}"),
 }
+
+
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS; empty for any other BLAS."""
+    return tuple((getattr(dll, f"scipy_openblas_get_num_threads{suffix}"),
+                  getattr(dll, f"scipy_openblas_set_num_threads{suffix}")) for dll, suffix in spectra.bundled_openblas())
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def workers(threads: int | None = None):
+    """The worker context of one command: BLAS pinned to one thread, and a map.
+
+    Yields the builtin map, or a pool's map when threads > 1; threads=None
+    means the usable CPU count, and a count below 1 raises InvalidSpec.  A
+    campaign hands the map its prediction blocks, its quadrature intervals and
+    its trials, `density` its prediction blocks; each lists the results in
+    input order.
+
+    Every BLAS/LAPACK call runs single-threaded at any worker count while the
+    context is open: the parallelism comes from the pool, and no output depends
+    on the BLAS thread count.  The pin is process-global, and the previous
+    counts come back afterwards, also when the command raises.  It covers the
+    OpenBLAS bundled with numpy and scipy wheels; with any other BLAS it is a
+    no-op and that library keeps its own threading.  `run` opens it around
+    every command; a Python caller opens it to get the CLI's determinism.
+    """
+    threads = _usable_cpus() if threads is None else threads
+    if threads < 1:
+        raise InvalidSpec(f"need at least 1 worker thread, got {threads}")
+    controls = _openblas_thread_controls()
+    saved = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+            yield map if pool is None else pool.map
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 def build_parser() -> _Parser:
@@ -132,7 +184,12 @@ def build_parser() -> _Parser:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed invocation; returns the process exit status."""
+    """Execute one parsed invocation inside one worker context (campaigns: --threads); returns the exit status."""
+    with workers(getattr(args, "threads", None)) as mapper:
+        return _execute(args, mapper)
+
+
+def _execute(args: argparse.Namespace, mapper) -> int:
     command = args.command
 
     if command == "qve-solve":
@@ -147,8 +204,7 @@ def run(args: argparse.Namespace) -> int:
 
     if command == "density":
         profile = read_json(qve.Profile, args.profile)
-        with verify._campaign_map(None) as mapper:  # a campaign's map: the CSV does not depend on the BLAS thread count
-            curve = qve.extract_density(profile, args.grid, eta=args.eta, mapper=mapper)
+        curve = qve.extract_density(profile, args.grid, eta=args.eta, mapper=mapper)
         qve.density_to_csv(curve, args.out)
         print(f"rows={curve.grid.size} mass={curve.mass():.6f} out={args.out}")
         return EXIT_OK
@@ -171,7 +227,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     name, inputs, summary = _REPORTS[command]  # argparse admits no other command
-    report = getattr(verify, name)(*inputs(args))
+    report = getattr(verify, name)(*inputs(args, mapper))
     if args.out:
         report.to_json(args.out)
     if getattr(args, "csv", None):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +118,6 @@ class SbmSpec:
         if not np.array_equal(probs, probs.T):
             raise InvalidSpec("edge probabilities must be exactly symmetric")
         object.__setattr__(self, "sizes", sizes)
-        n = self.n
-        if n > 2 and self.d >= n / math.log(n):
-            warnings.warn(
-                f"d={self.d} classes at n={n} is in the unbounded-blocks regime; "
-                "predictions use the n-dependent block profile",
-                stacklevel=2,
-            )
 
     @property
     def n(self) -> int:

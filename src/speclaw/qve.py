@@ -69,7 +69,11 @@ _STALL_ROUNDING = 4 * np.finfo(np.float64).eps
 _QUAD_REL_TOL = 1e-6
 # profiles of dimension >= _BLOCK_MIN_DIM are solved in blocks of at most
 # _BLOCK_COLUMNS abscissas; for smaller ones the extra batches cost more than
-# the smaller working set saves
+# the smaller working set saves.  Keep both fixed: near a spectral edge, a
+# warm-started column's solution depends at about 1e-12 relative on the row
+# count of its block, through OpenBLAS rounding of the W g product (seen at
+# n = 60, 90 and 100), so another value moves report floats.  Reports are the
+# same at any worker count because the layout does not depend on that count
 _BLOCK_MIN_DIM = 200
 _BLOCK_COLUMNS = 50
 # extract_density starts every _COARSE_STRIDE-th grid point only cold

@@ -1,13 +1,14 @@
 """Monte Carlo campaigns confronting sampled spectra with the predictions.
 
 The local-law, Stieltjes and delocalization campaigns run one pipeline,
-`_campaign`: under one campaign map (the worker pool, BLAS pinned to one
-thread) it predicts the density, finds its bulk, lets the campaign plan
-its predictions, and maps the trials over seeded normalized samples.  A
-trial takes only its sample (a tridiagonal form or a spectrum comes back),
-and the campaign confronts the results with its plan after the map, e.g.
-the local law Sturm-counts every trial's form in one sweep.  Each campaign
-adds only its plan, its trial and its aggregation.
+`_campaign`: through the caller's map (`cli.workers` yields one: a worker
+pool, BLAS pinned to one thread; the default is the builtin map) it predicts
+the density, finds its bulk, lets the campaign plan its predictions, and
+maps the trials over seeded normalized samples.  A trial takes only its
+sample (a tridiagonal form or a spectrum comes back), and the campaign
+confronts the results with its plan after the map, e.g. the local law
+Sturm-counts every trial's form in one sweep.  Each campaign adds only its
+plan, its trial and its aggregation.
 
 Each campaign is a deterministic function of (config, base_seed): trial i
 samples with seed base_seed + i, and aggregation is order-independent.  Every
@@ -19,10 +20,7 @@ and types raises InvalidSpec naming the field.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,7 +41,6 @@ from .qve import (DEFAULT_ETA, BulkInterval, DensityCurve, VarianceProfile, comp
                   extract_density, integrate_density, linear_grid, stieltjes_batch)
 from .spectra import (
     bulk_indices,
-    bundled_openblas,
     eigen_full,
     eigenvalue_counts_below,
     eigvec_inf_norms,
@@ -145,66 +142,21 @@ def _report_config(cfg: LocalLawConfig, curve: DensityCurve) -> dict:
     return encode(cfg)
 
 
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each bundled OpenBLAS; empty for any other BLAS."""
-    return tuple((getattr(dll, f"scipy_openblas_get_num_threads{suffix}"),
-                  getattr(dll, f"scipy_openblas_set_num_threads{suffix}")) for dll, suffix in bundled_openblas())
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API outside Linux
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _campaign_map(threads: int | None):
-    """A map for one campaign: the builtin map, or a pool's map when threads > 1.
-
-    threads=None, the default of every campaign, means the usable CPU count;
-    a count below 1 raises InvalidSpec.
-    The campaign hands it its prediction blocks, its quadrature intervals and
-    its trials; each caller lists the results, in input order.
-
-    Every BLAS/LAPACK call runs single-threaded at any worker count while the
-    campaign holds the map: the parallelism comes from the pool, and a report
-    does not depend on the BLAS thread count.  The pin is process-global, and
-    the previous counts come back afterwards, also when the campaign raises.
-    It covers the OpenBLAS bundled with numpy and scipy wheels; with any other
-    BLAS it is a no-op and that library keeps its own threading.
-    """
-    threads = _usable_cpus() if threads is None else threads
-    if threads < 1:
-        raise InvalidSpec(f"need at least 1 worker thread, got {threads}")
-    controls = _openblas_thread_controls()
-    saved = [get_threads() for get_threads, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
-            yield map if pool is None else pool.map
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
-
-
-def _campaign(cfg: LocalLawConfig, threads: int | None, plan, trial) -> tuple[dict, object, list]:
-    """Predict, find the bulk, plan, then map the trials, all under one campaign map.
+def _campaign(cfg: LocalLawConfig, mapper, plan, trial) -> tuple[dict, object, list]:
+    """Predict, find the bulk, plan, then map the trials, all through `mapper`.
 
     Raises EmptyBulk when the predicted density has no bulk.  Trial i maps to
     trial(normalized sample of seed base_seed + i) and sees nothing else; the
     caller confronts the results with plan(curve, bulks, widest, mapper).
     Returns the report's config citation, the plan and the trial results in trial order.
     """
-    with _campaign_map(threads) as mapper:
-        curve = extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
-        bulks = detect_bulk(curve, cfg.eps)
-        if not bulks:
-            raise EmptyBulk(f"predicted density never reaches eps={cfg.eps:g}")
-        planned = plan(curve, bulks, max(bulks, key=lambda b: b.width), mapper)
-        results = list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i))),
-                              range(cfg.trials)))
+    curve = extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
+    bulks = detect_bulk(curve, cfg.eps)
+    if not bulks:
+        raise EmptyBulk(f"predicted density never reaches eps={cfg.eps:g}")
+    planned = plan(curve, bulks, max(bulks, key=lambda b: b.width), mapper)
+    results = list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i))),
+                          range(cfg.trials)))
     return _report_config(cfg, curve), planned, results
 
 
@@ -240,7 +192,7 @@ class LocalLawReport:
                    for t, (obs, dev) in enumerate(zip(rec.observed, rec.deviations))))
 
 
-def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLawReport:
+def verify_local_law(cfg: LocalLawConfig, mapper=map) -> LocalLawReport:
     """Count eigenvalues on bulk intervals across trials and compare with n * integral(rho).
 
     The intervals sit in the widest bulk and their predictions are integrated
@@ -255,7 +207,7 @@ def verify_local_law(cfg: LocalLawConfig, threads: int | None = None) -> LocalLa
         return intervals, [n * q for q in interval_masses(curve, intervals, mapper)]
 
     # the trial owns its sample, so the reduction may overwrite it
-    config, (intervals, predicted), forms = _campaign(cfg, threads, plan,
+    config, (intervals, predicted), forms = _campaign(cfg, mapper, plan,
                                                       lambda matrix: tridiagonalize(matrix, overwrite_a=True))
     below = eigenvalue_counts_below(forms, np.ravel(intervals))  # integrate_density has checked lo <= hi
     observed = below[:, 1::2] - below[:, ::2]  # trials x intervals
@@ -297,7 +249,7 @@ class StieltjesReport:
     median_sup: float
 
 
-def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | None = None) -> StieltjesReport:
+def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, mapper=map) -> StieltjesReport:
     """|s_n(z) - m(z)| over a grid of bulk points z = x + i*eta, per trial; eta_grid: reals >= local_law_scale."""
     etas = real_array(eta_grid, "eta grid")
     if etas.ndim != 1:
@@ -315,7 +267,7 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, threads: int | Non
         zs = complex_points(xs[:, None], etas).ravel()  # x-major, solved as one batch, a mirror pair once
         return zs, stieltjes_batch(curve.source, zs, mapper)
 
-    config, (zs, m), summaries = _campaign(cfg, threads, plan, eigen_full)
+    config, (zs, m), summaries = _campaign(cfg, mapper, plan, eigen_full)
     gap = np.array([stieltjes_empirical(summary, zs) for summary in summaries]) - m  # trials x points
     discrepancies = np.hypot(gap.real, gap.imag)  # abs() of each complex, bit for bit, which np.abs is not
     records = [StieltjesRecord(x=z.real, eta=z.imag, predicted=[mz.real, mz.imag], discrepancies=column)
@@ -352,13 +304,13 @@ class DelocReport:
                   ([r.trial, r.bulk_count, r.max_inf_norm, r.max_ratio] for r in self.records))
 
 
-def verify_delocalization(cfg: LocalLawConfig, threads: int | None = None) -> DelocReport:
+def verify_delocalization(cfg: LocalLawConfig, mapper=map) -> DelocReport:
     """Sup-norms of bulk eigenvectors, normalized by sqrt(local_law_scale) = K sqrt(log n)/sqrt(n p_eff).
 
     Raises EmptyBulk when no trial has an eigenvalue in the predicted bulk.
     """
     scale = local_law_scale(cfg.ensemble)
-    config, bulks, summaries = _campaign(cfg, threads, lambda curve, bulks, widest, mapper: bulks,
+    config, bulks, summaries = _campaign(cfg, mapper, lambda curve, bulks, widest, mapper: bulks,
                                          lambda matrix: eigen_full(matrix, want_vectors=True))
     norms = [eigvec_inf_norms(summary)[bulk_indices(summary, bulks)] for summary in summaries]
     results = [normalized_deloc_ratios(m, scale) for m in norms]

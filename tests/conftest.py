@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from speclaw import qve
+from speclaw import cli, qve
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=40, derandomize=True
@@ -34,6 +34,12 @@ def semicircle_cdf_antiderivative(x: float) -> float:
 
 def semicircle_mass(lo: float, hi: float) -> float:
     return semicircle_cdf_antiderivative(hi) - semicircle_cdf_antiderivative(lo)
+
+
+def on_workers(threads, campaign, *args):
+    """campaign(*args, mapper) on the map of cli.workers(threads), BLAS pinned as the CLI runs it."""
+    with cli.workers(threads) as mapper:
+        return campaign(*args, mapper)
 
 
 def random_profile(n: int, seed: int, low: float = 0.3, high: float = 1.0) -> qve.VarianceProfile:

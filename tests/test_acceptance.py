@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_profile, semicircle_stieltjes
+from conftest import on_workers, random_profile, semicircle_stieltjes
 from speclaw import ensembles as ens
 from speclaw import qve, spectra, verify
 from speclaw.errors import report_json_bytes
@@ -74,18 +74,18 @@ def sbm_campaign(trials=20):
 @pytest.fixture(scope="module")
 def dense_report():
     t0 = time.time()
-    report = verify.verify_local_law(dense_campaign(), threads=2)
+    report = on_workers(2, verify.verify_local_law, dense_campaign())
     return report, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def sparse_reports():
-    return {p: verify.verify_local_law(sparse_campaign(p), threads=2) for p in (0.1, 0.05, 0.02)}
+    return {p: on_workers(2, verify.verify_local_law, sparse_campaign(p)) for p in (0.1, 0.05, 0.02)}
 
 
 @pytest.fixture(scope="module")
 def sbm_report():
-    return verify.verify_local_law(sbm_campaign(), threads=2)
+    return on_workers(2, verify.verify_local_law, sbm_campaign())
 
 
 def test_criterion_1_solver_matches_closed_form():
@@ -242,7 +242,7 @@ def test_criterion_10_delocalization_scaling():
                 base_seed=4000,
                 interval_len_factor=verify.factor_for_length(0.2, spec),
             )
-            ratios[f"{label}_{n}"] = verify.verify_delocalization(cfg, threads=2).max_ratio
+            ratios[f"{label}_{n}"] = on_workers(2, verify.verify_delocalization, cfg).max_ratio
 
     stable = all(
         abs(ratios[f"{lb}_2000"] - ratios[f"{lb}_1000"]) <= 0.3 * ratios[f"{lb}_1000"]
@@ -289,9 +289,9 @@ def test_criterion_11_projection_concentration():
 
 def test_criterion_12_determinism(dense_report, sparse_reports, sbm_report):
     repeats = {
-        "dense": (dense_report[0], verify.verify_local_law(dense_campaign(), threads=2)),
-        "sparse": (sparse_reports[0.1], verify.verify_local_law(sparse_campaign(0.1), threads=2)),
-        "sbm": (sbm_report, verify.verify_local_law(sbm_campaign(), threads=2)),
+        "dense": (dense_report[0], on_workers(2, verify.verify_local_law, dense_campaign())),
+        "sparse": (sparse_reports[0.1], on_workers(2, verify.verify_local_law, sparse_campaign(0.1))),
+        "sbm": (sbm_report, on_workers(2, verify.verify_local_law, sbm_campaign())),
     }
     identical = {
         k: report_json_bytes(a.to_dict()) == report_json_bytes(b.to_dict())

@@ -303,42 +303,25 @@ def test_failed_reduction_exits_two(tmp_path, campaign_path, monkeypatch, capsys
     assert not (tmp_path / "r.json").exists()
 
 
+def _cli_process(argv, blas="1", flags=()) -> subprocess.CompletedProcess:
+    """One `python [flags] -m speclaw.cli argv` process at OPENBLAS_NUM_THREADS=blas, its output captured."""
+    src = str(Path(speclaw.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *flags, "-m", "speclaw.cli", *argv], env=env, capture_output=True)
+
+
 def _reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra):
     """Report bytes of one CLI campaign at OPENBLAS_NUM_THREADS {1, 2} x --threads {1, 2}."""
     config = tmp_path / "campaign.json"
     config.write_text(json.dumps(cfg.to_dict()))
-    src = str(Path(speclaw.__file__).resolve().parents[1])
     reports = set()
     for blas, workers in (("1", "1"), ("2", "1"), ("1", "2"), ("2", "2")):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         out = tmp_path / f"report-{blas}-{workers}.json"
-        subprocess.run(
-            [sys.executable, "-m", "speclaw.cli", command, "--config", str(config),
-             "--threads", workers, "--out", str(out), *extra],
-            env=env, check=True, capture_output=True,
-        )
+        _cli_process([command, "--config", str(config), "--threads", workers, "--out", str(out), *extra],
+                     blas).check_returncode()
         reports.add(out.read_bytes())
     return reports
-
-
-def test_density_csv_identical_across_blas_threads(tmp_path):
-    # density solves on a campaign's map, one BLAS thread per solve; unpinned, this n = 1500 profile gave
-    # 247 of 601 rho values that differed, by up to 1.2e-12, between 1 and 2 BLAS threads
-    n = 1500
-    a = np.random.default_rng(1).uniform(0.3, 1.0, size=(n, n))
-    profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps({"n": n, "entries": np.round((a + a.T) / 2.0, 2).tolist()}))
-    src = str(Path(speclaw.__file__).resolve().parents[1])
-    tables = set()
-    for blas in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        out = tmp_path / f"rho-{blas}.csv"
-        subprocess.run([sys.executable, "-m", "speclaw.cli", "density", "--profile", str(profile), "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        tables.add(out.read_bytes())
-    assert len(tables) == 1
 
 
 def test_reports_identical_across_blas_threads_and_workers(tmp_path):
@@ -362,6 +345,134 @@ def test_sbm_reports_identical_across_blas_threads_and_workers(tmp_path, command
     spec = ens.SbmSpec(d=2, sizes=(200, 200), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=0)
     cfg = verify.LocalLawConfig(ensemble=spec, trials=3)
     assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra)) == 1
+
+
+@pytest.fixture(scope="module")
+def every_command_inputs(tmp_path_factory):
+    """Inputs of the every-command check, each where an unpinned command wrote different bytes at 1 and 2 BLAS
+    threads or where OpenBLAS threads its kernels when it may: the n = 800 irreducible profile and a
+    uniform_bounded spec over it (seed 3), on which `spectrum` wrote 764 of 800 rows differently (797 with
+    --vectors); an n = 1500 irreducible profile, on which `density` wrote 247 of 601 rho values differently, by
+    up to 1.2e-12; a two-block n = 400 campaign; and a projection test whose Haar basis is a 400 x 400 QR."""
+    work = tmp_path_factory.mktemp("every-command")
+    profile = random_profile(800, seed=1)
+    profile.to_json(work / "profile.json")
+    a = np.random.default_rng(1).uniform(0.3, 1.0, size=(1500, 1500))
+    (work / "density.json").write_text(json.dumps({"n": 1500, "entries": np.round((a + a.T) / 2.0, 2).tolist()}))
+    ens.WignerSpec(n=800, profile=profile, law=ens.EntryLaw("uniform_bounded"), seed=3).to_json(work / "spec.json")
+    block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.5], [0.5, 0.8]]))
+    spec = ens.WignerSpec(n=400, profile=block, law=ens.EntryLaw("uniform_bounded"), seed=0)
+    verify.LocalLawConfig(ensemble=spec, trials=2, interval_len_factor=verify.factor_for_length(0.5, spec)).to_json(
+        work / "campaign.json")
+    (work / "projection.json").write_text(json.dumps({"n": 400, "sigma": [0.5] * 400, "subspace_dim": 50,
+                                                      "weights": [1.0] * 50, "t_grid": [1.0, 2.0], "trials": 200}))
+    return work
+
+
+_EVERY_COMMAND = {  # command: (its arguments in the inputs' directory, whether it takes --threads)
+    "qve-solve": (["--profile", "profile.json", "--x", "0.5", "--out", "out"], False),
+    "density": (["--profile", "density.json", "--out", "out"], False),
+    "sample": (["--ensemble", "spec.json", "--out", "out"], False),
+    "spectrum": (["--ensemble", "spec.json", "--out", "out"], False),
+    "spectrum --vectors": (["--ensemble", "spec.json", "--vectors", "--out", "out"], False),
+    "verify-local-law": (["--config", "campaign.json", "--out", "out", "--csv", "csv"], True),
+    "verify-stieltjes": (["--config", "campaign.json", "--eta", "0.1,0.5", "--out", "out"], True),
+    "verify-deloc": (["--config", "campaign.json", "--out", "out", "--csv", "csv"], True),
+    "test-projection": (["--config", "projection.json", "--out", "out"], False),
+    "test-interlacing": (["--trials", "6", "--n", "400", "--out", "out"], False),
+}
+
+
+@pytest.mark.parametrize("command", list(_EVERY_COMMAND))
+def test_every_command_writes_the_same_bytes_at_any_blas_thread_and_worker_count(every_command_inputs, command):
+    # cli.run opens one worker context, BLAS pinned to one thread, around every command
+    args, takes_threads = _EVERY_COMMAND[command]
+    argv = [command.split()[0], *(str(every_command_inputs / a) if a in ("out", "csv") or a.endswith(".json") else a
+                                  for a in args)]
+    outputs = {}
+    for blas in ("1", "2"):
+        for workers in ("1", "2", "3") if takes_threads else (None,):
+            run = _cli_process(argv + (["--threads", workers] if workers else []), blas)
+            assert (run.returncode, run.stderr) == (0, b"")
+            written = [(every_command_inputs / name).read_bytes() for name in ("out", "csv") if name in args]
+            outputs[blas, workers] = (run.stdout, *written)
+    assert len(set(outputs.values())) == 1, sorted(outputs)
+
+
+@pytest.mark.parametrize("eta", [None, 0.05])
+def test_density_csv_is_the_curve_a_campaign_solves(tmp_path, monkeypatch, capsys, eta):
+    # the campaign's curve captured as perfbench's CurveCapture keeps it: by wrapping verify.extract_density
+    curves, extract = [], qve.extract_density
+    monkeypatch.setattr(verify, "extract_density", lambda *args, **kwargs: curves.append(extract(*args, **kwargs))
+                        or curves[-1])
+    profile = random_profile(qve._BLOCK_MIN_DIM + 12, seed=7)  # solved in column blocks
+    spec = ens.WignerSpec(n=profile.n, profile=profile, law=ens.EntryLaw("uniform_bounded"), seed=0)
+    cfg = verify.LocalLawConfig(ensemble=spec, trials=1, interval_len_factor=verify.factor_for_length(0.4, spec),
+                                **({} if eta is None else {"eta": eta}))
+    cfg.to_json(tmp_path / "campaign.json")
+    ens.effective_profile(spec).to_json(tmp_path / "profile.json")
+    eta_flag = [] if eta is None else ["--eta", repr(eta)]
+    assert cli.main(["verify-local-law", "--config", str(tmp_path / "campaign.json"), "--threads", "2"]) == 0
+    assert cli.main(["density", "--profile", str(tmp_path / "profile.json"), *eta_flag,
+                     "--out", str(tmp_path / "rho.csv")]) == 0
+    (curve,) = curves
+    qve.density_to_csv(curve, tmp_path / "campaign.csv")
+    assert (tmp_path / "rho.csv").read_text().splitlines() == (tmp_path / "campaign.csv").read_text().splitlines()
+
+
+def test_block_model_with_more_classes_than_n_over_log_n_samples_silently(tmp_path):
+    # d >= n/log n is the unbounded-classes regime the paper covers; it once raised a UserWarning,
+    # which `python -W error` turned into a traceback
+    spec = tmp_path / "sbm.json"
+    spec.write_text(json.dumps({"kind": "sbm", "d": 3, "sizes": [1, 1, 1], "seed": 0,
+                                "probs": [[0.5, 0.1, 0.1], [0.1, 0.5, 0.1], [0.1, 0.1, 0.5]]}))
+    run = _cli_process(["sample", "--ensemble", str(spec), "--out", str(tmp_path / "a.bin")], flags=["-W", "error"])
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert ens.load_matrix_binary(tmp_path / "a.bin").shape == (3, 3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workers_pin_blas_and_restore_it(threads):
+    controls = cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS bundled with numpy/scipy")
+    before = [get() for get, _ in controls]
+
+    def trial(i):
+        return [get() for get, _ in controls]
+
+    with cli.workers(threads) as mapper:
+        assert list(mapper(trial, range(3))) == [[1] * len(controls)] * 3
+    assert [get() for get, _ in controls] == before
+
+    def failing(i):
+        raise ValueError(f"trial {i}")
+
+    with pytest.raises(ValueError), cli.workers(threads) as mapper:
+        list(mapper(failing, range(3)))
+    assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.parametrize("command, extra", [("verify-local-law", []), ("verify-stieltjes", ["--eta", "0.5"]),
+                                            ("verify-deloc", []), ("density", None)])
+def test_commands_default_to_the_usable_cpus(tmp_path, monkeypatch, capsys, campaign_path, profile_path, command,
+                                            extra):
+    pools = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    inputs = ["--profile", profile_path] if extra is None else ["--config", campaign_path, *extra]
+    outputs = []
+    for cpus in (3, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli.main([command, *inputs, "--out", str(tmp_path / "out")]) == 0
+        outputs.append((tmp_path / "out").read_bytes())
+    assert pools == [3]
+    assert outputs[0] == outputs[1]
 
 
 _WIGNER = {"kind": "wigner", "n": 20, "profile": {"d": 1, "weights": [1.0], "coeffs": [[1.0]]},

@@ -4,7 +4,6 @@ writer reads back through csv.reader."""
 import csv
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -58,9 +57,7 @@ def wigner_specs(draw):
 @st.composite
 def sbm_specs(draw):
     sizes = tuple(draw(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=4)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # small n puts d in the unbounded-blocks regime
-        return ens.SbmSpec(d=len(sizes), sizes=sizes, probs=_symmetric(draw(seeds), len(sizes), 0.0, 0.95), seed=draw(seeds))
+    return ens.SbmSpec(d=len(sizes), sizes=sizes, probs=_symmetric(draw(seeds), len(sizes), 0.0, 0.95), seed=draw(seeds))
 
 
 ensemble_specs = wigner_specs() | sbm_specs()

@@ -1,7 +1,6 @@
 import math
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -166,9 +165,7 @@ def ensemble_specs(draw):
     n = int(sizes.sum())
     if kind == "sbm":
         probs = gen.uniform(0.0, 0.95, size=(d, d))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # small n puts d in the unbounded-blocks regime
-            return ens.SbmSpec(d=d, sizes=tuple(sizes), probs=(probs + probs.T) / 2.0, seed=seed)
+        return ens.SbmSpec(d=d, sizes=tuple(sizes), probs=(probs + probs.T) / 2.0, seed=seed)
     coeffs = gen.uniform(0.1, 1.0, size=(d, d))
     block = qve.BlockProfile(d=d, weights=sizes / n, coeffs=(coeffs + coeffs.T) / 2.0)
     profile = {"block": block, "full": qve.expand_block_profile(block, n),
@@ -272,9 +269,7 @@ def test_sbm_normalized_sample_is_centered_in_its_one_buffer(d):
     # gathering E A~ into a second n x n array peaked at 2.00 x 8n^2; d = 500 is the unbounded-classes regime
     n, gen = 2000, np.random.default_rng(d)
     probs = np.triu(gen.uniform(0.01, 0.3, (d, d)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        spec = ens.SbmSpec(d=d, sizes=(n // d,) * d, probs=probs + np.triu(probs, 1).T, seed=5)
+    spec = ens.SbmSpec(d=d, sizes=(n // d,) * d, probs=probs + np.triu(probs, 1).T, seed=5)
     tracemalloc.start()
     try:
         centered = ens.normalized_sample(spec)
@@ -502,13 +497,6 @@ def test_degenerate_variance_raises():
         ens.center_and_scale_sbm(ens.sample_sbm(spec), spec)
     with pytest.raises(DegenerateVariance):
         ens.effective_profile(spec)
-
-
-def test_unbounded_blocks_regime_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ens.SbmSpec(d=8, sizes=(2,) * 8, probs=np.full((8, 8), 0.4), seed=0)
-    assert any("unbounded-blocks" in str(w.message) for w in caught)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Cold start: `import speclaw` loads no submodule and no numpy, and
 `speclaw.cli` loads numpy and the standard library only.
 
-scipy loads when a command needs it: the bundled-OpenBLAS lookup of a
-campaign, scipy.linalg at the first dsytrd reduction, scipy.io for
-`sample --format mm`.  Each check runs in a fresh interpreter, since this
+scipy loads when a command runs: the bundled-OpenBLAS lookup of the worker
+context every command opens, scipy.linalg at the first dsytrd reduction,
+scipy.io for `sample --format mm`.  Each check runs in a fresh interpreter, since this
 process has long imported scipy itself.
 """
 

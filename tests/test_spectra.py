@@ -16,7 +16,7 @@ from scipy.linalg import lapack
 
 from conftest import semicircle_stieltjes
 from speclaw import ensembles as ens
-from speclaw import qve, spectra, verify
+from speclaw import cli, qve, spectra
 from speclaw.errors import InvalidSpec, MissingVectors, OutOfRange
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -119,7 +119,7 @@ def test_reduction_releases_the_interpreter_lock():
     thread.start()
     try:
         idle = rate(lambda: time.sleep(0.3))
-        with verify._campaign_map(1) as mapper:
+        with cli.workers(1) as mapper:
             busy = rate(lambda: list(mapper(lambda i: spectra.tridiagonalize(a), range(1))))
     finally:
         stop[0] = True

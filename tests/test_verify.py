@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speclaw import ensembles as ens
+from conftest import on_workers
+from speclaw import cli, ensembles as ens
 import speclaw
 from speclaw import qve, spectra, verify
 from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec, NonConvergence, report_json_bytes
@@ -77,30 +78,8 @@ def _cold_points(grid):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_campaign_map_pins_blas_and_restores_it(threads):
-    controls = verify._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS bundled with numpy/scipy")
-    before = [get() for get, _ in controls]
-
-    def trial(i):
-        return [get() for get, _ in controls]
-
-    with verify._campaign_map(threads) as mapper:
-        assert list(mapper(trial, range(3))) == [[1] * len(controls)] * 3
-    assert [get() for get, _ in controls] == before
-
-    def failing(i):
-        raise ValueError(f"trial {i}")
-
-    with pytest.raises(ValueError), verify._campaign_map(threads) as mapper:
-        list(mapper(failing, range(3)))
-    assert [get() for get, _ in controls] == before
-
-
-@pytest.mark.parametrize("threads", [1, 2])
 def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
-    controls = verify._openblas_thread_controls()
+    controls = cli._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS bundled with numpy/scipy")
     before = [get() for get, _ in controls]
@@ -111,7 +90,7 @@ def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
         return solve(profile, zs, *args, **kwargs)
 
     monkeypatch.setattr(qve, "_solve_batch", recording_solve)
-    verify.verify_local_law(irreducible_config(), threads=threads)
+    on_workers(threads, verify.verify_local_law, irreducible_config())
     coarse = [pins for cold, pins in seen if cold]
     warm = [pins for cold, pins in seen if not cold]  # the fine phase's blocks and the quadrature
     # the 61 cold points fold onto 31 mirror pairs, one block
@@ -123,7 +102,7 @@ def test_prediction_blocks_and_quadrature_run_pinned(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_pin_is_restored_when_a_prediction_block_raises(monkeypatch, threads):
-    controls = verify._openblas_thread_controls()
+    controls = cli._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS bundled with numpy/scipy")
     before = [get() for get, _ in controls]
@@ -136,7 +115,7 @@ def test_pin_is_restored_when_a_prediction_block_raises(monkeypatch, threads):
 
     monkeypatch.setattr(qve, "_solve_batch", failing_solve)
     with pytest.raises(NonConvergence):
-        verify.verify_local_law(irreducible_config(), threads=threads)
+        on_workers(threads, verify.verify_local_law, irreducible_config())
     assert [get() for get, _ in controls] == before
 
 
@@ -147,7 +126,7 @@ def test_blocked_nonconvergence_names_the_lowest_failing_block_at_any_worker_cou
     grid = qve.default_grid()
     failures = []
     for threads in (1, 2):
-        with pytest.raises(NonConvergence) as err, verify._campaign_map(threads) as mapper:
+        with pytest.raises(NonConvergence) as err, cli.workers(threads) as mapper:
             qve.extract_density(profile, grid, mapper=mapper)
         failures.append((err.value.x, err.value.eta))
     coarse = _cold_points(grid)
@@ -171,7 +150,7 @@ def test_fine_phase_nonconvergence_names_the_same_point_at_any_worker_count(monk
     grid = qve.default_grid()
     failures = []
     for threads in (1, 2, 3):
-        with pytest.raises(NonConvergence, match="stalled") as err, verify._campaign_map(threads) as mapper:
+        with pytest.raises(NonConvergence, match="stalled") as err, cli.workers(threads) as mapper:
             qve.extract_density(profile, grid, mapper=mapper)
         failures.append((err.value.x, err.value.eta, err.value.residual, err.value.iterations))
     assert failures == [failures[0]] * 3
@@ -188,7 +167,7 @@ def test_mirrored_campaign_intervals_share_one_quadrature(monkeypatch, threads):
     integrate, calls = verify.integrate_density, []
     monkeypatch.setattr(verify, "integrate_density", lambda curve, lo, hi: calls.append((lo, hi)) or
                         integrate(curve, lo, hi))
-    report = verify.verify_local_law(irreducible_config(), threads=threads)
+    report = on_workers(threads, verify.verify_local_law, irreducible_config())
     left, middle, right = report.intervals
     assert (left.lo, left.hi) == (-right.hi, -right.lo) and middle.lo == -middle.hi
     assert left.predicted == right.predicted
@@ -208,37 +187,14 @@ def test_interval_masses_fold_only_mirrors_inside_the_curve():
 @pytest.mark.parametrize("campaign", [verify.verify_local_law, verify.verify_delocalization])
 def test_blocked_campaign_reports_identical_at_any_worker_count(campaign):
     cfg = irreducible_config()
-    reports = {report_json_bytes(campaign(cfg, threads=threads).to_dict()) for threads in (1, 2, 3)}
+    reports = {report_json_bytes(on_workers(threads, campaign, cfg).to_dict()) for threads in (1, 2, 3)}
     assert len(reports) == 1
-
-
-@pytest.mark.parametrize("campaign", [
-    verify.verify_local_law,
-    lambda cfg: verify.verify_stieltjes_closeness(cfg, [0.5]),
-    verify.verify_delocalization,
-])
-def test_campaigns_default_to_the_usable_cpus(monkeypatch, campaign):
-    pools = []
-
-    class RecordingPool(verify.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", RecordingPool)
-    cfg = dense_config(n=60, trials=2, length=0.5)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
-    pooled = campaign(cfg)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    serial = campaign(cfg)
-    assert pools == [3]
-    assert report_json_bytes(pooled.to_dict()) == report_json_bytes(serial.to_dict())
 
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_campaign_rejects_fewer_than_one_worker(threads):
     with pytest.raises(InvalidSpec, match="at least 1 worker"):
-        verify.verify_local_law(dense_config(n=60, trials=2, length=0.5), threads=threads)
+        on_workers(threads, verify.verify_local_law, dense_config(n=60, trials=2, length=0.5))
 
 
 def test_pass_fraction_consistency(dense_report):
@@ -253,9 +209,9 @@ def test_pass_fraction_consistency(dense_report):
 
 def test_report_is_deterministic_and_thread_invariant():
     cfg = dense_config(n=200, trials=3)
-    a = verify.verify_local_law(cfg)
-    b = verify.verify_local_law(cfg)
-    c = verify.verify_local_law(cfg, threads=2)
+    a = on_workers(1, verify.verify_local_law, cfg)
+    b = on_workers(1, verify.verify_local_law, cfg)
+    c = on_workers(2, verify.verify_local_law, cfg)
     assert report_json_bytes(a.to_dict()) == report_json_bytes(b.to_dict())
     assert report_json_bytes(a.to_dict()) == report_json_bytes(c.to_dict())
 
@@ -322,14 +278,14 @@ def test_quartering_p_quadruples_the_local_law_scale_and_halves_the_deloc_ratios
     monkeypatch.setattr(verify, "place_intervals",
                         lambda bulk, length, num, n: lengths.append(length) or place(bulk, length, num, n))
     for cfg in (full, quarter):
-        verify.verify_local_law(cfg, threads=1)
+        on_workers(1, verify.verify_local_law, cfg)
     assert lengths == [full.interval_len_factor * scales[0], 4 * lengths[0]]
-    floors = [verify.verify_stieltjes_closeness(cfg, [1.0], threads=1).eta_floor for cfg in (full, quarter)]
+    floors = [on_workers(1, verify.verify_stieltjes_closeness, cfg, [1.0]).eta_floor for cfg in (full, quarter)]
     assert floors == [scales[0], 4 * scales[0]]
 
     summary = spectra.eigen_full(ens.normalized_sample(full.ensemble), want_vectors=True)
     monkeypatch.setattr(verify, "eigen_full", lambda matrix, want_vectors: summary)  # the same sup-norms
-    dense, sparse = (verify.verify_delocalization(cfg, threads=1) for cfg in (full, quarter))
+    dense, sparse = (on_workers(1, verify.verify_delocalization, cfg) for cfg in (full, quarter))
     assert sparse.records == [dataclasses.replace(r, max_ratio=r.max_ratio / 2) for r in dense.records]
     assert sparse.ratio_quantiles == {q: v / 2 for q, v in dense.ratio_quantiles.items()}
     assert (dense.max_ratio / 2, dense.k_bound_flag, sparse.k_bound_flag) == (sparse.max_ratio, False, True)
@@ -503,7 +459,7 @@ def test_stieltjes_batches_match_per_point_solves_at_any_worker_count():
     # column block, then 13 x 4 = 52 points in two
     for num_intervals, etas in ((3, [0.3, 0.5, 1.0]), (13, [0.3, 0.5, 0.7, 1.0])):
         cfg = dataclasses.replace(irreducible_config(), num_intervals=num_intervals)
-        reports = [verify.verify_stieltjes_closeness(cfg, etas, threads=threads) for threads in (1, 2, 3)]
+        reports = [on_workers(threads, verify.verify_stieltjes_closeness, cfg, etas) for threads in (1, 2, 3)]
         assert len({report_json_bytes(r.to_dict()) for r in reports}) == 1
         profile = verify.effective_profile(cfg.ensemble)
         assert len(reports[0].records) == len(etas) * num_intervals
@@ -578,7 +534,7 @@ def test_deloc_trial_without_bulk_eigenvalues_records_zeros(monkeypatch):
         return original(*args)[:0] if len(calls) == 2 else original(*args)
 
     monkeypatch.setattr(verify, "bulk_indices", bulk)
-    report = verify.verify_delocalization(dense_config(n=100, trials=3), threads=1)
+    report = on_workers(1, verify.verify_delocalization, dense_config(n=100, trials=3))
     assert report.records[1] == verify.DelocTrialRecord(trial=1, bulk_count=0, max_inf_norm=0.0, max_ratio=0.0)
     assert report.records[0].bulk_count > 0 and report.records[2].bulk_count > 0
     assert report.max_ratio == max(r.max_ratio for r in report.records)
@@ -590,7 +546,7 @@ def test_deloc_max_inf_norm_is_the_bulk_sup_norm_bit_for_bit(monkeypatch):
     cfg = dense_config(n=250, trials=8, law=ens.EntryLaw("uniform_bounded"))
     summaries, eigen_full = [], verify.eigen_full
     monkeypatch.setattr(verify, "eigen_full", lambda *a, **kw: summaries.append(eigen_full(*a, **kw)) or summaries[-1])
-    report = verify.verify_delocalization(cfg, threads=1)
+    report = on_workers(1, verify.verify_delocalization, cfg)
     curve = qve.extract_density(ens.effective_profile(cfg.ensemble), qve.default_grid(), eta=cfg.eta)
     bulks = qve.detect_bulk(curve, cfg.eps)
     for rec, s in zip(report.records, summaries, strict=True):
