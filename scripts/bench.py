@@ -70,24 +70,6 @@ def launch(case: str, src: str, work: Path, repeats: int) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def workers(threads: int):
-    """speclaw's worker context (BLAS pinned, `threads` workers); a checkout from before `cli.workers`
-    opens the same pin and pool as `verify._campaign_map`."""
-    from speclaw import cli, verify
-
-    return cli.workers(threads) if hasattr(cli, "workers") else verify._campaign_map(threads)
-
-
-def campaign(run, cfg, threads: int):
-    """run(cfg, mapper) inside workers(threads); a checkout from before `cli.workers` takes threads= instead."""
-    from speclaw import cli
-
-    if not hasattr(cli, "workers"):
-        return run(cfg, threads=threads)
-    with cli.workers(threads) as mapper:
-        return run(cfg, mapper)
-
-
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -139,8 +121,8 @@ def prediction(work: Path, repeats: int) -> dict:
     `_solve_batch` calls of the density's cold columns (coarse), its warm-started columns (fine) and
     the quadrature."""
     import numpy as np
+    from speclaw import cli, qve, verify
     from speclaw import ensembles as ens
-    from speclaw import qve, verify
 
     solve, evaluations = qve._solve_batch, []
 
@@ -150,20 +132,17 @@ def prediction(work: Path, repeats: int) -> dict:
         return g, residual, iterations
 
     qve._solve_batch = counting_solve
-    # the campaign plan's quadrature; a checkout from before it maps every interval
-    masses = getattr(verify, "interval_masses", lambda curve, intervals, mapper: list(
-        mapper(lambda iv: qve.integrate_density(curve, *iv), intervals)))
 
     def predict(prof, n: int, count: int) -> tuple[float, float, list[float], dict]:
         evaluations.clear()
         t0 = time.perf_counter()
-        with workers(count) as mapper:
+        with cli.workers(count) as mapper:
             curve = qve.extract_density(prof, qve.default_grid(), eta=qve.DEFAULT_ETA, mapper=mapper)
             t1 = time.perf_counter()
             density = len(evaluations)
             widest = max(qve.detect_bulk(curve, 0.1), key=lambda b: b.width)
-            intervals = verify.place_intervals(widest, 0.3, 3)
-            predicted = [n * q for q in masses(curve, intervals, mapper)]
+            intervals = verify.place_intervals(widest, 0.3, 3, n)
+            predicted = [n * q for q in verify.interval_masses(curve, intervals, mapper)]
         phases = {"coarse": sum(e for cold, e in evaluations[:density] if cold),
                   "fine": sum(e for cold, e in evaluations[:density] if not cold),
                   "quadrature": sum(e for _, e in evaluations[density:])}
@@ -200,7 +179,7 @@ def reduction(work: Path, repeats: int) -> dict:
     `spectra.tridiagonalize(b, overwrite_a=True)` with `spectra._TWO_STAGE_MIN_N` set to force it, on
     its own copy b of the matrix, made before the timer starts."""
     import numpy as np
-    from speclaw import ensembles, qve, spectra, verify
+    from speclaw import cli, ensembles, qve, spectra, verify
     from speclaw.errors import report_json_bytes
 
     result = {"seconds": {}, "equal": {}, "info": {}}
@@ -211,12 +190,13 @@ def reduction(work: Path, repeats: int) -> dict:
                                     interval_len_factor=verify.factor_for_length(0.2, spec),
                                     num_intervals=3, trials=TRIALS, base_seed=1000)
         t0 = time.perf_counter()
-        report = campaign(verify.verify_local_law, cfg, 2)
+        with cli.workers(2) as mapper:
+            report = verify.verify_local_law(cfg, mapper)
         result["seconds"][f"campaign n{n}"] = [time.perf_counter() - t0]
         result["equal"][f"report n{n}"] = hashlib.sha256(report_json_bytes(report.to_dict())).hexdigest()
         result["info"][f"pass_fraction n{n}"] = report.pass_fraction
     kernels = {"dsytrd": float("inf"), "dsytrd_2stage": 0}  # the _TWO_STAGE_MIN_N that forces each
-    with workers(1):
+    with cli.workers(1):
         for n in (200, 500, 800, 1000, 1200, 1500, 2000, 4000):
             a = np.random.default_rng(n).standard_normal((n, n))
             a = (a + a.T) / np.sqrt(2.0 * n)

@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(SpecLawError.exit_code)
+        raise SystemExit(InvalidSpec.exit_code)
 
 
 def _grid_spec(text: str) -> np.ndarray:
@@ -257,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecLawError as exc:
         failure = exc
     except OSError as exc:  # reading an input file
-        failure = SpecLawError(str(exc))
+        failure = InvalidSpec(str(exc))
     print(json.dumps(failure.record(), sort_keys=True, allow_nan=False), file=sys.stderr)
     return failure.exit_code
 

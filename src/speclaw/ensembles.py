@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DegenerateVariance, InvalidProfile, InvalidSpec, frozen_array, record, within
+from .errors import InvalidSpec, frozen_array, record, within
 from .qve import BlockProfile, Profile, VarianceProfile, block_labels, reduce_profile
 
 LAW_KINDS = ("rademacher", "uniform_bounded", "scaled_bernoulli_centered")
@@ -133,7 +133,7 @@ class SbmSpec:
         p_max <= 1/2, but a block nearer 1/2 has the larger one above that."""
         sigma2 = float((self.probs * (1.0 - self.probs)).max())
         if sigma2 == 0.0:  # probabilities lie in [0, 1), so sigma vanishes only when all are 0
-            raise DegenerateVariance("all block probabilities are 0 or 1; sigma vanishes")
+            raise InvalidSpec("all block probabilities are 0 or 1; sigma vanishes")
         return sigma2
 
     def block_labels(self) -> np.ndarray:
@@ -236,7 +236,7 @@ def effective_profile(spec: EnsembleSpec) -> Profile:
         return spec.profile
     coeffs = spec.probs * (1.0 - spec.probs) / spec.sigma_squared
     if coeffs.min() <= 0.0:
-        raise InvalidProfile("some block has zero variance (p_kl in {0,1}); no valid block profile")
+        raise InvalidSpec("some block has zero variance (p_kl in {0,1}); no valid block profile")
     return BlockProfile(d=spec.d, weights=np.divide(spec.sizes, spec.n), coeffs=coeffs)
 
 

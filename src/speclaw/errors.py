@@ -1,13 +1,12 @@
 """Exception types shared across the package, the one JSON codec and the CSV writer.
 
 Every float array a value type stores is a read-only float64 copy made by
-`frozen_array`, which rejects anything but an array of finite real numbers:
-InvalidProfile for the two profile classes, InvalidSpec for the rest (README
-lists the fields).  Every point z = x + i*eta passes `spectral_points`.
+`frozen_array`, which rejects anything but an array of finite real numbers
+(README lists the fields).  Every point z = x + i*eta passes `spectral_points`.
 
-Each exception class carries its CLI exit code and the fields of its JSON
-error record: {"error": kind, "message": ...} plus the class's context, where
-a non-finite float is written as null.
+One class per CLI exit code, InvalidSpec (1), NonConvergence (2) and
+AssertionFailure (3), carries that code and the fields of its JSON error record:
+{"error": kind, "message": ...} plus its context, a non-finite float as null.
 
 Every JSON record of the package (profile, entry law, ensemble, campaign
 config, report) gets its to_dict/from_dict/to_json from the `record` class
@@ -32,7 +31,7 @@ import numpy as np
 
 
 class SpecLawError(Exception):
-    """Base class for all speclaw errors: bad input, exit code 1."""
+    """The base class of the three speclaw errors, the one the CLI catches."""
 
     exit_code = 1
     kind = "config"
@@ -45,12 +44,8 @@ class SpecLawError(Exception):
         return {"error": self.kind, "message": str(self), **finite}
 
 
-class InvalidProfile(SpecLawError):
-    """A variance profile violates its invariants (symmetry, bounds, finiteness)."""
-
-
 class InvalidSpec(SpecLawError):
-    """An ensemble or campaign description, or an argument, is invalid or inconsistent."""
+    """Input that breaks a documented hypothesis, or an unreadable input file: exit code 1."""
 
 
 class NonConvergence(SpecLawError):
@@ -73,22 +68,6 @@ class NonConvergence(SpecLawError):
         self.iterations = iterations
 
 
-class DegenerateVariance(SpecLawError):
-    """All block probabilities are 0 or 1, so the noise scale sigma vanishes."""
-
-
-class OutOfRange(SpecLawError):
-    """A requested interval has lo > hi or exceeds the tabulated grid span."""
-
-
-class MissingVectors(SpecLawError):
-    """An operation needs eigenvectors but the summary holds none."""
-
-
-class EmptyBulk(SpecLawError):
-    """No bulk interval exists at the requested density threshold."""
-
-
 class AssertionFailure(SpecLawError):
     """A verification assertion failed; carries the counterexample."""
 
@@ -108,25 +87,25 @@ def _holds_bool(items) -> bool:
     return bool(kinds & {bool, np.bool_}) or bool(nested) and any(_holds_bool(v) for v in items if type(v) in nested)
 
 
-def real_array(value, where: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
-    """A float64 copy of `value`; raise `error` naming `where` unless it is an array of real
+def real_array(value, where: str) -> np.ndarray:
+    """A float64 copy of `value`; raise InvalidSpec naming `where` unless it is an array of real
     numbers (a complex value is not cast, nor a boolean read as 0 or 1)."""
     try:
         array = np.array(value)
     except ValueError:  # ragged nesting
         array = np.array(None)
     if array.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and _holds_bool(value):
-        raise error(f"{where} must be an array of real numbers")
+        raise InvalidSpec(f"{where} must be an array of real numbers")
     return array.astype(np.float64, copy=False)
 
 
-def frozen_array(obj, name: str, error: type[SpecLawError] = InvalidSpec) -> np.ndarray:
+def frozen_array(obj, name: str) -> np.ndarray:
     """Replace field `name` of the frozen dataclass `obj` by a read-only `real_array`
-    and return it; raise `error` naming Class.name unless every value is finite."""
+    and return it; raise InvalidSpec naming Class.name unless every value is finite."""
     where = f"{type(obj).__name__}.{name}"
-    array = real_array(getattr(obj, name), where, error)
+    array = real_array(getattr(obj, name), where)
     if not np.isfinite(array).all():
-        raise error(f"{where} must be finite")
+        raise InvalidSpec(f"{where} must be finite")
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
     return array
@@ -247,18 +226,18 @@ def within(lo, hi, ends: str = "[)", **kwargs):
     return field(metadata={"range": (lo, hi, ends)}, **kwargs)
 
 
-def _check_ranges(obj, declared, error: type[SpecLawError]) -> None:
-    """Raise `error` for the first value outside its range in the `within` fields `declared`."""
+def _check_ranges(obj, declared) -> None:
+    """Raise InvalidSpec for the first value outside its range in the `within` fields `declared`."""
     for f in declared:
         lo, hi, ends = f.metadata["range"]
         inside = lambda v: (lo < v if ends[0] == "(" else lo <= v) & (v < hi if ends[1] == ")" else v <= hi)
         values = np.asarray(getattr(obj, f.name))
         if values.size and not inside(np.array([values.min(), values.max()])).all():  # no copy of values; nan fails
             bad = values.flat[np.argmin(inside(values))]  # the first value outside
-            raise error(f"{type(obj).__name__}.{f.name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {bad}")
+            raise InvalidSpec(f"{type(obj).__name__}.{f.name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {bad}")
 
 
-def record(tag: str | None = None, error: type[SpecLawError] = InvalidSpec):
+def record(tag: str | None = None):
     """Class decorator giving a dataclass to_dict, from_dict and to_json driven by its fields.
 
     to_dict encodes nested records, arrays, lists and tuples (as lists);
@@ -267,7 +246,7 @@ def record(tag: str | None = None, error: type[SpecLawError] = InvalidSpec):
     their defaults, and raises InvalidSpec naming the field otherwise.  A
     tagged class writes "kind": tag first and requires it on read.  The
     methods are set on the class itself, one function object per class, and
-    its `within` ranges are checked whenever it is built, raising `error`.
+    its `within` ranges are checked whenever it is built, raising InvalidSpec.
     """
 
     def decorate(cls):
@@ -278,9 +257,9 @@ def record(tag: str | None = None, error: type[SpecLawError] = InvalidSpec):
             post = cls.__post_init__
 
             def __post_init__(self):
-                _check_ranges(self, [f for f in declared if kinds[f.name] is not np.ndarray], error)
+                _check_ranges(self, [f for f in declared if kinds[f.name] is not np.ndarray])
                 post(self)
-                _check_ranges(self, [f for f in declared if kinds[f.name] is np.ndarray], error)
+                _check_ranges(self, [f for f in declared if kinds[f.name] is np.ndarray])
 
             cls.__post_init__ = __post_init__
         optional = {f.name for f in fields(cls) if f.default is not MISSING}

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, frozen_array, record, spectral_points, within, write_csv
+from .errors import InvalidSpec, NonConvergence, frozen_array, record, spectral_points, within, write_csv
 
 DEFAULT_ETA = 1e-6
 # a column without a warm start starts at g_k = -1/(Re z + i*max(Im z, ETA_START))
@@ -80,7 +80,7 @@ _BLOCK_COLUMNS = 50
 _COARSE_STRIDE = 10
 
 
-@record(error=InvalidProfile)
+@record()
 @dataclass(frozen=True)
 class VarianceProfile:
     """Symmetric n x n matrix of entry variances, bounded in (0, 1] (a lower bound c > 0 is assumed)."""
@@ -89,11 +89,11 @@ class VarianceProfile:
     entries: np.ndarray = within(0, 1, "(]")
 
     def __post_init__(self):
-        entries = frozen_array(self, "entries", InvalidProfile)
+        entries = frozen_array(self, "entries")
         if entries.shape != (self.n, self.n):
-            raise InvalidProfile(f"entries must be {self.n}x{self.n}, got {entries.shape}")
+            raise InvalidSpec(f"entries must be {self.n}x{self.n}, got {entries.shape}")
         if not np.array_equal(entries, entries.T):
-            raise InvalidProfile("profile must be exactly symmetric")
+            raise InvalidSpec("profile must be exactly symmetric")
 
     @property
     def dim(self) -> int:
@@ -108,7 +108,7 @@ class VarianceProfile:
         return cls(n=n, entries=np.broadcast_to(1.0, (n, n)))  # frozen_array's copy is the one n x n array
 
 
-@record(error=InvalidProfile)
+@record()
 @dataclass(frozen=True)
 class BlockProfile:
     """d-class reduction of a block-constant profile: weights alpha, coefficients c_kl."""
@@ -118,15 +118,15 @@ class BlockProfile:
     coeffs: np.ndarray = within(0, 1, "(]")
 
     def __post_init__(self):
-        weights, coeffs = frozen_array(self, "weights", InvalidProfile), frozen_array(self, "coeffs", InvalidProfile)
+        weights, coeffs = frozen_array(self, "weights"), frozen_array(self, "coeffs")
         if weights.shape != (self.d,):
-            raise InvalidProfile(f"weights must have length {self.d}")
+            raise InvalidSpec(f"weights must have length {self.d}")
         if coeffs.shape != (self.d, self.d):
-            raise InvalidProfile(f"coeffs must be {self.d}x{self.d}")
+            raise InvalidSpec(f"coeffs must be {self.d}x{self.d}")
         if abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidProfile(f"class weights must sum to 1, got {float(weights.sum())!r}")
+            raise InvalidSpec(f"class weights must sum to 1, got {float(weights.sum())!r}")
         if not np.array_equal(coeffs, coeffs.T):
-            raise InvalidProfile("block coefficients must be exactly symmetric")
+            raise InvalidSpec("block coefficients must be exactly symmetric")
 
     @property
     def dim(self) -> int:
@@ -225,7 +225,7 @@ def block_labels(block: BlockProfile, n: int) -> np.ndarray:
         order = np.argsort(-(raw - sizes))
         sizes[order[:short]] += 1
     if sizes.min() < 1:
-        raise InvalidProfile(f"n={n} too small to give every class at least one row")
+        raise InvalidSpec(f"n={n} too small to give every class at least one row")
     return np.repeat(np.arange(block.d), sizes)
 
 
@@ -528,9 +528,9 @@ def integrate_density(curve: DensityCurve, lo: float, hi: float) -> float:
     whose change cancels the bulk's cannot end the refinement early.
     """
     if not (curve.grid[0] <= lo and hi <= curve.grid[-1]):
-        raise OutOfRange(f"[{lo}, {hi}] exceeds the tabulated span [{curve.grid[0]}, {curve.grid[-1]}]")
+        raise InvalidSpec(f"[{lo}, {hi}] exceeds the tabulated span [{curve.grid[0]}, {curve.grid[-1]}]")
     if not lo <= hi:
-        raise OutOfRange(f"need lo <= hi, got [{lo}, {hi}]")
+        raise InvalidSpec(f"need lo <= hi, got [{lo}, {hi}]")
     if curve.source is None or curve.solution is None:
         raise InvalidSpec("curve lacks its source profile or solution; cannot refine")
     profile, grid, table, eta = curve.source, curve.grid, curve.solution, curve.eta_used

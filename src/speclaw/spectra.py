@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, MissingVectors, NonConvergence, OutOfRange, frozen_array, spectral_points, write_csv
+from .errors import InvalidSpec, NonConvergence, frozen_array, spectral_points, write_csv
 
 _TINY = np.finfo(np.float64).tiny
 # tridiagonalize reduces in two stages from this size on: at one BLAS thread
@@ -82,13 +83,11 @@ def bundled_openblas() -> tuple:
     empty for any other BLAS (MKL, Accelerate, a system library).  The suffix
     is "64_" for a build with 64-bit LAPACK integers and "" otherwise.
 
-    scipy is imported here, not with this module, so that `import speclaw`
-    loads no scipy module; a campaign first calls this when it opens its map."""
-    import scipy
-
+    The packages are found, not imported, so that pinning BLAS loads no scipy
+    module; a later `import scipy.linalg` gets the same library handle."""
     found = []
-    for module in (scipy, np):
-        root = Path(module.__file__).parent
+    for name in ("scipy", "numpy"):
+        root = Path(importlib.util.find_spec(name).origin).parent
         for lib in sorted(root.parent.glob(f"{root.name}.libs/*openblas*")):
             try:
                 dll = ctypes.CDLL(str(lib))
@@ -221,7 +220,7 @@ def count_in_interval(t: TridiagonalForm, lo: float, hi: float) -> int:
     shift counts as lying above it.
     """
     if not lo <= hi:
-        raise OutOfRange(f"need lo <= hi, got [{lo}, {hi})")
+        raise InvalidSpec(f"need lo <= hi, got [{lo}, {hi})")
     below = eigenvalue_counts_below(t, np.array([lo, hi]))
     return int(below[1] - below[0])
 
@@ -251,7 +250,7 @@ def stieltjes_empirical(s: SpectrumSummary, zs) -> np.ndarray:
 def eigvec_inf_norms(s: SpectrumSummary) -> np.ndarray:
     """Sup-norm of each unit eigenvector; always within [1/sqrt(n), 1]."""
     if s.inf_norms is None:
-        raise MissingVectors("summary holds no eigenvectors")
+        raise InvalidSpec("summary holds no eigenvectors")
     return s.inf_norms
 
 

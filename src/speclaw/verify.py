@@ -35,8 +35,7 @@ from .ensembles import (
     normalized_sample,
     with_seed,
 )
-from .errors import (AssertionFailure, EmptyBulk, InvalidSpec, frozen_array, read_json, real_array, record, spectral_points, within,
-                     write_csv)
+from .errors import AssertionFailure, InvalidSpec, frozen_array, read_json, real_array, record, spectral_points, within, write_csv
 from .qve import (DEFAULT_ETA, BulkInterval, DensityCurve, VarianceProfile, complex_points, default_grid, detect_bulk,
                   extract_density, integrate_density, linear_grid, stieltjes_batch)
 from .spectra import (
@@ -97,7 +96,7 @@ def load_local_law_config(path) -> LocalLawConfig:
     return read_json(LocalLawConfig, path)
 
 
-def place_intervals(bulk: BulkInterval, length: float, num: int, n: int = 1) -> list[tuple[float, float]]:
+def place_intervals(bulk: BulkInterval, length: float, num: int, n: int) -> list[tuple[float, float]]:
     """Evenly spaced midpoints inside the bulk, inset one interval length from its edges; when the inset range
     is empty the intervals sit flush inside the bulk instead.  A bulk [-b, b] gives exact mirror pairs of
     intervals.  Raises InvalidSpec unless n times each width, which deviations divide by, is a normal float."""
@@ -105,7 +104,7 @@ def place_intervals(bulk: BulkInterval, length: float, num: int, n: int = 1) -> 
     if mlo > mhi:
         mlo, mhi = bulk.lo + length / 2.0, bulk.hi - length / 2.0
     if mlo > mhi:
-        raise EmptyBulk(f"no interval of length {length:g} fits inside [{bulk.lo:g}, {bulk.hi:g}]")
+        raise InvalidSpec(f"no interval of length {length:g} fits inside [{bulk.lo:g}, {bulk.hi:g}]")
     mids = linear_grid(mlo, mhi, num) if num > 1 else np.array([(mlo + mhi) / 2.0])
     intervals = [(float(m - length / 2.0), float(m + length / 2.0)) for m in mids]
     if any(not n * (hi - lo) >= np.finfo(np.float64).tiny for lo, hi in intervals):  # deviations divide by it
@@ -145,7 +144,7 @@ def _report_config(cfg: LocalLawConfig, curve: DensityCurve) -> dict:
 def _campaign(cfg: LocalLawConfig, mapper, plan, trial) -> tuple[dict, object, list]:
     """Predict, find the bulk, plan, then map the trials, all through `mapper`.
 
-    Raises EmptyBulk when the predicted density has no bulk.  Trial i maps to
+    Raises InvalidSpec when the predicted density has no bulk.  Trial i maps to
     trial(normalized sample of seed base_seed + i) and sees nothing else; the
     caller confronts the results with plan(curve, bulks, widest, mapper).
     Returns the report's config citation, the plan and the trial results in trial order.
@@ -153,7 +152,7 @@ def _campaign(cfg: LocalLawConfig, mapper, plan, trial) -> tuple[dict, object, l
     curve = extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
     bulks = detect_bulk(curve, cfg.eps)
     if not bulks:
-        raise EmptyBulk(f"predicted density never reaches eps={cfg.eps:g}")
+        raise InvalidSpec(f"predicted density never reaches eps={cfg.eps:g}")
     planned = plan(curve, bulks, max(bulks, key=lambda b: b.width), mapper)
     results = list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i))),
                           range(cfg.trials)))
@@ -307,7 +306,7 @@ class DelocReport:
 def verify_delocalization(cfg: LocalLawConfig, mapper=map) -> DelocReport:
     """Sup-norms of bulk eigenvectors, normalized by sqrt(local_law_scale) = K sqrt(log n)/sqrt(n p_eff).
 
-    Raises EmptyBulk when no trial has an eigenvalue in the predicted bulk.
+    Raises InvalidSpec when no trial has an eigenvalue in the predicted bulk.
     """
     scale = local_law_scale(cfg.ensemble)
     config, bulks, summaries = _campaign(cfg, mapper, lambda curve, bulks, widest, mapper: bulks,
@@ -318,7 +317,7 @@ def verify_delocalization(cfg: LocalLawConfig, mapper=map) -> DelocReport:
                                 max_ratio=float(r.max(initial=0.0))) for i, (r, m) in enumerate(zip(results, norms))]
     pooled = np.concatenate(results)
     if pooled.size == 0:
-        raise EmptyBulk(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
+        raise InvalidSpec(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
     return DelocReport(config=config, records=records,
                        ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
                        max_ratio=float(pooled.max()), k_bound_flag=scale > _K_BOUND_FLOOR)

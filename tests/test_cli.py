@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import speclaw
 from conftest import random_profile, unfolded_solution
 from speclaw import cli, ensembles as ens, qve, spectra, verify
+from speclaw.errors import SpecLawError
 
 
 @pytest.fixture()
@@ -311,49 +312,16 @@ def _cli_process(argv, blas="1", flags=()) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *flags, "-m", "speclaw.cli", *argv], env=env, capture_output=True)
 
 
-def _reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra):
-    """Report bytes of one CLI campaign at OPENBLAS_NUM_THREADS {1, 2} x --threads {1, 2}."""
-    config = tmp_path / "campaign.json"
-    config.write_text(json.dumps(cfg.to_dict()))
-    reports = set()
-    for blas, workers in (("1", "1"), ("2", "1"), ("1", "2"), ("2", "2")):
-        out = tmp_path / f"report-{blas}-{workers}.json"
-        _cli_process([command, "--config", str(config), "--threads", workers, "--out", str(out), *extra],
-                     blas).check_returncode()
-        reports.add(out.read_bytes())
-    return reports
-
-
-def test_reports_identical_across_blas_threads_and_workers(tmp_path):
-    block = qve.BlockProfile(d=2, weights=np.array([0.5, 0.5]), coeffs=np.array([[1.0, 0.5], [0.5, 0.8]]))
-    spec = ens.WignerSpec(n=200, profile=block, law=ens.EntryLaw("uniform_bounded"), seed=0)
-    cfg = verify.LocalLawConfig(ensemble=spec, trials=3, interval_len_factor=verify.factor_for_length(0.5, spec))
-    assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, "verify-local-law")) == 1
-
-
-def test_two_stage_campaign_reports_identical_at_any_worker_count(tmp_path):
-    # at n = _TWO_STAGE_MIN_N every trial is reduced by dsytrd_2stage of the bundled OpenBLAS
-    n = spectra._TWO_STAGE_MIN_N
-    spec = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0)
-    cfg = verify.LocalLawConfig(ensemble=spec, trials=2, interval_len_factor=verify.factor_for_length(0.2, spec))
-    assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, "verify-local-law")) == 1
-
-
-@pytest.mark.parametrize("command, extra", [("verify-deloc", ()), ("verify-stieltjes", ("--eta", "0.05"))])
-def test_sbm_reports_identical_across_blas_threads_and_workers(tmp_path, command, extra):
-    # n = 400 is large enough for OpenBLAS to thread the eigensolver when it may
-    spec = ens.SbmSpec(d=2, sizes=(200, 200), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=0)
-    cfg = verify.LocalLawConfig(ensemble=spec, trials=3)
-    assert len(_reports_across_blas_threads_and_workers(tmp_path, cfg, command, *extra)) == 1
-
-
 @pytest.fixture(scope="module")
 def every_command_inputs(tmp_path_factory):
     """Inputs of the every-command check, each where an unpinned command wrote different bytes at 1 and 2 BLAS
     threads or where OpenBLAS threads its kernels when it may: the n = 800 irreducible profile and a
     uniform_bounded spec over it (seed 3), on which `spectrum` wrote 764 of 800 rows differently (797 with
     --vectors); an n = 1500 irreducible profile, on which `density` wrote 247 of 601 rho values differently, by
-    up to 1.2e-12; a two-block n = 400 campaign; and a projection test whose Haar basis is a 400 x 400 QR."""
+    up to 1.2e-12; a two-block n = 400 campaign; a constant-profile campaign at n = _TWO_STAGE_MIN_N, where
+    every trial is reduced by dsytrd_2stage of the bundled OpenBLAS; a two-block n = 400 SBM campaign, large
+    enough for OpenBLAS to thread the eigensolver when it may; and a projection test whose Haar basis is a
+    400 x 400 QR."""
     work = tmp_path_factory.mktemp("every-command")
     profile = random_profile(800, seed=1)
     profile.to_json(work / "profile.json")
@@ -364,6 +332,12 @@ def every_command_inputs(tmp_path_factory):
     spec = ens.WignerSpec(n=400, profile=block, law=ens.EntryLaw("uniform_bounded"), seed=0)
     verify.LocalLawConfig(ensemble=spec, trials=2, interval_len_factor=verify.factor_for_length(0.5, spec)).to_json(
         work / "campaign.json")
+    n = spectra._TWO_STAGE_MIN_N
+    spec = ens.WignerSpec(n=n, profile=qve.VarianceProfile.constant(n), law=ens.EntryLaw("rademacher"), seed=0)
+    verify.LocalLawConfig(ensemble=spec, trials=2, interval_len_factor=verify.factor_for_length(0.2, spec)).to_json(
+        work / "two_stage.json")
+    sbm = ens.SbmSpec(d=2, sizes=(200, 200), probs=np.array([[0.3, 0.05], [0.05, 0.3]]), seed=0)
+    verify.LocalLawConfig(ensemble=sbm, trials=3).to_json(work / "sbm.json")
     (work / "projection.json").write_text(json.dumps({"n": 400, "sigma": [0.5] * 400, "subspace_dim": 50,
                                                       "weights": [1.0] * 50, "t_grid": [1.0, 2.0], "trials": 200}))
     return work
@@ -378,6 +352,9 @@ _EVERY_COMMAND = {  # command: (its arguments in the inputs' directory, whether 
     "verify-local-law": (["--config", "campaign.json", "--out", "out", "--csv", "csv"], True),
     "verify-stieltjes": (["--config", "campaign.json", "--eta", "0.1,0.5", "--out", "out"], True),
     "verify-deloc": (["--config", "campaign.json", "--out", "out", "--csv", "csv"], True),
+    "verify-local-law two-stage": (["--config", "two_stage.json", "--out", "out", "--csv", "csv"], True),
+    "verify-stieltjes sbm": (["--config", "sbm.json", "--eta", "0.05", "--out", "out"], True),
+    "verify-deloc sbm": (["--config", "sbm.json", "--out", "out", "--csv", "csv"], True),
     "test-projection": (["--config", "projection.json", "--out", "out"], False),
     "test-interlacing": (["--trials", "6", "--n", "400", "--out", "out"], False),
 }
@@ -724,7 +701,15 @@ def test_invalid_argument_exits_one(tmp_path, profile_path, campaign_path, capsy
     assert message in _config_failure(capsys)
 
 
-# the json module reads the NaN and Infinity literals, so a config can carry them
+def test_one_exception_class_per_exit_code():
+    # the CLI writes one record per exit code, so a second exit-1 class is a name no caller can observe
+    assert {cls.__name__: cls.exit_code for cls in SpecLawError.__subclasses__()} == {
+        "InvalidSpec": 1, "NonConvergence": 2, "AssertionFailure": 3}
+    assert not any(cls.__subclasses__() for cls in SpecLawError.__subclasses__())
+
+
+# the json module reads the NaN and Infinity literals, so a config can carry them; the last five
+# are a refusal of each former exit-1 class the CLI reaches: a bad profile, no bulk, sigma zero
 @pytest.mark.parametrize("command, flag, payload, message", [
     ("spectrum", "--ensemble", {"kind": "sbm", "d": 2, "sizes": [3, 3], "probs": [[0.5, float("nan")], [float("nan"), 0.5]],
                                 "seed": 0}, "SbmSpec.probs must be finite"),
@@ -732,13 +717,18 @@ def test_invalid_argument_exits_one(tmp_path, profile_path, campaign_path, capsy
     ("density", "--profile", {"n": 1, "entries": [[float("nan")]]}, "VarianceProfile.entries must be finite"),
     ("test-projection", "--config", {"n": 1, "sigma": [1.0], "subspace_dim": 1, "weights": [1.0],
                                      "t_grid": [1.0, float("-inf")], "trials": 1}, "ProjectionTestSpec.t_grid must be finite"),
+    ("density", "--profile", {"n": 2, "entries": [[1.0, 0.5], [0.4, 1.0]]}, "profile must be exactly symmetric"),
+    ("density", "--profile", {"d": 1, "weights": [1.0], "coeffs": [[2.0]]}, "BlockProfile.coeffs must lie in (0, 1], got 2.0"),
+    ("verify-local-law", "--config", {**_CAMPAIGN, "eps": 5.0}, "predicted density never reaches eps=5"),
+    ("verify-deloc", "--config", {**_CAMPAIGN, "eps": 5.0}, "predicted density never reaches eps=5"),
+    ("spectrum", "--ensemble", {**_SBM, "probs": [[0.0]]}, "all block probabilities are 0 or 1; sigma vanishes"),
 ])
-def test_non_finite_config_arrays_exit_one(tmp_path, capsys, command, flag, payload, message):
+def test_refused_config_exits_one_with_one_record(tmp_path, capsys, command, flag, payload, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
     out = tmp_path / "out"
     assert cli.main([command, flag, str(path), "--out", str(out)]) == 1
-    assert _config_failure(capsys) == message
+    assert capsys.readouterr() == ("", json.dumps({"error": "config", "message": message}, sort_keys=True) + "\n")
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from speclaw import cli, ensembles as ens, qve, verify
-from speclaw.errors import InvalidProfile, InvalidSpec, SpecLawError
+from speclaw.errors import InvalidSpec, SpecLawError
 
 _BLOCK = {"d": 1, "weights": [1.0], "coeffs": [[1.0]]}
 _WIGNER = {"kind": "wigner", "n": 20, "profile": _BLOCK, "law": {"kind": "rademacher"}, "seed": 0}
@@ -115,7 +115,7 @@ def test_declared_range_value_gives_a_report_or_one_record(tmp_path, cls, f, val
     except SpecLawError as exc:
         refused = exc
     if not _inside(f, value):
-        assert type(refused) is (InvalidProfile if cls in (qve.VarianceProfile, qve.BlockProfile) else InvalidSpec)
+        assert type(refused) is InvalidSpec
         message = f"{cls.__name__}.{f.name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value}"
         # a scalar is checked before its record's own checks; an array after its shape and finiteness
         if typing.get_type_hints(cls)[f.name] is not np.ndarray or "must lie in" in str(refused):

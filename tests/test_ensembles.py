@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_profile
 from speclaw import ensembles as ens
 from speclaw import qve, rng
-from speclaw.errors import DegenerateVariance, InvalidProfile, InvalidSpec, read_json
+from speclaw.errors import InvalidSpec, read_json
 
 
 def wigner_spec(n, seed=0, law=None, profile=None, p=1.0):
@@ -104,7 +105,7 @@ def test_invalid_wigner_spec():
     with pytest.raises(InvalidSpec):
         ens.WignerSpec(n=4, profile=qve.VarianceProfile.constant(5), law=ens.EntryLaw("rademacher"), seed=0)
     block = qve.BlockProfile(d=3, weights=np.full(3, 1.0 / 3.0), coeffs=np.ones((3, 3)))
-    with pytest.raises(InvalidProfile):  # a class without rows
+    with pytest.raises(InvalidSpec, match="n=2 too small to give every class at least one row"):
         ens.WignerSpec(n=2, profile=block, law=ens.EntryLaw("rademacher"), seed=0)
 
 
@@ -141,7 +142,8 @@ def test_block_and_expanded_profiles_sample_identically(kind, seed, d):
     block = qve.BlockProfile(d=d, weights=weights / weights.sum(), coeffs=(coeffs + coeffs.T) / 2.0)
     try:
         full = qve.expand_block_profile(block, n)
-    except InvalidProfile:
+    except InvalidSpec as exc:
+        assert "too small to give every class at least one row" in str(exc)
         assume(False)
     law = ens.EntryLaw(kind)
     interleave = np.argsort(np.arange(n) % 2, kind="stable")  # classes no longer contiguous
@@ -493,9 +495,9 @@ def test_centering_removes_the_mean():
 
 def test_degenerate_variance_raises():
     spec = ens.SbmSpec(d=1, sizes=(4,), probs=np.array([[0.0]]), seed=0)
-    with pytest.raises(DegenerateVariance):
+    with pytest.raises(InvalidSpec, match="all block probabilities are 0 or 1; sigma vanishes"):
         ens.center_and_scale_sbm(ens.sample_sbm(spec), spec)
-    with pytest.raises(DegenerateVariance):
+    with pytest.raises(InvalidSpec, match="all block probabilities are 0 or 1; sigma vanishes"):
         ens.effective_profile(spec)
 
 
@@ -548,7 +550,7 @@ def test_effective_profile_passthrough_for_dense_and_sparse():
 def test_effective_profile_rejects_zero_variance_block():
     probs = np.array([[0.1, 0.0], [0.0, 0.1]])
     spec = ens.SbmSpec(d=2, sizes=(4, 4), probs=probs, seed=0)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidSpec, match=re.escape("some block has zero variance (p_kl in {0,1}); no valid block profile")):
         ens.effective_profile(spec)
 
 

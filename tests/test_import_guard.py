@@ -1,10 +1,11 @@
 """Cold start: `import speclaw` loads no submodule and no numpy, and
 `speclaw.cli` loads numpy and the standard library only.
 
-scipy loads when a command runs: the bundled-OpenBLAS lookup of the worker
-context every command opens, scipy.linalg at the first dsytrd reduction,
-scipy.io for `sample --format mm`.  Each check runs in a fresh interpreter, since this
-process has long imported scipy itself.
+scipy loads only where a command needs it: scipy.linalg at the first one-stage
+dsytrd reduction, scipy.io for `sample --format mm`.  The worker context every
+command opens finds the bundled OpenBLAS without importing scipy, so
+`qve-solve` and `density` load no scipy module.  Each check runs in a fresh
+interpreter, since this process has long imported scipy itself.
 """
 
 import json
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import speclaw
 from speclaw import ensembles as ens, qve
@@ -30,6 +32,17 @@ def test_import_loads_no_scipy_module():
     run = _python("-c", "import json, sys, speclaw, speclaw.cli; "
                         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     assert json.loads(run.stdout) == []
+
+
+@pytest.mark.parametrize("command", [["qve-solve", "--x", "0.5"], ["density", "--grid", "-3:3:61", "--out", "rho.csv"]])
+def test_qve_commands_load_no_scipy_module(tmp_path, command):
+    # the worker context finds the bundled OpenBLAS without importing scipy
+    profile = tmp_path / "profile.json"
+    qve.VarianceProfile.constant(8).to_json(profile)
+    run = _python("-c", "import json, sys; from speclaw import cli; code = cli.main(sys.argv[1:]); "
+                        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+                  command[0], "--profile", str(profile), *command[1:], cwd=tmp_path)
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import (cold_mask, fine_starts, random_profile, semicircle_density, semicircle_mass, semicircle_stieltjes,
                       unfolded_solution)
 from speclaw import ensembles, qve, spectra, verify
-from speclaw.errors import InvalidProfile, InvalidSpec, NonConvergence, OutOfRange, read_json
+from speclaw.errors import InvalidSpec, NonConvergence, read_json
 
 CONST8 = qve.VarianceProfile.constant(8)
 
@@ -404,9 +405,9 @@ def test_integral_additivity(constant_curve):
 
 
 def test_out_of_range_rejected(constant_curve):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidSpec, match=re.escape("[-5.0, 0.0] exceeds the tabulated span")):
         qve.integrate_density(constant_curve, -5.0, 0.0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidSpec, match=re.escape("need lo <= hi, got [1.0, 0.0]")):
         qve.integrate_density(constant_curve, 1.0, 0.0)
 
 
@@ -554,7 +555,7 @@ def test_quadrature_of_the_campaign_intervals_takes_few_map_evaluations(monkeypa
     curve = qve.extract_density(_irreducible_profile(), qve.default_grid())
     widest = max(qve.detect_bulk(curve, 0.1), key=lambda b: b.width)
     calls = _recording_solves(monkeypatch)
-    verify.interval_masses(curve, verify.place_intervals(widest, 0.3, 3))
+    verify.interval_masses(curve, verify.place_intervals(widest, 0.3, 3, 200))
     assert sum(int(iterations.sum()) for _, iterations in calls) <= 350
 
 
@@ -746,13 +747,13 @@ def test_bulk_values_respect_threshold(constant_curve):
 
 
 def test_profile_validation():
-    with pytest.raises(InvalidProfile):
-        qve.VarianceProfile(n=2, entries=np.array([[1.0, 0.0], [0.0, 1.0]]))  # zero entry
-    with pytest.raises(InvalidProfile):
-        qve.VarianceProfile(n=2, entries=np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
-    with pytest.raises(InvalidProfile):
-        qve.VarianceProfile(n=2, entries=np.array([[1.0, 1.2], [1.2, 1.0]]))  # above 1
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidSpec, match=re.escape("VarianceProfile.entries must lie in (0, 1], got 0.0")):
+        qve.VarianceProfile(n=2, entries=np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidSpec, match="profile must be exactly symmetric"):
+        qve.VarianceProfile(n=2, entries=np.array([[1.0, 0.5], [0.4, 1.0]]))
+    with pytest.raises(InvalidSpec, match=re.escape("VarianceProfile.entries must lie in (0, 1], got 1.2")):
+        qve.VarianceProfile(n=2, entries=np.array([[1.0, 1.2], [1.2, 1.0]]))
+    with pytest.raises(InvalidSpec, match="class weights must sum to 1, got 1.4"):
         qve.BlockProfile(d=2, weights=np.array([0.7, 0.7]), coeffs=np.ones((2, 2)))
 
 

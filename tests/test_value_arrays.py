@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from speclaw import cli, ensembles as ens, qve, spectra, verify
-from speclaw.errors import InvalidProfile, InvalidSpec
+from speclaw.errors import InvalidSpec
 
 
 def _projection(**arrays):
@@ -37,7 +37,6 @@ FIELDS = {
     "ProjectionTestSpec.weights": (lambda a: _projection(weights=a), [1], None),
     "ProjectionTestSpec.t_grid": (lambda a: _projection(t_grid=a), [3, 1, 2], [1.0, 2.0, 3.0]),  # sorted
 }
-PROFILE_CLASSES = ("VarianceProfile", "BlockProfile")
 
 
 @pytest.mark.parametrize("where", FIELDS)
@@ -61,8 +60,7 @@ def test_a_non_finite_value_is_rejected_naming_the_field(where, bad):
     build, ints, _ = FIELDS[where]
     values = np.array(ints, dtype=np.float64)
     values.flat[0] = bad
-    error = InvalidProfile if where.split(".")[0] in PROFILE_CLASSES else InvalidSpec
-    with pytest.raises(error, match=re.escape(f"{where} must be finite")):
+    with pytest.raises(InvalidSpec, match=re.escape(f"{where} must be finite")):
         build(values)
 
 
@@ -85,14 +83,13 @@ def _boolean(ints):
 def test_a_value_that_is_not_an_array_of_real_numbers_is_rejected_naming_the_field(where, bad):
     # numpy's ValueError escaped for the first two, and a complex array lost its imaginary part
     build, ints, _ = FIELDS[where]
-    error = InvalidProfile if where.split(".")[0] in PROFILE_CLASSES else InvalidSpec
-    with pytest.raises(error, match=re.escape(f"{where} must be an array of real numbers")):
+    with pytest.raises(InvalidSpec, match=re.escape(f"{where} must be an array of real numbers")):
         build(bad(ints))
 
 
 @pytest.mark.parametrize("entries", [[[1.0, 0.5], [0.5, False]], ([1.0, 0.5], (0.5, np.True_))])
 def test_a_boolean_at_any_depth_is_rejected(entries):
-    with pytest.raises(InvalidProfile, match=re.escape("VarianceProfile.entries must be an array of real numbers")):
+    with pytest.raises(InvalidSpec, match=re.escape("VarianceProfile.entries must be an array of real numbers")):
         qve.VarianceProfile(n=2, entries=entries)
 
 

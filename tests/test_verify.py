@@ -3,6 +3,7 @@ import builtins
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from conftest import on_workers
 from speclaw import cli, ensembles as ens
 import speclaw
 from speclaw import qve, spectra, verify
-from speclaw.errors import AssertionFailure, EmptyBulk, InvalidSpec, NonConvergence, report_json_bytes
+from speclaw.errors import AssertionFailure, InvalidSpec, NonConvergence, report_json_bytes
 from speclaw.spectra import count_in_interval, tridiagonalize
 
 
@@ -296,7 +297,7 @@ def test_quartering_p_quadruples_the_local_law_scale_and_halves_the_deloc_ratios
 
 def test_empty_bulk_raises():
     cfg = dense_config(n=100, trials=1, eps=10.0)
-    with pytest.raises(EmptyBulk):
+    with pytest.raises(InvalidSpec, match="predicted density never reaches eps=10"):
         verify.verify_local_law(cfg)
 
 
@@ -411,14 +412,14 @@ def test_interval_length_of_a_single_node_is_invalid(ensemble):
 
 def test_interval_placement_insets_and_falls_back():
     bulk = qve.BulkInterval(lo=-1.9, hi=1.9)
-    narrow = verify.place_intervals(bulk, 0.2, 3)
+    narrow = verify.place_intervals(bulk, 0.2, 3, 200)
     assert narrow[0][0] >= bulk.lo + 0.2 / 2 - 1e-12
     assert narrow[-1][1] <= bulk.hi - 0.2 / 2 + 1e-12
-    wide = verify.place_intervals(bulk, 2.0, 3)
+    wide = verify.place_intervals(bulk, 2.0, 3, 200)
     for lo, hi in wide:
         assert lo >= bulk.lo - 1e-12 and hi <= bulk.hi + 1e-12
-    with pytest.raises(EmptyBulk):
-        verify.place_intervals(bulk, 4.0, 1)
+    with pytest.raises(InvalidSpec, match=re.escape("no interval of length 4 fits inside [-1.9, 1.9]")):
+        verify.place_intervals(bulk, 4.0, 1, 200)
 
 
 @pytest.mark.parametrize("length", [0.0, 1e-320, 1e-17])
@@ -426,8 +427,8 @@ def test_intervals_without_width_are_refused(length):
     # m -/+ length/2 rounds to m away from 0, where a deviation would divide 0 by 0
     bulk = qve.BulkInterval(lo=-1.9, hi=1.9)
     with pytest.raises(InvalidSpec, match="have no width"):
-        verify.place_intervals(bulk, length, 3)
-    assert all(lo < hi for lo, hi in verify.place_intervals(bulk, 1e-15, 3))  # one ulp of 1.9 is 2.2e-16
+        verify.place_intervals(bulk, length, 3, 200)
+    assert all(lo < hi for lo, hi in verify.place_intervals(bulk, 1e-15, 3, 200))  # one ulp of 1.9 is 2.2e-16
 
 
 # ---------------------------------------------------------------------------
