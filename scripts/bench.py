@@ -13,9 +13,10 @@ whose other keys are kept:
 - `seconds`: for every timed key, each side's median, quartiles, best and
   samples, and how many of the pairs (same round, same repeat) the change won;
 - `agreement`: outputs that must be equal on both sides and in every round
-  (config and report hashes, observed counts, map evaluations), and the
-  largest relative difference of the predicted counts, which must stay within
-  PREDICTED_RTOL; the script exits 1 when one of them fails;
+  (config and report hashes, observed counts, map evaluations), lists that
+  must also hold one value within each run (a report's hash at every worker
+  count), and the largest relative difference of the predicted counts, which
+  must stay within PREDICTED_RTOL; the script exits 1 when one of them fails;
 - `info`: per-side facts from the first round, recorded but not compared;
 - `environment`: core count, Python, numpy, scipy, their BLAS builds and the
   configuration string of each bundled OpenBLAS, read through this checkout.
@@ -30,7 +31,11 @@ The cases, their default rounds and repeats in parentheses:
 - reduction (2, 5): the dense local-law campaign at n = 2000 and 4000, then
   the one-stage and two-stage tridiagonal reductions at one BLAS thread;
 - irreducible-campaign (3, -): an irreducible n = 2000, 20-trial
-  `verify-local-law --threads 2` process, end to end.
+  `verify-local-law --threads 2` process, end to end;
+- reports (1, -): the config, JSON report, CSV and summary line of each
+  workload's campaign on perfbench's seed-0 and seed-1 configs, at
+  `--threads` 1, 2 and 3; their hashes must be equal on both sides and at
+  every worker count.
 """
 
 import argparse
@@ -85,7 +90,8 @@ def irreducible(n: int):
 
 # ---------------------------------------------------------------------------
 # cases: each runs inside one side's interpreter and returns {"seconds": {key:
-# [samples]}, "equal": {...}, "close": {key: [predicted counts]}, "info": {...}}
+# [samples]}, "equal": {...}, "invariant": {key: [values]}, "close": {key:
+# [predicted counts]}, "info": {...}}
 
 
 def cold_start(work: Path, repeats: int) -> dict:
@@ -234,12 +240,47 @@ def irreducible_campaign(work: Path, repeats: int) -> dict:
             "close": {"predicted": [rec["predicted"] for rec in intervals]}}
 
 
+def reports(work: Path, repeats: int) -> dict:
+    """perfbench's seed-0 and seed-1 configs of its three workloads, each written by one `child.py setup`
+    process through this side's library, as cold-start does; then each campaign through `cli.main` in this
+    interpreter at --threads 1, 2 and 3, with --csv.  The sha256 of every config, and of every JSON report,
+    CSV and summary line at each worker count; the seconds are each workload's two setups and six campaigns."""
+    import contextlib
+    import io
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    from speclaw import cli
+
+    result = {"seconds": {}, "equal": {}, "invariant": {}}
+    for workload in WORKLOADS:
+        start = time.perf_counter()
+        for seed in (0, 1):
+            config, report, csv = work / f"{workload}-{seed}.json", work / "report.json", work / "report.csv"
+            timed([sys.executable, "perfbench/child.py", "setup", "--workload", workload, "--seed", str(seed),
+                   "--config", str(config)])
+            result["equal"][f"config {workload} seed{seed}"] = sha256(config)
+            for threads in (1, 2, 3):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    status = cli.main(workloads.argv(workload, config, report, threads) + ["--csv", str(csv)])
+                if status != 0:
+                    raise RuntimeError(f"{workload} seed {seed} --threads {threads} exited {status}")
+                for artifact, data in (("report", report.read_bytes()), ("csv", csv.read_bytes()),
+                                       ("summary", stdout.getvalue().encode())):
+                    digest = hashlib.sha256(data).hexdigest()
+                    result["invariant"].setdefault(f"{artifact} {workload} seed{seed}", []).append(digest)
+        result["seconds"][workload] = [time.perf_counter() - start]
+    return result
+
+
 # name: (case, default rounds, default repeats)
 CASES = {
     "cold-start": (cold_start, 10, 3),
     "prediction": (prediction, 2, 3),
     "reduction": (reduction, 2, 5),
     "irreducible-campaign": (irreducible_campaign, 3, 1),
+    "reports": (reports, 1, 1),
 }
 
 
@@ -285,14 +326,17 @@ def summary(parent: list[float], change: list[float]) -> dict:
 
 
 def compare(runs: dict[str, list[dict]]) -> dict:
-    """Each compared output of the first round of either side, and whether it agrees over every run."""
+    """Each compared output of the first round of either side, and whether it agrees over every run
+    (an invariant list also with itself: each of its values equal to the parent's first)."""
     result = {}
-    for kind in ("equal", "close"):
+    for kind in ("equal", "invariant", "close"):
         for key, ref in runs["parent"][0].get(kind, {}).items():
             values = [run[kind][key] for side in SIDES for run in runs[side]]
             entry = {side: runs[side][0][kind][key] for side in SIDES}
             if kind == "equal":
                 entry["agree"] = all(value == ref for value in values)
+            elif kind == "invariant":
+                entry["agree"] = all(item == ref[0] for value in values for item in value)
             else:
                 entry["max_rel_diff"] = max(abs(a - b) / abs(b)
                                             for value in values for a, b in zip(value, ref, strict=True))

@@ -20,8 +20,8 @@ in the upper half plane, Ajanki, Erdos & Kruger 2015) and stops each point
 once max_k |1/g_k + z + (S g)_k| <= tol.  Its mixing weights come from small
 normal equations over a Gram matrix that grows by one row per sweep, a sweep
 works in place on the columns still active, S g is one real matrix product
-for the real and imaginary parts, a defect stalled at the rounding floor ends
-it early, and quadrature reuses the curve's solutions.  `extract_density`
+for the real and imaginary parts, a best defect that stops improving ends it
+early, and quadrature reuses the curve's solutions.  `extract_density`
 starts only every _COARSE_STRIDE-th grid point cold and the others from a
 cubic interpolant of their neighbours' solutions, as quadrature does (m is
 analytic in x in the bulk, so most such starts already sit near tol).  Points
@@ -60,11 +60,9 @@ _MAX_ITER = 10_000
 
 # iterates mixed per Anderson step
 _ANDERSON_DEPTH = 6
-# a column whose best defect has not improved for this many sweeps, and is at
-# most _STALL_ROUNDING (4 units in the last place) times max_k |z + (W g)_k|,
-# has stalled at the rounding floor of the defect
+# a column whose best defect has not improved for this many sweeps has stalled
+# (a converging column goes at most 5 sweeps without a new best)
 _STALL_SWEEPS = 50
-_STALL_ROUNDING = 4 * np.finfo(np.float64).eps
 # integrate_density refines until the trapezoid changes sum to this, relative
 _QUAD_REL_TOL = 1e-6
 # profiles of dimension >= _BLOCK_MIN_DIM are solved in blocks of at most
@@ -295,13 +293,12 @@ def _solve_batch(
     Im(z + W g) and, without a warm start, the cold start g_k = -1/(Re z +
     i*max(Im z, ETA_START)); either way a column iterates at its own z in
     one pass.  Raises NonConvergence for the worst column when the solve
-    uses up _MAX_ITER, or once a best defect stays put for _STALL_SWEEPS
-    sweeps at the rounding floor of max_k |z + (W g)_k|, which no lower tol
-    can pass; and for the first column whose defect turns non-finite, at
-    once and without numpy floating-point warnings.  A defect already
-    non-finite at the first iterate (a point whose -1/z over- or underflows)
-    raises InvalidSpec instead: no iteration can start there, nor at a point
-    off the upper half plane (`errors.spectral_points`).
+    uses up _MAX_ITER, or once a column's best defect has not improved for
+    _STALL_SWEEPS sweeps; and for the first column whose defect turns
+    non-finite, at once and without numpy floating-point warnings.  A defect
+    already non-finite at the first iterate (a point whose -1/z over- or
+    underflows) raises InvalidSpec instead: no iteration can start there, nor
+    at a point off the upper half plane (`errors.spectral_points`).
 
     The sweep touches only the columns still active, which it keeps as the
     leading rows of buffers allocated once per call: when columns converge,
@@ -360,13 +357,12 @@ def _solve_batch(
                 break
             cols = idx[:a]
             stuck = stale[cols] >= _STALL_SWEEPS
-            stuck[stuck] = best[cols[stuck]] <= _STALL_ROUNDING * np.abs(denom[:a][stuck]).max(axis=1)
             stalled = stuck.any()
             if stalled or k == _MAX_ITER:
                 cause = np.sort(cols[stuck] if stalled else cols)  # ties go to the lowest column
                 worst = cause[np.argmax(best[cause])]
                 x, eta = zs[worst].real.item(), zs[worst].imag.item()
-                why = "(stalled at the rounding floor)" if stalled else f"after {_MAX_ITER} iterations"
+                why = f"(stalled: no new best in {_STALL_SWEEPS} sweeps)" if stalled else f"after {_MAX_ITER} iterations"
                 raise NonConvergence(
                     f"fixed point not below tol={tol:g} {why} at z={x:g}+{eta:g}i (best residual {best[worst]:.3g})",
                     x=x, eta=eta, residual=float(best[worst]), iterations=int(iterations[worst]),
@@ -409,8 +405,8 @@ def solve_qve(profile: Profile, z: complex, tol: float = DEFAULT_TOL) -> QveSolu
 
     A batch of one for _solve_batch: Anderson iteration at z from a cold
     start until the defect max_k |1/g_k + z + (S g)_k| is <= tol.
-    Raises NonConvergence when the solve runs out of _MAX_ITER iterations or the
-    defect stalls above tol at the rounding floor.
+    Raises NonConvergence when the solve runs out of _MAX_ITER iterations or its
+    best defect, still above tol, has not improved for _STALL_SWEEPS sweeps.
     """
     if not tol >= 0.0:
         raise InvalidSpec(f"tol must be a nonnegative number, got {tol}")
@@ -484,6 +480,8 @@ def extract_density(profile: Profile, grid: np.ndarray, eta: float = DEFAULT_ETA
     """
     grid = np.asarray(grid, dtype=np.float64)
     zs = spectral_points(complex_points(grid, eta))  # first, so that a NaN abscissa is named as such
+    if math.ulp(eta) > DEFAULT_TOL:  # Im of a defect moves in steps of ulp(eta), so none reaches tol
+        raise InvalidSpec(f"eta={eta:g} is too large: its float spacing {math.ulp(eta):.3g} exceeds tol={DEFAULT_TOL:g}")
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise InvalidSpec("grid must be strictly increasing with at least two points")
     solver_profile = reduce_profile(profile)

@@ -1,14 +1,15 @@
 """Monte Carlo campaigns confronting sampled spectra with the predictions.
 
-The local-law, Stieltjes and delocalization campaigns run one pipeline,
-`_campaign`: through the caller's map (`cli.workers` yields one: a worker
-pool, BLAS pinned to one thread; the default is the builtin map) it predicts
-the density, finds its bulk, lets the campaign plan its predictions, and
-maps the trials over seeded normalized samples.  A trial takes only its
-sample (a tridiagonal form or a spectrum comes back), and the campaign
-confronts the results with its plan after the map, e.g. the local law
-Sturm-counts every trial's form in one sweep.  Each campaign adds only its
-plan, its trial and its aggregation.
+The local-law, Stieltjes and delocalization campaigns each read top-down,
+through the caller's map (`cli.workers` yields one: a worker pool, BLAS
+pinned to one thread; the default is the builtin map).  `_prediction` solves
+the density of the ensemble's effective profile and finds its bulk; the
+campaign derives from them what it compares with (interval masses, m(z) at
+bulk points, or the bulk itself); `_trials` maps its trial over the seeded
+normalized samples.  A trial takes only its sample (a tridiagonal form or a
+spectrum comes back), and the campaign compares the results afterwards, e.g.
+the local law Sturm-counts every trial's form in one sweep.  Every refusal
+comes before the first sample.
 
 Each campaign is a deterministic function of (config, base_seed): trial i
 samples with seed base_seed + i, and aggregation is order-independent.  Every
@@ -141,22 +142,20 @@ def _report_config(cfg: LocalLawConfig, curve: DensityCurve) -> dict:
     return encode(cfg)
 
 
-def _campaign(cfg: LocalLawConfig, mapper, plan, trial) -> tuple[dict, object, list]:
-    """Predict, find the bulk, plan, then map the trials, all through `mapper`.
-
-    Raises InvalidSpec when the predicted density has no bulk.  Trial i maps to
-    trial(normalized sample of seed base_seed + i) and sees nothing else; the
-    caller confronts the results with plan(curve, bulks, widest, mapper).
-    Returns the report's config citation, the plan and the trial results in trial order.
-    """
+def _prediction(cfg: LocalLawConfig, mapper) -> tuple[DensityCurve, list[BulkInterval]]:
+    """The density of the ensemble's effective profile on the default grid at cfg.eta, solved through
+    `mapper`, and its bulk intervals at cfg.eps.  Raises InvalidSpec when the density has no bulk."""
     curve = extract_density(effective_profile(cfg.ensemble), default_grid(), eta=cfg.eta, mapper=mapper)
     bulks = detect_bulk(curve, cfg.eps)
     if not bulks:
         raise InvalidSpec(f"predicted density never reaches eps={cfg.eps:g}")
-    planned = plan(curve, bulks, max(bulks, key=lambda b: b.width), mapper)
-    results = list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i))),
-                          range(cfg.trials)))
-    return _report_config(cfg, curve), planned, results
+    return curve, bulks
+
+
+def _trials(cfg: LocalLawConfig, mapper, trial) -> list:
+    """trial(normalized sample of seed base_seed + i) for each trial i, through `mapper`, in trial order."""
+    return list(mapper(lambda i: trial(normalized_sample(with_seed(cfg.ensemble, cfg.base_seed + i))),
+                       range(cfg.trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +199,11 @@ def verify_local_law(cfg: LocalLawConfig, mapper=map) -> LocalLawReport:
     counts every interval of every trial.
     """
     n, scale = cfg.ensemble.n, local_law_scale(cfg.ensemble)
-
-    def plan(curve, bulks, widest, mapper):
-        intervals = place_intervals(widest, cfg.interval_len_factor * scale, cfg.num_intervals, n)
-        return intervals, [n * q for q in interval_masses(curve, intervals, mapper)]
-
+    curve, bulks = _prediction(cfg, mapper)
+    intervals = place_intervals(max(bulks, key=lambda b: b.width), cfg.interval_len_factor * scale, cfg.num_intervals, n)
+    predicted = [n * q for q in interval_masses(curve, intervals, mapper)]
     # the trial owns its sample, so the reduction may overwrite it
-    config, (intervals, predicted), forms = _campaign(cfg, mapper, plan,
-                                                      lambda matrix: tridiagonalize(matrix, overwrite_a=True))
+    forms = _trials(cfg, mapper, lambda matrix: tridiagonalize(matrix, overwrite_a=True))
     below = eigenvalue_counts_below(forms, np.ravel(intervals))  # integrate_density has checked lo <= hi
     observed = below[:, 1::2] - below[:, ::2]  # trials x intervals
     lo, hi = np.array(intervals).T
@@ -219,7 +215,7 @@ def verify_local_law(cfg: LocalLawConfig, mapper=map) -> LocalLawReport:
                        deviations=deviations[:, j].tolist(), pass_fraction=float(interval_pass[j]))
         for j, (lo_j, hi_j) in enumerate(intervals)
     ]
-    return LocalLawReport(config=config, n=n, intervals=records, trial_pass=trial_pass,
+    return LocalLawReport(config=_report_config(cfg, curve), n=n, intervals=records, trial_pass=trial_pass,
                           pass_fraction=float(np.mean(trial_pass)), max_deviation=float(trial_dev_max.max()),
                           k_bound_flag=scale > _K_BOUND_FLOOR)
 
@@ -260,19 +256,18 @@ def verify_stieltjes_closeness(cfg: LocalLawConfig, eta_grid, mapper=map) -> Sti
     floor = local_law_scale(cfg.ensemble)
     if etas[0] < floor:
         raise InvalidSpec(f"eta={etas[0]:g} is below the configured floor {floor:g}")
-
-    def plan(curve, bulks, widest, mapper):
-        xs = linear_grid(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]  # a bulk [-b, b] gives mirror pairs
-        zs = complex_points(xs[:, None], etas).ravel()  # x-major, solved as one batch, a mirror pair once
-        return zs, stieltjes_batch(curve.source, zs, mapper)
-
-    config, (zs, m), summaries = _campaign(cfg, mapper, plan, eigen_full)
+    curve, bulks = _prediction(cfg, mapper)
+    widest = max(bulks, key=lambda b: b.width)
+    xs = linear_grid(widest.lo, widest.hi, cfg.num_intervals + 2)[1:-1]  # a bulk [-b, b] gives mirror pairs
+    zs = complex_points(xs[:, None], etas).ravel()  # x-major, solved as one batch, a mirror pair once
+    m = stieltjes_batch(curve.source, zs, mapper)
+    summaries = _trials(cfg, mapper, eigen_full)
     gap = np.array([stieltjes_empirical(summary, zs) for summary in summaries]) - m  # trials x points
     discrepancies = np.hypot(gap.real, gap.imag)  # abs() of each complex, bit for bit, which np.abs is not
     records = [StieltjesRecord(x=z.real, eta=z.imag, predicted=[mz.real, mz.imag], discrepancies=column)
                for z, mz, column in zip(zs.tolist(), m.tolist(), discrepancies.T.tolist())]
     trial_sup = discrepancies.max(axis=1).tolist()
-    return StieltjesReport(config=config, eta_floor=floor, records=records, trial_sup=trial_sup,
+    return StieltjesReport(config=_report_config(cfg, curve), eta_floor=floor, records=records, trial_sup=trial_sup,
                            max_discrepancy=float(max(trial_sup)), median_sup=float(np.median(trial_sup)))
 
 
@@ -309,8 +304,8 @@ def verify_delocalization(cfg: LocalLawConfig, mapper=map) -> DelocReport:
     Raises InvalidSpec when no trial has an eigenvalue in the predicted bulk.
     """
     scale = local_law_scale(cfg.ensemble)
-    config, bulks, summaries = _campaign(cfg, mapper, lambda curve, bulks, widest, mapper: bulks,
-                                         lambda matrix: eigen_full(matrix, want_vectors=True))
+    curve, bulks = _prediction(cfg, mapper)
+    summaries = _trials(cfg, mapper, lambda matrix: eigen_full(matrix, want_vectors=True))
     norms = [eigvec_inf_norms(summary)[bulk_indices(summary, bulks)] for summary in summaries]
     results = [normalized_deloc_ratios(m, scale) for m in norms]
     records = [DelocTrialRecord(trial=i, bulk_count=r.size, max_inf_norm=float(m.max(initial=0.0)),
@@ -318,7 +313,7 @@ def verify_delocalization(cfg: LocalLawConfig, mapper=map) -> DelocReport:
     pooled = np.concatenate(results)
     if pooled.size == 0:
         raise InvalidSpec(f"no trial has an eigenvalue in the predicted bulk at eps={cfg.eps:g}")
-    return DelocReport(config=config, records=records,
+    return DelocReport(config=_report_config(cfg, curve), records=records,
                        ratio_quantiles={f"q{int(100 * q)}": float(np.quantile(pooled, q)) for q in _QUANTILES},
                        max_ratio=float(pooled.max()), k_bound_flag=scale > _K_BOUND_FLOOR)
 

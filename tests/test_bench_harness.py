@@ -43,3 +43,12 @@ def test_agreement_over_both_sides_and_every_round():
     runs["change"] = [_run([3, 4], [10.0, 20.0]), _run([3, 5], [10.0, 20.0 * (1 + 1e-11)])]
     checks = bench.compare(runs)
     assert not checks["observed"]["agree"] and not checks["predicted"]["agree"]
+
+
+def test_invariant_values_must_agree_within_each_run_too():
+    same = {"seconds": {}, "invariant": {"report": ["a", "a", "a"]}}
+    assert bench.compare({"parent": [same], "change": [same]})["report"]["agree"]
+    # both sides alike, but one worker count wrote other bytes: the check fails
+    varies = {"seconds": {}, "invariant": {"report": ["a", "b", "a"]}}
+    assert not bench.compare({"parent": [varies], "change": [varies]})["report"]["agree"]
+    assert not bench.compare({"parent": [same], "change": [varies]})["report"]["agree"]

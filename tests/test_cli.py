@@ -278,8 +278,8 @@ def test_non_convergence_exits_two(tmp_path, capsys):
 
 
 def test_stalled_solve_exits_two_without_using_up_its_iterations(tmp_path, capsys):
-    # the defect sits at the rounding floor (1.1e-16), far above tol = 1e-17, for good;
-    # the solver must say so within a few dozen sweeps instead of spending max_iter = 10000
+    # the defect sits at the rounding floor (1.1e-16), far above tol = 1e-17, for good; the solver
+    # must say so 50 sweeps after its best stops improving instead of spending max_iter = 10000
     prof_path = tmp_path / "p.json"
     qve.VarianceProfile.constant(4).to_json(prof_path)
     code = cli.main(["qve-solve", "--profile", str(prof_path), "--x", "1.5", "--eta", "1e-12", "--tol", "1e-17"])
@@ -649,7 +649,7 @@ def test_non_finite_defect_fails_at_once_with_one_record(profile_path):
 
 @pytest.mark.parametrize("argv, code", [
     (["density", "--grid=1e308:1.5e308:2", "--eta", "1e308", "--out", "{tmp}/rho.csv"], 1),
-    (["qve-solve", "--x=1e300", "--eta", "1"], 2),  # starts finite, then stalls at the rounding floor
+    (["qve-solve", "--x=1e300", "--eta", "1"], 2),  # starts finite, then its best defect stops improving
 ])
 def test_unstartable_point_exits_one_and_a_stall_exits_two(tmp_path, profile_path, capsys, argv, code):
     argv = [argv[0], "--profile", profile_path, *(arg.format(tmp=tmp_path) for arg in argv[1:])]

@@ -166,10 +166,13 @@ _DENSE60 = {**_WIGNER, "n": 60}
     ("verify-local-law", {"ensemble": {**_DENSE60, "n": 50}, "trials": 2, "num_intervals": 1,
                           "interval_len_factor": 1e-320},
      "intervals of length 7.80624e-322 have no width in [-1.89, 1.89] that n=50 times is normal"),
-], ids=["deloc-p-1e-320", "deloc-bound-1e300", "local-law-subnormal-interval"])
+    ("verify-local-law", {"ensemble": _DENSE60, "trials": 2, "eps": 1e-7, "eta": 1e6},
+     "eta=1e+06 is too large: its float spacing 1.16e-10 exceeds tol=1e-10"),
+], ids=["deloc-p-1e-320", "deloc-bound-1e300", "local-law-subnormal-interval", "local-law-eta-1e6"])
 def test_vacuous_campaign_exits_one_with_one_record(tmp_path, command, config, message):
     # at p = 1e-320 or K = 1e300 the scale overflowed to inf and every sup-norm ratio read 0;
-    # a subnormal interval gave a subnormal prediction and a deviation of about rho(0)
+    # a subnormal interval gave a subnormal prediction and a deviation of about rho(0); at
+    # eta = 1e6 (pi eta eps = 0.31) the prediction's solver stalled and the campaign exited 2
     path, out = tmp_path / "campaign.json", tmp_path / "report.json"
     path.write_text(json.dumps(config))
     code, stderr = _run([command, "--config", str(path), "--threads", "1", "--out", str(out)])
@@ -189,3 +192,17 @@ def test_campaign_eta_above_one_over_pi_eps_exits_one_before_any_solve(tmp_path,
     message = "eta=1e+300 exceeds 1/(pi eps) at eps=0.1: a density at eta is at most 1/(pi eta)"
     assert (code, _one_record(stderr)) == (1, {"error": "config", "message": message})
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eta, code", [(1e6, 1), (5.2e5, 0)])
+def test_density_refuses_an_eta_whose_float_spacing_exceeds_tol(tmp_path, eta, code):
+    # from eta = 2**19 on, ulp(eta) > tol and the imaginary part of a defect moves in steps of
+    # ulp(eta), so no point could converge: the solver stalled after 51 sweeps and exited 2
+    profile, out = tmp_path / "block.json", tmp_path / "rho.csv"
+    profile.write_text(json.dumps(_BLOCK))
+    result, stderr = _run(["density", "--profile", str(profile), "--eta", repr(eta), "--out", str(out)])
+    assert result == code
+    if code:
+        message = f"eta={eta:g} is too large: its float spacing 1.16e-10 exceeds tol=1e-10"
+        assert _one_record(stderr) == {"error": "config", "message": message}
+    assert out.exists() == (code == 0)

@@ -225,7 +225,8 @@ def test_max_iter_failure_matches_the_column_alone(monkeypatch):
 
 def test_stall_matches_the_column_alone():
     # at x = 1e308 the imaginary part of -1/z underflows, so the defect sticks
-    # near eta, far above tol and far below the rounding floor of |z|
+    # near eta, far above tol: the first is the best, and the column stalls
+    # _STALL_SWEEPS sweeps later
     profile = random_profile(7, seed=5)
     xs, eta = np.array([0.5, 1e308, -1.5, 2.5]), 1.0
     alone = _failure(profile, xs[1:2], eta)

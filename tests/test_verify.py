@@ -301,6 +301,20 @@ def test_empty_bulk_raises():
         verify.verify_local_law(cfg)
 
 
+@pytest.mark.parametrize("campaign, kw, message", [
+    (verify.verify_local_law, {"length": 5.0}, "no interval of length 5 fits"),
+    (verify.verify_delocalization, {"eps": 10.0}, "predicted density never reaches eps=10"),
+], ids=["local-law-intervals-do-not-fit", "deloc-eps-above-the-density"])
+def test_every_refusal_comes_before_the_first_sample(monkeypatch, campaign, kw, message):
+    drawn, sample = [], verify.normalized_sample
+    monkeypatch.setattr(verify, "normalized_sample", lambda spec: drawn.append(spec.seed) or sample(spec))
+    with pytest.raises(InvalidSpec, match=message):
+        campaign(dense_config(n=100, trials=2, **kw))
+    assert drawn == []
+    campaign(dense_config(n=100, trials=2))  # the same campaign without the refusal draws both samples
+    assert sorted(drawn) == [100, 101]
+
+
 def test_local_law_report_round_trip(tmp_path, dense_report):
     path = tmp_path / "r.json"
     dense_report.to_json(path)
